@@ -18,6 +18,7 @@ from skyprov.keys import SigningKey, load_key_file, save_key_file
 from skyprov.merkle import verify_inclusion
 from skyprov.model import (
     DatasetDescriptor,
+    DeriveDataset,
     EasEvent,
     FileRef,
     PublishDataset,
@@ -471,3 +472,60 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     code, out, _ = run(capsys, "keygen", "--frobnicate")
     assert code == 2 and lines(out)[0]["error"] == "UsageError"
+
+
+# -- index snapshot format golden ---------------------------------------------------
+
+# SHA-256 of the `index-build` output for golden_chain_dir's chain. Frozen: a
+# change here means the snapshot file format changed.
+GOLDEN_INDEX_SNAPSHOT_SHA = "91691990bf866345e44de7870e6b4a274971492ab688c40e78678740e3529838"
+
+
+@pytest.fixture
+def golden_chain_dir(tmp_path):
+    """A fully deterministic chain: fixed keys, created_at and timestamps; two
+    storages, a program, primaries with energy extras, an empty block and a
+    two-level derivation."""
+    from conftest import key_for, make_dataset, make_roster, program_body, storage_body
+
+    handlers, keys = make_roster(3)
+    state = ChainState(GenesisConfig(handlers=handlers, slot_duration_ms=100,
+                                     ordering_mode="fixed", genesis_time=1_000_000_000))
+    user = key_for("golden-user")
+
+    def derive(dataset_id, parents, start, end):
+        return DeriveDataset(
+            dataset=make_dataset(dataset_id, "secondary", storage_id="st-2", start=start, end=end,
+                                 file_format="packed"),
+            parent_dataset_ids=tuple(parents), program_id="prog-1", program_version="1.0",
+            parameters_hash=hashlib.sha256(b"golden-params").hexdigest(),
+        )
+
+    batches = [
+        [storage_body("st-1", kind="jsonl", base_uri="storages/st-1"),
+         storage_body("st-2", kind="packed", base_uri="storages/st-2"),
+         program_body("prog-1", "1.0")],
+        [PublishDataset(dataset=make_dataset("ds-b", facility_id="TUNKA", start=1500, end=2500,
+                                             extra={"energy_max": "2", "energy_min": "0.5"}, n_files=2)),
+         PublishDataset(dataset=make_dataset("ds-a", start=1000, end=2000))],
+        [],
+        [derive("ds-d", ["ds-b", "ds-a"], 1000, 2500)],
+        [derive("ds-e", ["ds-d"], 1200, 2400)],
+    ]
+    for height, bodies in enumerate(batches):
+        for position, body in enumerate(bodies):
+            assert state.submit(sign_transaction(body, user, created_at=10_000 + 100 * height + position)).ok
+        slot = state.last_slot() + 1 + (height == 2)
+        block = produce_block(state, slot, keys[state.scheduled_handler(slot)], now=state.slot_start_time(slot))
+        assert state.receive_block(block).ok and len(block.transactions) == len(bodies)
+    chain_dir = tmp_path / "golden-chain"
+    save_chain(state, str(chain_dir))
+    return str(chain_dir)
+
+
+def test_index_snapshot_golden(golden_chain_dir, tmp_path, capsys):
+    out_file = tmp_path / "index.json"
+    code, out, _ = run(capsys, "index-build", "--chain", golden_chain_dir, "--out", str(out_file))
+    assert code == 0
+    assert lines(out)[0]["built_to"] == {"height": 4, "registry_size": 7}
+    assert sha256_bytes(out_file.read_bytes()).hex() == GOLDEN_INDEX_SNAPSHOT_SHA
