@@ -59,13 +59,10 @@ from .errors import (
     UnknownProgram,
     UnsortedInput,
     UsageError,
-    WatermarkError,
 )
 from .index import (
-    IndexState,
     QueryFilter,
     ResolvedFile,
-    build_index,
     index_from_obj,
     index_to_obj,
     query,

@@ -32,13 +32,14 @@ from .errors import (
     UnknownProgram,
     UnsortedInput,
 )
-from .index import IndexState, QueryFilter, query, resolve_files, validate_filter
+from .index import QueryFilter, query, resolve_files, validate_filter
 from .keys import SigningKey
 from .model import (
     DatasetDescriptor,
     DeriveDataset,
     FileRef,
     PmdTransaction,
+    RegistryState,
     sign_transaction,
 )
 from .storage import StorageHandle, decode_events, encode_events, get_file, put_file
@@ -173,10 +174,8 @@ class TimeOrderedMergePlugin:
 
     def __init__(self, spec: PluginSpec):
         _no_parameters(spec)
-        self.peak_buffered = 0
 
     def merge(self, named_streams) -> Iterator[StreamItem]:
-        self.peak_buffered = len(named_streams)
         checked = [_sorted_guard(name, stream) for name, stream in named_streams]
         return heapq.merge(
             *checked, key=lambda item: (item.event.registration_time, item.dataset_id, item.event.event_id)
@@ -191,12 +190,6 @@ def _sorted_guard(name: str, stream) -> Iterator[StreamItem]:
             raise UnsortedInput(f"stream {name} is not time-ordered (saw {t} after {last})")
         last = t
         yield item
-
-
-def plugin_time_ordered_merge(named_streams) -> Iterator[StreamItem]:
-    """Functional form: merge [(name, stream), ...] into one ordered stream."""
-    plugin = TimeOrderedMergePlugin(PluginSpec("time_ordered_merge", {}))
-    return plugin.merge(list(named_streams))
 
 
 class EnergyFilterPlugin:
@@ -233,13 +226,6 @@ class EnergyFilterPlugin:
     @property
     def drop_tally(self) -> int:
         return self.dropped_missing
-
-
-def plugin_energy_filter(stream, threshold: str):
-    """Functional form; returns (kept events iterator materialized, dropped count)."""
-    plugin = EnergyFilterPlugin(PluginSpec("energy_filter", {"threshold": threshold}))
-    kept = list(plugin.transform(stream))
-    return kept, plugin.dropped_missing
 
 
 class MergeArchivePlugin:
@@ -346,7 +332,7 @@ def _fetch_all(plan, storages, concurrent: bool):
 
 def execute(
     request: AggregationRequest,
-    index: IndexState,
+    registry: RegistryState,
     storages,
     window: int = DEFAULT_WINDOW,
     concurrent: bool = True,
@@ -362,9 +348,9 @@ def execute(
         if plugin.kind == "merge" and position != 0:
             raise PluginConfigError("time_ordered_merge must be the first pipeline stage")
 
-    matched = query(index, request.filter)
+    matched = query(registry, request.filter)
     dataset_ids = tuple(ds.dataset_id for ds in matched)
-    plan = resolve_files(index, dataset_ids)
+    plan = resolve_files(registry, dataset_ids)
     fetched = _fetch_all(plan, storages, concurrent)
 
     # integrity gate: every file verified before any plugin touches any byte

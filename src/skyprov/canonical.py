@@ -19,7 +19,32 @@ from typing import Any
 
 from .errors import InvalidBody
 
-_HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
+# Matched with fullmatch only: `$` would also accept a trailing "\n", which
+# bytes.fromhex and Decimal then skip, giving one value two byte forms.
+_HEX64_RE = re.compile(r"[0-9a-f]{64}")
+_HEX128_RE = re.compile(r"[0-9a-f]{128}")
+# fixed-point, non-negative; exponents and signs are not canonical
+_DECIMAL_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
+
+
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise InvalidBody(msg)
+
+
+def is_hex64(value: Any) -> bool:
+    """Lowercase 64-char hex: digests and Ed25519 public keys."""
+    return isinstance(value, str) and _HEX64_RE.fullmatch(value) is not None
+
+
+def is_hex128(value: Any) -> bool:
+    """Lowercase 128-char hex: Ed25519 signatures."""
+    return isinstance(value, str) and _HEX128_RE.fullmatch(value) is not None
+
+
+def is_decimal(value: Any) -> bool:
+    """Non-negative fixed-point decimal string such as "0.75"."""
+    return isinstance(value, str) and _DECIMAL_RE.fullmatch(value) is not None
 
 
 def _check_encodable(value: Any, path: str = "$") -> None:
@@ -82,6 +107,6 @@ def digest_to_hex(digest: bytes) -> str:
 
 def digest_from_hex(text: str) -> bytes:
     """Parse a lowercase 64-char hex digest; uppercase is non-canonical."""
-    if not isinstance(text, str) or not _HEX64_RE.match(text):
+    if not is_hex64(text):
         raise InvalidBody(f"not a lowercase 64-char hex digest: {text!r}")
     return bytes.fromhex(text)

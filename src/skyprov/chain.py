@@ -14,7 +14,15 @@ import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .canonical import digest_from_hex, dumps_canonical, loads_canonical, sha256_bytes
+from .canonical import (
+    _require,
+    digest_from_hex,
+    dumps_canonical,
+    is_hex64,
+    is_hex128,
+    loads_canonical,
+    sha256_bytes,
+)
 from .errors import InvalidBody, IoError, NotScheduled
 from .keys import SigningKey, verify_signature
 from .merkle import MerkleLog
@@ -28,17 +36,9 @@ from .model import (
     validate_transaction,
 )
 
-_HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
-_HEX128_RE = re.compile(r"^[0-9a-f]{128}$")
-
 ORDERING_MODES = ("fixed", "reshuffled")
 
-_BLOCK_FILE_RE = re.compile(r"^block_(\d+)\.json$")
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidBody(msg)
+_BLOCK_FILE_RE = re.compile(r"block_([0-9]+)\.json")
 
 
 # -- genesis ---------------------------------------------------------------
@@ -61,7 +61,7 @@ def validate_genesis(config: GenesisConfig) -> None:
         _require(isinstance(hid, str) and hid != "", "handler_id must be a non-empty string")
         _require(hid not in seen, f"duplicate handler_id {hid}")
         seen.add(hid)
-        _require(isinstance(pub, str) and bool(_HEX64_RE.match(pub)), "handler public key must be 64 lowercase hex chars")
+        _require(is_hex64(pub), "handler public key must be 64 lowercase hex chars")
     _require(isinstance(config.slot_duration_ms, int) and not isinstance(config.slot_duration_ms, bool), "slot_duration_ms must be an integer")
     _require(config.slot_duration_ms > 0, "slot_duration_ms must be > 0")
     _require(config.ordering_mode in ORDERING_MODES, f"ordering_mode must be one of {ORDERING_MODES}")
@@ -125,9 +125,9 @@ class BlockHeader:
 def _header_core_obj(h: BlockHeader) -> dict:
     _require(isinstance(h.height, int) and h.height >= 0, "height must be >= 0")
     _require(isinstance(h.slot, int) and h.slot >= 0, "slot must be >= 0")
-    _require(isinstance(h.prev_block_hash, str) and bool(_HEX64_RE.match(h.prev_block_hash)), "prev_block_hash malformed")
-    _require(isinstance(h.tx_root, str) and bool(_HEX64_RE.match(h.tx_root)), "tx_root malformed")
-    _require(isinstance(h.registry_root, str) and bool(_HEX64_RE.match(h.registry_root)), "registry_root malformed")
+    _require(is_hex64(h.prev_block_hash), "prev_block_hash malformed")
+    _require(is_hex64(h.tx_root), "tx_root malformed")
+    _require(is_hex64(h.registry_root), "registry_root malformed")
     _require(isinstance(h.registry_size, int) and h.registry_size >= 0, "registry_size must be >= 0")
     _require(isinstance(h.timestamp, int) and h.timestamp >= 0, "timestamp must be >= 0")
     _require(isinstance(h.creator, str) and h.creator != "", "creator must be a non-empty string")
@@ -149,7 +149,7 @@ def header_signing_bytes(h: BlockHeader) -> bytes:
 
 def header_to_obj(h: BlockHeader) -> dict:
     obj = _header_core_obj(h)
-    _require(isinstance(h.signature, str) and bool(_HEX128_RE.match(h.signature)), "header signature malformed")
+    _require(is_hex128(h.signature), "header signature malformed")
     obj["signature"] = h.signature
     return obj
 
@@ -297,8 +297,8 @@ class Checkpoint:
         _require(set(obj) == {"head_hash", "height", "registry_root", "registry_size"}, "checkpoint keys malformed")
         _require(isinstance(obj["height"], int) and obj["height"] >= -1, "checkpoint height malformed")
         _require(isinstance(obj["registry_size"], int) and obj["registry_size"] >= 0, "checkpoint registry_size malformed")
-        _require(isinstance(obj["registry_root"], str) and bool(_HEX64_RE.match(obj["registry_root"])), "checkpoint registry_root malformed")
-        _require(isinstance(obj["head_hash"], str) and bool(_HEX64_RE.match(obj["head_hash"])), "checkpoint head_hash malformed")
+        _require(is_hex64(obj["registry_root"]), "checkpoint registry_root malformed")
+        _require(is_hex64(obj["head_hash"]), "checkpoint head_hash malformed")
         return cls(
             registry_root=obj["registry_root"],
             registry_size=obj["registry_size"],
@@ -451,6 +451,7 @@ class ChainState:
             self.registry_log.append(tx_wire_bytes(tx))
             self.registry.apply(tx)
             self.pending_pool.pop(tx.tx_id, None)
+        self.registry.built_to = (block.header.height, self.registry_log.size)
         if block.header.slot > self.observed_slot:
             self.observed_slot = block.header.slot
 
@@ -574,7 +575,7 @@ def list_block_heights(chain_dir: str) -> list:
     except OSError as exc:
         raise IoError(f"cannot list chain dir {chain_dir}: {exc}") from exc
     for name in names:
-        m = _BLOCK_FILE_RE.match(name)
+        m = _BLOCK_FILE_RE.fullmatch(name)
         if m:
             heights.append(int(m.group(1)))
     heights.sort()

@@ -21,7 +21,7 @@ from .aggregation import (
     publish_result,
     request_from_obj,
 )
-from .canonical import digest_from_hex, dumps_canonical
+from .canonical import digest_from_hex, dumps_canonical, is_hex64
 from .chain import (
     Checkpoint,
     GenesisConfig,
@@ -46,7 +46,7 @@ from .errors import (
     SkyprovError,
     UsageError,
 )
-from .index import QueryFilter, build_index, index_from_obj, index_to_obj, query, validate_filter
+from .index import QueryFilter, index_from_obj, index_to_obj, query, validate_filter
 from .keys import SigningKey, load_key_file, save_key_file
 from .merkle import leaf_hash, verify_consistency
 from .model import body_from_obj, dataset_to_obj, sign_transaction, tx_wire_bytes
@@ -143,7 +143,7 @@ def _handler_spec(home: str, spec: str):
     name, sep, value = spec.partition("=")
     if not sep or not name or not value:
         raise UsageError(f"--handler must look like NAME=PUBHEX or NAME=KEYNAME, got {spec!r}")
-    if len(value) == 64 and all(c in "0123456789abcdef" for c in value):
+    if is_hex64(value):
         return name, value
     path = _key_path(home, value)
     if not os.path.exists(path):
@@ -243,11 +243,12 @@ def cmd_chain_verify(args) -> int:
             ok = verify_consistency(
                 digest_from_hex(cp.registry_root), cp.registry_size, log.root(), log.size, proof
             )
-        if cp.height >= 0:
-            if cp.height > state.head_height:
-                ok = False
-            elif header_hash(state.blocks[cp.height].header) != cp.head_hash:
-                ok = False
+        if cp.height > state.head_height:
+            ok = False
+        else:
+            # height -1 is the empty chain, whose head hash is the genesis hash
+            head = state.genesis_hash_hex if cp.height < 0 else header_hash(state.blocks[cp.height].header)
+            ok = ok and head == cp.head_hash
         if not ok:
             _emit({"error": "IntegrityError", "message": "checkpoint is not consistent with this chain"})
             return VALIDATION_EXIT
@@ -310,18 +311,17 @@ def cmd_index_build(args) -> int:
         if not args.home:
             raise UsageError("--out or --home is required")
         out = os.path.join(args.home, "index.json")
-    state = load_chain(chain_dir)
-    index = build_index(state.blocks)
-    data = dumps_canonical(index_to_obj(index)) + b"\n"
+    registry = load_chain(chain_dir).registry
+    data = dumps_canonical(index_to_obj(registry)) + b"\n"
     try:
         with open(out, "wb") as fh:
             fh.write(data)
     except OSError as exc:
         raise IoError(f"cannot write index {out}: {exc}") from exc
-    height, registry_size = index.built_to
+    height, registry_size = registry.built_to
     _emit({
         "built_to": {"height": height, "registry_size": registry_size},
-        "datasets": len(index.datasets),
+        "datasets": len(registry.datasets),
         "path": out,
     })
     return 0
@@ -368,29 +368,26 @@ def parse_where(clauses) -> QueryFilter:
     return f
 
 
-def _load_index(args):
+def _load_registry(args):
     if getattr(args, "index", None):
-        obj = _read_json_file(args.index, "index file")
-        return index_from_obj(obj)
-    state = load_chain(_chain_dir(args))
-    return build_index(state.blocks)
+        return index_from_obj(_read_json_file(args.index, "index file"))
+    return load_chain(_chain_dir(args)).registry
 
 
 def cmd_query(args) -> int:
     if not args.where:
         raise UsageError("at least one --where predicate is required")
     f = parse_where(args.where)
-    index = _load_index(args)
-    rows = query(index, f)
+    rows = query(_load_registry(args), f)
     for ds in rows:
         sys.stdout.buffer.write(dumps_canonical(dataset_to_obj(ds)) + b"\n")
     _progress(f"{len(rows)} datasets matched")
     return 0
 
 
-def _open_registered_storages(home: str, index):
+def _open_registered_storages(home: str, registry):
     storages = {}
-    for storage_id, body in index.storages.items():
+    for storage_id, body in registry.storages.items():
         base = body.base_uri
         if not os.path.isabs(base):
             base = os.path.join(home, base)
@@ -402,18 +399,16 @@ def _open_registered_storages(home: str, index):
 def _prepare_aggregation(args):
     req = request_from_obj(_read_json_file(args.request, "request file"))
     state = load_chain(_chain_dir(args))
-    index = build_index(state.blocks)
-    storages = _open_registered_storages(args.home, index)
-    return req, state, index, storages
+    return req, state, _open_registered_storages(args.home, state.registry)
 
 
 def cmd_aggregate(args) -> int:
-    req, _, index, storages = _prepare_aggregation(args)
+    req, state, storages = _prepare_aggregation(args)
     if isinstance(req.sink, PublishSink):
         raise UsageError("this request has a publish sink; use the publish command")
     if isinstance(req.sink, LocalSink) and not os.path.isabs(req.sink.path):
         req = dataclasses.replace(req, sink=LocalSink(os.path.join(args.home, req.sink.path)))
-    result = execute(req, index, storages, window=args.window, concurrent=not args.sequential)
+    result = execute(req, state.registry, storages, window=args.window, concurrent=not args.sequential)
     output_path = result.output_path
     if output_path is None and args.out:
         try:
@@ -431,10 +426,10 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_publish(args) -> int:
-    req, state, index, storages = _prepare_aggregation(args)
+    req, state, storages = _prepare_aggregation(args)
     if not isinstance(req.sink, PublishSink):
         raise UsageError("publish requires a request with a publish sink")
-    result = execute(req, index, storages, window=args.window, concurrent=not args.sequential)
+    result = execute(req, state.registry, storages, window=args.window, concurrent=not args.sequential)
     key = load_key_file(_key_path(args.home, args.key))
     created_at = args.created_at
     if created_at is None:

@@ -31,10 +31,6 @@ class NotFound(SkyprovError):
     """Referenced entity (dataset, file, ...) does not exist."""
 
 
-class WatermarkError(SkyprovError):
-    """Block applied to an index out of order."""
-
-
 class PathViolation(SkyprovError):
     """Storage path escapes the storage root."""
 

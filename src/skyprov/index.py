@@ -1,31 +1,32 @@
-"""Read-only query index materialized from confirmed chain transactions.
+"""Queries and snapshot files over the chain's registry.
 
-The index is an immutable snapshot: folding a block in returns a new
-snapshot and never touches the old one, so readers can hold a version
-while the next block lands. Rebuilding from genesis reproduces the
-incrementally built index exactly.
+The registry every ChainState builds while it validates blocks
+(model.RegistryState) is the only representation of confirmed metadata.
+This module answers predicate queries by scanning it, turns matched
+datasets into a fetch plan, and reads and writes the index snapshot file
+that ``query --index`` serves without replaying the chain.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
-from types import MappingProxyType
+from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional
 
-from .chain import Block
-from .errors import InvalidBody, NotFound, WatermarkError
+from .canonical import _require, is_decimal
+from .errors import InvalidBody, NotFound
 from .model import (
-    DatasetDescriptor,
     DatasetRecord,
-    DeriveDataset,
-    PublishDataset,
-    RegisterProgram,
     RegisterStorage,
+    RegistryState,
+    _require_hex64,
+    _require_int,
+    _require_str,
+    body_from_obj,
+    body_to_obj,
+    dataset_from_obj,
+    dataset_to_obj,
 )
-
-_DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]+)?$")
 
 KINDS = ("primary", "secondary")
 
@@ -72,154 +73,60 @@ def validate_filter(f: QueryFilter) -> None:
         if not ok:
             raise InvalidBody("time_range must be an integer (start, end) with start <= end")
     for name, value in (("energy_min", f.energy_min), ("energy_max", f.energy_max)):
-        if value is not None and not (isinstance(value, str) and _DECIMAL_RE.match(value)):
+        if value is not None and not is_decimal(value):
             raise InvalidBody(f"{name} must be a non-negative fixed-point decimal string")
     for name, value in (("ancestor_of", f.ancestor_of), ("descendant_of", f.descendant_of), ("facility_id", f.facility_id), ("storage_id", f.storage_id)):
         if value is not None and (not isinstance(value, str) or value == ""):
             raise InvalidBody(f"{name} must be a non-empty string")
 
 
-# -- index state ------------------------------------------------------------------
-
-
-def _frozen(d: dict):
-    return MappingProxyType(dict(d))
-
-
-@dataclass(frozen=True)
-class IndexState:
-    datasets: MappingProxyType = field(default_factory=lambda: _frozen({}))  # id -> DatasetRecord
-    storages: MappingProxyType = field(default_factory=lambda: _frozen({}))  # id -> RegisterStorage
-    programs: MappingProxyType = field(default_factory=lambda: _frozen({}))  # (id, version) -> code_hash
-    children: MappingProxyType = field(default_factory=lambda: _frozen({}))  # parent id -> tuple of child ids
-    by_facility: MappingProxyType = field(default_factory=lambda: _frozen({}))  # facility -> frozenset of ids
-    by_storage: MappingProxyType = field(default_factory=lambda: _frozen({}))  # storage -> frozenset of ids
-    built_to: tuple = (-1, 0)  # (height, registry_size) watermark
-
-    __hash__ = None
-
-
-def empty_index() -> IndexState:
-    return IndexState()
-
-
-def apply_block(index: IndexState, block: Block) -> IndexState:
-    """Fold one confirmed block into a new index snapshot (pure)."""
-    expected = index.built_to[0] + 1
-    if block.header.height != expected:
-        raise WatermarkError(
-            f"block height {block.header.height} does not follow watermark height {index.built_to[0]}"
-        )
-    datasets = dict(index.datasets)
-    storages = dict(index.storages)
-    programs = dict(index.programs)
-    children = dict(index.children)
-    by_facility = {k: set(v) for k, v in index.by_facility.items()}
-    by_storage = {k: set(v) for k, v in index.by_storage.items()}
-
-    for tx in block.transactions:
-        body = tx.body
-        if isinstance(body, RegisterStorage):
-            storages[body.storage_id] = body
-        elif isinstance(body, RegisterProgram):
-            programs[(body.program_id, body.version)] = body.code_hash
-        elif isinstance(body, (PublishDataset, DeriveDataset)):
-            ds = body.dataset
-            if isinstance(body, DeriveDataset):
-                record = DatasetRecord(
-                    descriptor=ds,
-                    parents=tuple(body.parent_dataset_ids),
-                    program=(body.program_id, body.program_version),
-                    tx_id=tx.tx_id,
-                )
-                for parent in body.parent_dataset_ids:
-                    children[parent] = children.get(parent, ()) + (ds.dataset_id,)
-            else:
-                record = DatasetRecord(descriptor=ds, parents=(), program=None, tx_id=tx.tx_id)
-            datasets[ds.dataset_id] = record
-            by_facility.setdefault(ds.facility_id, set()).add(ds.dataset_id)
-            by_storage.setdefault(ds.storage_id, set()).add(ds.dataset_id)
-
-    return IndexState(
-        datasets=_frozen(datasets),
-        storages=_frozen(storages),
-        programs=_frozen(programs),
-        children=_frozen(children),
-        by_facility=_frozen({k: frozenset(v) for k, v in by_facility.items()}),
-        by_storage=_frozen({k: frozenset(v) for k, v in by_storage.items()}),
-        built_to=(block.header.height, index.built_to[1] + len(block.transactions)),
-    )
-
-
-def build_index(blocks) -> IndexState:
-    index = empty_index()
-    for block in blocks:
-        index = apply_block(index, block)
-    return index
-
-
 # -- query -----------------------------------------------------------------------
 
 
 def _decimal_or_none(text) -> Optional[Decimal]:
-    if not isinstance(text, str) or not _DECIMAL_RE.match(text):
-        return None
-    try:
-        return Decimal(text)
-    except InvalidOperation:  # pragma: no cover - regex already guards
-        return None
+    return Decimal(text) if is_decimal(text) else None
 
 
-def _ancestors(index: IndexState, dataset_id: str) -> set:
+def _reachable(start: str, edges) -> set:
+    """Every id reachable from start by following edges(id)."""
     out = set()
-    frontier = list(index.datasets[dataset_id].parents) if dataset_id in index.datasets else []
+    frontier = list(edges(start))
     while frontier:
         current = frontier.pop()
-        if current in out:
-            continue
-        out.add(current)
-        record = index.datasets.get(current)
-        if record is not None:
-            frontier.extend(record.parents)
+        if current not in out:
+            out.add(current)
+            frontier.extend(edges(current))
     return out
 
 
-def _descendants(index: IndexState, dataset_id: str) -> set:
-    out = set()
-    frontier = list(index.children.get(dataset_id, ()))
-    while frontier:
-        current = frontier.pop()
-        if current in out:
-            continue
-        out.add(current)
-        frontier.extend(index.children.get(current, ()))
-    return out
+def query(registry: RegistryState, f: QueryFilter):
+    """Datasets satisfying every predicate, ordered by (time_range.start, dataset_id).
 
-
-def query(index: IndexState, f: QueryFilter):
-    """Datasets satisfying every predicate, ordered by (time_range.start, dataset_id)."""
+    One scan over the registry. descendant_of collects parent-to-child links
+    during that scan and keeps the matches that descend from it afterwards.
+    """
     validate_filter(f)
-
-    candidates = None  # None = all dataset ids
-
-    def narrow(ids) -> None:
-        nonlocal candidates
-        candidates = set(ids) if candidates is None else candidates & set(ids)
-
-    if f.facility_id is not None:
-        narrow(index.by_facility.get(f.facility_id, frozenset()))
-    if f.storage_id is not None:
-        narrow(index.by_storage.get(f.storage_id, frozenset()))
+    datasets = registry.datasets
+    ancestors = None
     if f.ancestor_of is not None:
-        narrow(_ancestors(index, f.ancestor_of))
-    if f.descendant_of is not None:
-        narrow(_descendants(index, f.descendant_of))
-    if candidates is None:
-        candidates = set(index.datasets)
+        ancestors = _reachable(f.ancestor_of, lambda d: datasets[d].parents if d in datasets else ())
+    energy_min = None if f.energy_min is None else Decimal(f.energy_min)
+    energy_max = None if f.energy_max is None else Decimal(f.energy_max)
+    want_children = f.descendant_of is not None
+    children = {}
 
     out = []
-    for dataset_id in candidates:
-        ds = index.datasets[dataset_id].descriptor
+    for dataset_id, record in datasets.items():
+        if want_children:
+            for parent in record.parents:
+                children.setdefault(parent, []).append(dataset_id)
+        ds = record.descriptor
+        if ancestors is not None and dataset_id not in ancestors:
+            continue
+        if f.facility_id is not None and ds.facility_id != f.facility_id:
+            continue
+        if f.storage_id is not None and ds.storage_id != f.storage_id:
+            continue
         if f.kind is not None and ds.kind != f.kind:
             continue
         if f.time_range is not None:
@@ -227,15 +134,18 @@ def query(index: IndexState, f: QueryFilter):
             start, end = ds.time_range
             if end < lo or start > hi:
                 continue
-        if f.energy_min is not None:
+        if energy_min is not None:
             upper = _decimal_or_none(ds.extra.get("energy_max"))
-            if upper is None or upper < Decimal(f.energy_min):
+            if upper is None or upper < energy_min:
                 continue
-        if f.energy_max is not None:
+        if energy_max is not None:
             lower = _decimal_or_none(ds.extra.get("energy_min"))
-            if lower is None or lower > Decimal(f.energy_max):
+            if lower is None or lower > energy_max:
                 continue
         out.append(ds)
+    if want_children:
+        descendants = _reachable(f.descendant_of, lambda d: children.get(d, ()))
+        out = [ds for ds in out if ds.dataset_id in descendants]
     out.sort(key=lambda d: (d.time_range[0], d.dataset_id))
     return out
 
@@ -254,16 +164,16 @@ class ResolvedFile:
     format: str
 
 
-def resolve_files(index: IndexState, dataset_ids):
+def resolve_files(registry: RegistryState, dataset_ids):
     """Fetch plan for the given datasets, grouped by storage for concurrent
     retrieval; within a storage, entries keep dataset order then ref order."""
     entries = []
     for position, dataset_id in enumerate(dataset_ids):
-        record = index.datasets.get(dataset_id)
+        record = registry.datasets.get(dataset_id)
         if record is None:
             raise NotFound(f"dataset {dataset_id} not found")
         ds = record.descriptor
-        registration = index.storages.get(ds.storage_id)
+        registration = registry.storages.get(ds.storage_id)
         assert registration is not None, "confirmed dataset on unregistered storage"
         for ref_position, ref in enumerate(ds.file_refs):
             entries.append(
@@ -286,14 +196,13 @@ def resolve_files(index: IndexState, dataset_ids):
     return [e[3] for e in entries]
 
 
-# -- serialization (index cache file) ----------------------------------------------------
+# -- serialization (index snapshot file) ----------------------------------------------------
 
 
-def index_to_obj(index: IndexState) -> dict:
-    from .model import body_to_obj, dataset_to_obj
-
+def index_to_obj(registry: RegistryState) -> dict:
+    height, registry_size = registry.built_to
     return {
-        "built_to": {"height": index.built_to[0], "registry_size": index.built_to[1]},
+        "built_to": {"height": height, "registry_size": registry_size},
         "datasets": {
             dataset_id: {
                 "descriptor": dataset_to_obj(record.descriptor),
@@ -305,52 +214,77 @@ def index_to_obj(index: IndexState) -> dict:
                 ),
                 "tx_id": record.tx_id,
             }
-            for dataset_id, record in sorted(index.datasets.items())
+            for dataset_id, record in sorted(registry.datasets.items())
         },
         "programs": [
             {"code_hash": code_hash, "program_id": pid, "version": version}
-            for (pid, version), code_hash in sorted(index.programs.items())
+            for (pid, version), code_hash in sorted(registry.programs.items())
         ],
-        "storages": {sid: body_to_obj(body) for sid, body in sorted(index.storages.items())},
+        "storages": {sid: body_to_obj(body) for sid, body in sorted(registry.storages.items())},
     }
 
 
-def index_from_obj(obj) -> IndexState:
-    from .model import body_from_obj, dataset_from_obj
+def index_from_obj(obj) -> RegistryState:
+    """Parse an untrusted snapshot. Every shape is checked, every key must
+    name its entry, and every reference must resolve inside the snapshot."""
+    _require(isinstance(obj, dict) and set(obj) == {"built_to", "datasets", "programs", "storages"},
+             "index snapshot keys malformed")
+    registry = RegistryState()
 
-    if not isinstance(obj, dict) or set(obj) != {"built_to", "datasets", "programs", "storages"}:
-        raise InvalidBody("index snapshot keys malformed")
-    datasets = {}
-    children = {}
-    by_facility = {}
-    by_storage = {}
-    for dataset_id, entry in obj["datasets"].items():
-        if not isinstance(entry, dict) or set(entry) != {"descriptor", "parents", "program", "tx_id"}:
-            raise InvalidBody(f"dataset entry {dataset_id} malformed")
-        descriptor = dataset_from_obj(entry["descriptor"])
-        program = entry["program"]
-        record = DatasetRecord(
-            descriptor=descriptor,
-            parents=tuple(entry["parents"]),
-            program=None if program is None else (program["program_id"], program["program_version"]),
-            tx_id=entry["tx_id"],
-        )
-        datasets[dataset_id] = record
-        for parent in record.parents:
-            children[parent] = children.get(parent, ()) + (dataset_id,)
-        by_facility.setdefault(descriptor.facility_id, set()).add(dataset_id)
-        by_storage.setdefault(descriptor.storage_id, set()).add(dataset_id)
-    programs = {}
-    for entry in obj["programs"]:
-        programs[(entry["program_id"], entry["version"])] = entry["code_hash"]
-    storages = {sid: body_from_obj(body) for sid, body in obj["storages"].items()}
     built = obj["built_to"]
-    return IndexState(
-        datasets=_frozen(datasets),
-        storages=_frozen(storages),
-        programs=_frozen(programs),
-        children=_frozen(children),
-        by_facility=_frozen({k: frozenset(v) for k, v in by_facility.items()}),
-        by_storage=_frozen({k: frozenset(v) for k, v in by_storage.items()}),
-        built_to=(built["height"], built["registry_size"]),
-    )
+    _require(isinstance(built, dict) and set(built) == {"height", "registry_size"}, "built_to malformed")
+    height = _require_int(built["height"], "built_to.height")
+    size = _require_int(built["registry_size"], "built_to.registry_size")
+    _require(height >= -1 and size >= 0, "built_to out of range")
+    registry.built_to = (height, size)
+
+    _require(isinstance(obj["storages"], dict), "storages must be an object")
+    for storage_id, body_obj in obj["storages"].items():
+        body = body_from_obj(body_obj)
+        _require(isinstance(body, RegisterStorage) and body.storage_id == storage_id,
+                 f"storage entry {storage_id!r} malformed")
+        registry.storages[storage_id] = body
+
+    _require(isinstance(obj["programs"], list), "programs must be a list")
+    for entry in obj["programs"]:
+        _require(isinstance(entry, dict) and set(entry) == {"code_hash", "program_id", "version"},
+                 "program entry malformed")
+        key = (_require_str(entry["program_id"], "program_id"), _require_str(entry["version"], "version"))
+        _require(key not in registry.programs, f"program {key[0]}@{key[1]} listed twice")
+        registry.programs[key] = _require_hex64(entry["code_hash"], "code_hash")
+
+    _require(isinstance(obj["datasets"], dict), "datasets must be an object")
+    for dataset_id, entry in obj["datasets"].items():
+        _require(isinstance(entry, dict) and set(entry) == {"descriptor", "parents", "program", "tx_id"},
+                 f"dataset entry {dataset_id!r} malformed")
+        descriptor = dataset_from_obj(entry["descriptor"])
+        parents, program = entry["parents"], entry["program"]
+        _require(descriptor.dataset_id == dataset_id, f"dataset entry {dataset_id!r} holds {descriptor.dataset_id!r}")
+        _require(descriptor.storage_id in registry.storages, f"dataset {dataset_id!r} on unknown storage")
+        _require(isinstance(parents, list), f"dataset {dataset_id!r} parents must be a list")
+        for parent in parents:
+            _require_str(parent, "parent dataset id")
+        _require(len(set(parents)) == len(parents), f"dataset {dataset_id!r} lists a parent twice")
+        if program is None:
+            _require(descriptor.kind == "primary" and not parents, f"dataset {dataset_id!r} lineage malformed")
+        else:
+            _require(isinstance(program, dict) and set(program) == {"program_id", "program_version"},
+                     f"dataset {dataset_id!r} program malformed")
+            program = (_require_str(program["program_id"], "program_id"),
+                       _require_str(program["program_version"], "program_version"))
+            _require(descriptor.kind == "secondary" and parents and program in registry.programs,
+                     f"dataset {dataset_id!r} lineage malformed")
+        registry.datasets[dataset_id] = DatasetRecord(
+            descriptor=descriptor,
+            parents=tuple(parents),
+            program=program,
+            tx_id=_require_hex64(entry["tx_id"], "tx_id"),
+        )
+
+    for dataset_id, record in registry.datasets.items():
+        _require(all(p in registry.datasets and p != dataset_id for p in record.parents),
+                 f"dataset {dataset_id!r} names an unknown parent")
+    # publish-once: every confirmed transaction added exactly one entry
+    entries = len(registry.storages) + len(registry.programs) + len(registry.datasets)
+    _require(size == entries, "built_to registry_size does not count the snapshot's entries")
+    return registry

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 from typing import Union
 
 from cryptography.exceptions import InvalidSignature
@@ -18,10 +17,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import dumps_canonical, loads_canonical
+from .canonical import dumps_canonical, is_hex64, loads_canonical
 from .errors import InvalidBody, MalformedKey
-
-_HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
 class SigningKey:
@@ -65,7 +62,7 @@ class SigningKey:
 
 
 def public_key_from_hex(text: str) -> bytes:
-    if not isinstance(text, str) or not _HEX64_RE.match(text):
+    if not is_hex64(text):
         raise MalformedKey(f"not a lowercase 64-char hex public key: {text!r}")
     return bytes.fromhex(text)
 
@@ -108,7 +105,7 @@ def load_key_file(path: str) -> SigningKey:
     if not isinstance(obj, dict) or set(obj) != {"public", "secret"}:
         raise MalformedKey(f"key file {path} must hold exactly public and secret")
     secret = obj["secret"]
-    if not isinstance(secret, str) or not _HEX64_RE.match(secret):
+    if not is_hex64(secret):
         raise MalformedKey(f"key file {path} has a malformed secret")
     key = SigningKey(bytes.fromhex(secret))
     if key.public_hex != obj["public"]:

@@ -8,27 +8,24 @@ at the Merkle-log boundary.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
-from .canonical import dumps_canonical, loads_canonical, sha256_bytes
+from .canonical import (
+    _require,
+    dumps_canonical,
+    is_decimal,
+    is_hex64,
+    is_hex128,
+    loads_canonical,
+    sha256_bytes,
+)
 from .errors import InvalidBody, NotFound
 from .keys import SigningKey, verify_signature
 
-_HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
-_HEX128_RE = re.compile(r"^[0-9a-f]{128}$")
-# fixed-point, non-negative; exponents and signs are not canonical
-_DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]+)?$")
-
 DATASET_KINDS = ("primary", "secondary")
 ADAPTER_KINDS = ("jsonl", "packed")
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidBody(msg)
 
 
 def _require_str(value: Any, name: str, allow_empty: bool = False) -> str:
@@ -44,7 +41,7 @@ def _require_int(value: Any, name: str) -> int:
 
 
 def _require_hex64(value: Any, name: str) -> str:
-    _require(isinstance(value, str) and bool(_HEX64_RE.match(value)), f"{name} must be 64 lowercase hex chars")
+    _require(is_hex64(value), f"{name} must be 64 lowercase hex chars")
     return value
 
 
@@ -107,10 +104,7 @@ def validate_event(ev: EasEvent) -> None:
     _require_int(ev.bin_width, "bin_width")
     _require(ev.bin_width > 0, "bin_width must be > 0")
     if ev.energy_estimate is not None:
-        _require(
-            isinstance(ev.energy_estimate, str) and bool(_DECIMAL_RE.match(ev.energy_estimate)),
-            "energy_estimate must be a non-negative fixed-point decimal string",
-        )
+        _require(is_decimal(ev.energy_estimate), "energy_estimate must be a non-negative fixed-point decimal string")
     _require_str_map(ev.service_info, "service_info")
 
 
@@ -445,7 +439,7 @@ def tx_to_obj(tx: PmdTransaction) -> dict:
     _require_hex64(tx.creator, "creator")
     _require_int(tx.created_at, "created_at")
     _require(tx.created_at > 0, "created_at must be > 0")
-    _require(isinstance(tx.signature, str) and bool(_HEX128_RE.match(tx.signature)), "signature must be 128 lowercase hex chars")
+    _require(is_hex128(tx.signature), "signature must be 128 lowercase hex chars")
     _require_hex64(tx.tx_id, "tx_id")
     return {
         "body": body_to_obj(tx.body),
@@ -506,24 +500,29 @@ class DatasetRecord:
 
 
 class RegistryState:
-    """Confirmed-transaction view used to validate new transactions.
+    """Confirmed-transaction view: what new transactions are validated
+    against, what queries scan, and what the index snapshot file holds.
 
     Mutating apply() is only ever called with transactions that passed
     validate_transaction against this same state, in confirmation order.
+    built_to is the (height, registry size) of the last block folded in;
+    ChainState.apply_block advances it.
     """
 
-    __slots__ = ("storages", "programs", "datasets")
+    __slots__ = ("storages", "programs", "datasets", "built_to")
 
     def __init__(self):
-        self.storages: dict = {}
-        self.programs: dict = {}
-        self.datasets: dict = {}
+        self.storages: dict = {}  # storage_id -> RegisterStorage
+        self.programs: dict = {}  # (program_id, version) -> code_hash
+        self.datasets: dict = {}  # dataset_id -> DatasetRecord, in confirmation order
+        self.built_to: tuple = (-1, 0)
 
     def clone(self) -> "RegistryState":
         out = RegistryState()
         out.storages = dict(self.storages)
         out.programs = dict(self.programs)
         out.datasets = dict(self.datasets)
+        out.built_to = self.built_to
         return out
 
     def apply(self, tx: PmdTransaction) -> None:

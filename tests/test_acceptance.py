@@ -38,7 +38,7 @@ from skyprov.chain import (
     validate_block,
 )
 from skyprov.errors import IntegrityError
-from skyprov.index import IndexState, QueryFilter, apply_block, build_index, index_to_obj, query
+from skyprov.index import QueryFilter, index_from_obj, index_to_obj, query
 from skyprov.keys import SigningKey
 from skyprov.merkle import (
     MerkleLog,
@@ -376,21 +376,24 @@ def _random_registry(seed: int, n_datasets: int):
                                            start=start, end=end, extra=extra))
             published.append(did)
         blocks.append(confirm(state, keys, bodies))
-    return blocks, published, rng
+    return state, blocks, published, rng
 
 
 def test_criterion_5_index_oracle_equivalence_1000_pairs():
     pairs = 0
     sizes = [random.Random(5000 + k).randint(10, 120) for k in range(19)] + [500]
     for k, n_datasets in enumerate(sizes):
-        blocks, published, rng = _random_registry(31_000 + k, n_datasets)
-        index = build_index(blocks)
+        state, blocks, published, rng = _random_registry(31_000 + k, n_datasets)
+        index = state.registry
 
-        # full rebuild must be bit-identical to the incremental build
-        incremental = IndexState()
+        # the registry built while producing must be bit-identical to one
+        # rebuilt by validating the same blocks, and to its snapshot round trip
+        snapshot = dumps_canonical(index_to_obj(index))
+        replica = ChainState(state.config)
         for block in blocks:
-            incremental = apply_block(incremental, block)
-        assert dumps_canonical(index_to_obj(index)) == dumps_canonical(index_to_obj(incremental))
+            assert replica.receive_block(block).ok
+        assert dumps_canonical(index_to_obj(replica.registry)) == snapshot
+        assert dumps_canonical(index_to_obj(index_from_obj(index_to_obj(index)))) == snapshot
 
         for _ in range(50):
             f = random_filter(rng, published)
@@ -461,7 +464,7 @@ def test_criterion_6_aggregation_oracle_200_trials(tmp_path):
     for trial in range(trials):
         rng = random.Random(77_000 + trial)
         state, stores, all_events = _agg_world(str(tmp_path), rng, trial)
-        index = build_index(state.blocks)
+        index = state.registry
         lo = rng.randrange(0, 1000)
         hi = lo + rng.randrange(200, 2200)
         threshold = str(Decimal(rng.randrange(0, 300)) / 100)
@@ -562,7 +565,7 @@ def _provenance_world(root):
     assert state.receive_block(block0).ok and len(block0.transactions) == 5
 
     storages = {"st-j": stj, "st-p": stp}
-    index = build_index(state.blocks)
+    index = state.registry
     request = AggregationRequest(
         filter=QueryFilter(time_range=(0, 10_000), kind="primary"),
         pipeline=(PluginSpec("time_ordered_merge", {}),),
@@ -589,7 +592,7 @@ def test_criterion_7_provenance_round_trip_golden(tmp_path):
     assert result.output_digest == GOLDEN_OUTPUT_DIGEST
 
     # the derived dataset fetches cleanly...
-    index = build_index(state.blocks)
+    index = state.registry
     refetch = AggregationRequest(filter=QueryFilter(kind="secondary"), pipeline=())
     fetched = execute(refetch, index, storages, concurrent=False)
     assert fetched.output_digest == result.output_digest

@@ -37,7 +37,7 @@ from skyprov.errors import (
     UnknownProgram,
     UnsortedInput,
 )
-from skyprov.index import QueryFilter, build_index, query
+from skyprov.index import QueryFilter, query
 from skyprov.model import (
     DatasetDescriptor,
     EasEvent,
@@ -129,7 +129,7 @@ def world(chain3, tmp_path):
     publish_real(state, h1, user, "ds-c", files["ds-c"], facility="TUNKA", start=120, end=520)
     seal(state, keys)
 
-    index = build_index(state.blocks)
+    index = state.registry
     storages = {"st-1": h1, "st-2": h2}
     return state, keys, index, storages, files
 
@@ -180,7 +180,7 @@ def test_merge_tie_breaks_by_dataset_then_event(world, tmp_path):
     publish_real(state, storages["st-2"], user, "ds-z", [tied1], start=800, end=800)
     publish_real(state, storages["st-1"], user, "ds-y", [tied2], start=800, end=800)
     seal(state, keys)
-    index = build_index(state.blocks)
+    index = state.registry
     request = AggregationRequest(
         filter=QueryFilter(time_range=(800, 800)), pipeline=(PluginSpec("time_ordered_merge", {}),)
     )
@@ -195,7 +195,7 @@ def test_unsorted_input_names_offending_stream(world, tmp_path):
     user = key_for("user-1")
     publish_real(state, storages["st-1"], user, "ds-bad", [mk_events("x", [900, 850])], start=850, end=900)
     seal(state, keys)
-    index = build_index(state.blocks)
+    index = state.registry
     request = AggregationRequest(
         filter=QueryFilter(time_range=(850, 900)), pipeline=(PluginSpec("time_ordered_merge", {}),)
     )
@@ -403,7 +403,7 @@ def test_randomized_merge_trials(chain3, tmp_path):
         publish_real(state, handle, user, did, parts, start=1, end=2000)
         files[did] = parts
     seal(state, keys)
-    index = build_index(state.blocks)
+    index = state.registry
 
     order = [d.dataset_id for d in query(index, ALL)]
     for _ in range(20):
@@ -488,7 +488,7 @@ def test_publish_result_full_cycle(world):
     sink = PublishSink(storage_id="st-2", dataset_id="ds-derived", program_id="prog-1", program_version="1.0")
     state, keys, storages, result, tx = run_and_publish(world, sink)
     seal(state, keys)
-    index = build_index(state.blocks)
+    index = state.registry
     record = index.datasets["ds-derived"]
     d = record.descriptor
     assert record.parents == result.matched_datasets
@@ -519,7 +519,7 @@ def test_publish_result_single_facility_and_geometry(world):
     sink = PublishSink(storage_id="st-1", dataset_id="ds-taiga", program_id="prog-1", program_version="1.0")
     publish_result(result, sink, key_for("user-1"), state, storages, created_at=next(CREATED))
     seal(state, keys)
-    d = build_index(state.blocks).datasets["ds-taiga"].descriptor
+    d = state.registry.datasets["ds-taiga"].descriptor
     assert d.facility_id == "TAIGA"
     assert d.detector_geometry_hash == sha256_bytes(dumps_canonical([GEOMETRY_HASH])).hex()
     assert d.extra == {}

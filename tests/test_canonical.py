@@ -5,12 +5,16 @@ encoder shows up as a diff against a frozen string, not against the
 encoder's own output.
 """
 
+import copy
+import dataclasses
 import hashlib
 
 import pytest
+from conftest import key_for, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skyprov.aggregation import filter_from_obj
 from skyprov.canonical import (
     digest_from_hex,
     digest_to_hex,
@@ -18,7 +22,28 @@ from skyprov.canonical import (
     loads_canonical,
     sha256_bytes,
 )
+from skyprov.chain import (
+    Checkpoint,
+    detect_equivocation,
+    genesis_from_obj,
+    genesis_to_obj,
+    header_from_obj,
+    header_to_obj,
+    produce_block,
+)
 from skyprov.errors import InvalidBody
+from skyprov.model import (
+    EasEvent,
+    PublishDataset,
+    dataset_from_obj,
+    dataset_to_obj,
+    event_from_obj,
+    event_to_obj,
+    sign_transaction,
+    tx_from_obj,
+    tx_to_obj,
+    validate_transaction,
+)
 
 
 def test_sorted_keys_and_compact_separators():
@@ -147,3 +172,50 @@ def test_digest_hex_strictness():
 def test_digest_to_hex_requires_32_bytes():
     with pytest.raises(InvalidBody):
         digest_to_hex(b"short")
+
+
+# -- one byte form per value: a trailing newline is a second form, so refuse it ------
+
+
+MALLEATIONS = [
+    ("header", ("signature",)),
+    ("tx", ("signature",)),
+    ("genesis", ("handlers", 0, "public_key")),
+    ("checkpoint", ("head_hash",)),
+    ("dataset", ("file_refs", 0, "content_hash")),
+    ("event", ("energy_estimate",)),
+    ("filter", ("energy_min",)),
+]
+
+
+@pytest.mark.parametrize("wire, path", MALLEATIONS, ids=[f"{w}.{p[-1]}" for w, p in MALLEATIONS])
+def test_trailing_newline_is_rejected(chain3, wire, path):
+    state, keys = chain3
+    block = produce_block(state, 0, keys["h0"], now=0)
+    tx = sign_transaction(PublishDataset(dataset=make_dataset("ds-nl")), key_for("user-1"), created_at=5)
+    event = EasEvent("e", 1, "TAIGA", "d", (1,), 10, "1.5", {})
+    honest, parse = {
+        "header": (header_to_obj(block.header), header_from_obj),
+        "tx": (tx_to_obj(tx), tx_from_obj),
+        "genesis": (genesis_to_obj(state.config), genesis_from_obj),
+        "checkpoint": (state.checkpoint().to_obj(), Checkpoint.from_obj),
+        "dataset": (dataset_to_obj(make_dataset("ds-nl")), dataset_from_obj),
+        "event": (event_to_obj(event), event_from_obj),
+        "filter": ({"energy_min": "1.5"}, filter_from_obj),
+    }[wire]
+    parse(copy.deepcopy(honest))
+    malleated = copy.deepcopy(honest)
+    parent = malleated
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] += "\n"
+    with pytest.raises(InvalidBody):
+        parse(malleated)
+
+    if wire == "header":
+        # the same edit must not frame the honest producer as an equivocator
+        edited = dataclasses.replace(block.header, signature=block.header.signature + "\n")
+        assert detect_equivocation(block.header, edited, state.config) is None
+    if wire == "tx":
+        edited = dataclasses.replace(tx, signature=tx.signature + "\n")
+        assert validate_transaction(edited, state.registry).reason == "InvalidBody"

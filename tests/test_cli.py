@@ -13,7 +13,7 @@ from skyprov import cli
 from skyprov.aggregation import AggregationRequest, PluginSpec, execute, request_from_obj
 from skyprov.canonical import digest_from_hex, dumps_canonical, sha256_bytes
 from skyprov.chain import ChainState, GenesisConfig, load_chain, produce_block, save_chain
-from skyprov.index import QueryFilter, build_index, index_to_obj, query
+from skyprov.index import QueryFilter, index_to_obj, query
 from skyprov.keys import SigningKey, load_key_file, save_key_file
 from skyprov.merkle import verify_inclusion
 from skyprov.model import (
@@ -253,6 +253,17 @@ def test_chain_verify_checkpoint_against_foreign_chain(world, tmp_path, capsys):
     assert code == 3 and lines(out)[-1]["error"] == "IntegrityError"
 
 
+def test_chain_verify_empty_checkpoint_must_name_the_genesis(world, tmp_path, capsys):
+    empty = ChainState(world["state"].config).checkpoint().to_obj()
+    cp = tmp_path / "cp.json"
+    cp.write_text(json.dumps(empty))
+    code, out, _ = run(capsys, "chain-verify", "--chain", world["chain"], "--checkpoint", str(cp))
+    assert code == 0 and lines(out)[-1]["checkpoint"] == "ok"
+    cp.write_text(json.dumps(dict(empty, head_hash="ff" * 32)))
+    code, out, _ = run(capsys, "chain-verify", "--chain", world["chain"], "--checkpoint", str(cp))
+    assert code == 3 and lines(out)[-1]["error"] == "IntegrityError"
+
+
 def test_proof_inclusion_envelope_verifies(world, capsys):
     state = world["state"]
     tx = state.blocks[0].transactions[2]  # ds-a publication
@@ -290,7 +301,7 @@ def test_index_build_writes_canonical_snapshot(world, tmp_path, capsys):
     assert code == 0
     row = lines(out)[0]
     assert row["datasets"] == 2 and row["built_to"] == {"height": 0, "registry_size": 4}
-    expected = dumps_canonical(index_to_obj(build_index(world["state"].blocks))) + b"\n"
+    expected = dumps_canonical(index_to_obj(world["state"].registry)) + b"\n"
     assert out_file.read_bytes() == expected
     # rebuilding produces identical bytes
     out2 = tmp_path / "index2.json"
@@ -303,7 +314,7 @@ def test_query_matches_library_results(world, capsys):
     assert code == 0
     rows = lines(out)
     assert [r["dataset_id"] for r in rows] == ["ds-a"]
-    index = build_index(world["state"].blocks)
+    index = world["state"].registry
     api = query(index, QueryFilter(facility_id="TAIGA"))
     assert rows[0]["time_range"] == {"start": 100, "end": 200} or rows[0]["time_range"] == {"end": 200, "start": 100}
     assert len(api) == 1 and api[0].dataset_id == "ds-a"
@@ -317,6 +328,30 @@ def test_query_time_range_and_index_snapshot_agree(world, tmp_path, capsys):
     assert code == code2 == 0
     assert from_chain == from_snapshot
     assert [r["dataset_id"] for r in lines(from_chain)] == ["ds-a", "ds-b"]
+
+
+def _bad_datasets(obj):
+    obj["datasets"] = []
+
+
+def _program_without_code_hash(obj):
+    del obj["programs"][0]["code_hash"]
+
+
+def _scalar_built_to(obj):
+    obj["built_to"] = 5
+
+
+@pytest.mark.parametrize("damage", [_bad_datasets, _program_without_code_hash, _scalar_built_to])
+def test_query_rejects_malformed_index_file(world, tmp_path, capsys, damage):
+    snapshot = tmp_path / "index.json"
+    run(capsys, "index-build", "--chain", world["chain"], "--out", str(snapshot))
+    obj = json.loads(snapshot.read_text())
+    damage(obj)
+    snapshot.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "query", "--index", str(snapshot), "--where", "facility=TAIGA")
+    assert code == 3
+    assert [row["error"] for row in lines(out)] == ["InvalidBody"]
 
 
 @pytest.mark.parametrize(
@@ -391,7 +426,7 @@ def test_aggregate_local_sink_matches_library(world, tmp_path, capsys):
     summary = lines(out)[0]
     assert summary["datasets_matched"] == 2 and summary["events_in"] == 4
     req = request_from_obj(json.loads(open(request).read()))
-    index = build_index(world["state"].blocks)
+    index = world["state"].registry
     storages = cli._open_registered_storages(world["home"], index)
     direct = execute(AggregationRequest(filter=req.filter, pipeline=req.pipeline), index, storages)
     produced = open(os.path.join(world["home"], "out", "result.jsonl"), "rb").read()

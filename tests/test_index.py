@@ -1,9 +1,10 @@
-"""Index tests: snapshot folding, predicate queries vs a brute-force scan
-oracle, serialization round-trips, and fetch-plan resolution.
+"""Index tests: predicate queries over the chain's registry vs a brute-force
+scan oracle, snapshot file round-trips and hardening, and fetch-plan
+resolution.
 
-The oracle never looks at the index structures. It re-derives every answer
-from the wire form of confirmed transactions, so agreement means the
-incremental snapshots faithfully summarize the chain.
+The oracle never looks at the registry. It re-derives every answer from the
+wire form of confirmed transactions, so agreement means the registry the
+chain builds while it validates blocks faithfully summarizes the chain.
 """
 
 import random
@@ -14,12 +15,9 @@ from conftest import GEOMETRY_HASH, key_for, make_dataset, program_body, storage
 
 from skyprov.canonical import dumps_canonical
 from skyprov.chain import produce_block
-from skyprov.errors import InvalidBody, NotFound, WatermarkError
+from skyprov.errors import InvalidBody, NotFound
 from skyprov.index import (
     QueryFilter,
-    apply_block,
-    build_index,
-    empty_index,
     index_from_obj,
     index_to_obj,
     query,
@@ -158,27 +156,9 @@ def populated(chain3):
 
 def test_populated_fixture_is_sane(populated):
     state, blocks = populated
-    index = build_index(blocks)
+    index = state.registry
     assert set(index.datasets) == {"ds-a", "ds-b", "ds-c", "ds-d", "ds-e"}
-    assert index.built_to[0] == len(blocks) - 1
-
-
-def test_watermark_rejects_gap_and_replay(populated):
-    _, blocks = populated
-    index = empty_index()
-    with pytest.raises(WatermarkError):
-        apply_block(index, blocks[1])
-    index = apply_block(index, blocks[0])
-    with pytest.raises(WatermarkError):
-        apply_block(index, blocks[0])
-
-
-def test_apply_block_is_pure(populated):
-    _, blocks = populated
-    base = apply_block(empty_index(), blocks[0])
-    before = dumps_canonical(index_to_obj(base))
-    apply_block(base, blocks[1])
-    assert dumps_canonical(index_to_obj(base)) == before
+    assert index.built_to == (len(blocks) - 1, state.registry_log.size)
 
 
 FILTERS = [
@@ -212,15 +192,15 @@ FILTERS = [
 
 @pytest.mark.parametrize("f", FILTERS, ids=range(len(FILTERS)))
 def test_query_matches_scan_oracle(populated, f):
-    _, blocks = populated
-    index = build_index(blocks)
+    state, blocks = populated
+    index = state.registry
     got = [d.dataset_id for d in query(index, f)]
     assert got == oracle_scan(blocks, f)
 
 
 def test_energy_boundaries_inclusive(populated):
-    _, blocks = populated
-    index = build_index(blocks)
+    state, _ = populated
+    index = state.registry
     # ds-b has energy_max=2: a filter at exactly 2 keeps it, above drops it
     assert "ds-b" in {d.dataset_id for d in query(index, QueryFilter(energy_min="2"))}
     assert "ds-b" not in {d.dataset_id for d in query(index, QueryFilter(energy_min="2.000001"))}
@@ -230,8 +210,8 @@ def test_energy_boundaries_inclusive(populated):
 
 
 def test_lineage_is_strict(populated):
-    _, blocks = populated
-    index = build_index(blocks)
+    state, _ = populated
+    index = state.registry
     # sorted by (time start, id): ds-a and ds-d both start at 1000, ds-b at 1500
     assert [d.dataset_id for d in query(index, QueryFilter(ancestor_of="ds-e"))] == ["ds-a", "ds-d", "ds-b"]
     assert "ds-e" not in {d.dataset_id for d in query(index, QueryFilter(descendant_of="ds-e"))}
@@ -239,8 +219,8 @@ def test_lineage_is_strict(populated):
 
 
 def test_query_result_order(populated):
-    _, blocks = populated
-    index = build_index(blocks)
+    state, _ = populated
+    index = state.registry
     rows = query(index, QueryFilter(time_range=(0, 10_000)))
     keys = [(d.time_range[0], d.dataset_id) for d in rows]
     assert keys == sorted(keys)
@@ -304,7 +284,7 @@ def random_blocks(seed, chain3_factory):
             bodies.append(body)
             published.append(did)
         blocks.append(confirm(state, keys, bodies))
-    return blocks, published, rng
+    return state, blocks, published, rng
 
 
 def random_filter(rng, published):
@@ -333,8 +313,8 @@ def random_filter(rng, published):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_randomized_query_equivalence(seed, chain3_factory):
-    blocks, published, rng = random_blocks(seed, chain3_factory)
-    index = build_index(blocks)
+    state, blocks, published, rng = random_blocks(seed, chain3_factory)
+    index = state.registry
     for _ in range(40):
         f = random_filter(rng, published)
         got = [d.dataset_id for d in query(index, f)]
@@ -345,8 +325,8 @@ def test_randomized_query_equivalence(seed, chain3_factory):
 
 
 def test_snapshot_roundtrip_bit_identical(populated):
-    _, blocks = populated
-    index = build_index(blocks)
+    state, _ = populated
+    index = state.registry
     wire = dumps_canonical(index_to_obj(index))
     back = index_from_obj(index_to_obj(index))
     assert dumps_canonical(index_to_obj(back)) == wire
@@ -354,27 +334,79 @@ def test_snapshot_roundtrip_bit_identical(populated):
 
 
 def test_snapshot_roundtrip_preserves_queries(populated):
-    _, blocks = populated
-    index = build_index(blocks)
+    state, _ = populated
+    index = state.registry
     back = index_from_obj(index_to_obj(index))
     for f in FILTERS:
         assert [d.dataset_id for d in query(back, f)] == [d.dataset_id for d in query(index, f)]
 
 
-def test_incremental_equals_batch(populated):
-    _, blocks = populated
-    rolling = empty_index()
-    for block in blocks:
-        rolling = apply_block(rolling, block)
-    assert dumps_canonical(index_to_obj(rolling)) == dumps_canonical(index_to_obj(build_index(blocks)))
+def _rename_dataset(obj):
+    obj["datasets"]["ds-z"] = obj["datasets"].pop("ds-a")
+
+
+def _rename_storage(obj):
+    obj["storages"]["st-9"] = obj["storages"].pop("st-1")
+
+
+def _dataset_as_storage(obj):
+    obj["storages"]["st-1"] = {"type": "publish_dataset", "dataset": obj["datasets"]["ds-a"]["descriptor"]}
+
+
+def _unknown_parent(obj):
+    obj["datasets"]["ds-e"]["parents"] = ["ds-ghost"]
+
+
+def _unregistered_program(obj):
+    obj["datasets"]["ds-d"]["program"]["program_version"] = "9.9"
+
+
+def _list_program_id(obj):
+    obj["datasets"]["ds-d"]["program"]["program_id"] = ["prog-1"]
+
+
+def _primary_with_parents(obj):
+    obj["datasets"]["ds-a"]["parents"] = ["ds-b"]
+
+
+def _size_mismatch(obj):
+    obj["built_to"]["registry_size"] += 1
+
+
+def _bool_height(obj):
+    obj["built_to"]["height"] = True
+
+
+def _short_tx_id(obj):
+    obj["datasets"]["ds-c"]["tx_id"] = "ab"
+
+
+def _duplicate_program(obj):
+    obj["programs"].append(dict(obj["programs"][0]))
+
+
+SNAPSHOT_DAMAGE = [
+    _rename_dataset, _rename_storage, _dataset_as_storage, _unknown_parent, _unregistered_program,
+    _list_program_id, _primary_with_parents, _size_mismatch, _bool_height, _short_tx_id, _duplicate_program,
+]
+
+
+@pytest.mark.parametrize("damage", SNAPSHOT_DAMAGE, ids=[d.__name__.strip("_") for d in SNAPSHOT_DAMAGE])
+def test_snapshot_from_obj_rejects_damage(populated, damage):
+    state, _ = populated
+    obj = index_to_obj(state.registry)
+    index_from_obj(index_to_obj(state.registry))  # the honest snapshot loads
+    damage(obj)
+    with pytest.raises(InvalidBody):
+        index_from_obj(obj)
 
 
 # -- fetch-plan resolution -------------------------------------------------------------
 
 
 def test_resolve_files_groups_and_orders(populated):
-    _, blocks = populated
-    index = build_index(blocks)
+    state, _ = populated
+    index = state.registry
     plan = resolve_files(index, ("ds-c", "ds-a", "ds-b"))
     # grouped by storage id first
     assert [e.storage_id for e in plan] == sorted([e.storage_id for e in plan])
@@ -390,8 +422,8 @@ def test_resolve_files_groups_and_orders(populated):
 
 
 def test_resolve_files_unknown_dataset(populated):
-    _, blocks = populated
-    index = build_index(blocks)
+    state, _ = populated
+    index = state.registry
     with pytest.raises(NotFound):
         resolve_files(index, ("ds-a", "ds-missing"))
 
@@ -401,6 +433,6 @@ def test_resolve_files_multi_ref(chain3):
     state, keys = chain3
     confirm(state, keys, [storage_body("st-1", kind="jsonl", base_uri="/tmp/m1"), program_body()])
     confirm(state, keys, [publish_body("ds-m", "primary", n_files=3)])
-    plan = resolve_files(build_index(state.blocks), ("ds-m",))
+    plan = resolve_files(state.registry, ("ds-m",))
     assert [e.path for e in plan] == [f"data/ds-m/part{i}.jsonl" for i in range(3)]
     assert [e.size for e in plan] == [100, 101, 102]
