@@ -6,6 +6,7 @@ a checkpoint must fail against a tampered peer exactly when its registry
 prefix covers the rewritten transaction.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,46 @@ def test_trace_is_deterministic(config):
     for line in b1.decode().splitlines():
         obj = json.loads(line)
         assert list(obj) == sorted(obj)
+
+
+def _bench_shaped(resign):
+    return {
+        "seed": 301,
+        "handlers": 5,
+        "slot_duration_ms": 100,
+        "duration_slots": 24,
+        "latency_ms": {"min": 5, "max": 60},
+        "txs_per_slot": 2,
+        "faults": [
+            {"kind": "offline", "handler": "h2", "from_slot": 6, "to_slot": 10},
+            {"kind": "tamper_history", "handler": "h4", "slot": 15, "height": 5, "resign": resign},
+        ],
+    }
+
+
+TRACE_GOLDENS = [
+    (_bench_shaped(1), "9a3ac618c822a97d01683d655b563a79b90114ce298bff2f2a06f6757c84e471"),
+    (_bench_shaped(0), "1196b5855e5a4b9c3558f68cd88435bb1417adb2d85cd1fef7e0555d9501aa4b"),
+    (
+        {
+            "seed": 9,
+            "handlers": 4,
+            "slot_duration_ms": 100,
+            "duration_slots": 12,
+            "latency_ms": {"min": 0, "max": 40},
+            "faults": [{"kind": "equivocate", "handler": "h1", "slot": 5}],
+        },
+        "6804ba43a3a65a077e616d11fa8be629f563cf57546710328f99877b8393915f",
+    ),
+]
+
+
+@pytest.mark.parametrize("obj,digest", TRACE_GOLDENS, ids=["tamper-resign", "tamper-keep-headers", "equivocate"])
+def test_trace_golden(obj, digest):
+    # Frozen trace bytes: the audit and every other stage must keep producing
+    # exactly these records, in this order, whatever they do internally.
+    trace = run_simulation(sim_config_from_obj(obj)).to_jsonl_bytes()
+    assert hashlib.sha256(trace).hexdigest() == digest
 
 
 def test_different_seeds_differ():
