@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterator, NamedTuple, Optional
 
-from .canonical import dumps_canonical, sha256_bytes
+from .canonical import dumps_canonical, is_decimal, sha256_bytes
 from .chain import ChainState
 from .errors import (
     DuplicateDataset,
@@ -204,14 +204,12 @@ class EnergyFilterPlugin:
             raise PluginConfigError(f"energy_filter: unknown parameters {sorted(params)}")
         if threshold is None:
             raise PluginConfigError("energy_filter: missing threshold parameter")
-        if isinstance(threshold, str) and threshold.startswith("-"):
-            raise PluginConfigError("energy_filter: threshold must be >= 0")
-        try:
-            self.threshold = Decimal(threshold)
-        except Exception as exc:
-            raise PluginConfigError(f"energy_filter: bad threshold {threshold!r}") from exc
-        if self.threshold.is_nan() or self.threshold < 0:
-            raise PluginConfigError("energy_filter: threshold must be a finite decimal >= 0")
+        # Fixed-point form only: whitespace, exponents and special values
+        # would give one threshold more spellings, each with its own
+        # pipeline_parameters_hash.
+        if not is_decimal(threshold):
+            raise PluginConfigError(f"energy_filter: threshold must be a decimal string >= 0, got {threshold!r}")
+        self.threshold = Decimal(threshold)
         self.dropped_missing = 0
 
     def transform(self, stream) -> Iterator[StreamItem]:

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .index import QueryFilter, index_from_obj, index_to_obj, query, validate_filter
 from .keys import SigningKey, load_key_file, save_key_file
-from .merkle import leaf_hash, verify_consistency
+from .merkle import empty_root, leaf_hash, verify_consistency
 from .model import body_from_obj, dataset_to_obj, sign_transaction, tx_wire_bytes
 from .netsim import run_simulation, sim_config_from_obj
 from .storage import open_storage
@@ -233,22 +233,22 @@ def cmd_chain_verify(args) -> int:
     }
     if args.checkpoint:
         cp = Checkpoint.from_obj(_read_json_file(args.checkpoint, "checkpoint file"))
-        if cp.registry_size > log.size:
-            _emit({"error": "IntegrityError",
-                   "message": f"checkpoint registry size {cp.registry_size} exceeds head {log.size}"})
-            return VALIDATION_EXIT
-        ok = True
-        if cp.registry_size:  # the empty-chain checkpoint is trivially consistent
+        # The checkpoint must name a block of this chain together with that
+        # block's registry commitment. Height -1 is the empty chain: its head
+        # hash is the genesis hash and its registry is empty.
+        if cp.height > state.head_height:
+            anchor = None
+        elif cp.height < 0:
+            anchor = (state.genesis_hash_hex, 0, empty_root().hex())
+        else:
+            header = state.blocks[cp.height].header
+            anchor = (header_hash(header), header.registry_size, header.registry_root)
+        ok = anchor == (cp.head_hash, cp.registry_size, cp.registry_root)
+        if ok and cp.registry_size:  # the empty-chain checkpoint is trivially consistent
             proof = log.prove_consistency(cp.registry_size)
             ok = verify_consistency(
                 digest_from_hex(cp.registry_root), cp.registry_size, log.root(), log.size, proof
             )
-        if cp.height > state.head_height:
-            ok = False
-        else:
-            # height -1 is the empty chain, whose head hash is the genesis hash
-            head = state.genesis_hash_hex if cp.height < 0 else header_hash(state.blocks[cp.height].header)
-            ok = ok and head == cp.head_hash
         if not ok:
             _emit({"error": "IntegrityError", "message": "checkpoint is not consistent with this chain"})
             return VALIDATION_EXIT

@@ -115,27 +115,30 @@ class ConsistencyProof:
 
 
 class MerkleLog:
-    """Ordered sequence of leaf hashes with an incrementally maintained root.
+    """Ordered sequence of leaf hashes with every complete subtree root cached.
 
-    Append-only: a committed leaf never changes.  The root is kept as a
-    stack of perfect-subtree roots (one per set bit of the size), merged
-    binary-counter style on append, so computing the current root is
-    O(log n) and appends are O(1) amortized.  Full leaf hashes are retained
-    for proof generation.
+    Append-only: a committed leaf never changes, and neither does the root
+    of a complete subtree once its last leaf is in.  ``_levels[h][i]`` is
+    the root of the aligned subtree over leaves ``[i * 2**h, (i + 1) * 2**h)``
+    and ``_levels[0]`` holds the leaf hashes (RFC 9162 section 2.1; the
+    "tiles" of Russ Cox, *Transparency Logs via Verifiable Data
+    Structures*).  An append adds one leaf and the subtree roots it
+    completes, O(1) amortized.  Every range a proof needs splits into
+    O(log n) cached subtrees, so ``root``, ``root_at``, ``prove_inclusion``
+    and ``prove_consistency`` each cost O(log n) node hashes.
 
     Single writer per instance; hand out ``fork()`` copies to anything that
     needs an independent version.
     """
 
-    __slots__ = ("_leaves", "_peaks")
+    __slots__ = ("_levels",)
 
     def __init__(self) -> None:
-        self._leaves: list[Digest] = []
-        self._peaks: list[tuple[int, Digest]] = []  # (height, subtree root)
+        self._levels: list[list[Digest]] = [[]]
 
     @property
     def size(self) -> int:
-        return len(self._leaves)
+        return len(self._levels[0])
 
     def append(self, data: bytes) -> int:
         """Append raw record bytes; returns the new leaf's index."""
@@ -144,10 +147,23 @@ class MerkleLog:
     def append_leaf_hash(self, leaf: Digest) -> int:
         if not _is_digest(leaf):
             raise InvalidBody("leaf hash must be a 32-byte digest")
-        index = len(self._leaves)
-        self._leaves.append(leaf)
-        self._push_peak(self._peaks, leaf)
+        levels = self._levels
+        index = len(levels[0])
+        levels[0].append(leaf)
+        height = 0
+        while len(levels[height]) % 2 == 0:
+            # the new node's left sibling is complete: so is their parent
+            node = node_hash(levels[height][-2], levels[height][-1])
+            height += 1
+            if height == len(levels):
+                levels.append([])
+            levels[height].append(node)
         return index
+
+    def _peaks(self) -> list[tuple[int, Digest]]:
+        """(height, root) of the complete subtrees covering the log, tallest first."""
+        size = len(self._levels[0])
+        return [(h, self._levels[h][-1]) for h in reversed(range(len(self._levels))) if size >> h & 1]
 
     @staticmethod
     def _push_peak(peaks: list[tuple[int, Digest]], leaf: Digest) -> None:
@@ -168,58 +184,67 @@ class MerkleLog:
         return root
 
     def root(self) -> Digest:
-        return self._fold_peaks(self._peaks)
+        return self._fold_peaks(self._peaks())
 
     def extended_root(self, extra_records: Iterable[bytes]) -> tuple[Digest, int]:
         """Root and size the log would have after appending ``extra_records``.
 
-        Works on a copy of the peak stack, so the log itself is untouched;
-        used by block validation to check registry commitments cheaply.
+        Works on a copy of the peak stack, so the log and its subtree cache
+        are untouched; used by block validation to check registry
+        commitments cheaply.
         """
-        peaks = list(self._peaks)
-        count = len(self._leaves)
+        peaks = self._peaks()
+        count = len(self._levels[0])
         for data in extra_records:
             self._push_peak(peaks, leaf_hash(data))
             count += 1
         return self._fold_peaks(peaks), count
 
     def leaf(self, index: int) -> Digest:
-        if not 0 <= index < len(self._leaves):
-            raise IndexOutOfRange(f"leaf index {index} outside log of size {len(self._leaves)}")
-        return self._leaves[index]
+        if not 0 <= index < len(self._levels[0]):
+            raise IndexOutOfRange(f"leaf index {index} outside log of size {len(self._levels[0])}")
+        return self._levels[0][index]
 
     def leaves(self) -> tuple[Digest, ...]:
-        return tuple(self._leaves)
+        return tuple(self._levels[0])
 
     def fork(self) -> "MerkleLog":
         """Independent copy; mutations to either side stay invisible to the other."""
         other = MerkleLog()
-        other._leaves = list(self._leaves)
-        other._peaks = list(self._peaks)
+        other._levels = [list(level) for level in self._levels]
         return other
 
     # -- proofs --------------------------------------------------------
 
     def _range_root(self, lo: int, hi: int) -> Digest:
+        """Root of the subtree over leaves [lo, hi), with hi <= size.
+
+        An aligned power-of-two range is one cached node.  Any other range
+        splits at the largest power of two below its size; every range the
+        proofs below ask for starts aligned to that split, so the recursion
+        follows one right spine, O(log n) deep.
+        """
         n = hi - lo
         if n == 0:
             return empty_root()
-        if n == 1:
-            return self._leaves[lo]
+        if n & (n - 1) == 0 and lo & (n - 1) == 0:
+            height = n.bit_length() - 1
+            return self._levels[height][lo >> height]
         k = _split_point(n)
         return node_hash(self._range_root(lo, lo + k), self._range_root(lo + k, hi))
 
     def root_at(self, size: int) -> Digest:
         """Root of the log version that held exactly the first ``size`` leaves."""
-        if not 0 <= size <= len(self._leaves):
-            raise IndexOutOfRange(f"size {size} outside log of size {len(self._leaves)}")
+        if not 0 <= size <= len(self._levels[0]):
+            raise IndexOutOfRange(f"size {size} outside log of size {len(self._levels[0])}")
         return self._range_root(0, size)
 
     def prove_inclusion(self, index: int) -> InclusionProof:
-        if not 0 <= index < len(self._leaves):
-            raise IndexOutOfRange(f"leaf index {index} outside log of size {len(self._leaves)}")
-        path = self._inclusion_path(0, len(self._leaves), index)
-        return InclusionProof(leaf_index=index, tree_size=len(self._leaves), path=tuple(path))
+        size = len(self._levels[0])
+        if not 0 <= index < size:
+            raise IndexOutOfRange(f"leaf index {index} outside log of size {size}")
+        path = self._inclusion_path(0, size, index)
+        return InclusionProof(leaf_index=index, tree_size=size, path=tuple(path))
 
     def _inclusion_path(self, lo: int, hi: int, index: int) -> list[Digest]:
         n = hi - lo
@@ -235,7 +260,7 @@ class MerkleLog:
         return path
 
     def prove_consistency(self, old_size: int) -> ConsistencyProof:
-        size = len(self._leaves)
+        size = len(self._levels[0])
         if not 0 <= old_size <= size:
             raise IndexOutOfRange(f"old size {old_size} outside log of size {size}")
         if old_size == 0 or old_size == size:

@@ -692,26 +692,40 @@ class Simulation:
 
     # -- end-of-run verification --
 
+    def replay_peer(self, peer: str):
+        """Replay the chain a peer serves from genesis.
+
+        Returns (failure, log): failure is None or the first rejected block's
+        height and reason, and log is the registry log over every
+        transaction served, rejected blocks included.
+        """
+        chain = self.nodes[peer].export_chain()
+        replay = ChainState(self.genesis)
+        for block in chain:
+            verdict = replay.receive_block(block)
+            if not verdict.ok:
+                peer_log = MerkleLog()
+                for served in chain:
+                    for tx in served.transactions:
+                        peer_log.append(tx_wire_bytes(tx))
+                return {"height": block.header.height, "reason": verdict.reason}, peer_log
+        return None, replay.registry_log
+
     def audit(self):
         tamperers = {f.handler for f in self.config.faults if f.kind == "tamper_history"}
         verifiers = [n for n in sorted(self.nodes) if n not in tamperers]
+        # A served chain depends only on the peer (export_chain is
+        # deterministic, and so is the tamperer's re-signing), so one replay
+        # per peer stands for every verifier.
+        replays = {}
         for verifier in verifiers:
             own = self.nodes[verifier]
             for peer in sorted(self.nodes):
                 if peer == verifier:
                     continue
-                chain = self.nodes[peer].export_chain()
-                replay = ChainState(self.genesis)
-                failure = None
-                for block in chain:
-                    verdict = replay.receive_block(block)
-                    if not verdict.ok:
-                        failure = {"height": block.header.height, "reason": verdict.reason}
-                        break
-                peer_log = MerkleLog()
-                for block in chain:
-                    for tx in block.transactions:
-                        peer_log.append(tx_wire_bytes(tx))
+                if peer not in replays:
+                    replays[peer] = self.replay_peer(peer)
+                failure, peer_log = replays[peer]
                 failed_checkpoints = []
                 for cp in own.checkpoints:
                     if cp.registry_size > peer_log.size:

@@ -240,7 +240,18 @@ def test_energy_filter_decimal_not_string_compare(world):
 
 @pytest.mark.parametrize(
     "params",
-    [{}, {"threshold": "-1"}, {"threshold": "abc"}, {"threshold": "1", "extra": "x"}, {"threshold": ""}],
+    [
+        {},
+        {"threshold": "-1"},
+        {"threshold": "abc"},
+        {"threshold": "1", "extra": "x"},
+        {"threshold": ""},
+        # each of these parses as 1.5 or infinity but is not the fixed-point form
+        {"threshold": "1.5\n"},
+        {"threshold": " 1.5"},
+        {"threshold": "15e-1"},
+        {"threshold": "Infinity"},
+    ],
 )
 def test_energy_filter_config_errors(world, params):
     _, _, index, storages, _ = world

@@ -264,6 +264,22 @@ def test_chain_verify_empty_checkpoint_must_name_the_genesis(world, tmp_path, ca
     assert code == 3 and lines(out)[-1]["error"] == "IntegrityError"
 
 
+def test_chain_verify_checkpoint_must_match_its_block(world, tmp_path, capsys):
+    # Each registry prefix below is a genuine one of this chain, with its true
+    # root, but it is not what the named block committed to.
+    state = world["state"]
+    log = state.registry_log
+    cp = tmp_path / "cp.json"
+    for height, head, size in (
+        (-1, state.genesis_hash_hex, 3),  # the empty chain holds no transactions
+        (0, state.head_hash(), 2),  # block 0 committed to all 4
+    ):
+        cp.write_text(json.dumps({"head_hash": head, "height": height,
+                                  "registry_root": log.root_at(size).hex(), "registry_size": size}))
+        code, out, _ = run(capsys, "chain-verify", "--chain", world["chain"], "--checkpoint", str(cp))
+        assert code == 3 and lines(out)[-1]["error"] == "IntegrityError"
+
+
 def test_proof_inclusion_envelope_verifies(world, capsys):
     state = world["state"]
     tx = state.blocks[0].transactions[2]  # ds-a publication

@@ -6,12 +6,14 @@ the implementation under test.
 """
 
 import hashlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skyprov import merkle
 from skyprov.errors import IndexOutOfRange, InvalidBody
 from skyprov.merkle import (
     ConsistencyProof,
@@ -382,6 +384,90 @@ def test_mutation_campaign_consistency():
             bad = bytearray(log.root())
             bad[rng.randrange(32)] ^= 1 << rng.randrange(8)
             assert not verify_consistency(old_root, old, bytes(bad), 24, proof)
+
+
+# -- cached subtree roots -------------------------------------------------
+
+
+def oracle_prefix_roots(entries):
+    return [oracle_root(entries[:m]) for m in range(len(entries) + 1)]
+
+
+def assert_proofs_match_oracle(log, entries, prefix_roots, rng):
+    """root_at at every size, and inclusion and consistency proofs at a few
+    positions, equal the from-scratch oracle over ``entries``, whose prefix
+    roots start ``prefix_roots``."""
+    n = len(entries)
+    assert log.size == n
+    assert [log.root_at(m) for m in range(n + 1)] == prefix_roots[: n + 1]
+    positions = {0, n // 2, n - 1, rng.randrange(n)}
+    for i in positions:
+        assert list(log.prove_inclusion(i).path) == oracle_inclusion_path(entries, i)
+    for m in positions - {0}:  # sizes 0 and n give empty paths
+        assert list(log.prove_consistency(m).path) == oracle_consistency_path(entries, m)
+
+
+def test_cached_proofs_match_oracle_at_every_size():
+    rng = random.Random(300)
+    entries = entries_for(300)
+    roots = oracle_prefix_roots(entries)
+    log = MerkleLog()
+    for n in range(1, 301):
+        log.append(entries[n - 1])
+        assert log.root() == roots[n]
+        assert_proofs_match_oracle(log, entries[:n], roots, rng)
+
+
+def test_cached_proofs_survive_fork_and_extended_root():
+    rng = random.Random(301)
+    entries = entries_for(300)
+    log = build_log(entries[:150])
+    fork = log.fork()
+    # previews must record nothing: later appends of other records would
+    # otherwise land on stale subtree roots
+    for k in (1, 2, 50, 150):
+        assert log.extended_root([b"preview-%d" % i for i in range(k)])[0] == oracle_root(
+            entries[:150] + [b"preview-%d" % i for i in range(k)]
+        )
+        fork.extended_root([b"x"] * k)
+    for e in entries[150:]:
+        fork.append(e)
+    roots = oracle_prefix_roots(entries)
+    assert_proofs_match_oracle(log, entries[:150], roots, rng)
+    assert_proofs_match_oracle(fork, entries, roots, rng)
+    other = entries[:150] + [b"other-%d" % i for i in range(150)]
+    for e in other[150:]:
+        log.append(e)
+    assert_proofs_match_oracle(log, other, oracle_prefix_roots(other), rng)
+    assert_proofs_match_oracle(fork, entries, roots, rng)
+
+
+def test_proofs_cost_logarithmic_node_hashes(monkeypatch):
+    n = 2**16 + 3
+    log = MerkleLog()
+    for i in range(n):
+        log.append_leaf_hash(hashlib.sha256(i.to_bytes(4, "big")).digest())
+    root = log.root()
+    bound = 2 * math.ceil(math.log2(n)) + 2
+    calls = 0
+    real_node_hash = merkle.node_hash
+
+    def counting_node_hash(left, right):
+        nonlocal calls
+        calls += 1
+        return real_node_hash(left, right)
+
+    monkeypatch.setattr(merkle, "node_hash", counting_node_hash)
+    for old in (1, 3, 2**15 + 1, 2**16, 2**16 + 1, n - 1):
+        calls = 0
+        proof = log.prove_consistency(old)
+        assert calls <= bound
+        assert verify_consistency(log.root_at(old), old, root, n, proof)
+    for index in (0, 2**15 + 7, 2**16 - 1, 2**16, n - 1):
+        calls = 0
+        proof = log.prove_inclusion(index)
+        assert calls <= bound
+        assert verify_inclusion(root, log.leaf(index), proof)
 
 
 # -- serialization -------------------------------------------------------

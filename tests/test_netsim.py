@@ -14,6 +14,7 @@ import pytest
 from skyprov.chain import ChainState, header_hash, validate_block
 from skyprov.errors import ConfigError
 from skyprov.netsim import (
+    SimNode,
     Simulation,
     genesis_for,
     handler_key,
@@ -267,6 +268,32 @@ def test_tamper_detected_in_audit(resign, reason, fail_height):
     assert all(a["replay"] == "ok" and not a["failed_checkpoints"] for a in honest)
     # tampering is local forgery: live consensus still converged
     assert len({f["head"] for f in finals(trace).values()}) == 1
+
+
+def test_audit_replays_each_peer_once(monkeypatch):
+    config = sim_config_from_obj(_bench_shaped(1))
+    sim = Simulation(config)
+    sim.run(audit=False)
+    exports = []
+    replayed = {}  # id of each replaying ChainState -> blocks it received
+    real_export, real_receive = SimNode.export_chain, ChainState.receive_block
+
+    def export_chain(node):
+        exports.append(node.node_id)
+        return real_export(node)
+
+    def receive_block(state, block):
+        replayed[id(state)] = replayed.get(id(state), 0) + 1
+        return real_receive(state, block)
+
+    monkeypatch.setattr(SimNode, "export_chain", export_chain)
+    monkeypatch.setattr(ChainState, "receive_block", receive_block)
+    sim.audit()
+    assert sorted(exports) == sorted(config.handler_ids)
+    assert len(replayed) <= len(config.handler_ids)
+    records = audits(sim.trace)
+    assert len(records) == 16  # still one per (verifier, peer)
+    assert [a["replay"] for a in records if a["peer"] == "h4"] == [{"height": 5, "reason": "BadSignature"}] * 4
 
 
 def test_tamper_height_must_be_confirmed():
