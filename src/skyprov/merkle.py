@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .canonical import digest_from_hex, digest_to_hex, dumps_canonical, loads_canonical
 from .errors import IndexOutOfRange, InvalidBody
@@ -26,6 +26,7 @@ LEAF_PREFIX = b"\x00"
 NODE_PREFIX = b"\x01"
 
 Digest = bytes  # 32-byte SHA-256 output; rendered as lowercase 64-char hex
+DIGEST_SIZE = 32
 
 
 def leaf_hash(data: bytes) -> Digest:
@@ -49,7 +50,7 @@ def _split_point(n: int) -> int:
 
 
 def _is_digest(value: object) -> bool:
-    return isinstance(value, bytes) and len(value) == 32
+    return isinstance(value, bytes) and len(value) == DIGEST_SIZE
 
 
 @dataclass(frozen=True)
@@ -118,27 +119,35 @@ class MerkleLog:
     """Ordered sequence of leaf hashes with every complete subtree root cached.
 
     Append-only: a committed leaf never changes, and neither does the root
-    of a complete subtree once its last leaf is in.  ``_levels[h][i]`` is
-    the root of the aligned subtree over leaves ``[i * 2**h, (i + 1) * 2**h)``
-    and ``_levels[0]`` holds the leaf hashes (RFC 9162 section 2.1; the
-    "tiles" of Russ Cox, *Transparency Logs via Verifiable Data
-    Structures*).  An append adds one leaf and the subtree roots it
-    completes, O(1) amortized.  Every range a proof needs splits into
-    O(log n) cached subtrees, so ``root``, ``root_at``, ``prove_inclusion``
-    and ``prove_consistency`` each cost O(log n) node hashes.
+    of a complete subtree once its last leaf is in.  ``_levels[h]`` packs,
+    32 bytes each, the roots of the aligned subtrees over leaves
+    ``[i * 2**h, (i + 1) * 2**h)``; ``_levels[0]`` holds the leaf hashes
+    (RFC 9162 section 2.1; the "tiles" of Russ Cox, *Transparency Logs via
+    Verifiable Data Structures*).  Packed, all levels together take less
+    memory than one bytes object per leaf.  The current root is kept as a
+    stack of peaks, one per set bit of the size, merged binary-counter style
+    on append; each merge completes a subtree, whose root goes into
+    ``_levels``.  So appends cost O(1) amortized, ``root`` O(log n), and
+    because every range a proof needs splits into O(log n) cached subtrees,
+    ``root_at``, ``prove_inclusion`` and ``prove_consistency`` each cost
+    O(log n) node hashes.
 
     Single writer per instance; hand out ``fork()`` copies to anything that
     needs an independent version.
     """
 
-    __slots__ = ("_levels",)
+    __slots__ = ("_levels", "_peaks")
 
     def __init__(self) -> None:
-        self._levels: list[list[Digest]] = [[]]
+        self._levels: list[bytearray] = [bytearray()]
+        self._peaks: list[tuple[int, Digest]] = []  # (height, subtree root)
 
     @property
     def size(self) -> int:
-        return len(self._levels[0])
+        return len(self._levels[0]) // DIGEST_SIZE
+
+    def _node(self, height: int, index: int) -> Digest:
+        return bytes(self._levels[height][index * DIGEST_SIZE : (index + 1) * DIGEST_SIZE])
 
     def append(self, data: bytes) -> int:
         """Append raw record bytes; returns the new leaf's index."""
@@ -147,31 +156,24 @@ class MerkleLog:
     def append_leaf_hash(self, leaf: Digest) -> int:
         if not _is_digest(leaf):
             raise InvalidBody("leaf hash must be a 32-byte digest")
-        levels = self._levels
-        index = len(levels[0])
-        levels[0].append(leaf)
-        height = 0
-        while len(levels[height]) % 2 == 0:
-            # the new node's left sibling is complete: so is their parent
-            node = node_hash(levels[height][-2], levels[height][-1])
-            height += 1
-            if height == len(levels):
-                levels.append([])
-            levels[height].append(node)
+        index = self.size
+        self._levels[0] += leaf
+        self._push_peak(self._peaks, leaf, self._levels)
         return index
 
-    def _peaks(self) -> list[tuple[int, Digest]]:
-        """(height, root) of the complete subtrees covering the log, tallest first."""
-        size = len(self._levels[0])
-        return [(h, self._levels[h][-1]) for h in reversed(range(len(self._levels))) if size >> h & 1]
-
     @staticmethod
-    def _push_peak(peaks: list[tuple[int, Digest]], leaf: Digest) -> None:
+    def _push_peak(peaks: list[tuple[int, Digest]], leaf: Digest, levels: Optional[list[bytearray]] = None) -> None:
+        """Push a leaf onto a peak stack; each merge makes a complete
+        subtree root, which is recorded in ``levels`` when given."""
         height, node = 0, leaf
         while peaks and peaks[-1][0] == height:
             _, left = peaks.pop()
             node = node_hash(left, node)
             height += 1
+            if levels is not None:
+                if height == len(levels):
+                    levels.append(bytearray())
+                levels[height] += node
         peaks.append((height, node))
 
     @staticmethod
@@ -184,34 +186,35 @@ class MerkleLog:
         return root
 
     def root(self) -> Digest:
-        return self._fold_peaks(self._peaks())
+        return self._fold_peaks(self._peaks)
 
     def extended_root(self, extra_records: Iterable[bytes]) -> tuple[Digest, int]:
         """Root and size the log would have after appending ``extra_records``.
 
-        Works on a copy of the peak stack, so the log and its subtree cache
-        are untouched; used by block validation to check registry
-        commitments cheaply.
+        Works on a copy of the peak stack and records no subtree roots, so
+        the log itself is untouched; used by block validation to check
+        registry commitments cheaply.
         """
-        peaks = self._peaks()
-        count = len(self._levels[0])
+        peaks = list(self._peaks)
+        count = self.size
         for data in extra_records:
             self._push_peak(peaks, leaf_hash(data))
             count += 1
         return self._fold_peaks(peaks), count
 
     def leaf(self, index: int) -> Digest:
-        if not 0 <= index < len(self._levels[0]):
-            raise IndexOutOfRange(f"leaf index {index} outside log of size {len(self._levels[0])}")
-        return self._levels[0][index]
+        if not 0 <= index < self.size:
+            raise IndexOutOfRange(f"leaf index {index} outside log of size {self.size}")
+        return self._node(0, index)
 
     def leaves(self) -> tuple[Digest, ...]:
-        return tuple(self._levels[0])
+        return tuple(self._node(0, i) for i in range(self.size))
 
     def fork(self) -> "MerkleLog":
         """Independent copy; mutations to either side stay invisible to the other."""
         other = MerkleLog()
-        other._levels = [list(level) for level in self._levels]
+        other._levels = [bytearray(level) for level in self._levels]
+        other._peaks = list(self._peaks)
         return other
 
     # -- proofs --------------------------------------------------------
@@ -229,18 +232,18 @@ class MerkleLog:
             return empty_root()
         if n & (n - 1) == 0 and lo & (n - 1) == 0:
             height = n.bit_length() - 1
-            return self._levels[height][lo >> height]
+            return self._node(height, lo >> height)
         k = _split_point(n)
         return node_hash(self._range_root(lo, lo + k), self._range_root(lo + k, hi))
 
     def root_at(self, size: int) -> Digest:
         """Root of the log version that held exactly the first ``size`` leaves."""
-        if not 0 <= size <= len(self._levels[0]):
-            raise IndexOutOfRange(f"size {size} outside log of size {len(self._levels[0])}")
+        if not 0 <= size <= self.size:
+            raise IndexOutOfRange(f"size {size} outside log of size {self.size}")
         return self._range_root(0, size)
 
     def prove_inclusion(self, index: int) -> InclusionProof:
-        size = len(self._levels[0])
+        size = self.size
         if not 0 <= index < size:
             raise IndexOutOfRange(f"leaf index {index} outside log of size {size}")
         path = self._inclusion_path(0, size, index)
@@ -260,7 +263,7 @@ class MerkleLog:
         return path
 
     def prove_consistency(self, old_size: int) -> ConsistencyProof:
-        size = len(self._levels[0])
+        size = self.size
         if not 0 <= old_size <= size:
             raise IndexOutOfRange(f"old size {old_size} outside log of size {size}")
         if old_size == 0 or old_size == size:
