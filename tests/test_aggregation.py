@@ -222,6 +222,28 @@ def test_energy_filter_semantics_and_tally(world):
     assert result.events_out == len(kept)
 
 
+def test_two_energy_filters_keep_both_and_tally_once(world):
+    _, _, index, storages, files = world
+    request = AggregationRequest(
+        filter=ALL,
+        pipeline=(
+            PluginSpec("time_ordered_merge", {}),
+            PluginSpec("energy_filter", {"threshold": "0.5"}),
+            PluginSpec("energy_filter", {"threshold": "1.5"}),
+        ),
+    )
+    result = execute(request, index, storages)
+    merged = merge_oracle(files, ["ds-a", "ds-c", "ds-b"])
+    from decimal import Decimal
+
+    kept = [e for e in merged if e.energy_estimate is not None and Decimal(e.energy_estimate) >= Decimal("1.5")]
+    assert [e.event_id for e in kept] == ["a0-0", "c0-0", "b0-1"]
+    assert result.output_bytes == encode_events_jsonl(kept)
+    # the first filter drops every energy-less event, so the second sees none
+    assert result.drop_tally == {"energy_filter": sum(1 for e in merged if e.energy_estimate is None)}
+    assert result.events_out == len(kept)
+
+
 def test_energy_filter_decimal_not_string_compare(world):
     _, _, index, storages, files = world
     # "0.50" and "0.5" are the same quantity; "10" > "9" numerically
@@ -306,6 +328,78 @@ def test_first_mismatch_in_plan_order_reported(world, tmp_path):
         execute(AggregationRequest(filter=ALL), index, storages)
     # plan sorts st-1 before st-2, so the st-1 file is named
     assert "st-1/data/ds-a/part1.jsonl" in str(err.value)
+
+
+def publish_refs(state, handle, user, dataset_id, refs, start, end):
+    """Publish a descriptor listing refs exactly as given (paths may repeat or be unsorted)."""
+    descriptor = DatasetDescriptor(
+        dataset_id=dataset_id,
+        kind="primary",
+        storage_id=handle.storage_id,
+        file_refs=tuple(refs),
+        facility_id="TAIGA",
+        time_range=(start, end),
+        detector_geometry_hash=GEOMETRY_HASH,
+        extra={},
+    )
+    state.submit(sign_transaction(PublishDataset(dataset=descriptor), user, created_at=next(CREATED)))
+
+
+def put_ref(handle, path, events):
+    data = encode_events(handle.kind, events)
+    return FileRef(path=path, content_hash=put_file(handle, path, data).hex(), size=len(data), format=handle.kind)
+
+
+def test_first_mismatch_in_query_then_ref_order_reported(world, tmp_path):
+    state, keys, _, storages, _ = world
+    user = key_for("user-1")
+    h1 = storages["st-1"]
+    # ds-0 sorts first by id but last in query order; ds-r lists its refs
+    # against path order
+    publish_refs(state, h1, user, "ds-0", [put_ref(h1, "x/ds-0.jsonl", mk_events("z", [700]))], 700, 700)
+    refs = [put_ref(h1, "x/r-z.jsonl", mk_events("rz", [610])), put_ref(h1, "x/r-a.jsonl", mk_events("ra", [620]))]
+    publish_refs(state, h1, user, "ds-r", refs, 600, 620)
+    seal(state, keys)
+    index = state.registry
+    assert [d.dataset_id for d in query(index, ALL)] == ["ds-a", "ds-c", "ds-b", "ds-r", "ds-0"]
+
+    def corrupt(rel):
+        p = tmp_path.joinpath("st-1", *rel.split("/"))
+        p.write_bytes(p.read_bytes() + b"\x00")
+
+    corrupt("x/ds-0.jsonl")
+    corrupt("x/r-a.jsonl")
+    corrupt("x/r-z.jsonl")
+    with pytest.raises(IntegrityError) as err:
+        execute(AggregationRequest(filter=ALL), index, storages)
+    assert "st-1/x/r-z.jsonl" in str(err.value)
+    corrupt("data/ds-c/part0.jsonl")
+    with pytest.raises(IntegrityError) as err:
+        execute(AggregationRequest(filter=ALL), index, storages)
+    assert "st-1/data/ds-c/part0.jsonl" in str(err.value)
+
+
+def test_shared_path_decoded_per_dataset(world):
+    state, keys, _, storages, files = world
+    user = key_for("user-1")
+    ref = state.registry.datasets["ds-c"].descriptor.file_refs[0]
+    publish_refs(state, storages["st-1"], user, "ds-c2", [ref], 120, 520)
+    seal(state, keys)
+    index = state.registry
+    tunka_and_twin = QueryFilter(time_range=(120, 120))
+    order = [d.dataset_id for d in query(index, tunka_and_twin)]
+    assert order == ["ds-a", "ds-c", "ds-c2"]
+    files = dict(files, **{"ds-c2": files["ds-c"]})
+    plain = execute(AggregationRequest(filter=tunka_and_twin), index, storages)
+    assert plain.files_fetched == 4
+    assert plain.output_bytes == encode_events_jsonl(flat_oracle(files, order))
+    assert plain.events_in == plain.events_out == len(flat_oracle(files, order))
+    merged = execute(
+        AggregationRequest(filter=tunka_and_twin, pipeline=(PluginSpec("time_ordered_merge", {}),)), index, storages
+    )
+    assert merged.output_bytes == encode_events_jsonl(merge_oracle(files, order))
+    with pytest.raises(DuplicateEntry):
+        execute(AggregationRequest(filter=tunka_and_twin, pipeline=(PluginSpec("merge_archive", {}),)), index, storages)
 
 
 def test_archive_integrity_also_gated(world, tmp_path):
