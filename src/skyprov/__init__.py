@@ -62,11 +62,9 @@ from .errors import (
 )
 from .index import (
     QueryFilter,
-    ResolvedFile,
     index_from_obj,
     index_to_obj,
     query,
-    resolve_files,
 )
 from .keys import SigningKey, load_key_file, save_key_file, verify_signature
 from .merkle import (

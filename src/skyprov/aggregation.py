@@ -1,10 +1,11 @@
-"""Aggregation service: query, fetch, verify, stream through plugins, deliver.
+"""Aggregation service: query, fetch, verify, run the pipeline, deliver.
 
-The engine resolves a metadata filter to physical files, fetches them
-per-storage (concurrently by default), refuses to run any plugin before
-every fetched file matched its chain-recorded digest, then streams
-decoded events through the pipeline. Output is defined entirely by the
-merge policy, never by fetch arrival order.
+The engine takes the (dataset, file ref) pairs of the datasets a metadata
+filter matches, fetches them per storage (concurrently by default), refuses
+to decode any file before every fetched file matched its chain-recorded
+digest, then streams the decoded events through a closed set of stages
+that were all checked before the first fetch. Output is defined entirely
+by the merge policy, never by fetch arrival order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import tarfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator, NamedTuple, Optional
+from typing import Optional
 
 from .canonical import dumps_canonical, is_decimal, sha256_bytes
 from .chain import ChainState
@@ -32,7 +33,7 @@ from .errors import (
     UnknownProgram,
     UnsortedInput,
 )
-from .index import QueryFilter, query, resolve_files, validate_filter
+from .index import QueryFilter, query, validate_filter
 from .keys import SigningKey
 from .model import (
     DatasetDescriptor,
@@ -42,9 +43,7 @@ from .model import (
     RegistryState,
     sign_transaction,
 )
-from .storage import StorageHandle, decode_events, encode_events, get_file, put_file
-
-DEFAULT_WINDOW = 10_000
+from .storage import decode_events, encode_events, get_file, put_file
 
 
 # -- requests --------------------------------------------------------------------
@@ -153,84 +152,71 @@ def pipeline_parameters_hash(pipeline) -> str:
     return sha256_bytes(dumps_canonical(pipeline_to_obj(pipeline))).hex()
 
 
-# -- plugin library -----------------------------------------------------------------
+# -- pipeline stages ------------------------------------------------------------------
+
+# Bound on the input streams (one per file ref recorded on chain) a request
+# may merge; each stream's decoded events are held in memory at once.
+MAX_STREAMS = 10_000
 
 
-class StreamItem(NamedTuple):
-    dataset_id: str
-    origin: str  # "<dataset_id>:<path>" of the source file
-    event: object
+def _shortest_decimal(text: str) -> str:
+    """Shortest spelling of a fixed-point decimal: "00.50" -> "0.5", "50" -> "50"."""
+    whole, _, fraction = text.partition(".")
+    whole = whole.lstrip("0") or "0"
+    fraction = fraction.rstrip("0")
+    return f"{whole}.{fraction}" if fraction else whole
 
 
-def _no_parameters(spec: PluginSpec) -> None:
-    if spec.parameters:
-        raise PluginConfigError(f"{spec.name} takes no parameters, got {sorted(spec.parameters)}")
+def _check_pipeline(pipeline) -> tuple:
+    """Check every stage, in pipeline order, before anything is fetched.
+
+    The stages are a closed set: time_ordered_merge (first, no parameters),
+    energy_filter (a fixed-point decimal threshold) and merge_archive (the
+    only stage, no parameters). Returns the pipeline with each threshold in
+    its shortest spelling, so one analysis has one parameters hash.
+    """
+    checked = []
+    for spec in pipeline:
+        params = dict(spec.parameters)
+        if spec.name == "energy_filter":
+            threshold = params.pop("threshold", None)
+            if params:
+                raise PluginConfigError(f"energy_filter: unknown parameters {sorted(params)}")
+            if threshold is None:
+                raise PluginConfigError("energy_filter: missing threshold parameter")
+            # Fixed-point form only: whitespace, exponents and special values
+            # would give one threshold more spellings than trimming zeros folds.
+            if not is_decimal(threshold):
+                raise PluginConfigError(f"energy_filter: threshold must be a decimal string >= 0, got {threshold!r}")
+            spec = PluginSpec(spec.name, {"threshold": _shortest_decimal(threshold)})
+        elif spec.name in ("time_ordered_merge", "merge_archive"):
+            if params:
+                raise PluginConfigError(f"{spec.name} takes no parameters, got {sorted(params)}")
+        else:
+            raise PluginNotFound(f"no plugin named {spec.name!r}")
+        checked.append(spec)
+    names = [spec.name for spec in checked]
+    if "merge_archive" in names and len(names) != 1:
+        raise PluginConfigError("merge_archive must be the only pipeline stage")
+    if "time_ordered_merge" in names[1:]:
+        raise PluginConfigError("time_ordered_merge must be the first pipeline stage")
+    return tuple(checked)
 
 
-class TimeOrderedMergePlugin:
-    """k-way merge of per-file streams; ties break by (dataset_id, event_id)."""
-
-    kind = "merge"
-
-    def __init__(self, spec: PluginSpec):
-        _no_parameters(spec)
-
-    def merge(self, named_streams) -> Iterator[StreamItem]:
-        checked = [_sorted_guard(name, stream) for name, stream in named_streams]
-        return heapq.merge(
-            *checked, key=lambda item: (item.event.registration_time, item.dataset_id, item.event.event_id)
-        )
-
-
-def _sorted_guard(name: str, stream) -> Iterator[StreamItem]:
+def _time_ordered(name: str, dataset_id: str, events):
+    """Yield (dataset_id, event), refusing a stream whose time goes backwards."""
     last = None
-    for item in stream:
-        t = item.event.registration_time
+    for ev in events:
+        t = ev.registration_time
         if last is not None and t < last:
             raise UnsortedInput(f"stream {name} is not time-ordered (saw {t} after {last})")
         last = t
-        yield item
+        yield dataset_id, ev
 
 
-class EnergyFilterPlugin:
-    """Keep events with energy_estimate >= threshold; tally energy-less drops."""
-
-    kind = "stream"
-
-    def __init__(self, spec: PluginSpec):
-        params = dict(spec.parameters)
-        threshold = params.pop("threshold", None)
-        if params:
-            raise PluginConfigError(f"energy_filter: unknown parameters {sorted(params)}")
-        if threshold is None:
-            raise PluginConfigError("energy_filter: missing threshold parameter")
-        # Fixed-point form only: whitespace, exponents and special values
-        # would give one threshold more spellings, each with its own
-        # pipeline_parameters_hash.
-        if not is_decimal(threshold):
-            raise PluginConfigError(f"energy_filter: threshold must be a decimal string >= 0, got {threshold!r}")
-        self.threshold = Decimal(threshold)
-        self.dropped_missing = 0
-
-    def transform(self, stream) -> Iterator[StreamItem]:
-        for item in stream:
-            energy = item.event.energy_estimate
-            if energy is None:
-                self.dropped_missing += 1
-                continue
-            if Decimal(energy) >= self.threshold:
-                yield item
-
-    @property
-    def drop_tally(self) -> int:
-        return self.dropped_missing
-
-
-class MergeArchivePlugin:
-    kind = "archive"
-
-    def __init__(self, spec: PluginSpec):
-        _no_parameters(spec)
+def _merge_key(item):
+    dataset_id, ev = item
+    return ev.registration_time, dataset_id, ev.event_id
 
 
 def plugin_merge_archive(entries) -> bytes:
@@ -258,20 +244,6 @@ def plugin_merge_archive(entries) -> bytes:
     return buf.getvalue()
 
 
-_PLUGINS = {
-    "time_ordered_merge": TimeOrderedMergePlugin,
-    "energy_filter": EnergyFilterPlugin,
-    "merge_archive": MergeArchivePlugin,
-}
-
-
-def make_plugin(spec: PluginSpec):
-    factory = _PLUGINS.get(spec.name)
-    if factory is None:
-        raise PluginNotFound(f"no plugin named {spec.name!r}")
-    return factory(spec)
-
-
 # -- execution ------------------------------------------------------------------------
 
 
@@ -285,7 +257,7 @@ class AggregationResult:
     mode: str  # "events" | "archive"
     output_bytes: bytes
     output_digest: str
-    pipeline: tuple
+    pipeline: tuple  # as checked: thresholds in their shortest spelling
     output_path: Optional[str] = None
 
     def summary_obj(self) -> dict:
@@ -300,24 +272,21 @@ class AggregationResult:
         }
 
 
-def _fetch_all(plan, storages, concurrent: bool):
-    """Fetch every planned file, grouped per storage; returns {(sid, path): (bytes, digest)}."""
+def _fetch_all(pairs, storages, concurrent: bool):
+    """Fetch the file of every (dataset, ref) pair, one group per storage;
+    returns {(storage_id, path): (bytes, digest)}."""
     groups = {}
-    for entry in plan:
-        groups.setdefault(entry.storage_id, []).append(entry)
-    for sid in groups:
+    for ds, ref in pairs:
+        groups.setdefault(ds.storage_id, []).append(ref.path)
+    ordered = sorted(groups)
+    for sid in ordered:
         if sid not in storages:
             raise NotFound(f"no handle for storage {sid}")
 
     def fetch_group(sid):
-        out = {}
-        for entry in groups[sid]:
-            data, digest = get_file(storages[sid], entry.path)
-            out[(sid, entry.path)] = (data, digest.hex())
-        return out
+        return {(sid, path): get_file(storages[sid], path) for path in groups[sid]}
 
     fetched = {}
-    ordered = sorted(groups)
     if concurrent and len(ordered) > 1:
         with ThreadPoolExecutor(max_workers=len(ordered)) as pool:
             for result in pool.map(fetch_group, ordered):
@@ -332,85 +301,76 @@ def execute(
     request: AggregationRequest,
     registry: RegistryState,
     storages,
-    window: int = DEFAULT_WINDOW,
     concurrent: bool = True,
 ) -> AggregationResult:
     """Run one aggregation request end to end (sink delivery for local sinks;
     publish sinks are completed by publish_result on the returned result)."""
     validate_filter(request.filter)
-    plugins = [make_plugin(spec) for spec in request.pipeline]  # plan-time validation
-    archive_mode = any(p.kind == "archive" for p in plugins)
-    if archive_mode and len(plugins) != 1:
-        raise PluginConfigError("merge_archive must be the only pipeline stage")
-    for position, plugin in enumerate(plugins):
-        if plugin.kind == "merge" and position != 0:
-            raise PluginConfigError("time_ordered_merge must be the first pipeline stage")
+    pipeline = _check_pipeline(request.pipeline)
+    names = [spec.name for spec in pipeline]
+    archive_mode = names == ["merge_archive"]
 
     matched = query(registry, request.filter)
-    dataset_ids = tuple(ds.dataset_id for ds in matched)
-    plan = resolve_files(registry, dataset_ids)
-    fetched = _fetch_all(plan, storages, concurrent)
+    # canonical pre-merge order: datasets in query order, refs in descriptor order
+    pairs = [(ds, ref) for ds in matched for ref in ds.file_refs]
+    fetched = _fetch_all(pairs, storages, concurrent)
 
-    # integrity gate: every file verified before any plugin touches any byte
-    for entry in plan:
-        _, digest = fetched[(entry.storage_id, entry.path)]
-        if digest != entry.content_hash:
+    # integrity gate: every file verified before any stage touches any byte,
+    # the first mismatch named in (storage id, query order, ref order)
+    for ds, ref in sorted(pairs, key=lambda pair: pair[0].storage_id):
+        digest = fetched[(ds.storage_id, ref.path)][1].hex()
+        if digest != ref.content_hash:
             raise IntegrityError(
-                f"{entry.storage_id}/{entry.path}: digest {digest} does not match chain record {entry.content_hash}"
+                f"{ds.storage_id}/{ref.path}: digest {digest} does not match chain record {ref.content_hash}"
             )
 
     drop_tally = {}
     if archive_mode:
-        entries = [
-            (f"{e.storage_id}/{e.path}", fetched[(e.storage_id, e.path)][0]) for e in plan
-        ]
-        output = plugin_merge_archive(entries)
+        output = plugin_merge_archive(
+            (f"{ds.storage_id}/{ref.path}", fetched[(ds.storage_id, ref.path)][0]) for ds, ref in pairs
+        )
         events_in = events_out = 0
     else:
-        # canonical pre-merge order: datasets in query order, refs in
-        # descriptor order, records in file order
-        named_streams = []
-        events_in = 0
-        for ds in matched:
-            for ref in ds.file_refs:
-                data, _ = fetched[(ds.storage_id, ref.path)]
-                events = decode_events(ref.format, data)
-                events_in += len(events)
-                name = f"{ds.dataset_id}:{ref.path}"
-                items = [StreamItem(ds.dataset_id, name, ev) for ev in events]
-                named_streams.append((name, items))
-        if len(named_streams) > window:
-            raise PluginConfigError(
-                f"{len(named_streams)} input streams exceed the buffering window {window}"
-            )
+        streams = []  # (name, dataset_id, events); records stay in file order
+        for ds, ref in pairs:
+            events = decode_events(ref.format, fetched[(ds.storage_id, ref.path)][0])
+            streams.append((f"{ds.dataset_id}:{ref.path}", ds.dataset_id, events))
+        events_in = sum(len(events) for _, _, events in streams)
+        if len(streams) > MAX_STREAMS:
+            raise PluginConfigError(f"{len(streams)} input streams exceed the bound {MAX_STREAMS}")
 
-        if plugins and plugins[0].kind == "merge":
-            stream = plugins[0].merge(named_streams)
-            rest = plugins[1:]
+        if names[:1] == ["time_ordered_merge"]:
+            stream = heapq.merge(*(_time_ordered(*s) for s in streams), key=_merge_key)
         else:
-            stream = (item for _, items in named_streams for item in items)
-            rest = plugins
-        for plugin in rest:
-            stream = plugin.transform(stream)
-
-        out_events = [item.event for item in stream]
+            stream = ((dataset_id, ev) for _, dataset_id, events in streams for ev in events)
+        # an event passes every energy_filter exactly when it passes the highest
+        # threshold; only the first filter ever sees the energy-less events
+        floor = max((Decimal(s.parameters["threshold"]) for s in pipeline if s.name == "energy_filter"), default=None)
+        out_events = []
+        missing = 0
+        for _, ev in stream:
+            if floor is not None:
+                if ev.energy_estimate is None:
+                    missing += 1
+                    continue
+                if Decimal(ev.energy_estimate) < floor:
+                    continue
+            out_events.append(ev)
+        if missing:
+            drop_tally["energy_filter"] = missing
         events_out = len(out_events)
         output = encode_events("jsonl", out_events)
-        for spec, plugin in zip(request.pipeline, plugins):
-            tally = getattr(plugin, "drop_tally", 0)
-            if tally:
-                drop_tally[spec.name] = drop_tally.get(spec.name, 0) + tally
 
     result = AggregationResult(
-        matched_datasets=dataset_ids,
-        files_fetched=len(plan),
+        matched_datasets=tuple(ds.dataset_id for ds in matched),
+        files_fetched=len(pairs),
         events_in=events_in,
         events_out=events_out,
         drop_tally=drop_tally,
         mode="archive" if archive_mode else "events",
         output_bytes=output,
         output_digest=sha256_bytes(output).hex(),
-        pipeline=request.pipeline,
+        pipeline=pipeline,
     )
 
     if isinstance(request.sink, LocalSink):

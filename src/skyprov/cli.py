@@ -408,7 +408,7 @@ def cmd_aggregate(args) -> int:
         raise UsageError("this request has a publish sink; use the publish command")
     if isinstance(req.sink, LocalSink) and not os.path.isabs(req.sink.path):
         req = dataclasses.replace(req, sink=LocalSink(os.path.join(args.home, req.sink.path)))
-    result = execute(req, state.registry, storages, window=args.window, concurrent=not args.sequential)
+    result = execute(req, state.registry, storages, concurrent=not args.sequential)
     output_path = result.output_path
     if output_path is None and args.out:
         try:
@@ -429,7 +429,7 @@ def cmd_publish(args) -> int:
     req, state, storages = _prepare_aggregation(args)
     if not isinstance(req.sink, PublishSink):
         raise UsageError("publish requires a request with a publish sink")
-    result = execute(req, state.registry, storages, window=args.window, concurrent=not args.sequential)
+    result = execute(req, state.registry, storages, concurrent=not args.sequential)
     key = load_key_file(_key_path(args.home, args.key))
     created_at = args.created_at
     if created_at is None:
@@ -518,7 +518,6 @@ def build_parser() -> _Parser:
     p.add_argument("--chain", default=None)
     p.add_argument("--request", required=True)
     p.add_argument("--out", default=None, help="output file when the request has no sink")
-    p.add_argument("--window", type=int, default=10_000)
     p.add_argument("--sequential", action="store_true")
 
     p = add("publish", cmd_publish, help="run an aggregation and register the result as a dataset")
@@ -527,7 +526,6 @@ def build_parser() -> _Parser:
     p.add_argument("--request", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--created-at", type=int, default=None)
-    p.add_argument("--window", type=int, default=10_000)
     p.add_argument("--sequential", action="store_true")
     p.add_argument("--no-seal", action="store_true")
 

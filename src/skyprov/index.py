@@ -2,9 +2,9 @@
 
 The registry every ChainState builds while it validates blocks
 (model.RegistryState) is the only representation of confirmed metadata.
-This module answers predicate queries by scanning it, turns matched
-datasets into a fetch plan, and reads and writes the index snapshot file
-that ``query --index`` serves without replaying the chain.
+This module answers predicate queries by scanning it, and reads and
+writes the index snapshot file that ``query --index`` serves without
+replaying the chain.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from decimal import Decimal
 from typing import Optional
 
 from .canonical import _require, is_decimal
-from .errors import InvalidBody, NotFound
+from .errors import InvalidBody
 from .model import (
     DatasetRecord,
     RegisterStorage,
@@ -148,52 +148,6 @@ def query(registry: RegistryState, f: QueryFilter):
         out = [ds for ds in out if ds.dataset_id in descendants]
     out.sort(key=lambda d: (d.time_range[0], d.dataset_id))
     return out
-
-
-# -- file resolution -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResolvedFile:
-    storage_id: str
-    base_uri: str
-    path: str
-    content_hash: str
-    dataset_id: str
-    size: int
-    format: str
-
-
-def resolve_files(registry: RegistryState, dataset_ids):
-    """Fetch plan for the given datasets, grouped by storage for concurrent
-    retrieval; within a storage, entries keep dataset order then ref order."""
-    entries = []
-    for position, dataset_id in enumerate(dataset_ids):
-        record = registry.datasets.get(dataset_id)
-        if record is None:
-            raise NotFound(f"dataset {dataset_id} not found")
-        ds = record.descriptor
-        registration = registry.storages.get(ds.storage_id)
-        assert registration is not None, "confirmed dataset on unregistered storage"
-        for ref_position, ref in enumerate(ds.file_refs):
-            entries.append(
-                (
-                    ds.storage_id,
-                    position,
-                    ref_position,
-                    ResolvedFile(
-                        storage_id=ds.storage_id,
-                        base_uri=registration.base_uri,
-                        path=ref.path,
-                        content_hash=ref.content_hash,
-                        dataset_id=dataset_id,
-                        size=ref.size,
-                        format=ref.format,
-                    ),
-                )
-            )
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return [e[3] for e in entries]
 
 
 # -- serialization (index snapshot file) ----------------------------------------------------

@@ -187,11 +187,11 @@ def encode_events_packed(events) -> bytes:
         out += _pack_str(ev.facility_id, "facility_id", i)
         out += _pack_str(ev.detector_id, "detector_id", i)
         out += struct.pack("<QI", ev.registration_time, ev.bin_width)
-        out += struct.pack("<I", len(ev.signal_histogram))
-        for count in ev.signal_histogram:
-            if count > _U32_MAX:
-                raise InvalidBody(f"record {i}: histogram count exceeds u32")
-            out += struct.pack("<I", count)
+        n = len(ev.signal_histogram)
+        try:
+            out += struct.pack(f"<I{n}I", n, *ev.signal_histogram)
+        except struct.error as exc:
+            raise InvalidBody(f"record {i}: histogram count exceeds u32") from exc
         if ev.energy_estimate is None:
             out += b"\x00"
         else:
@@ -258,7 +258,8 @@ def decode_events_packed(data: bytes):
         detector_id = cur.string()
         registration_time = cur.u64()
         bin_width = cur.u32()
-        histogram = tuple(cur.u32() for _ in range(cur.u32()))
+        n = cur.u32()
+        histogram = struct.unpack(f"<{n}I", cur.need(4 * n))  # need() refuses a count the data cannot hold
         flag = cur.u8()
         if flag not in (0, 1):
             raise DecodeError(f"bad energy flag byte {flag}", i)

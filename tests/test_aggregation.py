@@ -13,6 +13,7 @@ import tarfile
 import pytest
 from conftest import GEOMETRY_HASH, key_for, make_dataset, program_body
 
+from skyprov import aggregation
 from skyprov.aggregation import (
     AggregationRequest,
     LocalSink,
@@ -299,10 +300,11 @@ def test_merge_must_be_first(world):
         execute(request, index, storages)
 
 
-def test_window_bounds_stream_count(world):
+def test_window_bounds_stream_count(world, monkeypatch):
     _, _, index, storages, _ = world
+    monkeypatch.setattr(aggregation, "MAX_STREAMS", 2)
     with pytest.raises(PluginConfigError):
-        execute(AggregationRequest(filter=ALL), index, storages, window=2)  # 4 streams
+        execute(AggregationRequest(filter=ALL), index, storages)  # 4 streams
 
 
 # -- integrity gate ---------------------------------------------------------------------
@@ -615,6 +617,21 @@ def test_publish_result_full_cycle(world):
 
     _, digest = get_file(storages["st-2"], d.file_refs[0].path)
     assert digest.hex() == d.file_refs[0].content_hash
+
+
+def test_publish_threshold_spellings_share_one_parameters_hash(world):
+    hashes = set()
+    for n, threshold in enumerate(["0.5", "0.50", "00.5"]):
+        sink = PublishSink(storage_id="st-1", dataset_id=f"ds-spelling-{n}", program_id="prog-1", program_version="1.0")
+        _, _, _, result, tx = run_and_publish(world, sink, threshold=threshold)
+        assert result.pipeline[1] == PluginSpec("energy_filter", {"threshold": "0.5"})
+        hashes.add(tx.body.parameters_hash)
+    assert len(hashes) == 1
+    # spellings that are already shortest are recorded as given
+    _, _, index, storages, _ = world
+    for threshold in ["50", "0", "10", "1.25"]:
+        request = AggregationRequest(filter=ALL, pipeline=(PluginSpec("energy_filter", {"threshold": threshold}),))
+        assert execute(request, index, storages).pipeline == request.pipeline
 
 
 def test_publish_result_single_facility_and_geometry(world):

@@ -15,13 +15,12 @@ from conftest import GEOMETRY_HASH, key_for, make_dataset, program_body, storage
 
 from skyprov.canonical import dumps_canonical
 from skyprov.chain import produce_block
-from skyprov.errors import InvalidBody, NotFound
+from skyprov.errors import InvalidBody
 from skyprov.index import (
     QueryFilter,
     index_from_obj,
     index_to_obj,
     query,
-    resolve_files,
     validate_filter,
 )
 from skyprov.model import DeriveDataset, PublishDataset, sign_transaction, tx_to_obj
@@ -399,40 +398,3 @@ def test_snapshot_from_obj_rejects_damage(populated, damage):
     damage(obj)
     with pytest.raises(InvalidBody):
         index_from_obj(obj)
-
-
-# -- fetch-plan resolution -------------------------------------------------------------
-
-
-def test_resolve_files_groups_and_orders(populated):
-    state, _ = populated
-    index = state.registry
-    plan = resolve_files(index, ("ds-c", "ds-a", "ds-b"))
-    # grouped by storage id first
-    assert [e.storage_id for e in plan] == sorted([e.storage_id for e in plan])
-    st1 = [e for e in plan if e.storage_id == "st-1"]
-    # within a storage, requested dataset order is preserved
-    assert [e.dataset_id for e in st1] == (
-        ["ds-c"] * len([e for e in st1 if e.dataset_id == "ds-c"])
-        + ["ds-a"] * len([e for e in st1 if e.dataset_id == "ds-a"])
-    )
-    for e in plan:
-        assert e.base_uri in ("/tmp/st-1", "/tmp/st-2")
-        assert len(e.content_hash) == 64
-
-
-def test_resolve_files_unknown_dataset(populated):
-    state, _ = populated
-    index = state.registry
-    with pytest.raises(NotFound):
-        resolve_files(index, ("ds-a", "ds-missing"))
-
-
-def test_resolve_files_multi_ref(chain3):
-    # a descriptor listing several files keeps ref order in the plan
-    state, keys = chain3
-    confirm(state, keys, [storage_body("st-1", kind="jsonl", base_uri="/tmp/m1"), program_body()])
-    confirm(state, keys, [publish_body("ds-m", "primary", n_files=3)])
-    plan = resolve_files(state.registry, ("ds-m",))
-    assert [e.path for e in plan] == [f"data/ds-m/part{i}.jsonl" for i in range(3)]
-    assert [e.size for e in plan] == [100, 101, 102]

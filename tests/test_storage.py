@@ -310,6 +310,20 @@ def test_jsonl_rejects_float_smuggling():
         decode_events_jsonl(line.encode() + b"\n")
 
 
+def test_packed_histogram_count_bounds():
+    with pytest.raises(InvalidBody) as err:
+        encode_events_packed([EV_B, dataclasses.replace(EV_A, signal_histogram=(1, 0x100000000))])
+    assert "record 1" in str(err.value)
+    # a histogram length the file cannot hold fails before anything is built
+    data = bytearray(encode_events_packed([EV_A]))
+    at = len(oracle_pack_file([])) + 2 * 3 + sum(len(s.encode()) for s in (EV_A.event_id, EV_A.facility_id, EV_A.detector_id)) + 12
+    assert struct.unpack_from("<I", data, at)[0] == len(EV_A.signal_histogram)
+    struct.pack_into("<I", data, at, 0xFFFFFFFF)
+    with pytest.raises(DecodeError) as err:
+        decode_events_packed(bytes(data))
+    assert err.value.record_index == 0
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidBody):
         encode_events("csv", [])
