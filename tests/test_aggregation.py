@@ -388,20 +388,20 @@ def test_shared_path_decoded_per_dataset(world):
     publish_refs(state, storages["st-1"], user, "ds-c2", [ref], 120, 520)
     seal(state, keys)
     index = state.registry
-    tunka_and_twin = QueryFilter(time_range=(120, 120))
-    order = [d.dataset_id for d in query(index, tunka_and_twin)]
+    at_120 = QueryFilter(time_range=(120, 120))
+    order = [d.dataset_id for d in query(index, at_120)]
     assert order == ["ds-a", "ds-c", "ds-c2"]
-    files = dict(files, **{"ds-c2": files["ds-c"]})
-    plain = execute(AggregationRequest(filter=tunka_and_twin), index, storages)
+    files = {**files, "ds-c2": files["ds-c"]}
+    plain = execute(AggregationRequest(filter=at_120), index, storages)
     assert plain.files_fetched == 4
     assert plain.output_bytes == encode_events_jsonl(flat_oracle(files, order))
     assert plain.events_in == plain.events_out == len(flat_oracle(files, order))
     merged = execute(
-        AggregationRequest(filter=tunka_and_twin, pipeline=(PluginSpec("time_ordered_merge", {}),)), index, storages
+        AggregationRequest(filter=at_120, pipeline=(PluginSpec("time_ordered_merge", {}),)), index, storages
     )
     assert merged.output_bytes == encode_events_jsonl(merge_oracle(files, order))
     with pytest.raises(DuplicateEntry):
-        execute(AggregationRequest(filter=tunka_and_twin, pipeline=(PluginSpec("merge_archive", {}),)), index, storages)
+        execute(AggregationRequest(filter=at_120, pipeline=(PluginSpec("merge_archive", {}),)), index, storages)
 
 
 def test_archive_integrity_also_gated(world, tmp_path):
