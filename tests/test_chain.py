@@ -36,7 +36,9 @@ from skyprov.merkle import ConsistencyProof, verify_consistency
 from skyprov.model import (
     DeriveDataset,
     PublishDataset,
+    body_from_obj,
     sign_transaction,
+    tx_to_obj,
     tx_wire_bytes,
 )
 
@@ -603,3 +605,114 @@ def test_header_mutation_campaign(chain3, tmp_path):
         path.write_bytes(original)
     _, _, failure = replay_chain(str(tmp_path))
     assert failure is None
+
+
+# -- replay golden -----------------------------------------------------------------------
+
+
+def _golden_store(chain_dir):
+    """A reshuffled-mode store of 7 blocks / 15 txs, with a missed slot at a
+    cycle boundary, a derived dataset and a register_program mid-chain."""
+    handlers, keys = make_roster(3)
+    config = GenesisConfig(
+        handlers=handlers, slot_duration_ms=100, ordering_mode="reshuffled", genesis_time=1_000_000_000
+    )
+    state = ChainState(config)
+    user = key_for("user-1")
+    _submit_bootstrap(state, user)
+    ds = 0
+    for slot in range(8):
+        if slot == 3:
+            missed_slot_advance(state, slot)
+            continue
+        for _ in range(2):
+            _publish(state, user, f"ds-{ds}", 100 + ds, start=ds * 10, end=ds * 10 + 5, extra={"n": str(ds)})
+            ds += 1
+        if slot == 5:
+            state.submit(sign_transaction(program_body("prog-2", "2.0"), user, created_at=500))
+            state.submit(
+                sign_transaction(
+                    DeriveDataset(make_dataset("ds-d", kind="secondary"), ("ds-0", "ds-1"), "prog-1", "1.0", HEX64),
+                    user,
+                    created_at=501,
+                )
+            )
+        handler = state.scheduled_handler(slot)
+        state.apply_block(produce_block(state, slot, keys[handler], now=state.slot_start_time(slot)))
+    save_chain(state, str(chain_dir))
+    return keys
+
+
+def _rewrite_block(chain_dir, height, edit):
+    path = chain_dir / f"block_{height}.json"
+    obj = loads_canonical(path.read_bytes()[:-1])
+    edit(obj)
+    path.write_bytes(dumps_canonical(obj) + b"\n")
+
+
+def _resign_header(obj, key):
+    block = block_from_bytes(dumps_canonical(obj))
+    h = dataclasses.replace(
+        block.header,
+        tx_root=tx_tree_root([tx_wire_bytes(t) for t in block.transactions]),
+        signature="0" * 128,
+    )
+    obj["header"] = loads_canonical(
+        block_bytes(Block(dataclasses.replace(h, signature=key.sign(header_signing_bytes(h)).hex()), ()))
+    )["header"]
+
+
+def _replay_record(chain_dir):
+    state, results, failure = replay_chain(str(chain_dir))
+    return {
+        "failure": None if failure is None else failure[0],
+        "head_hash": state.head_hash(),
+        "leaves": [leaf.hex() for leaf in state.registry_log.leaves()],
+        "registry_root": state.registry_log.root().hex(),
+        "verdicts": [[height, verdict.reason or "ok", verdict.detail] for height, verdict in results],
+    }
+
+
+# sha256 of each case's canonical replay record: per-block verdicts with their
+# details, head hash, registry root and every registry-log leaf.
+REPLAY_GOLDENS = {
+    "honest": "28f340cb4091ea216d3ac71dce13264cd9bb04638db7f7d41d42dfb95a42de54",
+    "tampered_body": "154024c2c6284d32594d75ce0214e7f06cf897054d85fb77cd0666a2fd82f37a",
+    "resigned_tx": "3785b6d2af881eab0d6113c5a643a60a06584f6db944d25098067e5e3b4b6553",
+    "impostor_tx": "2ef156d0c395f2547d050dbfdf268d49a19bf9af30ac65f695909e1bfe68529e",
+    "noncanonical": "054fb46bbecd1bb4760271ea594316385a004b99eeecc4873a3807a04342513e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_GOLDENS))
+def test_replay_golden(case, tmp_path):
+    keys = _golden_store(tmp_path)
+    user = key_for("user-1")
+
+    def tamper(obj):
+        obj["transactions"][0]["body"]["dataset"]["extra"]["tampered"] = "1"
+
+    def resign_tx(obj):
+        # the tx stays valid and the header verifies; the registry commitment breaks
+        tamper(obj)
+        tx_obj = obj["transactions"][0]
+        fixed = sign_transaction(body_from_obj(tx_obj["body"]), user, created_at=tx_obj["created_at"])
+        obj["transactions"][0] = tx_to_obj(fixed)
+        _resign_header(obj, keys[obj["header"]["creator"]])
+
+    def impostor_tx(obj):
+        # the tx names another creator over the same signature: BadSignature
+        obj["transactions"][1]["creator"] = key_for("impostor").public_hex
+        _resign_header(obj, keys[obj["header"]["creator"]])
+
+    if case == "tampered_body":
+        _rewrite_block(tmp_path, 2, tamper)
+    elif case == "resigned_tx":
+        _rewrite_block(tmp_path, 4, resign_tx)
+    elif case == "impostor_tx":
+        _rewrite_block(tmp_path, 5, impostor_tx)
+    elif case == "noncanonical":
+        path = tmp_path / "block_3.json"
+        path.write_bytes(path.read_bytes()[:-1] + b" \n")
+    record = _replay_record(tmp_path)
+    assert hashlib.sha256(dumps_canonical(record)).hexdigest() == REPLAY_GOLDENS[case]
