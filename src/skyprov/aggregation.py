@@ -273,11 +273,11 @@ class AggregationResult:
 
 
 def _fetch_all(pairs, storages, concurrent: bool):
-    """Fetch the file of every (dataset, ref) pair, one group per storage;
-    returns {(storage_id, path): (bytes, digest)}."""
-    groups = {}
+    """Fetch each (storage id, path) the pairs name once, one group per
+    storage; returns {(storage_id, path): (bytes, digest)}."""
+    groups = {}  # storage id -> its paths, in first-named order
     for ds, ref in pairs:
-        groups.setdefault(ds.storage_id, []).append(ref.path)
+        groups.setdefault(ds.storage_id, {})[ref.path] = None
     ordered = sorted(groups)
     for sid in ordered:
         if sid not in storages:
@@ -313,6 +313,9 @@ def execute(
     matched = query(registry, request.filter)
     # canonical pre-merge order: datasets in query order, refs in descriptor order
     pairs = [(ds, ref) for ds in matched for ref in ds.file_refs]
+    # one input stream per pair; the bound checks the request, before any fetch
+    if not archive_mode and len(pairs) > MAX_STREAMS:
+        raise PluginConfigError(f"{len(pairs)} input streams exceed the bound {MAX_STREAMS}")
     fetched = _fetch_all(pairs, storages, concurrent)
 
     # integrity gate: every file verified before any stage touches any byte,
@@ -336,8 +339,6 @@ def execute(
             events = decode_events(ref.format, fetched[(ds.storage_id, ref.path)][0])
             streams.append((f"{ds.dataset_id}:{ref.path}", ds.dataset_id, events))
         events_in = sum(len(events) for _, _, events in streams)
-        if len(streams) > MAX_STREAMS:
-            raise PluginConfigError(f"{len(streams)} input streams exceed the bound {MAX_STREAMS}")
 
         if names[:1] == ["time_ordered_merge"]:
             stream = heapq.merge(*(_time_ordered(*s) for s in streams), key=_merge_key)

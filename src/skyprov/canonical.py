@@ -74,6 +74,15 @@ def _check_encodable(value: Any, path: str = "$") -> None:
 def dumps_canonical(value: Any) -> bytes:
     """Encode a JSON-compatible value to its unique canonical byte form."""
     _check_encodable(value)
+    return dumps_validated(value)
+
+
+def dumps_validated(value: Any) -> bytes:
+    """dumps_canonical for a value a *_to_obj validator built.
+
+    Those validators admit only strings, non-bool integers, None and lists
+    and string-keyed dicts of them, so the encodability walk is skipped.
+    """
     return json.dumps(
         value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")

@@ -18,6 +18,7 @@ from .canonical import (
     _require,
     digest_from_hex,
     dumps_canonical,
+    dumps_validated,
     is_hex64,
     is_hex128,
     loads_canonical,
@@ -32,7 +33,6 @@ from .model import (
     TxVerdict,
     tx_from_obj,
     tx_to_obj,
-    tx_wire_bytes,
     validate_transaction,
 )
 
@@ -122,14 +122,18 @@ class BlockHeader:
     signature: str  # hex, over the canonical header bytes minus this field
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _header_core_obj(h: BlockHeader) -> dict:
-    _require(isinstance(h.height, int) and h.height >= 0, "height must be >= 0")
-    _require(isinstance(h.slot, int) and h.slot >= 0, "slot must be >= 0")
+    _require(_is_count(h.height), "height must be >= 0")
+    _require(_is_count(h.slot), "slot must be >= 0")
     _require(is_hex64(h.prev_block_hash), "prev_block_hash malformed")
     _require(is_hex64(h.tx_root), "tx_root malformed")
     _require(is_hex64(h.registry_root), "registry_root malformed")
-    _require(isinstance(h.registry_size, int) and h.registry_size >= 0, "registry_size must be >= 0")
-    _require(isinstance(h.timestamp, int) and h.timestamp >= 0, "timestamp must be >= 0")
+    _require(_is_count(h.registry_size), "registry_size must be >= 0")
+    _require(_is_count(h.timestamp), "timestamp must be >= 0")
     _require(isinstance(h.creator, str) and h.creator != "", "creator must be a non-empty string")
     return {
         "creator": h.creator,
@@ -144,7 +148,7 @@ def _header_core_obj(h: BlockHeader) -> dict:
 
 
 def header_signing_bytes(h: BlockHeader) -> bytes:
-    return dumps_canonical(_header_core_obj(h))
+    return dumps_validated(_header_core_obj(h))
 
 
 def header_to_obj(h: BlockHeader) -> dict:
@@ -187,7 +191,7 @@ def header_from_obj(obj) -> BlockHeader:
 
 def header_hash(h: BlockHeader) -> str:
     """Hash over the signed header bytes; the chain-link identity of a block."""
-    return sha256_bytes(dumps_canonical(header_to_obj(h))).hex()
+    return sha256_bytes(dumps_validated(header_to_obj(h))).hex()
 
 
 @dataclass(frozen=True)
@@ -363,6 +367,8 @@ class ChainState:
         self.pending_pool: dict = {}  # tx_id -> PmdTransaction
         self.observed_slot = -1
         self._genesis_hash = genesis_hash(config)
+        self._head_hash = self._genesis_hash  # apply_block keeps it current
+        self._cycle_seed = (-1, "")  # (first slot, seed) of the head block's rotation cycle
         self._roster = dict(config.handlers)
 
     # -- inspection --
@@ -380,7 +386,7 @@ class ChainState:
         return len(self.blocks) - 1
 
     def head_hash(self) -> str:
-        return header_hash(self.blocks[-1].header) if self.blocks else self._genesis_hash
+        return self._head_hash
 
     def last_slot(self) -> int:
         return self.blocks[-1].header.slot if self.blocks else -1
@@ -401,16 +407,27 @@ class ChainState:
 
     # -- scheduling --
 
-    def seed_for_slot(self, slot: int) -> bytes:
+    def _cycle_start(self, slot: int) -> int:
         n = len(self.config.handlers)
-        cycle_start = (slot // n) * n
-        for block in reversed(self.blocks):
+        return (slot // n) * n
+
+    def seed_for_slot(self, slot: int) -> bytes:
+        """The reshuffle seed of slot's rotation cycle: the hash of the last
+        block before the cycle, or the genesis hash."""
+        cycle_start = self._cycle_start(slot)
+        if self.last_slot() < cycle_start:
+            return digest_from_hex(self._head_hash)
+        if self._cycle_seed[0] == cycle_start:
+            return digest_from_hex(self._cycle_seed[1])
+        for block in reversed(self.blocks):  # a cycle before the head's
             if block.header.slot < cycle_start:
                 return digest_from_hex(header_hash(block.header))
         return digest_from_hex(self._genesis_hash)
 
     def scheduled_handler(self, slot: int) -> str:
-        return schedule(slot, self.config, self.seed_for_slot(slot))
+        # fixed mode ignores the seed, so none is derived for it
+        seed = self.seed_for_slot(slot) if self.config.ordering_mode == "reshuffled" else b""
+        return schedule(slot, self.config, seed)
 
     # -- pool --
 
@@ -419,7 +436,7 @@ class ChainState:
         current confirmed state (an unconfirmable tx still pools, it may
         become valid once its dependencies confirm)."""
         try:
-            tx_to_obj(tx)
+            tx.wire_bytes
         except InvalidBody as exc:
             return TxVerdict(False, "InvalidBody", str(exc))
         if tx.tx_id not in self.pending_pool:
@@ -446,9 +463,13 @@ class ChainState:
 
     def apply_block(self, block: Block) -> None:
         """Append an already-validated block."""
+        cycle_start = self._cycle_start(block.header.slot)
+        if self.last_slot() < cycle_start:  # the block opens its cycle
+            self._cycle_seed = (cycle_start, self._head_hash)
         self.blocks.append(block)
+        self._head_hash = header_hash(block.header)
         for tx in block.transactions:
-            self.registry_log.append(tx_wire_bytes(tx))
+            self.registry_log.append(tx.wire_bytes)
             self.registry.apply(tx)
             self.pending_pool.pop(tx.tx_id, None)
         self.registry.built_to = (block.header.height, self.registry_log.size)
@@ -485,7 +506,7 @@ def produce_block(state: ChainState, slot: int, handler_key: SigningKey, now: in
     _require(isinstance(now, int) and now >= 0, "now must be a non-negative integer timestamp")
 
     accepted, _ = state.select_transactions()
-    tx_bytes_list = [tx_wire_bytes(tx) for tx in accepted]
+    tx_bytes_list = [tx.wire_bytes for tx in accepted]
     registry_root, registry_size = state.registry_log.extended_root(tx_bytes_list)
     unsigned = BlockHeader(
         height=len(state.blocks),
@@ -524,7 +545,7 @@ def validate_block(state: ChainState, block: Block) -> BlockVerdict:
         return BlockVerdict(False, "BadSignature", "header signature does not verify under roster key")
 
     try:
-        tx_bytes_list = [tx_wire_bytes(tx) for tx in block.transactions]
+        tx_bytes_list = [tx.wire_bytes for tx in block.transactions]
     except InvalidBody as exc:
         return BlockVerdict(False, "InvalidTransaction", f"malformed transaction: {exc}")
     if tx_tree_root(tx_bytes_list) != h.tx_root:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Optional, Union
 
 from .canonical import (
     _require,
     dumps_canonical,
+    dumps_validated,
     is_decimal,
     is_hex64,
     is_hex128,
@@ -242,6 +244,13 @@ _FILE_REF_KEYS = {"content_hash", "format", "path", "size"}
 
 
 def dataset_from_obj(obj: Any) -> DatasetDescriptor:
+    ds = _dataset_from_obj(obj)
+    validate_dataset(ds)
+    return ds
+
+
+def _dataset_from_obj(obj: Any) -> DatasetDescriptor:
+    """Build a descriptor after checking the object's shape only."""
     _require(isinstance(obj, dict), "dataset must be an object")
     _require(set(obj) == _DATASET_KEYS, f"dataset object keys must be exactly {sorted(_DATASET_KEYS)}")
     refs_obj = obj["file_refs"]
@@ -252,7 +261,7 @@ def dataset_from_obj(obj: Any) -> DatasetDescriptor:
         refs.append(FileRef(path=r["path"], content_hash=r["content_hash"], size=r["size"], format=r["format"]))
     tr = obj["time_range"]
     _require(isinstance(tr, dict) and set(tr) == {"end", "start"}, "time_range malformed")
-    ds = DatasetDescriptor(
+    return DatasetDescriptor(
         dataset_id=obj["dataset_id"],
         kind=obj["kind"],
         storage_id=obj["storage_id"],
@@ -262,8 +271,6 @@ def dataset_from_obj(obj: Any) -> DatasetDescriptor:
         detector_geometry_hash=obj["detector_geometry_hash"],
         extra=obj["extra"],
     )
-    validate_dataset(ds)
-    return ds
 
 
 # -- transaction bodies ---------------------------------------------------
@@ -332,9 +339,11 @@ def body_to_obj(body: TxBody) -> dict:
             "version": body.version,
         }
     if isinstance(body, PublishDataset):
+        dataset = dataset_to_obj(body.dataset)
         _require(body.dataset.kind == "primary", "publish_dataset must carry a primary dataset")
-        return {"dataset": dataset_to_obj(body.dataset), "type": "publish_dataset"}
+        return {"dataset": dataset, "type": "publish_dataset"}
     if isinstance(body, DeriveDataset):
+        dataset = dataset_to_obj(body.dataset)
         _require(body.dataset.kind == "secondary", "derive_dataset must carry a secondary dataset")
         _require(
             isinstance(body.parent_dataset_ids, (list, tuple)) and len(body.parent_dataset_ids) > 0,
@@ -350,7 +359,7 @@ def body_to_obj(body: TxBody) -> dict:
         _require_str(body.program_version, "program_version")
         _require_hex64(body.parameters_hash, "parameters_hash")
         return {
-            "dataset": dataset_to_obj(body.dataset),
+            "dataset": dataset,
             "parameters_hash": body.parameters_hash,
             "parent_dataset_ids": list(body.parent_dataset_ids),
             "program_id": body.program_id,
@@ -361,45 +370,49 @@ def body_to_obj(body: TxBody) -> dict:
 
 
 def body_from_obj(obj: Any) -> TxBody:
+    body = _body_from_obj(obj)
+    body_to_obj(body)  # full field validation
+    return body
+
+
+def _body_from_obj(obj: Any) -> TxBody:
+    """Build a body after checking the object's shape only."""
     _require(isinstance(obj, dict), "body must be an object")
     tag = obj.get("type")
     if tag == "register_storage":
         _require(set(obj) == {"adapter_kind", "base_uri", "storage_id", "storage_pubkey", "type"}, "register_storage keys malformed")
-        body = RegisterStorage(
+        return RegisterStorage(
             storage_id=obj["storage_id"],
             adapter_kind=obj["adapter_kind"],
             base_uri=obj["base_uri"],
             storage_pubkey=obj["storage_pubkey"],
         )
-    elif tag == "register_program":
+    if tag == "register_program":
         _require(set(obj) == {"code_hash", "program_id", "type", "version"}, "register_program keys malformed")
-        body = RegisterProgram(program_id=obj["program_id"], version=obj["version"], code_hash=obj["code_hash"])
-    elif tag == "publish_dataset":
+        return RegisterProgram(program_id=obj["program_id"], version=obj["version"], code_hash=obj["code_hash"])
+    if tag == "publish_dataset":
         _require(set(obj) == {"dataset", "type"}, "publish_dataset keys malformed")
-        body = PublishDataset(dataset=dataset_from_obj(obj["dataset"]))
-    elif tag == "derive_dataset":
+        return PublishDataset(dataset=_dataset_from_obj(obj["dataset"]))
+    if tag == "derive_dataset":
         _require(
             set(obj) == {"dataset", "parameters_hash", "parent_dataset_ids", "program_id", "program_version", "type"},
             "derive_dataset keys malformed",
         )
         parents = obj["parent_dataset_ids"]
         _require(isinstance(parents, list), "parent_dataset_ids must be a list")
-        body = DeriveDataset(
-            dataset=dataset_from_obj(obj["dataset"]),
+        return DeriveDataset(
+            dataset=_dataset_from_obj(obj["dataset"]),
             parent_dataset_ids=tuple(parents),
             program_id=obj["program_id"],
             program_version=obj["program_version"],
             parameters_hash=obj["parameters_hash"],
         )
-    else:
-        raise InvalidBody(f"unknown body type tag {tag!r}")
-    body_to_obj(body)  # full field validation
-    return body
+    raise InvalidBody(f"unknown body type tag {tag!r}")
 
 
 def canonical_bytes(body: TxBody) -> bytes:
     """The unique byte form of a transaction body: hashed and signed as-is."""
-    return dumps_canonical(body_to_obj(body))
+    return dumps_validated(body_to_obj(body))
 
 
 def compute_tx_id(body: TxBody) -> str:
@@ -409,13 +422,44 @@ def compute_tx_id(body: TxBody) -> str:
 # -- signed transactions ---------------------------------------------------
 
 
+# The wire form's first key is "body", so the body bytes open the wire bytes
+# right after this prefix and end where the created_at member starts.
+_WIRE_BODY_START = len(b'{"body":')
+_WIRE_BODY_END = b',"created_at":'
+
+
 @dataclass(frozen=True)
 class PmdTransaction:
+    """A signed transaction. Its wire bytes and signature verdict are
+    computed once per object; dataclasses.replace gives a copy that
+    computes its own."""
+
     body: TxBody
     creator: str
     created_at: int
     signature: str
     tx_id: str
+
+    @cached_property
+    def wire_bytes(self) -> bytes:
+        """Wire form: the canonical bytes appended to the registry log.
+
+        Computing it is the transaction's field validation, body first;
+        an invalid transaction raises InvalidBody and caches nothing.
+        """
+        return dumps_validated(tx_to_obj(self))
+
+    @property
+    def body_bytes(self) -> bytes:
+        """canonical_bytes(self.body), cut from the wire bytes (every member
+        after the body is a hex string or an integer)."""
+        wire = self.wire_bytes
+        return wire[_WIRE_BODY_START : wire.rindex(_WIRE_BODY_END)]
+
+    @cached_property
+    def signature_ok(self) -> bool:
+        """Whether signature verifies under creator over the body bytes."""
+        return verify_signature(self.creator, self.body_bytes, bytes.fromhex(self.signature))
 
 
 def sign_transaction(body: TxBody, key: SigningKey, created_at: Optional[int] = None) -> PmdTransaction:
@@ -436,13 +480,14 @@ def sign_transaction(body: TxBody, key: SigningKey, created_at: Optional[int] = 
 
 
 def tx_to_obj(tx: PmdTransaction) -> dict:
+    body = body_to_obj(tx.body)
     _require_hex64(tx.creator, "creator")
     _require_int(tx.created_at, "created_at")
     _require(tx.created_at > 0, "created_at must be > 0")
     _require(is_hex128(tx.signature), "signature must be 128 lowercase hex chars")
     _require_hex64(tx.tx_id, "tx_id")
     return {
-        "body": body_to_obj(tx.body),
+        "body": body,
         "created_at": tx.created_at,
         "creator": tx.creator,
         "signature": tx.signature,
@@ -457,19 +502,19 @@ def tx_from_obj(obj: Any) -> PmdTransaction:
     _require(isinstance(obj, dict), "transaction must be an object")
     _require(set(obj) == _TX_KEYS, f"transaction keys must be exactly {sorted(_TX_KEYS)}")
     tx = PmdTransaction(
-        body=body_from_obj(obj["body"]),
+        body=_body_from_obj(obj["body"]),
         creator=obj["creator"],
         created_at=obj["created_at"],
         signature=obj["signature"],
         tx_id=obj["tx_id"],
     )
-    tx_to_obj(tx)  # field validation
+    tx.wire_bytes  # the one field validation
     return tx
 
 
 def tx_wire_bytes(tx: PmdTransaction) -> bytes:
     """Wire form: the canonical bytes appended to the registry log."""
-    return dumps_canonical(tx_to_obj(tx))
+    return tx.wire_bytes
 
 
 def tx_from_wire_bytes(data: bytes) -> PmdTransaction:
@@ -562,13 +607,12 @@ TX_ACCEPT = TxVerdict(True)
 def validate_transaction(tx: PmdTransaction, state: RegistryState) -> TxVerdict:
     """Full admission check against the given confirmed state."""
     try:
-        data = canonical_bytes(tx.body)
-        tx_to_obj(tx)
+        data = tx.body_bytes
     except InvalidBody as exc:
         return TxVerdict(False, "InvalidBody", str(exc))
     if tx.tx_id != sha256_bytes(data).hex():
         return TxVerdict(False, "BadTxId", "tx_id does not hash the body")
-    if not verify_signature(tx.creator, data, bytes.fromhex(tx.signature)):
+    if not tx.signature_ok:
         return TxVerdict(False, "BadSignature", "signature does not verify under creator key")
     body = tx.body
     if isinstance(body, RegisterStorage):

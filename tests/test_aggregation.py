@@ -307,6 +307,33 @@ def test_window_bounds_stream_count(world, monkeypatch):
         execute(AggregationRequest(filter=ALL), index, storages)  # 4 streams
 
 
+def counting_get_file(monkeypatch):
+    calls = []
+    original = aggregation.get_file
+
+    def get_file(handle, path):
+        calls.append((handle.storage_id, path))
+        return original(handle, path)
+
+    monkeypatch.setattr(aggregation, "get_file", get_file)
+    return calls
+
+
+def test_stream_bound_checked_before_any_fetch(world, tmp_path, monkeypatch):
+    # the bound is a check on the request: it wins over a corrupt file
+    _, _, index, storages, _ = world
+    victim = tmp_path / "st-1" / "data" / "ds-a" / "part0.jsonl"
+    victim.write_bytes(victim.read_bytes() + b"\n")
+    monkeypatch.setattr(aggregation, "MAX_STREAMS", 2)
+    calls = counting_get_file(monkeypatch)
+    with pytest.raises(PluginConfigError):
+        execute(AggregationRequest(filter=ALL), index, storages)  # 4 streams
+    assert calls == []
+    # archive mode has no streams and stays unbounded
+    with pytest.raises(IntegrityError):
+        execute(AggregationRequest(filter=ALL, pipeline=(PluginSpec("merge_archive", {}),)), index, storages)
+
+
 # -- integrity gate ---------------------------------------------------------------------
 
 
@@ -381,7 +408,7 @@ def test_first_mismatch_in_query_then_ref_order_reported(world, tmp_path):
     assert "st-1/data/ds-c/part0.jsonl" in str(err.value)
 
 
-def test_shared_path_decoded_per_dataset(world):
+def test_shared_path_decoded_per_dataset(world, monkeypatch):
     state, keys, _, storages, files = world
     user = key_for("user-1")
     ref = state.registry.datasets["ds-c"].descriptor.file_refs[0]
@@ -392,7 +419,9 @@ def test_shared_path_decoded_per_dataset(world):
     order = [d.dataset_id for d in query(index, at_120)]
     assert order == ["ds-a", "ds-c", "ds-c2"]
     files = {**files, "ds-c2": files["ds-c"]}
+    calls = counting_get_file(monkeypatch)
     plain = execute(AggregationRequest(filter=at_120), index, storages)
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 3  # each shared path read once
     assert plain.files_fetched == 4
     assert plain.output_bytes == encode_events_jsonl(flat_oracle(files, order))
     assert plain.events_in == plain.events_out == len(flat_oracle(files, order))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from skyprov.chain import (
     genesis_hash,
     header_hash,
     header_signing_bytes,
+    header_to_obj,
     load_chain,
     load_genesis,
     missed_slot_advance,
@@ -30,6 +32,8 @@ from skyprov.chain import (
     tx_tree_root,
     validate_block,
 )
+from skyprov import keys as keys_module
+from skyprov import model
 from skyprov.canonical import loads_canonical, dumps_canonical
 from skyprov.errors import InvalidBody, IoError, NotScheduled
 from skyprov.merkle import ConsistencyProof, verify_consistency
@@ -37,6 +41,7 @@ from skyprov.model import (
     DeriveDataset,
     PublishDataset,
     body_from_obj,
+    canonical_bytes,
     sign_transaction,
     tx_to_obj,
     tx_wire_bytes,
@@ -716,3 +721,78 @@ def test_replay_golden(case, tmp_path):
         path.write_bytes(path.read_bytes()[:-1] + b" \n")
     record = _replay_record(tmp_path)
     assert hashlib.sha256(dumps_canonical(record)).hexdigest() == REPLAY_GOLDENS[case]
+
+
+# -- parse once, verify once ---------------------------------------------------------------
+
+
+def test_replay_validates_and_encodes_each_tx_once(tmp_path, monkeypatch):
+    _golden_store(tmp_path)
+    validated = []
+    original_validate = model.validate_dataset
+    monkeypatch.setattr(model, "validate_dataset", lambda ds: validated.append(ds) or original_validate(ds))
+    encodes = []
+    original_dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **kw: encodes.append(1) or original_dumps(*a, **kw))
+    state, _, failure = replay_chain(str(tmp_path))
+    assert failure is None
+    n_blocks = len(state.blocks)
+    n_txs = state.registry_log.size
+    assert len(validated) == len(state.registry.datasets)
+    # one per tx (its wire bytes); per block, the canonical round trip of the
+    # stored bytes, the header signing bytes and the header hash; the genesis
+    # file's round trip and its hash
+    assert len(encodes) <= n_txs + 3 * n_blocks + 2
+
+
+def test_tx_signature_verified_once_from_submit_to_receive(chain3, monkeypatch):
+    state, keys = chain3
+    tx = sign_transaction(storage_body(), key_for("user-1"), created_at=1)
+    message = canonical_bytes(tx.body)
+    calls = []
+    original = keys_module.verify_signature
+
+    def counting(public_key, data, signature):
+        if data == message:
+            calls.append(public_key)
+        return original(public_key, data, signature)
+
+    for module in (keys_module, model, __import__("skyprov.chain", fromlist=["chain"])):
+        monkeypatch.setattr(module, "verify_signature", counting)
+    assert state.submit(tx).ok
+    block = produce_block(state, 0, keys["h0"], now=state.slot_start_time(0))
+    assert block.transactions == (tx,)
+    assert state.receive_block(block).ok
+    assert len(calls) == 1
+
+
+def test_bool_header_height_still_rejected(chain3):
+    state, keys = chain3
+    b0 = produce_block(state, 0, keys["h0"], now=0)
+    forged = dataclasses.replace(b0.header, height=True)
+    for encode in (header_to_obj, header_signing_bytes, header_hash):
+        with pytest.raises(InvalidBody):
+            encode(forged)
+    assert validate_block(state, Block(forged, ())).reason == "BadLink"
+    state.apply_block(b0)
+    b1 = produce_block(state, 1, keys["h1"], now=0)
+    assert validate_block(state, _tamper_header(b1, height=True)).reason == "BadLink"
+
+
+def test_head_hash_and_cycle_seed_follow_the_chain():
+    handlers, keys = make_roster(3)
+    config = GenesisConfig(handlers=handlers, slot_duration_ms=50, ordering_mode="reshuffled", genesis_time=0)
+    state = ChainState(config)
+    for slot in (0, 2, 4, 7, 8, 12):
+        n = len(handlers)
+        before = [b for b in state.blocks if b.header.slot < slot // n * n]
+        expected = header_hash(before[-1].header) if before else genesis_hash(config)
+        assert state.seed_for_slot(slot) == bytes.fromhex(expected)
+        block = produce_block(state, slot, keys[state.scheduled_handler(slot)], now=0)
+        state.apply_block(block)
+        assert state.head_hash() == header_hash(block.header)
+        # past cycles keep the seed they had
+        for past in range(slot + 1):
+            prior = [b for b in state.blocks if b.header.slot < past // n * n]
+            want = header_hash(prior[-1].header) if prior else genesis_hash(config)
+            assert state.seed_for_slot(past) == bytes.fromhex(want)

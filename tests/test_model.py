@@ -1,5 +1,6 @@
 """Data model tests: canonical bytes, signing, validation, provenance."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from skyprov.canonical import dumps_canonical, loads_canonical
 from skyprov.errors import InvalidBody, NotFound
 from skyprov.keys import verify_signature
+from skyprov import model
 from skyprov.model import (
     DeriveDataset,
     EasEvent,
@@ -25,7 +27,9 @@ from skyprov.model import (
     event_to_obj,
     provenance_trace,
     sign_transaction,
+    tx_from_obj,
     tx_from_wire_bytes,
+    tx_to_obj,
     tx_wire_bytes,
     validate_event,
     validate_transaction,
@@ -311,6 +315,67 @@ def test_bad_signature_rejected(base_state, user_key):
     tx = sign_transaction(PublishDataset(make_dataset("ds-1")), user_key, created_at=20)
     object.__setattr__(tx, "creator", key_for("impostor").public_hex)
     assert validate_transaction(tx, base_state).reason == "BadSignature"
+
+
+def test_cached_bytes_and_verdict_do_not_follow_a_replace(base_state, user_key):
+    tx = sign_transaction(PublishDataset(make_dataset("ds-1")), user_key, created_at=20)
+    assert validate_transaction(tx, base_state).ok  # caches wire bytes and verdict
+    assert tx.body_bytes == canonical_bytes(tx.body)
+    changed = dataclasses.replace(
+        tx, body=PublishDataset(make_dataset("ds-1", extra={"tampered": "1"}))
+    )
+    assert changed.wire_bytes != tx.wire_bytes
+    assert validate_transaction(changed, base_state).reason == "BadTxId"
+    other = sign_transaction(PublishDataset(make_dataset("ds-2")), user_key, created_at=20)
+    resigned = dataclasses.replace(tx, signature=other.signature)
+    assert validate_transaction(resigned, base_state).reason == "BadSignature"
+    assert validate_transaction(tx, base_state).ok
+
+
+def test_body_bytes_are_cut_from_wire_bytes(user_key):
+    # a body string that spells the created_at member cannot move the cut
+    tx = sign_transaction(
+        PublishDataset(make_dataset("ds-1", extra={',"created_at":': ',"created_at":1'})), user_key, created_at=7
+    )
+    assert tx.body_bytes == canonical_bytes(tx.body)
+    assert tx_wire_bytes(tx) == dumps_canonical(tx_to_obj(tx))
+
+
+def test_bool_created_at_still_rejected(base_state, user_key):
+    tx = dataclasses.replace(
+        sign_transaction(PublishDataset(make_dataset("ds-1")), user_key, created_at=1), created_at=True
+    )
+    with pytest.raises(InvalidBody):
+        tx_wire_bytes(tx)
+    assert validate_transaction(tx, base_state).reason == "InvalidBody"
+    obj = loads_canonical(tx_wire_bytes(sign_transaction(storage_body(), user_key, created_at=1)))
+    obj["created_at"] = True
+    with pytest.raises(InvalidBody):
+        tx_from_obj(obj)
+
+
+def test_parse_validates_each_dataset_once(user_key, monkeypatch):
+    txs = [
+        sign_transaction(PublishDataset(make_dataset("ds-0")), user_key, created_at=3),
+        sign_transaction(
+            DeriveDataset(make_dataset("ds-1", kind="secondary"), ("ds-0",), "prog-1", "1.0", HEX64),
+            user_key,
+            created_at=4,
+        ),
+    ]
+    state = RegistryState()
+    state.apply(sign_transaction(storage_body(), user_key, created_at=1))
+    state.apply(sign_transaction(program_body(), user_key, created_at=2))
+    wires = [tx_wire_bytes(tx) for tx in txs]
+    calls = []
+    original = model.validate_dataset
+    monkeypatch.setattr(model, "validate_dataset", lambda ds: calls.append(ds) or original(ds))
+    for data in wires:
+        tx = tx_from_wire_bytes(data)
+        assert tx_wire_bytes(tx) == data
+        assert validate_transaction(tx, state).ok
+        state.apply(tx)
+    assert len(calls) == len(txs)
 
 
 def test_order_respecting_validation(user_key):
