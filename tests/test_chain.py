@@ -32,6 +32,7 @@ from skyprov.chain import (
     tx_tree_root,
     validate_block,
 )
+from skyprov import chain as chain_module
 from skyprov import keys as keys_module
 from skyprov import model
 from skyprov.canonical import loads_canonical, dumps_canonical
@@ -757,7 +758,7 @@ def test_tx_signature_verified_once_from_submit_to_receive(chain3, monkeypatch):
             calls.append(public_key)
         return original(public_key, data, signature)
 
-    for module in (keys_module, model, __import__("skyprov.chain", fromlist=["chain"])):
+    for module in (keys_module, model, chain_module):
         monkeypatch.setattr(module, "verify_signature", counting)
     assert state.submit(tx).ok
     block = produce_block(state, 0, keys["h0"], now=state.slot_start_time(0))
