@@ -784,16 +784,16 @@ def test_head_hash_and_cycle_seed_follow_the_chain():
     handlers, keys = make_roster(3)
     config = GenesisConfig(handlers=handlers, slot_duration_ms=50, ordering_mode="reshuffled", genesis_time=0)
     state = ChainState(config)
+
+    def oracle_seed(slot):
+        # hash of the last block before slot's cycle, else the genesis hash
+        before = [b for b in state.blocks if b.header.slot < slot // 3 * 3]
+        return bytes.fromhex(header_hash(before[-1].header) if before else genesis_hash(config))
+
     for slot in (0, 2, 4, 7, 8, 12):
-        n = len(handlers)
-        before = [b for b in state.blocks if b.header.slot < slot // n * n]
-        expected = header_hash(before[-1].header) if before else genesis_hash(config)
-        assert state.seed_for_slot(slot) == bytes.fromhex(expected)
+        assert state.seed_for_slot(slot) == oracle_seed(slot)
         block = produce_block(state, slot, keys[state.scheduled_handler(slot)], now=0)
         state.apply_block(block)
         assert state.head_hash() == header_hash(block.header)
-        # past cycles keep the seed they had
-        for past in range(slot + 1):
-            prior = [b for b in state.blocks if b.header.slot < past // n * n]
-            want = header_hash(prior[-1].header) if prior else genesis_hash(config)
-            assert state.seed_for_slot(past) == bytes.fromhex(want)
+        for past in range(slot + 4):
+            assert state.seed_for_slot(past) == oracle_seed(past)
