@@ -136,10 +136,24 @@ TRACE_GOLDENS = [
         },
         "6804ba43a3a65a077e616d11fa8be629f563cf57546710328f99877b8393915f",
     ),
+    (
+        {
+            "seed": 46,
+            "handlers": 5,
+            "slot_duration_ms": 100,
+            "duration_slots": 20,
+            "ordering_mode": "reshuffled",
+            "latency_ms": {"min": 5, "max": 70},
+            "drop_probability": 0.2,
+            "txs_per_slot": 2,
+            "faults": [{"kind": "offline", "handler": "h3", "from_slot": 5, "to_slot": 9}],
+        },
+        "6a80f6236704dd1aea7b6eecbbe60018497c448ec5f3e9204204f5f1e14ab7a3",
+    ),
 ]
 
 
-@pytest.mark.parametrize("obj,digest", TRACE_GOLDENS, ids=["tamper-resign", "tamper-keep-headers", "equivocate"])
+@pytest.mark.parametrize("obj,digest", TRACE_GOLDENS, ids=["tamper-resign", "tamper-keep-headers", "equivocate", "reshuffled-lossy-offline"])
 def test_trace_golden(obj, digest):
     # Frozen trace bytes: the audit and every other stage must keep producing
     # exactly these records, in this order, whatever they do internally.
