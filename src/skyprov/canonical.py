@@ -82,10 +82,15 @@ def dumps_validated(value: Any) -> bytes:
 
     Those validators admit only strings, non-bool integers, None and lists
     and string-keyed dicts of them, so the encodability walk is skipped.
+    A string holding a lone surrogate has no UTF-8 form (I-JSON, RFC 7493
+    section 2.1, forbids it), so it is rejected here, for every encoder and
+    for the round-trip in loads_canonical.
     """
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidBody(f"value has no UTF-8 form: {exc}") from exc
 
 
 def loads_canonical(data: bytes) -> Any:

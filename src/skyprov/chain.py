@@ -28,9 +28,10 @@ from .errors import InvalidBody, IoError, NotScheduled
 from .keys import SigningKey, verify_signature
 from .merkle import MerkleLog
 from .model import (
+    ACCEPT,
     PmdTransaction,
     RegistryState,
-    TxVerdict,
+    Verdict,
     tx_from_obj,
     tx_to_obj,
     validate_transaction,
@@ -262,20 +263,7 @@ def schedule(slot: int, config: GenesisConfig, prev_cycle_seed: bytes) -> str:
     return seeded_permutation(ids, prev_cycle_seed)[slot % n]
 
 
-# -- verdicts, checkpoints, evidence ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockVerdict:
-    ok: bool
-    reason: Optional[str] = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-BLOCK_ACCEPT = BlockVerdict(True)
+# -- checkpoints, evidence ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -378,10 +366,6 @@ class ChainState:
         return self._genesis_hash
 
     @property
-    def head(self) -> Optional[Block]:
-        return self.blocks[-1] if self.blocks else None
-
-    @property
     def head_height(self) -> int:
         return len(self.blocks) - 1
 
@@ -431,14 +415,14 @@ class ChainState:
 
     # -- pool --
 
-    def submit(self, tx: PmdTransaction) -> TxVerdict:
+    def submit(self, tx: PmdTransaction) -> Verdict:
         """Admit a transaction to the pool; returns its verdict against the
         current confirmed state (an unconfirmable tx still pools, it may
         become valid once its dependencies confirm)."""
         try:
             tx.wire_bytes
         except InvalidBody as exc:
-            return TxVerdict(False, "InvalidBody", str(exc))
+            return Verdict(False, "InvalidBody", str(exc))
         if tx.tx_id not in self.pending_pool:
             self.pending_pool[tx.tx_id] = tx
         return validate_transaction(tx, self.registry)
@@ -476,7 +460,7 @@ class ChainState:
         if block.header.slot > self.observed_slot:
             self.observed_slot = block.header.slot
 
-    def receive_block(self, block: Block) -> BlockVerdict:
+    def receive_block(self, block: Block) -> Verdict:
         verdict = validate_block(self, block)
         if verdict.ok:
             self.apply_block(block)
@@ -523,52 +507,55 @@ def produce_block(state: ChainState, slot: int, handler_key: SigningKey, now: in
     return Block(header=replace(unsigned, signature=signature), transactions=tuple(accepted))
 
 
-def validate_block(state: ChainState, block: Block) -> BlockVerdict:
+def validate_block(state: ChainState, block: Block) -> Verdict:
     """Full admission check for the next block on this chain."""
     h = block.header
     try:
         header_to_obj(h)
     except InvalidBody as exc:
-        return BlockVerdict(False, "BadLink", f"malformed header: {exc}")
+        return Verdict(False, "BadLink", f"malformed header: {exc}")
 
     if h.height != len(state.blocks):
-        return BlockVerdict(False, "BadLink", f"height {h.height}, expected {len(state.blocks)}")
+        return Verdict(False, "BadLink", f"height {h.height}, expected {len(state.blocks)}")
     if h.prev_block_hash != state.head_hash():
-        return BlockVerdict(False, "BadLink", "prev_block_hash does not match head")
+        return Verdict(False, "BadLink", "prev_block_hash does not match head")
     if h.slot <= state.last_slot():
-        return BlockVerdict(False, "BadSlot", f"slot {h.slot} not after head slot {state.last_slot()}")
+        return Verdict(False, "BadSlot", f"slot {h.slot} not after head slot {state.last_slot()}")
     scheduled = state.scheduled_handler(h.slot)
     if h.creator != scheduled:
-        return BlockVerdict(False, "NotScheduledHandler", f"slot {h.slot} belongs to {scheduled}, not {h.creator}")
+        return Verdict(False, "NotScheduledHandler", f"slot {h.slot} belongs to {scheduled}, not {h.creator}")
     pub = state.roster_key(h.creator)
     if pub is None or not verify_signature(pub, header_signing_bytes(h), bytes.fromhex(h.signature)):
-        return BlockVerdict(False, "BadSignature", "header signature does not verify under roster key")
+        return Verdict(False, "BadSignature", "header signature does not verify under roster key")
 
     try:
         tx_bytes_list = [tx.wire_bytes for tx in block.transactions]
     except InvalidBody as exc:
-        return BlockVerdict(False, "InvalidTransaction", f"malformed transaction: {exc}")
+        return Verdict(False, "InvalidTransaction", f"malformed transaction: {exc}")
     if tx_tree_root(tx_bytes_list) != h.tx_root:
-        return BlockVerdict(False, "BadTxRoot", "tx_root does not match block transactions")
+        return Verdict(False, "BadTxRoot", "tx_root does not match block transactions")
 
     staged = state.registry.clone()
     for i, tx in enumerate(block.transactions):
         verdict = validate_transaction(tx, staged)
         if not verdict.ok:
-            return BlockVerdict(False, "InvalidTransaction", f"tx {i} ({tx.tx_id[:12]}): {verdict.reason}: {verdict.detail}")
+            return Verdict(False, "InvalidTransaction", f"tx {i} ({tx.tx_id[:12]}): {verdict.reason}: {verdict.detail}")
         staged.apply(tx)
 
     registry_root, registry_size = state.registry_log.extended_root(tx_bytes_list)
     if h.registry_root != registry_root.hex() or h.registry_size != registry_size:
-        return BlockVerdict(False, "BadRegistryCommitment", "registry root/size do not recompute over the extended log")
-    return BLOCK_ACCEPT
+        return Verdict(False, "BadRegistryCommitment", "registry root/size do not recompute over the extended log")
+    return ACCEPT
 
 
 # -- disk store ----------------------------------------------------------------
 
 
 def save_genesis(chain_dir: str, config: GenesisConfig) -> None:
-    os.makedirs(chain_dir, exist_ok=True)
+    try:
+        os.makedirs(chain_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create chain dir {chain_dir}: {exc}") from exc
     _write_file(os.path.join(chain_dir, "genesis.json"), genesis_bytes(config) + b"\n")
 
 
@@ -629,7 +616,7 @@ def replay_chain(chain_dir: str):
         try:
             block = load_block_file(chain_dir, height)
         except InvalidBody as exc:
-            verdict = BlockVerdict(False, "InvalidBody", str(exc))
+            verdict = Verdict(False, "InvalidBody", str(exc))
             results.append((height, verdict))
             return state, results, (height, verdict)
         verdict = validate_block(state, block)

@@ -16,6 +16,7 @@ from typing import Optional
 from .canonical import _require, is_decimal
 from .errors import InvalidBody
 from .model import (
+    DATASET_KINDS,
     DatasetRecord,
     RegisterStorage,
     RegistryState,
@@ -27,9 +28,6 @@ from .model import (
     dataset_from_obj,
     dataset_to_obj,
 )
-
-KINDS = ("primary", "secondary")
-
 
 # -- filters -------------------------------------------------------------------
 
@@ -61,8 +59,8 @@ def validate_filter(f: QueryFilter) -> None:
     )
     if all(p is None for p in predicates):
         raise InvalidBody("filter must set at least one predicate")
-    if f.kind is not None and f.kind not in KINDS:
-        raise InvalidBody(f"kind must be one of {KINDS}")
+    if f.kind is not None and f.kind not in DATASET_KINDS:
+        raise InvalidBody(f"kind must be one of {DATASET_KINDS}")
     if f.time_range is not None:
         ok = (
             isinstance(f.time_range, (list, tuple))

@@ -18,7 +18,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .canonical import dumps_canonical, is_hex64, loads_canonical
-from .errors import InvalidBody, MalformedKey
+from .errors import InvalidBody, IoError, MalformedKey
 
 
 class SigningKey:
@@ -87,9 +87,12 @@ def verify_signature(public_key: Union[str, bytes], message: bytes, signature: b
 
 def save_key_file(path: str, key: SigningKey) -> None:
     data = dumps_canonical({"public": key.public_hex, "secret": key.private_bytes.hex()})
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(data + b"\n")
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data + b"\n")
+    except OSError as exc:
+        raise IoError(f"cannot write key file {path}: {exc}") from exc
 
 
 def load_key_file(path: str) -> SigningKey:

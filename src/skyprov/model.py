@@ -15,7 +15,6 @@ from typing import Any, Mapping, Optional, Union
 
 from .canonical import (
     _require,
-    dumps_canonical,
     dumps_validated,
     is_decimal,
     is_hex64,
@@ -151,10 +150,6 @@ def event_from_obj(obj: Any) -> EasEvent:
     )
     validate_event(ev)
     return ev
-
-
-def event_bytes(ev: EasEvent) -> bytes:
-    return dumps_canonical(event_to_obj(ev))
 
 
 # -- datasets ------------------------------------------------------------
@@ -306,13 +301,6 @@ class DeriveDataset:
 
 
 TxBody = Union[RegisterStorage, RegisterProgram, PublishDataset, DeriveDataset]
-
-BODY_TYPE_TAGS = {
-    RegisterStorage: "register_storage",
-    RegisterProgram: "register_program",
-    PublishDataset: "publish_dataset",
-    DeriveDataset: "derive_dataset",
-}
 
 
 def body_to_obj(body: TxBody) -> dict:
@@ -592,7 +580,9 @@ class RegistryState:
 
 
 @dataclass(frozen=True)
-class TxVerdict:
+class Verdict:
+    """Outcome of a transaction or block admission check."""
+
     ok: bool
     reason: Optional[str] = None
     detail: str = ""
@@ -601,42 +591,42 @@ class TxVerdict:
         return self.ok
 
 
-TX_ACCEPT = TxVerdict(True)
+ACCEPT = Verdict(True)
 
 
-def validate_transaction(tx: PmdTransaction, state: RegistryState) -> TxVerdict:
+def validate_transaction(tx: PmdTransaction, state: RegistryState) -> Verdict:
     """Full admission check against the given confirmed state."""
     try:
         data = tx.body_bytes
     except InvalidBody as exc:
-        return TxVerdict(False, "InvalidBody", str(exc))
+        return Verdict(False, "InvalidBody", str(exc))
     if tx.tx_id != sha256_bytes(data).hex():
-        return TxVerdict(False, "BadTxId", "tx_id does not hash the body")
+        return Verdict(False, "BadTxId", "tx_id does not hash the body")
     if not tx.signature_ok:
-        return TxVerdict(False, "BadSignature", "signature does not verify under creator key")
+        return Verdict(False, "BadSignature", "signature does not verify under creator key")
     body = tx.body
     if isinstance(body, RegisterStorage):
         if body.storage_id in state.storages:
-            return TxVerdict(False, "DuplicateStorage", f"storage {body.storage_id} already registered")
+            return Verdict(False, "DuplicateStorage", f"storage {body.storage_id} already registered")
     elif isinstance(body, RegisterProgram):
         if (body.program_id, body.version) in state.programs:
-            return TxVerdict(False, "DuplicateProgram", f"program {body.program_id}@{body.version} already registered")
+            return Verdict(False, "DuplicateProgram", f"program {body.program_id}@{body.version} already registered")
     elif isinstance(body, PublishDataset):
         if body.dataset.storage_id not in state.storages:
-            return TxVerdict(False, "UnknownStorage", f"storage {body.dataset.storage_id} not registered")
+            return Verdict(False, "UnknownStorage", f"storage {body.dataset.storage_id} not registered")
         if body.dataset.dataset_id in state.datasets:
-            return TxVerdict(False, "DuplicateDataset", f"dataset {body.dataset.dataset_id} already exists")
+            return Verdict(False, "DuplicateDataset", f"dataset {body.dataset.dataset_id} already exists")
     elif isinstance(body, DeriveDataset):
         if body.dataset.storage_id not in state.storages:
-            return TxVerdict(False, "UnknownStorage", f"storage {body.dataset.storage_id} not registered")
+            return Verdict(False, "UnknownStorage", f"storage {body.dataset.storage_id} not registered")
         for parent in body.parent_dataset_ids:
             if parent not in state.datasets:
-                return TxVerdict(False, "UnknownParent", f"parent dataset {parent} not found")
+                return Verdict(False, "UnknownParent", f"parent dataset {parent} not found")
         if (body.program_id, body.program_version) not in state.programs:
-            return TxVerdict(False, "UnknownProgram", f"program {body.program_id}@{body.program_version} not registered")
+            return Verdict(False, "UnknownProgram", f"program {body.program_id}@{body.program_version} not registered")
         if body.dataset.dataset_id in state.datasets:
-            return TxVerdict(False, "DuplicateDataset", f"dataset {body.dataset.dataset_id} already exists")
-    return TX_ACCEPT
+            return Verdict(False, "DuplicateDataset", f"dataset {body.dataset.dataset_id} already exists")
+    return ACCEPT
 
 
 # -- provenance -------------------------------------------------------------

@@ -23,8 +23,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .canonical import digest_from_hex, sha256_bytes
+from .canonical import sha256_bytes
 from .chain import (
+    ORDERING_MODES,
     Block,
     BlockHeader,
     ChainState,
@@ -37,7 +38,7 @@ from .chain import (
 )
 from .errors import ConfigError
 from .keys import SigningKey
-from .merkle import MerkleLog, verify_consistency
+from .merkle import MerkleLog
 from .model import (
     DatasetDescriptor,
     FileRef,
@@ -156,7 +157,7 @@ def sim_config_from_obj(obj) -> SimConfig:
     if slot_ms < 1 or duration < 1:
         raise ConfigError("slot_duration_ms and duration_slots must be >= 1")
     mode = obj.get("ordering_mode", "fixed")
-    if mode not in ("fixed", "reshuffled"):
+    if mode not in ORDERING_MODES:
         raise ConfigError("ordering_mode must be fixed or reshuffled")
     genesis_time = obj.get("genesis_time", 1_000_000_000_000)
     if not isinstance(genesis_time, int) or genesis_time < 0:
@@ -280,11 +281,9 @@ class SimNode:
         self.key = key
         self.state = ChainState(genesis)
         self.seen_headers = {}  # (creator, slot) -> header
-        self.evidence = {}  # (creator, slot) -> EquivocationEvidence
-        self.evidence_headers = {}  # (creator, slot) -> (header, header)
+        self.evidence = {}  # (creator, slot) -> (header, header), the two conflicting headers
         self.pending = {}  # height -> block waiting for its predecessor
         self.checkpoints = [self.state.checkpoint()]
-        self.flooded = set()  # evidence keys already passed on
         self.awaiting_sync = False  # reconnected, no sync response seen yet
         self.tamper: Optional[FaultSpec] = None
         self.tamper_active = False
@@ -298,36 +297,28 @@ class SimNode:
 
     def register_header(self, header: BlockHeader, config: GenesisConfig):
         """Track one header per (creator, slot); a conflicting second one is
-        equivocation evidence. Returns new evidence or None."""
+        equivocation evidence. Returns the new conflicting pair, once per
+        (creator, slot), or None."""
         key = (header.creator, header.slot)
         prev = self.seen_headers.get(key)
         if prev is None:
             self.seen_headers[key] = header
             return None
-        if header_hash(prev) == header_hash(header):
+        if key in self.evidence or detect_equivocation(prev, header, config) is None:
             return None
-        evidence = detect_equivocation(prev, header, config)
-        if evidence is None or key in self.evidence:
-            return None
-        self.evidence[key] = evidence
-        return (prev, header)
+        self.evidence[key] = (prev, header)
+        return self.evidence[key]
 
     def try_apply(self, block: Block):
-        """Apply if it extends the head; returns (applied, verdict)."""
+        """Apply if it extends the head, then any pending blocks that follow
+        it; returns the block's verdict."""
         verdict = self.state.receive_block(block)
         if verdict.ok:
             self.checkpoints.append(self.state.checkpoint())
-            self.drain_pending()
-        return verdict
-
-    def drain_pending(self):
-        while True:
             nxt = self.pending.pop(self.state.head_height + 1, None)
-            if nxt is None:
-                return
-            if not self.state.receive_block(nxt).ok:
-                return
-            self.checkpoints.append(self.state.checkpoint())
+            if nxt is not None:
+                self.try_apply(nxt)
+        return verdict
 
 
 # -- the simulator -----------------------------------------------------------------------
@@ -370,12 +361,12 @@ class Simulation:
             for hid in config.handler_ids
         }
         self.offline_windows = {}  # handler -> (from_slot, to_slot)
-        self.equivocations = {}  # (handler, slot) -> FaultSpec
+        self.equivocations = set()  # (handler, slot)
         for fault in config.faults:
             if fault.kind == "offline":
                 self.offline_windows[fault.handler] = (fault.from_slot, fault.to_slot)
             elif fault.kind == "equivocate":
-                self.equivocations[(fault.handler, fault.slot)] = fault
+                self.equivocations.add((fault.handler, fault.slot))
             elif fault.kind == "tamper_history":
                 self.nodes[fault.handler].tamper = fault
 
@@ -395,8 +386,8 @@ class Simulation:
                 return
         self.push(time_ms + latency, PRIORITY_DELIVER, sender, ("deliver", receiver, msg))
 
-    def broadcast_block(self, time_ms: int, sender: str, block: Block, receivers=None):
-        for receiver in sorted(receivers if receivers is not None else set(self.nodes) - {sender}):
+    def broadcast_block(self, time_ms: int, sender: str, block: Block, receivers):
+        for receiver in receivers:
             self.send(time_ms, sender, receiver, ("block", sender, block), reliable=False)
 
     def is_offline(self, node_id: str, slot: int) -> bool:
@@ -525,10 +516,8 @@ class Simulation:
             return
         equiv = None
         for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            fault = self.equivocations.get((node_id, slot))
-            if fault is not None:
-                scheduled = node.state.scheduled_handler(slot)
+            if (node_id, slot) in self.equivocations:
+                scheduled = self.nodes[node_id].state.scheduled_handler(slot)
                 if scheduled != node_id:
                     raise ConfigError(
                         f"equivocate fault: slot {slot} belongs to {scheduled}, not {node_id}"
@@ -551,37 +540,28 @@ class Simulation:
                 self.trace.log({"t": time_ms, "type": "abstain", "node": node_id, "slot": slot})
                 continue
             block = produce_block(node.state, slot, node.key, now=self.nodes_time(slot))
+            receivers = sorted(set(self.nodes) - {node_id})
+            record = {"t": time_ms, "node": node_id, "slot": slot}
             if node_id == equiv:
+                # the second block must be built before the first is applied,
+                # or the slot is no longer after the head's
                 second = produce_block(node.state, slot, node.key, now=self.nodes_time(slot) + 1)
-                node.try_apply(block)
-                node.register_header(block.header, self.genesis)
-                receivers = sorted(set(self.nodes) - {node_id})
                 half = len(receivers) // 2
-                self.trace.log(
-                    {
-                        "t": time_ms,
-                        "type": "produce_equivocation",
-                        "node": node_id,
-                        "slot": slot,
-                        "blocks": [_short(header_hash(block.header)), _short(header_hash(second.header))],
-                    }
+                sends = [(block, receivers[:half]), (second, receivers[half:])]
+                record.update(
+                    type="produce_equivocation",
+                    blocks=[_short(header_hash(block.header)), _short(header_hash(second.header))],
                 )
-                self.broadcast_block(time_ms, node_id, block, receivers=receivers[:half])
-                self.broadcast_block(time_ms, node_id, second, receivers=receivers[half:])
             else:
-                node.try_apply(block)
-                node.register_header(block.header, self.genesis)
-                self.trace.log(
-                    {
-                        "t": time_ms,
-                        "type": "produce",
-                        "node": node_id,
-                        "slot": slot,
-                        "height": block.header.height,
-                        "block": _short(header_hash(block.header)),
-                    }
+                sends = [(block, receivers)]
+                record.update(
+                    type="produce", height=block.header.height, block=_short(header_hash(block.header))
                 )
-                self.broadcast_block(time_ms, node_id, block)
+            node.try_apply(block)
+            node.register_header(block.header, self.genesis)
+            self.trace.log(record)
+            for sent, to in sends:
+                self.broadcast_block(time_ms, node_id, sent, to)
 
     def handle_delivery(self, time_ms: int, receiver: str, msg):
         node = self.nodes[receiver]
@@ -595,15 +575,7 @@ class Simulation:
             self.note_header(time_ms, receiver, block.header)
             verdict = node.try_apply(block)
             if verdict.ok:
-                self.trace.log(
-                    {
-                        "t": time_ms,
-                        "type": "apply",
-                        "node": receiver,
-                        "height": block.header.height,
-                        "block": _short(header_hash(block.header)),
-                    }
-                )
+                self.log_apply(time_ms, receiver, block)
                 return
             height = block.header.height
             if height > node.state.head_height + 1:
@@ -625,7 +597,7 @@ class Simulation:
         elif kind == "sync_req":
             _, requester, their_head = msg
             blocks = [b for b in node.state.blocks if b.header.height >= max(0, their_head)]
-            pairs = tuple(node.evidence_headers[key] for key in sorted(node.evidence_headers))
+            pairs = tuple(node.evidence[key] for key in sorted(node.evidence))
             self.trace.log(
                 {"t": time_ms, "type": "sync_resp", "from": receiver, "to": requester, "blocks": len(blocks)}
             )
@@ -638,39 +610,36 @@ class Simulation:
                 self.note_header(time_ms, receiver, b)
             for block in blocks:
                 self.note_header(time_ms, receiver, block.header)
-                if block.header.height == node.state.head_height + 1:
-                    if node.try_apply(block).ok:
-                        self.trace.log(
-                            {
-                                "t": time_ms,
-                                "type": "apply",
-                                "node": receiver,
-                                "height": block.header.height,
-                                "block": _short(header_hash(block.header)),
-                            }
-                        )
+                if block.header.height == node.state.head_height + 1 and node.try_apply(block).ok:
+                    self.log_apply(time_ms, receiver, block)
         elif kind == "evidence":
             _, a, b = msg
             self.note_header(time_ms, receiver, a)
             self.note_header(time_ms, receiver, b)
 
+    def log_apply(self, time_ms: int, node_id: str, block: Block):
+        self.trace.log(
+            {
+                "t": time_ms,
+                "type": "apply",
+                "node": node_id,
+                "height": block.header.height,
+                "block": _short(header_hash(block.header)),
+            }
+        )
+
     def note_header(self, time_ms: int, node_id: str, header: BlockHeader):
-        node = self.nodes[node_id]
-        pair = node.register_header(header, self.genesis)
+        pair = self.nodes[node_id].register_header(header, self.genesis)
         if pair is None:
             return
-        key = (header.creator, header.slot)
-        node.evidence_headers[key] = pair
         self.trace.log(
             {"t": time_ms, "type": "evidence", "node": node_id, "creator": header.creator, "slot": header.slot}
         )
         if not self.halted:
             self.halted = True
             self.trace.log({"t": time_ms, "type": "halt", "node": node_id})
-        if key not in node.flooded:
-            node.flooded.add(key)
-            for other in sorted(set(self.nodes) - {node_id}):
-                self.send(time_ms, node_id, other, ("evidence", pair[0], pair[1]), reliable=True)
+        for other in sorted(set(self.nodes) - {node_id}):
+            self.send(time_ms, node_id, other, ("evidence", pair[0], pair[1]), reliable=True)
 
     def send_sync_req(self, time_ms: int, requester: str, responder: str):
         if responder == requester or responder not in self.nodes:
@@ -701,14 +670,13 @@ class Simulation:
         """
         chain = self.nodes[peer].export_chain()
         replay = ChainState(self.genesis)
-        for block in chain:
+        for i, block in enumerate(chain):
             verdict = replay.receive_block(block)
             if not verdict.ok:
-                peer_log = MerkleLog()
-                for served in chain:
+                for served in chain[i:]:
                     for tx in served.transactions:
-                        peer_log.append(tx_wire_bytes(tx))
-                return {"height": block.header.height, "reason": verdict.reason}, peer_log
+                        replay.registry_log.append(tx_wire_bytes(tx))
+                return {"height": block.header.height, "reason": verdict.reason}, replay.registry_log
         return None, replay.registry_log
 
     def audit(self):
@@ -726,21 +694,15 @@ class Simulation:
                 if peer not in replays:
                     replays[peer] = self.replay_peer(peer)
                 failure, peer_log = replays[peer]
-                failed_checkpoints = []
-                for cp in own.checkpoints:
-                    if cp.registry_size > peer_log.size:
-                        failed_checkpoints.append(cp.registry_size)
-                        continue
-                    proof = peer_log.prove_consistency(cp.registry_size)
-                    ok = verify_consistency(
-                        digest_from_hex(cp.registry_root),
-                        cp.registry_size,
-                        peer_log.root(),
-                        peer_log.size,
-                        proof,
-                    )
-                    if not ok:
-                        failed_checkpoints.append(cp.registry_size)
+                # The auditor holds the peer's whole log, so a checkpoint is
+                # checked against the log's own root at the checkpoint's size;
+                # a consistency proof would only re-derive that root.
+                failed_checkpoints = [
+                    cp.registry_size
+                    for cp in own.checkpoints
+                    if cp.registry_size > peer_log.size
+                    or peer_log.root_at(cp.registry_size).hex() != cp.registry_root
+                ]
                 self.trace.log(
                     {
                         "type": "audit",

@@ -60,6 +60,17 @@ def test_unicode_not_escaped():
     assert dumps_canonical({"name": "Tunka-133 °"}) == '{"name":"Tunka-133 °"}'.encode("utf-8")
 
 
+def test_lone_surrogates_rejected():
+    # An unpaired surrogate has no UTF-8 form, so it has no canonical bytes:
+    # the JSON escape parses, and the round-trip must reject it.
+    with pytest.raises(InvalidBody):
+        loads_canonical(b'"\\ud800"')
+    with pytest.raises(InvalidBody):
+        dumps_canonical("\ud800")
+    with pytest.raises(InvalidBody):
+        dumps_canonical({"base_uri": "a\udfffb"})
+
+
 def test_integers_unquoted():
     assert dumps_canonical([0, -5, 12345678901234567890]) == b"[0,-5,12345678901234567890]"
 

@@ -576,6 +576,21 @@ def test_replay_detects_noncanonical_block_file(chain3, tmp_path):
     assert failure is not None and failure[1].reason == "InvalidBody"
 
 
+def test_replay_rejects_lone_surrogate_in_stored_string(chain3, tmp_path):
+    state, keys = chain3
+    build_chain(state, keys, 2)
+    save_chain(state, str(tmp_path))
+    path = tmp_path / "block_0.json"
+    raw = path.read_bytes()
+    forged = raw.replace(b'"base_uri":"/tmp/st-1"', b'"base_uri":"\\ud800"', 1)
+    assert forged != raw
+    path.write_bytes(forged)
+    _, results, failure = replay_chain(str(tmp_path))
+    assert failure is not None
+    assert failure[0] == 0 and failure[1].reason == "InvalidBody"
+    assert results == [failure]
+
+
 def test_replay_rejects_non_dense_store(chain3, tmp_path):
     state, keys = chain3
     build_chain(state, keys, 4)

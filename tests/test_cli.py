@@ -145,6 +145,29 @@ def test_genesis_init_accepts_hex_and_key_names(tmp_path, capsys):
     assert code == 4 and lines(out)[0]["error"] == "AlreadyExists"
 
 
+def test_keygen_home_under_a_file_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    code, out, err = run(capsys, "keygen", "--home", str(blocker / "home"), "--name", "k")
+    assert code == 4
+    rows = lines(out)
+    assert len(rows) == 1 and rows[0]["error"] == "IoError"
+    assert "Traceback" not in err
+
+
+def test_genesis_init_chain_under_a_file_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    code, out, err = run(
+        capsys, "genesis-init", "--home", str(tmp_path), "--chain", str(blocker / "chain"),
+        "--handler", f"h0={SigningKey.from_seed(b'h0').public_hex}",
+    )
+    assert code == 4
+    rows = lines(out)
+    assert len(rows) == 1 and rows[0]["error"] == "IoError"
+    assert "Traceback" not in err
+
+
 def test_genesis_init_rejects_bad_handler_spec(tmp_path, capsys):
     code, out, _ = run(capsys, "genesis-init", "--home", str(tmp_path), "--handler", "h0")
     assert code == 2
@@ -225,6 +248,20 @@ def test_chain_verify_detects_mutation(world, capsys):
     err = lines(out)[-1]
     assert err["height"] == 0
     assert err["error"] in ("BadTxRoot", "InvalidTransaction", "InvalidBody", "BadTxId")
+
+
+def test_chain_verify_rejects_lone_surrogate(world, capsys):
+    block_path = os.path.join(world["chain"], "block_0.json")
+    data = open(block_path, "rb").read()
+    forged = data.replace(b'"base_uri":"storages/st-1"', b'"base_uri":"\\ud800"', 1)
+    assert forged != data
+    open(block_path, "wb").write(forged)
+    code, out, err = run(capsys, "chain-verify", "--chain", world["chain"])
+    assert code == 3
+    rows = lines(out)
+    assert rows[0] == {"height": 0, "verdict": "InvalidBody"}
+    assert rows[-1]["error"] == "InvalidBody" and rows[-1]["height"] == 0
+    assert "Traceback" not in err
 
 
 def test_chain_verify_checkpoint_roundtrip(world, tmp_path, capsys):

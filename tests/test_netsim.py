@@ -13,6 +13,7 @@ import pytest
 
 from skyprov.chain import ChainState, header_hash, validate_block
 from skyprov.errors import ConfigError
+from skyprov.merkle import MerkleLog
 from skyprov.netsim import (
     SimNode,
     Simulation,
@@ -308,6 +309,25 @@ def test_audit_replays_each_peer_once(monkeypatch):
     records = audits(sim.trace)
     assert len(records) == 16  # still one per (verifier, peer)
     assert [a["replay"] for a in records if a["peer"] == "h4"] == [{"height": 5, "reason": "BadSignature"}] * 4
+
+
+def test_audit_checks_checkpoints_without_consistency_proofs(monkeypatch):
+    # The auditor holds each peer's whole log, so it compares a checkpoint
+    # with that log's root at the checkpoint's size; the records must be the
+    # ones the proof-based audit wrote.
+    expected = audits(run_simulation(sim_config_from_obj(_bench_shaped(1))))
+    sim = Simulation(sim_config_from_obj(_bench_shaped(1)))
+    sim.run(audit=False)
+
+    def no_proof(log, old_size):
+        raise AssertionError("audit asked for a consistency proof")
+
+    monkeypatch.setattr(MerkleLog, "prove_consistency", no_proof)
+    sim.audit()
+    records = audits(sim.trace)
+    assert len(records) == 16
+    assert records == expected
+    assert any(a["failed_checkpoints"] for a in records)
 
 
 def test_tamper_height_must_be_confirmed():
