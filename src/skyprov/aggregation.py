@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional
 
-from .canonical import dumps_canonical, is_decimal, sha256_bytes
+from .canonical import dumps_canonical, is_decimal, make_dirs, sha256_bytes, write_file
 from .chain import ChainState
 from .errors import (
     DuplicateDataset,
     DuplicateEntry,
     IntegrityError,
     InvalidBody,
-    IoError,
     NotFound,
     PluginConfigError,
     PluginNotFound,
@@ -274,17 +273,19 @@ class AggregationResult:
 
 def _fetch_all(pairs, storages, concurrent: bool):
     """Fetch each (storage id, path) the pairs name once, one group per
-    storage; returns {(storage_id, path): (bytes, digest)}."""
-    groups = {}  # storage id -> its paths, in first-named order
+    storage, reading at most one byte more than the largest size the chain
+    records for it; returns {(storage_id, path): (bytes, digest)}."""
+    groups = {}  # storage id -> {path: largest recorded size}, in first-named order
     for ds, ref in pairs:
-        groups.setdefault(ds.storage_id, {})[ref.path] = None
+        sizes = groups.setdefault(ds.storage_id, {})
+        sizes[ref.path] = max(sizes.get(ref.path, 0), ref.size)
     ordered = sorted(groups)
     for sid in ordered:
         if sid not in storages:
             raise NotFound(f"no handle for storage {sid}")
 
     def fetch_group(sid):
-        return {(sid, path): get_file(storages[sid], path) for path in groups[sid]}
+        return {(sid, path): get_file(storages[sid], path, size + 1) for path, size in groups[sid].items()}
 
     fetched = {}
     if concurrent and len(ordered) > 1:
@@ -321,10 +322,14 @@ def execute(
     # integrity gate: every file verified before any stage touches any byte,
     # the first mismatch named in (storage id, query order, ref order)
     for ds, ref in sorted(pairs, key=lambda pair: pair[0].storage_id):
-        digest = fetched[(ds.storage_id, ref.path)][1].hex()
-        if digest != ref.content_hash:
+        data, digest = fetched[(ds.storage_id, ref.path)]
+        if len(data) != ref.size:
             raise IntegrityError(
-                f"{ds.storage_id}/{ref.path}: digest {digest} does not match chain record {ref.content_hash}"
+                f"{ds.storage_id}/{ref.path}: length {len(data)} does not match chain record {ref.size}"
+            )
+        if digest.hex() != ref.content_hash:
+            raise IntegrityError(
+                f"{ds.storage_id}/{ref.path}: digest {digest.hex()} does not match chain record {ref.content_hash}"
             )
 
     drop_tally = {}
@@ -376,13 +381,8 @@ def execute(
 
     if isinstance(request.sink, LocalSink):
         target = request.sink.path
-        try:
-            parent = os.path.dirname(os.path.abspath(target))
-            os.makedirs(parent, exist_ok=True)
-            with open(target, "wb") as fh:
-                fh.write(output)
-        except OSError as exc:
-            raise IoError(f"cannot write sink file {target}: {exc}") from exc
+        make_dirs(os.path.dirname(os.path.abspath(target)))
+        write_file(target, output)
         result.output_path = target
     return result
 

@@ -8,16 +8,21 @@ hashes and signatures reproducible.
 
 Floats are rejected outright: every numeric field in signed material is
 either an integer or a fixed-point decimal string.
+
+Every file skyprov reads or writes goes through the helpers at the end of
+this module, so a stored canonical object is always its bytes plus one
+"\n", and an unreadable or unwritable path is always an IoError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from typing import Any
 
-from .errors import InvalidBody
+from .errors import AlreadyExists, InvalidBody, IoError
 
 # Matched with fullmatch only: `$` would also accept a trailing "\n", which
 # bytes.fromhex and Decimal then skip, giving one value two byte forms.
@@ -124,3 +129,45 @@ def digest_from_hex(text: str) -> bytes:
     if not is_hex64(text):
         raise InvalidBody(f"not a lowercase 64-char hex digest: {text!r}")
     return bytes.fromhex(text)
+
+
+# -- files -----------------------------------------------------------------------
+
+
+def read_file(path: str, what: str, limit: int = -1) -> bytes:
+    """The file's bytes, at most limit of them when limit >= 0."""
+    try:
+        with open(path, "rb") as fh:
+            if limit >= 0:  # read(n) allocates n bytes first; a recorded size must not choose that
+                limit = min(limit, os.fstat(fh.fileno()).st_size + 1)
+            return fh.read(limit)
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_canonical_file(path: str, what: str) -> Any:
+    """Parse a file written by write_canonical_file; one trailing "\n" is optional."""
+    data = read_file(path, what)
+    return loads_canonical(data[:-1] if data.endswith(b"\n") else data)
+
+
+def write_file(path: str, data: bytes, exclusive: bool = False, mode: int = 0o666) -> None:
+    """Write data to path; exclusive refuses an existing path with AlreadyExists."""
+    try:
+        with open(path, "xb" if exclusive else "wb", opener=lambda p, flags: os.open(p, flags, mode)) as fh:
+            fh.write(data)
+    except FileExistsError as exc:
+        raise AlreadyExists(f"{path} already exists") from exc
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_canonical_file(path: str, obj: Any, **kwargs) -> None:
+    write_file(path, dumps_canonical(obj) + b"\n", **kwargs)
+
+
+def make_dirs(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory {path}: {exc}") from exc

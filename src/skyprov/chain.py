@@ -22,7 +22,10 @@ from .canonical import (
     is_hex64,
     is_hex128,
     loads_canonical,
+    make_dirs,
+    read_canonical_file,
     sha256_bytes,
+    write_canonical_file,
 )
 from .errors import InvalidBody, IoError, NotScheduled
 from .keys import SigningKey, verify_signature
@@ -287,8 +290,9 @@ class Checkpoint:
     def from_obj(cls, obj) -> "Checkpoint":
         _require(isinstance(obj, dict), "checkpoint must be an object")
         _require(set(obj) == {"head_hash", "height", "registry_root", "registry_size"}, "checkpoint keys malformed")
-        _require(isinstance(obj["height"], int) and obj["height"] >= -1, "checkpoint height malformed")
-        _require(isinstance(obj["registry_size"], int) and obj["registry_size"] >= 0, "checkpoint registry_size malformed")
+        # the type, not a value test: True is an int that names block 1, and -1.0 == -1
+        _require(type(obj["height"]) is int and obj["height"] >= -1, "checkpoint height malformed")
+        _require(_is_count(obj["registry_size"]), "checkpoint registry_size malformed")
         _require(is_hex64(obj["registry_root"]), "checkpoint registry_root malformed")
         _require(is_hex64(obj["head_hash"]), "checkpoint head_hash malformed")
         return cls(
@@ -353,7 +357,6 @@ class ChainState:
         self.registry_log = MerkleLog()
         self.registry = RegistryState()
         self.pending_pool: dict = {}  # tx_id -> PmdTransaction
-        self.observed_slot = -1
         self._genesis_hash = genesis_hash(config)
         self._head_hash = self._genesis_hash  # apply_block keeps it current
         self._cycle_seed = (-1, "")  # (first slot, seed) of the head block's rotation cycle
@@ -457,20 +460,12 @@ class ChainState:
             self.registry.apply(tx)
             self.pending_pool.pop(tx.tx_id, None)
         self.registry.built_to = (block.header.height, self.registry_log.size)
-        if block.header.slot > self.observed_slot:
-            self.observed_slot = block.header.slot
 
     def receive_block(self, block: Block) -> Verdict:
         verdict = validate_block(self, block)
         if verdict.ok:
             self.apply_block(block)
         return verdict
-
-
-def missed_slot_advance(state: ChainState, slot: int) -> None:
-    """Record that a slot elapsed with no block; heights stay dense."""
-    if slot > state.observed_slot:
-        state.observed_slot = slot
 
 
 def produce_block(state: ChainState, slot: int, handler_key: SigningKey, now: int) -> Block:
@@ -552,21 +547,17 @@ def validate_block(state: ChainState, block: Block) -> Verdict:
 
 
 def save_genesis(chain_dir: str, config: GenesisConfig) -> None:
-    try:
-        os.makedirs(chain_dir, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create chain dir {chain_dir}: {exc}") from exc
-    _write_file(os.path.join(chain_dir, "genesis.json"), genesis_bytes(config) + b"\n")
+    make_dirs(chain_dir)
+    write_canonical_file(os.path.join(chain_dir, "genesis.json"), genesis_to_obj(config))
 
 
 def load_genesis(chain_dir: str) -> GenesisConfig:
-    data = _read_file(os.path.join(chain_dir, "genesis.json"))
-    return genesis_from_obj(loads_canonical(_strip_newline(data)))
+    return genesis_from_obj(read_canonical_file(os.path.join(chain_dir, "genesis.json"), "genesis"))
 
 
 def save_block_file(chain_dir: str, block: Block) -> str:
     path = os.path.join(chain_dir, f"block_{block.header.height}.json")
-    _write_file(path, block_bytes(block) + b"\n")
+    write_canonical_file(path, block_to_obj(block))
     return path
 
 
@@ -591,8 +582,7 @@ def list_block_heights(chain_dir: str) -> list:
 
 
 def load_block_file(chain_dir: str, height: int) -> Block:
-    data = _read_file(os.path.join(chain_dir, f"block_{height}.json"))
-    return block_from_bytes(_strip_newline(data))
+    return block_from_obj(read_canonical_file(os.path.join(chain_dir, f"block_{height}.json"), "block file"))
 
 
 def replay_chain(chain_dir: str):
@@ -633,23 +623,3 @@ def load_chain(chain_dir: str) -> ChainState:
         height, verdict = failure
         raise InvalidBody(f"chain invalid at height {height}: {verdict.reason}: {verdict.detail}")
     return state
-
-
-def _write_file(path: str, data: bytes) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _read_file(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-
-def _strip_newline(data: bytes) -> bytes:
-    return data[:-1] if data.endswith(b"\n") else data

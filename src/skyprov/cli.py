@@ -21,7 +21,7 @@ from .aggregation import (
     publish_result,
     request_from_obj,
 )
-from .canonical import dumps_canonical, is_hex64
+from .canonical import dumps_canonical, is_hex64, make_dirs, read_file, write_canonical_file, write_file
 from .chain import (
     ORDERING_MODES,
     Checkpoint,
@@ -76,11 +76,8 @@ def _progress(message: str) -> None:
 
 
 def _read_json_file(path: str, what: str):
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    """User-authored JSON, parsed leniently (any spacing, key order, newlines)."""
+    data = read_file(path, what)
     try:
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
@@ -103,18 +100,11 @@ def _chain_dir(args) -> str:
     raise UsageError("either --chain or --home is required")
 
 
-def _load_handler_key(home: str, handler_id: str) -> SigningKey:
-    path = _key_path(home, handler_id)
-    if not os.path.exists(path):
-        raise IoError(f"no key file for scheduled handler {handler_id}: {path}")
-    return load_key_file(path)
-
-
 def _seal_block(state, home: str):
     """Produce the next block from the pool with the scheduled handler's key."""
     slot = state.last_slot() + 1
     handler_id = state.scheduled_handler(slot)
-    key = _load_handler_key(home, handler_id)
+    key = load_key_file(_key_path(home, handler_id))
     block = produce_block(state, slot, key, now=state.slot_start_time(slot))
     verdict = state.receive_block(block)
     if not verdict.ok:
@@ -129,10 +119,7 @@ def cmd_keygen(args) -> int:
     path = _key_path(args.home, args.name)
     if os.path.exists(path):
         raise AlreadyExists(f"key file {path} already exists")
-    try:
-        os.makedirs(_keys_dir(args.home), exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create key directory under {args.home}: {exc}") from exc
+    make_dirs(_keys_dir(args.home))
     if args.seed is not None:
         key = SigningKey.from_seed(f"cli:keygen:{args.seed}:{args.name}".encode())
     else:
@@ -183,11 +170,7 @@ def cmd_sim_run(args) -> int:
     _progress(f"simulated {config.duration_slots} slots on {len(config.handler_ids)} handlers: "
               f"{len(trace.events)} trace events")
     if args.trace:
-        try:
-            with open(args.trace, "wb") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise IoError(f"cannot write trace {args.trace}: {exc}") from exc
+        write_file(args.trace, data)
         _emit({"events": len(trace.events), "path": args.trace})
     else:
         sys.stdout.buffer.write(data)
@@ -255,12 +238,7 @@ def cmd_chain_verify(args) -> int:
             return VALIDATION_EXIT
         final["checkpoint"] = "ok"
     if args.write_checkpoint:
-        cp = state.checkpoint()
-        try:
-            with open(args.write_checkpoint, "wb") as fh:
-                fh.write(dumps_canonical(cp.to_obj()) + b"\n")
-        except OSError as exc:
-            raise IoError(f"cannot write checkpoint {args.write_checkpoint}: {exc}") from exc
+        write_canonical_file(args.write_checkpoint, state.checkpoint().to_obj())
         final["checkpoint_path"] = args.write_checkpoint
     _emit(final)
     return 0
@@ -313,12 +291,7 @@ def cmd_index_build(args) -> int:
             raise UsageError("--out or --home is required")
         out = os.path.join(args.home, "index.json")
     registry = load_chain(chain_dir).registry
-    data = dumps_canonical(index_to_obj(registry)) + b"\n"
-    try:
-        with open(out, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise IoError(f"cannot write index {out}: {exc}") from exc
+    write_canonical_file(out, index_to_obj(registry))
     height, registry_size = registry.built_to
     _emit({
         "built_to": {"height": height, "registry_size": registry_size},
@@ -412,11 +385,7 @@ def cmd_aggregate(args) -> int:
     result = execute(req, state.registry, storages, concurrent=not args.sequential)
     output_path = result.output_path
     if output_path is None and args.out:
-        try:
-            with open(args.out, "wb") as fh:
-                fh.write(result.output_bytes)
-        except OSError as exc:
-            raise IoError(f"cannot write output {args.out}: {exc}") from exc
+        write_file(args.out, result.output_bytes)
         output_path = args.out
     summary = result.summary_obj()
     summary["output_path"] = output_path

@@ -17,8 +17,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import dumps_canonical, is_hex64, loads_canonical
-from .errors import InvalidBody, IoError, MalformedKey
+from .canonical import is_hex64, read_canonical_file, write_canonical_file
+from .errors import InvalidBody, MalformedKey
 
 
 class SigningKey:
@@ -86,23 +86,13 @@ def verify_signature(public_key: Union[str, bytes], message: bytes, signature: b
 
 
 def save_key_file(path: str, key: SigningKey) -> None:
-    data = dumps_canonical({"public": key.public_hex, "secret": key.private_bytes.hex()})
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data + b"\n")
-    except OSError as exc:
-        raise IoError(f"cannot write key file {path}: {exc}") from exc
+    write_canonical_file(path, {"public": key.public_hex, "secret": key.private_bytes.hex()}, mode=0o600)
 
 
 def load_key_file(path: str) -> SigningKey:
+    """An unreadable file is an IoError; unparsable contents are MalformedKey."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise MalformedKey(f"cannot read key file {path}: {exc}") from exc
-    try:
-        obj = loads_canonical(raw.rstrip(b"\n"))
+        obj = read_canonical_file(path, "key file")
     except InvalidBody as exc:
         raise MalformedKey(f"key file {path} is not canonical JSON") from exc
     if not isinstance(obj, dict) or set(obj) != {"public", "secret"}:

@@ -25,15 +25,17 @@ import os
 import struct
 from dataclasses import dataclass
 
-from .canonical import dumps_canonical, loads_canonical, sha256_bytes
-from .errors import (
-    AlreadyExists,
-    DecodeError,
-    InvalidBody,
-    IoError,
-    NotFound,
-    PathViolation,
+from .canonical import (
+    dumps_canonical,
+    loads_canonical,
+    make_dirs,
+    read_canonical_file,
+    read_file,
+    sha256_bytes,
+    write_canonical_file,
+    write_file,
 )
+from .errors import DecodeError, InvalidBody, NotFound, PathViolation
 from .model import ADAPTER_KINDS, EasEvent, event_from_obj, event_to_obj, validate_event
 
 MANIFEST_NAME = "storage.json"
@@ -59,16 +61,9 @@ def init_storage(base_uri: str, storage_id: str, kind: str) -> StorageHandle:
         raise InvalidBody(f"kind must be one of {ADAPTER_KINDS}")
     if not isinstance(storage_id, str) or storage_id == "":
         raise InvalidBody("storage_id must be a non-empty string")
-    os.makedirs(base_uri, exist_ok=True)
-    manifest = os.path.join(base_uri, MANIFEST_NAME)
-    if os.path.exists(manifest):
-        raise AlreadyExists(f"storage manifest already present at {manifest}")
-    data = dumps_canonical({"kind": kind, "storage_id": storage_id}) + b"\n"
-    try:
-        with open(manifest, "xb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise IoError(f"cannot write manifest {manifest}: {exc}") from exc
+    make_dirs(base_uri)
+    manifest = {"kind": kind, "storage_id": storage_id}
+    write_canonical_file(os.path.join(base_uri, MANIFEST_NAME), manifest, exclusive=True)
     return StorageHandle(storage_id=storage_id, base_uri=base_uri, kind=kind)
 
 
@@ -77,12 +72,7 @@ def open_storage(base_uri: str) -> StorageHandle:
     manifest = os.path.join(base_uri, MANIFEST_NAME)
     if not os.path.isdir(base_uri) or not os.path.isfile(manifest):
         raise NotFound(f"no storage manifest at {manifest}")
-    try:
-        with open(manifest, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read manifest {manifest}: {exc}") from exc
-    obj = loads_canonical(raw[:-1] if raw.endswith(b"\n") else raw)
+    obj = read_canonical_file(manifest, "storage manifest")
     if not isinstance(obj, dict) or set(obj) != {"kind", "storage_id"}:
         raise InvalidBody(f"manifest {manifest} keys malformed")
     if obj["kind"] not in ADAPTER_KINDS:
@@ -102,16 +92,13 @@ def _resolve(handle: StorageHandle, path: str) -> str:
     return target
 
 
-def get_file(handle: StorageHandle, path: str):
-    """Exact file bytes plus their SHA-256; integrity verdicts are the caller's."""
+def get_file(handle: StorageHandle, path: str, limit: int = -1):
+    """Exact file bytes (at most limit of them when limit >= 0) plus their
+    SHA-256; integrity verdicts are the caller's."""
     target = _resolve(handle, path)
     if not os.path.isfile(target):
         raise NotFound(f"no file {path} in storage {handle.storage_id}")
-    try:
-        with open(target, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    data = read_file(target, f"storage {handle.storage_id} file", limit)
     return data, sha256_bytes(data)
 
 
@@ -120,16 +107,8 @@ def put_file(handle: StorageHandle, path: str, data: bytes) -> bytes:
     if not isinstance(data, bytes):
         raise InvalidBody("put_file expects bytes")
     target = _resolve(handle, path)
-    if os.path.exists(target):
-        raise AlreadyExists(f"path {path} already exists in storage {handle.storage_id}")
-    try:
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        with open(target, "xb") as fh:
-            fh.write(data)
-    except FileExistsError as exc:
-        raise AlreadyExists(f"path {path} already exists in storage {handle.storage_id}") from exc
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    make_dirs(os.path.dirname(target))
+    write_file(target, data, exclusive=True)
     return sha256_bytes(data)
 
 

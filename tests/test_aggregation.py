@@ -6,14 +6,16 @@ gate and fetch plumbing run exactly as deployed. Merge and filter results
 are checked against plain-Python oracles over the in-memory event lists.
 """
 
+import dataclasses
 import io
+import os
 import random
 import tarfile
 
 import pytest
 from conftest import GEOMETRY_HASH, key_for, make_dataset, program_body
 
-from skyprov import aggregation
+from skyprov import aggregation, storage
 from skyprov.aggregation import (
     AggregationRequest,
     LocalSink,
@@ -311,9 +313,9 @@ def counting_get_file(monkeypatch):
     calls = []
     original = aggregation.get_file
 
-    def get_file(handle, path):
+    def get_file(handle, path, limit):
         calls.append((handle.storage_id, path))
-        return original(handle, path)
+        return original(handle, path, limit)
 
     monkeypatch.setattr(aggregation, "get_file", get_file)
     return calls
@@ -357,6 +359,44 @@ def test_first_mismatch_in_plan_order_reported(world, tmp_path):
         execute(AggregationRequest(filter=ALL), index, storages)
     # plan sorts st-1 before st-2, so the st-1 file is named
     assert "st-1/data/ds-a/part1.jsonl" in str(err.value)
+
+
+def test_fetch_is_bounded_by_the_recorded_size(world, tmp_path, monkeypatch):
+    _, _, index, storages, _ = world
+    ref = index.datasets["ds-a"].descriptor.file_refs[0]
+    victim = tmp_path / "st-1" / ref.path
+    original = victim.read_bytes()
+    reads = []
+    read_file = storage.read_file
+
+    def counting_read_file(path, what, limit=-1):
+        data = read_file(path, what, limit)
+        reads.append((path, len(data)))
+        return data
+
+    monkeypatch.setattr(storage, "read_file", counting_read_file)
+    victim.write_bytes(original * 10)
+    with pytest.raises(IntegrityError) as err:
+        execute(AggregationRequest(filter=ALL), index, storages)
+    assert f"st-1/{ref.path}: length {ref.size + 1} does not match chain record {ref.size}" in str(err.value)
+    assert dict(reads)[os.path.realpath(victim)] == ref.size + 1
+    victim.write_bytes(original[:-1])
+    with pytest.raises(IntegrityError) as err:
+        execute(AggregationRequest(filter=ALL), index, storages)
+    assert f"st-1/{ref.path}: length {ref.size - 1} does not match chain record {ref.size}" in str(err.value)
+
+
+def test_shared_path_is_read_up_to_its_largest_recorded_size(world):
+    # ds-c2 records ds-c's file one byte short: the honest ds-c record
+    # passes, and the gate names the short record
+    state, keys, _, storages, _ = world
+    ref = state.registry.datasets["ds-c"].descriptor.file_refs[0]
+    short = dataclasses.replace(ref, size=ref.size - 1)
+    publish_refs(state, storages["st-1"], key_for("user-1"), "ds-c2", [short], 120, 520)
+    seal(state, keys)
+    with pytest.raises(IntegrityError) as err:
+        execute(AggregationRequest(filter=QueryFilter(time_range=(120, 120))), state.registry, storages)
+    assert f"length {ref.size} does not match chain record {ref.size - 1}" in str(err.value)
 
 
 def publish_refs(state, handle, user, dataset_id, refs, start, end):

@@ -20,7 +20,11 @@ from skyprov.canonical import (
     digest_to_hex,
     dumps_canonical,
     loads_canonical,
+    read_canonical_file,
+    read_file,
     sha256_bytes,
+    write_canonical_file,
+    write_file,
 )
 from skyprov.chain import (
     Checkpoint,
@@ -31,7 +35,7 @@ from skyprov.chain import (
     header_to_obj,
     produce_block,
 )
-from skyprov.errors import InvalidBody
+from skyprov.errors import AlreadyExists, InvalidBody, IoError
 from skyprov.model import (
     EasEvent,
     PublishDataset,
@@ -230,3 +234,27 @@ def test_trailing_newline_is_rejected(chain3, wire, path):
     if wire == "tx":
         edited = dataclasses.replace(tx, signature=tx.signature + "\n")
         assert validate_transaction(edited, state.registry).reason == "InvalidBody"
+
+
+# -- file helpers ----------------------------------------------------------------
+
+
+def test_file_helpers(tmp_path):
+    path = str(tmp_path / "obj.json")
+    write_canonical_file(path, {"b": 1, "a": "x"})
+    assert read_file(path, "object") == b'{"a":"x","b":1}\n'
+    assert read_file(path, "object", 3) == b'{"a'
+    assert read_file(path, "object", 2**62) == read_file(path, "object")  # no 2**62-byte buffer
+    assert read_canonical_file(path, "object") == {"a": "x", "b": 1}
+    write_file(path, b'{"a":"x","b":1}')  # the newline is optional ...
+    assert read_canonical_file(path, "object") == {"a": "x", "b": 1}
+    write_file(path, b'{"a":"x","b":1}\n\n')  # ... and there is at most one
+    with pytest.raises(InvalidBody):
+        read_canonical_file(path, "object")
+    with pytest.raises(AlreadyExists):
+        write_file(path, b"", exclusive=True)
+    assert read_file(path, "object") == b'{"a":"x","b":1}\n\n'
+    with pytest.raises(IoError):
+        read_file(str(tmp_path / "missing"), "object")
+    with pytest.raises(IoError):
+        write_file(str(tmp_path / "obj.json" / "under-a-file"), b"")

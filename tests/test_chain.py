@@ -23,7 +23,6 @@ from skyprov.chain import (
     header_to_obj,
     load_chain,
     load_genesis,
-    missed_slot_advance,
     produce_block,
     replay_chain,
     save_chain,
@@ -221,7 +220,6 @@ def build_chain(state, keys, n_slots, skip=(), user=None, txs_per_slot=1):
     ds = 0
     for slot in range(n_slots):
         if slot in skip:
-            missed_slot_advance(state, slot)
             continue
         for _ in range(txs_per_slot):
             _publish(state, user, f"ds-{ds}", 100 + ds, start=ds * 10, end=ds * 10 + 5)
@@ -246,10 +244,7 @@ def test_all_handlers_missing_one_cycle_leaves_chain_unchanged(chain3):
     state, keys = chain3
     build_chain(state, keys, 3)
     head = state.head_hash()
-    for slot in (3, 4, 5):
-        missed_slot_advance(state, slot)
     assert state.head_hash() == head
-    assert state.observed_slot == 5
     # recovery after the gap validates
     handler = state.scheduled_handler(6)
     block = produce_block(state, 6, keys[handler], now=state.slot_start_time(6))
@@ -644,7 +639,6 @@ def _golden_store(chain_dir):
     ds = 0
     for slot in range(8):
         if slot == 3:
-            missed_slot_advance(state, slot)
             continue
         for _ in range(2):
             _publish(state, user, f"ds-{ds}", 100 + ds, start=ds * 10, end=ds * 10 + 5, extra={"n": str(ds)})

@@ -12,7 +12,8 @@ import pytest
 from skyprov import cli
 from skyprov.aggregation import AggregationRequest, PluginSpec, execute, request_from_obj
 from skyprov.canonical import digest_from_hex, dumps_canonical, sha256_bytes
-from skyprov.chain import ChainState, GenesisConfig, load_chain, produce_block, save_chain
+from skyprov.chain import ChainState, GenesisConfig, header_hash, load_chain, produce_block, save_chain
+from skyprov.errors import MalformedKey
 from skyprov.index import QueryFilter, index_to_obj, query
 from skyprov.keys import SigningKey, load_key_file, save_key_file
 from skyprov.merkle import verify_inclusion
@@ -168,6 +169,18 @@ def test_genesis_init_chain_under_a_file_is_an_io_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_key_file_follows_the_one_newline_rule(tmp_path):
+    path = tmp_path / "k.json"
+    save_key_file(str(path), SigningKey.from_seed(b"k"))
+    raw = path.read_bytes()
+    assert raw.endswith(b"}\n") and (path.stat().st_mode & 0o777) == 0o600
+    path.write_bytes(raw[:-1])
+    assert load_key_file(str(path)).public_hex == SigningKey.from_seed(b"k").public_hex
+    path.write_bytes(raw + b"\n\n")
+    with pytest.raises(MalformedKey):
+        load_key_file(str(path))
+
+
 def test_genesis_init_rejects_bad_handler_spec(tmp_path, capsys):
     code, out, _ = run(capsys, "genesis-init", "--home", str(tmp_path), "--handler", "h0")
     assert code == 2
@@ -221,6 +234,22 @@ def test_tx_submit_missing_files_are_io_errors(world, capsys):
     code, out, _ = run(capsys, "tx-submit", "--home", world["home"], "--key", "ghost",
                        "--body", "/nonexistent/body.json")
     assert code == 4
+
+
+def test_tx_submit_key_file_errors(world, tmp_path, capsys):
+    body_file = tmp_path / "body.json"
+    body_file.write_text(json.dumps({"adapter_kind": "packed", "base_uri": "storages/st-2", "storage_id": "st-2",
+                                     "storage_pubkey": "cd" * 32, "type": "register_storage"}))
+    # a key file that cannot be read is an I/O failure ...
+    code, out, err = run(capsys, "tx-submit", "--home", world["home"], "--key", "ghost", "--body", str(body_file))
+    rows = lines(out)
+    assert code == 4 and len(rows) == 1 and rows[0]["error"] == "IoError"
+    assert "Traceback" not in err
+    # ... and one that reads but does not parse is a validation failure
+    with open(os.path.join(world["home"], "keys", "bad.json"), "wb") as fh:
+        fh.write(b"{}\n")
+    code, out, _ = run(capsys, "tx-submit", "--home", world["home"], "--key", "bad", "--body", str(body_file))
+    assert code == 3 and lines(out)[0]["error"] == "MalformedKey"
 
 
 # -- chain-verify / proof -----------------------------------------------------------
@@ -315,6 +344,31 @@ def test_chain_verify_checkpoint_must_match_its_block(world, tmp_path, capsys):
                                   "registry_root": log.root_at(size).hex(), "registry_size": size}))
         code, out, _ = run(capsys, "chain-verify", "--chain", world["chain"], "--checkpoint", str(cp))
         assert code == 3 and lines(out)[-1]["error"] == "IntegrityError"
+
+
+def test_chain_verify_checkpoint_fields_must_be_integers(world, tmp_path, capsys):
+    # A bool is an int in Python: "height": true once named block 1, and
+    # "registry_size": false once equalled the empty registry's size 0.
+    state = world["state"]
+    body = RegisterStorage(storage_id="st-9", adapter_kind="jsonl", base_uri="x", storage_pubkey="ee" * 32)
+    assert state.submit(sign_transaction(body, world["user"], created_at=5_000)).ok
+    for slot in (1, 2):
+        assert state.receive_block(produce_block(state, slot, world["keys"][f"h{slot % 2}"],
+                                                 now=state.slot_start_time(slot))).ok
+    save_chain(state, world["chain"])
+    header = state.blocks[1].header
+    named = {"head_hash": header_hash(header), "height": 1,
+             "registry_root": header.registry_root, "registry_size": header.registry_size}
+    empty = ChainState(state.config).checkpoint().to_obj()
+    cp = tmp_path / "cp.json"
+    for good, bad in ((named, dict(named, height=True)), (empty, dict(empty, registry_size=False)),
+                      (empty, dict(empty, height=-1.0))):
+        cp.write_text(json.dumps(good))
+        code, out, _ = run(capsys, "chain-verify", "--chain", world["chain"], "--checkpoint", str(cp))
+        assert code == 0 and lines(out)[-1]["checkpoint"] == "ok"
+        cp.write_text(json.dumps(bad))
+        code, out, _ = run(capsys, "chain-verify", "--chain", world["chain"], "--checkpoint", str(cp))
+        assert code == 3 and lines(out)[-1]["error"] == "InvalidBody"
 
 
 def test_proof_inclusion_envelope_verifies(world, capsys):

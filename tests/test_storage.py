@@ -20,6 +20,7 @@ from skyprov.errors import (
     AlreadyExists,
     DecodeError,
     InvalidBody,
+    IoError,
     NotFound,
     PathViolation,
 )
@@ -348,6 +349,13 @@ def test_init_storage_refuses_second_manifest(tmp_path):
     init_storage(root, "st-x", "jsonl")
     with pytest.raises(AlreadyExists):
         init_storage(root, "st-y", "jsonl")
+
+
+def test_init_storage_under_a_file_is_an_io_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    with pytest.raises(IoError):
+        init_storage(str(blocker / "st-x"), "st-x", "jsonl")
 
 
 def test_open_storage_missing_or_malformed(tmp_path):
