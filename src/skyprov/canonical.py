@@ -16,11 +16,12 @@ this module, so a stored canonical object is always its bytes plus one
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import re
-from typing import Any
+from typing import Any, Iterable, Iterator, Union
 
 from .errors import AlreadyExists, InvalidBody, IoError
 
@@ -98,6 +99,20 @@ def dumps_validated(value: Any) -> bytes:
         raise InvalidBody(f"value has no UTF-8 form: {exc}") from exc
 
 
+def dumps_validated_parts(value: Any, depth: int) -> Iterator[bytes]:
+    """The bytes of dumps_validated(value), in pieces: the members of dicts
+    nested up to depth levels are encoded one at a time, so a large document
+    never has all its fragments in memory at once."""
+    if depth == 0 or not isinstance(value, dict):
+        yield dumps_validated(value)
+        return
+    yield b"{"
+    for i, key in enumerate(sorted(value)):
+        yield (b"," if i else b"") + dumps_validated(key) + b":"
+        yield from dumps_validated_parts(value[key], depth - 1)
+    yield b"}"
+
+
 def loads_canonical(data: bytes) -> Any:
     """Parse canonical bytes, rejecting any non-canonical encoding.
 
@@ -145,17 +160,24 @@ def read_file(path: str, what: str, limit: int = -1) -> bytes:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def read_canonical_file(path: str, what: str) -> Any:
-    """Parse a file written by write_canonical_file; one trailing "\n" is optional."""
-    data = read_file(path, what)
+def loads_canonical_file(data: bytes) -> Any:
+    """Parse the bytes of a file written by write_canonical_file; one trailing "\n" is optional."""
     return loads_canonical(data[:-1] if data.endswith(b"\n") else data)
 
 
-def write_file(path: str, data: bytes, exclusive: bool = False, mode: int = 0o666) -> None:
-    """Write data to path; exclusive refuses an existing path with AlreadyExists."""
+def read_canonical_file(path: str, what: str) -> Any:
+    return loads_canonical_file(read_file(path, what))
+
+
+def write_file(path: str, data: Union[bytes, Iterable[bytes]], exclusive: bool = False, mode: int = 0o666) -> None:
+    """Write data, bytes or an iterable of bytes pieces, to path; exclusive
+    refuses an existing path with AlreadyExists."""
     try:
         with open(path, "xb" if exclusive else "wb", opener=lambda p, flags: os.open(p, flags, mode)) as fh:
-            fh.write(data)
+            if isinstance(data, bytes):
+                fh.write(data)
+            else:
+                fh.writelines(data)
     except FileExistsError as exc:
         raise AlreadyExists(f"{path} already exists") from exc
     except OSError as exc:
@@ -164,6 +186,23 @@ def write_file(path: str, data: bytes, exclusive: bool = False, mode: int = 0o66
 
 def write_canonical_file(path: str, obj: Any, **kwargs) -> None:
     write_file(path, dumps_canonical(obj) + b"\n", **kwargs)
+
+
+def replace_file(path: str, data: Union[bytes, Iterable[bytes]]) -> None:
+    """Write data to a temp name beside path, then rename it over path, so a
+    reader sees the whole old file or the whole new one. The temp name holds
+    the process id, so two writers never share one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        write_file(tmp, data)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise IoError(f"cannot replace {path}: {exc}") from exc
+    except IoError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def make_dirs(path: str) -> None:

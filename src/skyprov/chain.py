@@ -9,6 +9,9 @@ signature, a tx root, or a registry commitment on replay.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import os
 import re
 from dataclasses import dataclass, replace
@@ -19,17 +22,23 @@ from .canonical import (
     digest_from_hex,
     dumps_canonical,
     dumps_validated,
+    dumps_validated_parts,
     is_hex64,
     is_hex128,
     loads_canonical,
+    loads_canonical_file,
     make_dirs,
     read_canonical_file,
+    read_file,
+    replace_file,
     sha256_bytes,
     write_canonical_file,
+    write_file,
 )
-from .errors import InvalidBody, IoError, NotScheduled
+from .errors import AlreadyExists, InvalidBody, IoError, NotFound, NotScheduled, SkyprovError
+from .index import index_from_obj, index_to_obj
 from .keys import SigningKey, verify_signature
-from .merkle import MerkleLog
+from .merkle import DIGEST_SIZE, MerkleLog
 from .model import (
     ACCEPT,
     PmdTransaction,
@@ -348,17 +357,26 @@ def detect_equivocation(
 
 
 class ChainState:
-    """One node's view of the chain plus its pending transaction pool."""
+    """One node's view of the chain plus its pending transaction pool.
+
+    Everything it validates against is head state that apply_block keeps
+    current: the head header and hash, the registry, its log, and the
+    reshuffle seed of the head's cycle. ``blocks`` lists the applied blocks
+    where a caller serves or audits them (netsim, replay_chain); it is None
+    on a state that holds no block list (load_chain).
+    """
 
     def __init__(self, config: GenesisConfig):
         validate_genesis(config)
         self.config = config
-        self.blocks: list = []
+        self.blocks: Optional[list] = []
         self.registry_log = MerkleLog()
         self.registry = RegistryState()
+        self.tx_index: dict = {}  # tx_id -> leaf index in registry_log, in log order
         self.pending_pool: dict = {}  # tx_id -> PmdTransaction
         self._genesis_hash = genesis_hash(config)
-        self._head_hash = self._genesis_hash  # apply_block keeps it current
+        self._head_header: Optional[BlockHeader] = None  # None before the first block
+        self._head_hash = self._genesis_hash
         self._cycle_seed = (-1, "")  # (first slot, seed) of the head block's rotation cycle
         self._roster = dict(config.handlers)
 
@@ -370,13 +388,13 @@ class ChainState:
 
     @property
     def head_height(self) -> int:
-        return len(self.blocks) - 1
+        return -1 if self._head_header is None else self._head_header.height
 
     def head_hash(self) -> str:
         return self._head_hash
 
     def last_slot(self) -> int:
-        return self.blocks[-1].header.slot if self.blocks else -1
+        return -1 if self._head_header is None else self._head_header.slot
 
     def roster_key(self, handler_id: str) -> Optional[str]:
         return self._roster.get(handler_id)
@@ -406,6 +424,8 @@ class ChainState:
             return digest_from_hex(self._head_hash)
         if self._cycle_seed[0] == cycle_start:
             return digest_from_hex(self._cycle_seed[1])
+        if self.blocks is None:
+            raise NotFound(f"slot {slot} is in a cycle before the head's, and this state holds no block list")
         for block in reversed(self.blocks):  # a cycle before the head's
             if block.header.slot < cycle_start:
                 return digest_from_hex(header_hash(block.header))
@@ -453,9 +473,12 @@ class ChainState:
         cycle_start = self._cycle_start(block.header.slot)
         if self.last_slot() < cycle_start:  # the block opens its cycle
             self._cycle_seed = (cycle_start, self._head_hash)
-        self.blocks.append(block)
+        if self.blocks is not None:
+            self.blocks.append(block)
+        self._head_header = block.header
         self._head_hash = header_hash(block.header)
         for tx in block.transactions:
+            self.tx_index[tx.tx_id] = self.registry_log.size
             self.registry_log.append(tx.wire_bytes)
             self.registry.apply(tx)
             self.pending_pool.pop(tx.tx_id, None)
@@ -466,6 +489,18 @@ class ChainState:
         if verdict.ok:
             self.apply_block(block)
         return verdict
+
+    def _adopt_head(self, header: BlockHeader, log: MerkleLog, registry: RegistryState,
+                    tx_index: dict, cycle_seed: tuple) -> None:
+        """Take on the head state that validating every block up to header
+        produced, without a block list (load_chain's head cache)."""
+        self.blocks = None
+        self._head_header = header
+        self._head_hash = header_hash(header)
+        self.registry_log = log
+        self.registry = registry
+        self.tx_index = tx_index
+        self._cycle_seed = cycle_seed
 
 
 def produce_block(state: ChainState, slot: int, handler_key: SigningKey, now: int) -> Block:
@@ -488,7 +523,7 @@ def produce_block(state: ChainState, slot: int, handler_key: SigningKey, now: in
     tx_bytes_list = [tx.wire_bytes for tx in accepted]
     registry_root, registry_size = state.registry_log.extended_root(tx_bytes_list)
     unsigned = BlockHeader(
-        height=len(state.blocks),
+        height=state.head_height + 1,
         slot=slot,
         prev_block_hash=state.head_hash(),
         tx_root=tx_tree_root(tx_bytes_list),
@@ -510,8 +545,8 @@ def validate_block(state: ChainState, block: Block) -> Verdict:
     except InvalidBody as exc:
         return Verdict(False, "BadLink", f"malformed header: {exc}")
 
-    if h.height != len(state.blocks):
-        return Verdict(False, "BadLink", f"height {h.height}, expected {len(state.blocks)}")
+    if h.height != state.head_height + 1:
+        return Verdict(False, "BadLink", f"height {h.height}, expected {state.head_height + 1}")
     if h.prev_block_hash != state.head_hash():
         return Verdict(False, "BadLink", "prev_block_hash does not match head")
     if h.slot <= state.last_slot():
@@ -545,19 +580,37 @@ def validate_block(state: ChainState, block: Block) -> Verdict:
 
 # -- disk store ----------------------------------------------------------------
 
+HEAD_CACHE = "head_cache.json"
+
+
+def _genesis_path(chain_dir: str) -> str:
+    return os.path.join(chain_dir, "genesis.json")
+
+
+def _block_path(chain_dir: str, height: int) -> str:
+    return os.path.join(chain_dir, f"block_{height}.json")
+
 
 def save_genesis(chain_dir: str, config: GenesisConfig) -> None:
     make_dirs(chain_dir)
-    write_canonical_file(os.path.join(chain_dir, "genesis.json"), genesis_to_obj(config))
+    write_canonical_file(_genesis_path(chain_dir), genesis_to_obj(config))
 
 
 def load_genesis(chain_dir: str) -> GenesisConfig:
-    return genesis_from_obj(read_canonical_file(os.path.join(chain_dir, "genesis.json"), "genesis"))
+    return genesis_from_obj(read_canonical_file(_genesis_path(chain_dir), "genesis"))
 
 
 def save_block_file(chain_dir: str, block: Block) -> str:
-    path = os.path.join(chain_dir, f"block_{block.header.height}.json")
-    write_canonical_file(path, block_to_obj(block))
+    """Create block_N.json. A file already there is kept: identical bytes are
+    accepted (save_chain re-saves a store), others raise AlreadyExists, so of
+    two writers sealing one height only the first succeeds."""
+    path = _block_path(chain_dir, block.header.height)
+    data = dumps_canonical(block_to_obj(block)) + b"\n"
+    try:
+        write_file(path, data, exclusive=True)
+    except AlreadyExists:
+        if read_file(path, "block file") != data:
+            raise
     return path
 
 
@@ -581,12 +634,56 @@ def list_block_heights(chain_dir: str) -> list:
     return heights
 
 
-def load_block_file(chain_dir: str, height: int) -> Block:
-    return block_from_obj(read_canonical_file(os.path.join(chain_dir, f"block_{height}.json"), "block file"))
+def _feed(digest, data: bytes) -> None:
+    """Add one file's bytes to a store digest, length first, so moving bytes
+    from one file to the next changes the digest."""
+    digest.update(len(data).to_bytes(8, "big"))
+    digest.update(data)
+
+
+def load_block_file(chain_dir: str, height: int, digest) -> Block:
+    """Parse block_N.json after feeding its exact bytes to digest."""
+    data = read_file(_block_path(chain_dir, height), "block file")
+    _feed(digest, data)
+    return block_from_obj(loads_canonical_file(data))
+
+
+def _open_store(chain_dir: str):
+    """(empty state, digest over genesis.json, stored heights) of a chain store."""
+    data = read_file(_genesis_path(chain_dir), "genesis")
+    state = ChainState(genesis_from_obj(loads_canonical_file(data)))
+    digest = hashlib.sha256()
+    _feed(digest, data)
+    heights = list_block_heights(chain_dir)
+    if heights and heights != list(range(heights[0], heights[-1] + 1)):
+        raise IoError(f"block files in {chain_dir} are not dense: {heights}")
+    if heights and heights[0] != 0:
+        raise IoError(f"chain store {chain_dir} does not start at height 0")
+    return state, digest, heights
+
+
+def _replay_blocks(chain_dir: str, state: ChainState, heights, digest):
+    """Validate and apply the stored blocks at heights, in order; returns
+    (results, failure) as replay_chain describes them."""
+    results = []
+    for height in heights:
+        try:
+            block = load_block_file(chain_dir, height, digest)
+        except InvalidBody as exc:
+            verdict = Verdict(False, "InvalidBody", str(exc))
+            results.append((height, verdict))
+            return results, (height, verdict)
+        verdict = validate_block(state, block)
+        results.append((height, verdict))
+        if not verdict.ok:
+            return results, (height, verdict)
+        state.apply_block(block)
+    return results, None
 
 
 def replay_chain(chain_dir: str):
-    """Replay a stored chain with full validation.
+    """Replay a stored chain with full validation; the audit, so it never
+    reads the head cache.
 
     Returns (state, results, failure): state covers every validated block,
     results one (height, verdict) per examined block, failure the first
@@ -594,32 +691,104 @@ def replay_chain(chain_dir: str):
     Raises IoError when files are missing or unreadable, InvalidBody when
     stored bytes are not canonical.
     """
-    config = load_genesis(chain_dir)
-    state = ChainState(config)
-    heights = list_block_heights(chain_dir)
-    if heights and heights != list(range(heights[0], heights[-1] + 1)):
-        raise IoError(f"block files in {chain_dir} are not dense: {heights}")
-    if heights and heights[0] != 0:
-        raise IoError(f"chain store {chain_dir} does not start at height 0")
-    results = []
-    for height in heights:
-        try:
-            block = load_block_file(chain_dir, height)
-        except InvalidBody as exc:
-            verdict = Verdict(False, "InvalidBody", str(exc))
-            results.append((height, verdict))
-            return state, results, (height, verdict)
-        verdict = validate_block(state, block)
-        results.append((height, verdict))
-        if not verdict.ok:
-            return state, results, (height, verdict)
-        state.apply_block(block)
-    return state, results, None
+    state, digest, heights = _open_store(chain_dir)
+    results, failure = _replay_blocks(chain_dir, state, heights, digest)
+    return state, results, failure
+
+
+# The head cache records the state that validating blocks 0..height
+# produced, so that load_chain can restore it and validate only the blocks
+# stored after it. It is trusted no more than the store it sits in: it is
+# used only while its digest matches the exact bytes of genesis.json and of
+# every block file it covers, the head block hashes to its head_hash, and
+# the rebuilt log matches the head header's registry commitment.
+_CACHE_KEYS = {"cycle_seed", "files_digest", "genesis_hash", "head_hash", "height", "leaves", "registry", "tx_ids"}
+
+
+def _restore_head(chain_dir: str, state: ChainState, digest, heights):
+    """Restore state from the head cache when it matches the store.
+
+    Returns (cached height, digest over genesis.json and blocks 0..height).
+    Returns (-1, digest) and leaves state and digest untouched when the
+    cache is missing, unreadable or does not match.
+    """
+    try:
+        # plain json.loads: the canonical round trip would double the peak
+        # memory of a load, and every field is checked below
+        cache = json.loads(read_file(os.path.join(chain_dir, HEAD_CACHE), "head cache"))
+        _require(isinstance(cache, dict) and set(cache) == _CACHE_KEYS, "head cache keys malformed")
+        height = cache["height"]
+        _require(type(height) is int and 0 <= height < len(heights), "head cache height is not stored")
+        _require(cache["genesis_hash"] == state.genesis_hash_hex, "head cache names another genesis")
+        covered = digest.copy()
+        for h in range(height):
+            _feed(covered, read_file(_block_path(chain_dir, h), "block file"))
+        header = load_block_file(chain_dir, height, covered).header
+        _require(covered.hexdigest() == cache["files_digest"], "store bytes differ from the head cache's")
+        _require(header_hash(header) == cache["head_hash"], "head block differs from the head cache's")
+
+        leaves = cache["leaves"]
+        _require(isinstance(leaves, str) and len(leaves) % (2 * DIGEST_SIZE) == 0, "head cache leaves malformed")
+        raw = bytes.fromhex(leaves)
+        log = MerkleLog.from_leaf_hashes(raw[i:i + DIGEST_SIZE] for i in range(0, len(raw), DIGEST_SIZE))
+        _require(log.root().hex() == header.registry_root and log.size == header.registry_size,
+                 "head cache log does not match the head's registry commitment")
+
+        registry = index_from_obj(cache["registry"])
+        _require(registry.built_to == (height, log.size), "head cache registry is not built to the head")
+        tx_ids = cache["tx_ids"]
+        _require(isinstance(tx_ids, list) and all(is_hex64(t) for t in tx_ids), "head cache tx_ids malformed")
+        tx_index = {tx_id: i for i, tx_id in enumerate(tx_ids)}
+        _require(len(tx_index) == log.size, "head cache tx_ids do not name each leaf once")
+        _require(all(r.tx_id in tx_index for r in registry.datasets.values()), "head cache dataset tx unknown")
+        # the snapshot lists datasets by id; the registry keeps confirmation order
+        registry.datasets = dict(sorted(registry.datasets.items(), key=lambda item: tx_index[item[1].tx_id]))
+
+        cycle = cache["cycle_seed"]
+        _require(isinstance(cycle, dict) and set(cycle) == {"seed", "start"} and is_hex64(cycle["seed"])
+                 and type(cycle["start"]) is int and cycle["start"] == state._cycle_start(header.slot),
+                 "head cache cycle seed malformed")
+    except (SkyprovError, ValueError, RecursionError):  # RecursionError: json.loads on deep nesting
+        return -1, digest
+    state._adopt_head(header, log, registry, tx_index, (cycle["start"], cycle["seed"]))
+    return height, covered
+
+
+def _write_head_cache(chain_dir: str, state: ChainState, digest) -> None:
+    start, seed = state._cycle_seed
+    obj = {
+        "cycle_seed": {"seed": seed, "start": start},
+        "files_digest": digest.hexdigest(),
+        "genesis_hash": state.genesis_hash_hex,
+        "head_hash": state.head_hash(),
+        "height": state.head_height,
+        "leaves": b"".join(state.registry_log.leaves()).hex(),
+        "registry": index_to_obj(state.registry),
+        "tx_ids": list(state.tx_index),
+    }
+    try:
+        # per dataset entry (cache, registry, datasets, entry), to bound peak memory
+        replace_file(os.path.join(chain_dir, HEAD_CACHE), itertools.chain(dumps_validated_parts(obj, 3), [b"\n"]))
+    except IoError:
+        pass  # the cache only saves time: a store that cannot take it still loads in full
 
 
 def load_chain(chain_dir: str) -> ChainState:
-    state, _, failure = replay_chain(chain_dir)
+    """The validated head state of a stored chain, without a block list.
+
+    Restores the head cache when it matches the store and validates only
+    the blocks stored after it; otherwise validates every block, as
+    replay_chain does. Rewrites the cache after validating any block it did
+    not cover. Raises as replay_chain does, and InvalidBody when a block
+    does not validate.
+    """
+    state, digest, heights = _open_store(chain_dir)
+    state.blocks = None
+    cached, digest = _restore_head(chain_dir, state, digest, heights)
+    _, failure = _replay_blocks(chain_dir, state, heights[cached + 1:], digest)
     if failure is not None:
         height, verdict = failure
         raise InvalidBody(f"chain invalid at height {height}: {verdict.reason}: {verdict.detail}")
+    if state.head_height > cached:
+        _write_head_cache(chain_dir, state, digest)
     return state

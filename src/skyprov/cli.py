@@ -48,8 +48,8 @@ from .errors import (
 )
 from .index import QueryFilter, index_from_obj, index_to_obj, query, validate_filter
 from .keys import SigningKey, load_key_file, save_key_file
-from .merkle import empty_root, leaf_hash
-from .model import body_from_obj, dataset_to_obj, sign_transaction, tx_wire_bytes
+from .merkle import empty_root
+from .model import body_from_obj, dataset_to_obj, sign_transaction
 from .netsim import run_simulation, sim_config_from_obj
 from .storage import open_storage
 
@@ -117,8 +117,6 @@ def _seal_block(state, home: str):
 
 def cmd_keygen(args) -> int:
     path = _key_path(args.home, args.name)
-    if os.path.exists(path):
-        raise AlreadyExists(f"key file {path} already exists")
     make_dirs(_keys_dir(args.home))
     if args.seed is not None:
         key = SigningKey.from_seed(f"cli:keygen:{args.seed}:{args.name}".encode())
@@ -212,7 +210,7 @@ def cmd_chain_verify(args) -> int:
         return VALIDATION_EXIT
     log = state.registry_log
     final = {
-        "blocks": len(state.blocks),
+        "blocks": state.head_height + 1,
         "head_root": log.root().hex(),
         "height": state.head_height,
         "registry_size": log.size,
@@ -259,20 +257,13 @@ def cmd_proof(args) -> int:
         }
         sys.stdout.buffer.write(dumps_canonical(envelope) + b"\n")
         return 0
-    index = None
-    position = 0
-    for block in state.blocks:
-        for tx in block.transactions:
-            if tx.tx_id == args.tx_id:
-                index = position
-                wire = tx_wire_bytes(tx)
-            position += 1
+    index = state.tx_index.get(args.tx_id)
     if index is None:
         raise NotFound(f"transaction {args.tx_id} is not on this chain")
     proof = log.prove_inclusion(index)
     envelope = {
         "kind": "inclusion",
-        "leaf": leaf_hash(wire).hex(),
+        "leaf": log.leaf(index).hex(),
         "leaf_index": proof.leaf_index,
         "path": [d.hex() for d in proof.path],
         "root": log.root().hex(),

@@ -86,7 +86,9 @@ def verify_signature(public_key: Union[str, bytes], message: bytes, signature: b
 
 
 def save_key_file(path: str, key: SigningKey) -> None:
-    write_canonical_file(path, {"public": key.public_hex, "secret": key.private_bytes.hex()}, mode=0o600)
+    """Create a key file; an existing one is never replaced (AlreadyExists)."""
+    write_canonical_file(path, {"public": key.public_hex, "secret": key.private_bytes.hex()},
+                         exclusive=True, mode=0o600)
 
 
 def load_key_file(path: str) -> SigningKey:

@@ -142,6 +142,14 @@ class MerkleLog:
         self._levels: list[bytearray] = [bytearray()]
         self._peaks: list[tuple[int, Digest]] = []  # (height, subtree root)
 
+    @classmethod
+    def from_leaf_hashes(cls, leaves: Iterable[Digest]) -> "MerkleLog":
+        """The log holding these leaf hashes, in order; every level is rebuilt."""
+        log = cls()
+        for leaf in leaves:
+            log.append_leaf_hash(leaf)
+        return log
+
     @property
     def size(self) -> int:
         return len(self._levels[0]) // DIGEST_SIZE

@@ -25,6 +25,7 @@ from skyprov.chain import (
     load_genesis,
     produce_block,
     replay_chain,
+    save_block_file,
     save_chain,
     schedule,
     seeded_permutation,
@@ -32,10 +33,12 @@ from skyprov.chain import (
     validate_block,
 )
 from skyprov import chain as chain_module
+from skyprov import cli
 from skyprov import keys as keys_module
 from skyprov import model
 from skyprov.canonical import loads_canonical, dumps_canonical
-from skyprov.errors import InvalidBody, IoError, NotScheduled
+from skyprov.errors import AlreadyExists, InvalidBody, IoError, NotFound, NotScheduled
+from skyprov.index import index_to_obj
 from skyprov.merkle import ConsistencyProof, verify_consistency
 from skyprov.model import (
     DeriveDataset,
@@ -699,9 +702,8 @@ REPLAY_GOLDENS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(REPLAY_GOLDENS))
-def test_replay_golden(case, tmp_path):
-    keys = _golden_store(tmp_path)
+def _damage_golden(chain_dir, case, keys):
+    """Apply one REPLAY_GOLDENS case's damage to a _golden_store."""
     user = key_for("user-1")
 
     def tamper(obj):
@@ -721,14 +723,19 @@ def test_replay_golden(case, tmp_path):
         _resign_header(obj, keys[obj["header"]["creator"]])
 
     if case == "tampered_body":
-        _rewrite_block(tmp_path, 2, tamper)
+        _rewrite_block(chain_dir, 2, tamper)
     elif case == "resigned_tx":
-        _rewrite_block(tmp_path, 4, resign_tx)
+        _rewrite_block(chain_dir, 4, resign_tx)
     elif case == "impostor_tx":
-        _rewrite_block(tmp_path, 5, impostor_tx)
+        _rewrite_block(chain_dir, 5, impostor_tx)
     elif case == "noncanonical":
-        path = tmp_path / "block_3.json"
+        path = chain_dir / "block_3.json"
         path.write_bytes(path.read_bytes()[:-1] + b" \n")
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_GOLDENS))
+def test_replay_golden(case, tmp_path):
+    _damage_golden(tmp_path, case, _golden_store(tmp_path))
     record = _replay_record(tmp_path)
     assert hashlib.sha256(dumps_canonical(record)).hexdigest() == REPLAY_GOLDENS[case]
 
@@ -806,3 +813,134 @@ def test_head_hash_and_cycle_seed_follow_the_chain():
         assert state.head_hash() == header_hash(block.header)
         for past in range(slot + 4):
             assert state.seed_for_slot(past) == oracle_seed(past)
+
+
+# -- head cache ---------------------------------------------------------------------------
+
+
+def _cli_outcome(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().out
+
+
+def _golden_commands(chain_dir, tx_id, out_file):
+    return [
+        ("query", "--chain", chain_dir, "--where", "facility=TAIGA"),
+        ("proof", "--chain", chain_dir, "--tx-id", tx_id),
+        ("proof", "--chain", chain_dir, "--consistency-from", "3"),
+        ("index-build", "--chain", chain_dir, "--out", out_file),
+        ("chain-verify", "--chain", chain_dir),
+    ]
+
+
+def _store_digest(chain_dir, height):
+    """What the head cache's files_digest records: SHA-256 over each file's
+    8-byte big-endian length and bytes, genesis.json first."""
+    digest = hashlib.sha256()
+    for name in ["genesis.json"] + [f"block_{h}.json" for h in range(height + 1)]:
+        data = (chain_dir / name).read_bytes()
+        digest.update(len(data).to_bytes(8, "big") + data)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_GOLDENS))
+def test_head_cache_never_hides_damage(case, tmp_path, capsys):
+    # the cache is built while the store is honest, then the store is damaged
+    chain_dir = tmp_path / "chain"
+    keys = _golden_store(chain_dir)
+    honest = load_chain(str(chain_dir))
+    cache_path = chain_dir / chain_module.HEAD_CACHE
+    cache = cache_path.read_bytes()
+    cache_path.unlink()
+    _damage_golden(chain_dir, case, keys)
+    tx_id = next(iter(honest.tx_index))
+    for argv in _golden_commands(chain_dir, tx_id, tmp_path / "index.json"):
+        cache_path.unlink(missing_ok=True)
+        without = _cli_outcome(capsys, *argv)
+        cache_path.write_bytes(cache)
+        assert _cli_outcome(capsys, *argv) == without, argv
+    if case == "honest":
+        return
+    assert without[0] == 3
+    # A forged cache that matches the damaged bytes passes every restore
+    # check: it is trusted as far as the store is. chain-verify never reads it.
+    forged = json.loads(cache)
+    forged["files_digest"] = _store_digest(chain_dir, honest.head_height)
+    cache_path.write_bytes(dumps_canonical(forged) + b"\n")
+    assert load_chain(str(chain_dir)).head_hash() == honest.head_hash()
+    assert _cli_outcome(capsys, "chain-verify", "--chain", chain_dir) == without
+
+
+def _reshuffled_store(chain_dir, n_blocks=20):
+    """A 4-handler reshuffled store with missed slots, whose datasets confirm
+    out of id order (ds-10 confirms after ds-9 but sorts before ds-2)."""
+    handlers, keys = make_roster(4)
+    config = GenesisConfig(handlers=handlers, slot_duration_ms=50, ordering_mode="reshuffled", genesis_time=0)
+    state = ChainState(config)
+    user = key_for("user-1")
+    _submit_bootstrap(state, user)
+    slot = 0
+    for height in range(n_blocks):
+        _publish(state, user, f"ds-{height}", 100 + height, start=height, end=height + 5)
+        slot += 1 + (height % 7 == 3)  # a missed slot now and then, across cycle boundaries
+        state.apply_block(produce_block(state, slot, keys[state.scheduled_handler(slot)], now=0))
+    save_chain(state, str(chain_dir))
+    return state, keys
+
+
+def test_restored_state_equals_replayed_state(tmp_path, monkeypatch):
+    full = tmp_path / "full"
+    n_blocks = 20
+    _reshuffled_store(full, n_blocks)
+    replayed, _, failure = replay_chain(str(full))
+    assert failure is None
+    assert list(replayed.registry.datasets) != sorted(replayed.registry.datasets)
+    validated = []
+    original_validate = chain_module.validate_block
+    monkeypatch.setattr(chain_module, "validate_block", lambda s, b: validated.append(b) or original_validate(s, b))
+    for k in range(n_blocks):
+        prefix = tmp_path / f"prefix{k}"
+        prefix.mkdir()
+        for name in ["genesis.json"] + [f"block_{h}.json" for h in range(k + 1)]:
+            (prefix / name).write_bytes((full / name).read_bytes())
+        load_chain(str(prefix))
+        (full / chain_module.HEAD_CACHE).write_bytes((prefix / chain_module.HEAD_CACHE).read_bytes())
+        validated.clear()
+        state = load_chain(str(full))
+        assert len(validated) == n_blocks - 1 - k  # only the blocks after the cached head
+        assert state.blocks is None
+        assert state.head_hash() == replayed.head_hash()
+        assert state.checkpoint() == replayed.checkpoint()
+        assert dumps_canonical(index_to_obj(state.registry)) == dumps_canonical(index_to_obj(replayed.registry))
+        assert list(state.registry.datasets) == list(replayed.registry.datasets)
+        assert list(state.tx_index.items()) == list(replayed.tx_index.items())
+        assert state.registry_log.leaves() == replayed.registry_log.leaves()
+        for slot in range(state.last_slot() + 1, state.last_slot() + 9):
+            assert state.scheduled_handler(slot) == replayed.scheduled_handler(slot)
+        with pytest.raises(NotFound):  # no block list to find an earlier cycle's seed in
+            state.seed_for_slot(0)
+
+
+def test_two_sealers_on_one_height(tmp_path):
+    chain_dir = str(tmp_path)
+    state, keys = _reshuffled_store(tmp_path, 3)
+    save_chain(state, chain_dir)  # re-saving identical bytes into the store is accepted
+    first, second = load_chain(chain_dir), load_chain(chain_dir)
+    user = key_for("user-1")
+    _publish(first, user, "ds-first", 900)
+    _publish(second, user, "ds-second", 901)
+    blocks = []
+    for sealer in (first, second):
+        slot = sealer.last_slot() + 1
+        block = produce_block(sealer, slot, keys[sealer.scheduled_handler(slot)], now=0)
+        assert sealer.receive_block(block).ok and block.header.height == 3
+        blocks.append(block)
+    path = save_block_file(chain_dir, blocks[0])
+    stored = open(path, "rb").read()
+    with pytest.raises(AlreadyExists):
+        save_block_file(chain_dir, blocks[1])
+    assert open(path, "rb").read() == stored == block_bytes(blocks[0]) + b"\n"
+    assert save_block_file(chain_dir, blocks[0]) == path  # the same block again is accepted
+    _, _, failure = replay_chain(chain_dir)
+    assert failure is None
+    assert "ds-first" in load_chain(chain_dir).registry.datasets

@@ -3,17 +3,30 @@ checking machine output on stdout, exit codes, and that the command
 surface is a faithful veneer over the library calls it wraps.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
+from skyprov import chain as chain_module
 from skyprov import cli
+from skyprov import keys as keys_module
+from skyprov import model as model_module
 from skyprov.aggregation import AggregationRequest, PluginSpec, execute, request_from_obj
 from skyprov.canonical import digest_from_hex, dumps_canonical, sha256_bytes
-from skyprov.chain import ChainState, GenesisConfig, header_hash, load_chain, produce_block, save_chain
-from skyprov.errors import MalformedKey
+from skyprov.chain import (
+    ChainState,
+    GenesisConfig,
+    header_hash,
+    load_chain,
+    produce_block,
+    save_block_file,
+    save_chain,
+)
+from skyprov.errors import AlreadyExists, IoError, MalformedKey
 from skyprov.index import QueryFilter, index_to_obj, query
 from skyprov.keys import SigningKey, load_key_file, save_key_file
 from skyprov.merkle import verify_inclusion
@@ -127,6 +140,14 @@ def test_keygen_refuses_overwrite(tmp_path, capsys):
     code, out, _ = run(capsys, "keygen", "--home", str(tmp_path), "--name", "k")
     assert code == 4
     assert lines(out)[0]["error"] == "AlreadyExists"
+
+
+def test_save_key_file_never_replaces_a_key(tmp_path):
+    path = str(tmp_path / "k.json")
+    save_key_file(path, SigningKey.from_seed(b"first"))
+    with pytest.raises(AlreadyExists):
+        save_key_file(path, SigningKey.from_seed(b"second"))
+    assert load_key_file(path).public_hex == SigningKey.from_seed(b"first").public_hex
 
 
 def test_genesis_init_accepts_hex_and_key_names(tmp_path, capsys):
@@ -304,7 +325,7 @@ def test_chain_verify_checkpoint_roundtrip(world, tmp_path, capsys):
     assert state.submit(sign_transaction(body, world["user"], created_at=5_000)).ok
     block = produce_block(state, 1, world["keys"]["h1"], now=state.slot_start_time(1))
     assert state.receive_block(block).ok
-    save_chain(state, world["chain"])
+    save_block_file(world["chain"], block)
     code, out, _ = run(capsys, "chain-verify", "--chain", world["chain"], "--checkpoint", str(cp))
     assert code == 0 and lines(out)[-1]["checkpoint"] == "ok"
 
@@ -671,3 +692,176 @@ def test_index_snapshot_golden(golden_chain_dir, tmp_path, capsys):
     assert code == 0
     assert lines(out)[0]["built_to"] == {"height": 4, "registry_size": 7}
     assert sha256_bytes(out_file.read_bytes()).hex() == GOLDEN_INDEX_SNAPSHOT_SHA
+
+
+# -- head cache ---------------------------------------------------------------------
+
+
+def test_tx_submit_loses_a_race_for_the_height(world, tmp_path, capsys, monkeypatch):
+    # Both submitters load the store at head 0; the first to write block 1 wins.
+    stale = load_chain(world["chain"])
+    body_file = tmp_path / "body.json"
+    for i, storage_id in enumerate(("st-a", "st-b")):
+        body_file.write_text(json.dumps({"adapter_kind": "jsonl", "base_uri": storage_id, "storage_id": storage_id,
+                                         "storage_pubkey": "cd" * 32, "type": "register_storage"}))
+        if i:
+            monkeypatch.setattr(cli, "load_chain", lambda chain_dir: stale)
+        code, out, _ = run(capsys, "tx-submit", "--home", world["home"], "--key", "user",
+                           "--body", str(body_file), "--created-at", str(2000 + i))
+        if not i:
+            assert code == 0 and lines(out)[0]["height"] == 1
+            first = open(os.path.join(world["chain"], "block_1.json"), "rb").read()
+    assert code == 4 and lines(out) == [{"error": "AlreadyExists", "message": lines(out)[0]["message"]}]
+    assert open(os.path.join(world["chain"], "block_1.json"), "rb").read() == first
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "chain-verify", "--chain", world["chain"])
+    assert code == 0 and lines(out)[-1]["height"] == 1
+    assert "st-a" in load_chain(world["chain"]).registry.storages
+
+
+def _grow(state, keys, user, n_blocks):
+    """Extend an in-memory chain by n_blocks, one storage registration each."""
+    for _ in range(n_blocks):
+        height = state.head_height + 1
+        body = RegisterStorage(storage_id=f"st-g{height}", adapter_kind="jsonl", base_uri=f"g{height}",
+                               storage_pubkey="ee" * 32)
+        assert state.submit(sign_transaction(body, user, created_at=3_000 + height)).ok
+        slot = state.last_slot() + 1
+        block = produce_block(state, slot, keys[state.scheduled_handler(slot)], now=state.slot_start_time(slot))
+        assert state.receive_block(block).ok
+
+
+def _cache_variants(world, tmp_path):
+    """head_cache.json contents for world's chain grown to three blocks, keyed
+    by how the cache relates to that store (None: no cache file)."""
+    state = world["state"]
+    _grow(state, world["keys"], world["user"], 1)
+    stale = tmp_path / "stale"
+    save_chain(state, str(stale))
+    load_chain(str(stale))
+    _grow(state, world["keys"], world["user"], 1)
+    save_chain(state, world["chain"])
+    warm = tmp_path / "warm"
+    shutil.copytree(world["chain"], warm)
+    load_chain(str(warm))
+    foreign = tmp_path / "foreign"
+    other = ChainState(dataclasses.replace(state.config, genesis_time=state.config.genesis_time + 1))
+    other.apply_block(produce_block(other, 0, world["keys"]["h0"], now=0))
+    save_chain(other, str(foreign))
+    load_chain(str(foreign))
+    read = lambda d: (d / chain_module.HEAD_CACHE).read_bytes()  # noqa: E731
+    altered = json.loads(read(warm))
+    leaves = altered["leaves"]
+    altered["leaves"] = leaves[:70] + ("0" if leaves[70] != "0" else "1") + leaves[71:]
+    return {
+        None: None,
+        "warm": read(warm),
+        "stale": read(stale),
+        "truncated": read(warm)[: len(read(warm)) // 2],
+        "foreign": read(foreign),
+        "leaf_altered": dumps_canonical(altered) + b"\n",
+    }
+
+
+def test_head_cache_is_invisible(world, tmp_path, capsys, monkeypatch):
+    variants = _cache_variants(world, tmp_path)
+    restored = []
+    original_restore = chain_module._restore_head
+
+    def recording_restore(*args):
+        result = original_restore(*args)
+        restored.append(result[0])
+        return result
+
+    monkeypatch.setattr(chain_module, "_restore_head", recording_restore)
+    assert not os.path.exists(os.path.join(world["chain"], chain_module.HEAD_CACHE))
+    body_file = tmp_path / "body.json"
+    body_file.write_text(json.dumps({"adapter_kind": "jsonl", "base_uri": "n", "storage_id": "st-new",
+                                     "storage_pubkey": "cd" * 32, "type": "register_storage"}))
+    request = agg_request(tmp_path, None)
+    tx_id = world["state"].blocks[0].transactions[2].tx_id
+    out_file = tmp_path / "out.bin"
+    commands = {
+        "tx-submit": ["tx-submit", "--key", "user", "--body", str(body_file), "--created-at", "7000"],
+        "query": ["query", "--where", "facility=TAIGA"],
+        "proof-tx": ["proof", "--tx-id", tx_id],
+        "proof-consistency": ["proof", "--consistency-from", "2"],
+        "index-build": ["index-build", "--out", str(out_file)],
+        "aggregate": ["aggregate", "--request", request, "--out", str(out_file), "--sequential"],
+    }
+    copies = 0
+    for name, argv in commands.items():
+        outcomes = {}
+        for variant, cache in variants.items():
+            copies += 1
+            home = tmp_path / f"home{copies}"
+            shutil.copytree(world["home"], home)
+            if cache is not None:
+                (home / "chain" / chain_module.HEAD_CACHE).write_bytes(cache)
+            code, out, _ = run(capsys, argv[0], "--home", str(home), *argv[1:])
+            written = out_file.read_bytes() if out_file.exists() else None
+            outcomes[variant] = (code, out, written)
+        assert outcomes[None][0] == 0, (name, outcomes[None])
+        # the height each cache restored: only the warm and the stale one match the store
+        assert restored[-len(variants):] == [-1, 2, 1, -1, -1, -1], name
+        for variant, outcome in outcomes.items():
+            assert outcome == outcomes[None], (name, variant)
+
+
+def _count_verifies(monkeypatch):
+    calls = []
+    original = keys_module.verify_signature
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in (keys_module, model_module, chain_module):
+        monkeypatch.setattr(module, "verify_signature", counting)
+    return calls
+
+
+def test_warm_commands_verify_only_new_blocks(world, tmp_path, capsys, monkeypatch):
+    state = world["state"]
+    _grow(state, world["keys"], world["user"], 9)
+    small = tmp_path / "small"
+    shutil.copytree(world["home"], small)
+    save_chain(state, str(small / "chain"))
+    _grow(state, world["keys"], world["user"], 30)
+    big = tmp_path / "big"
+    shutil.copytree(world["home"], big)
+    save_chain(state, str(big / "chain"))
+    body_file = tmp_path / "body.json"
+    body_file.write_text(json.dumps({"adapter_kind": "jsonl", "base_uri": "n", "storage_id": "st-new",
+                                     "storage_pubkey": "cd" * 32, "type": "register_storage"}))
+    tx_id = state.blocks[0].transactions[2].tx_id
+    verifies = _count_verifies(monkeypatch)
+    parsed = []
+    original_load = chain_module.load_block_file
+    monkeypatch.setattr(chain_module, "load_block_file", lambda d, h, digest: parsed.append(h) or original_load(d, h, digest))
+    submit_verifies = []
+    for home, head in ((small, 9), (big, 39)):
+        assert run(capsys, "query", "--home", str(home), "--where", "kind=primary")[0] == 0  # writes the cache
+        for argv in (("query", "--where", "kind=primary"), ("proof", "--tx-id", tx_id)):
+            verifies.clear()
+            parsed.clear()
+            assert run(capsys, argv[0], "--home", str(home), *argv[1:])[0] == 0
+            assert (len(verifies), parsed) == (0, [head]), argv
+        verifies.clear()
+        code, out, _ = run(capsys, "tx-submit", "--home", str(home), "--key", "user", "--body", str(body_file))
+        assert code == 0 and lines(out)[0]["height"] == head + 1
+        submit_verifies.append(len(verifies))
+    assert submit_verifies[0] == submit_verifies[1]
+
+
+def test_unwritable_head_cache_leaves_output_unchanged(world, capsys, monkeypatch):
+    argv = ("query", "--chain", world["chain"], "--where", "facility=TAIGA")
+    expected = run(capsys, *argv)[:2]
+    os.remove(os.path.join(world["chain"], chain_module.HEAD_CACHE))
+
+    def refuse(path, data):
+        raise IoError(f"cannot write {path}: read-only store")
+
+    monkeypatch.setattr(chain_module, "replace_file", refuse)
+    assert run(capsys, *argv)[:2] == expected
+    assert not os.path.exists(os.path.join(world["chain"], chain_module.HEAD_CACHE))
