@@ -936,11 +936,11 @@ def test_two_sealers_on_one_height(tmp_path):
         assert sealer.receive_block(block).ok and block.header.height == 3
         blocks.append(block)
     path = save_block_file(chain_dir, blocks[0])
-    stored = open(path, "rb").read()
+    assert path == str(tmp_path / "block_3.json")
     with pytest.raises(AlreadyExists):
         save_block_file(chain_dir, blocks[1])
-    assert open(path, "rb").read() == stored == block_bytes(blocks[0]) + b"\n"
-    assert save_block_file(chain_dir, blocks[0]) == path  # the same block again is accepted
+    assert (tmp_path / "block_3.json").read_bytes() == block_bytes(blocks[0]) + b"\n"
+    save_block_file(chain_dir, blocks[0])  # the same block again is accepted
     _, _, failure = replay_chain(chain_dir)
     assert failure is None
     assert "ds-first" in load_chain(chain_dir).registry.datasets

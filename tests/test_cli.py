@@ -698,21 +698,24 @@ def test_index_snapshot_golden(golden_chain_dir, tmp_path, capsys):
 
 
 def test_tx_submit_loses_a_race_for_the_height(world, tmp_path, capsys, monkeypatch):
-    # Both submitters load the store at head 0; the first to write block 1 wins.
+    # Both submitters loaded the store at head 0; the first to write block 1 wins.
     stale = load_chain(world["chain"])
-    body_file = tmp_path / "body.json"
-    for i, storage_id in enumerate(("st-a", "st-b")):
+    block_1 = tmp_path / "home" / "chain" / "block_1.json"
+
+    def submit(storage_id, created_at):
+        body_file = tmp_path / f"{storage_id}.json"
         body_file.write_text(json.dumps({"adapter_kind": "jsonl", "base_uri": storage_id, "storage_id": storage_id,
                                          "storage_pubkey": "cd" * 32, "type": "register_storage"}))
-        if i:
-            monkeypatch.setattr(cli, "load_chain", lambda chain_dir: stale)
-        code, out, _ = run(capsys, "tx-submit", "--home", world["home"], "--key", "user",
-                           "--body", str(body_file), "--created-at", str(2000 + i))
-        if not i:
-            assert code == 0 and lines(out)[0]["height"] == 1
-            first = open(os.path.join(world["chain"], "block_1.json"), "rb").read()
-    assert code == 4 and lines(out) == [{"error": "AlreadyExists", "message": lines(out)[0]["message"]}]
-    assert open(os.path.join(world["chain"], "block_1.json"), "rb").read() == first
+        return run(capsys, "tx-submit", "--home", world["home"], "--key", "user",
+                   "--body", str(body_file), "--created-at", str(created_at))
+
+    code, out, _ = submit("st-a", 2000)
+    assert code == 0 and lines(out)[0]["height"] == 1
+    first = block_1.read_bytes()
+    monkeypatch.setattr(cli, "load_chain", lambda chain_dir: stale)
+    code, out, _ = submit("st-b", 2001)
+    assert code == 4 and [row["error"] for row in lines(out)] == ["AlreadyExists"]
+    assert block_1.read_bytes() == first
     monkeypatch.undo()
     code, out, _ = run(capsys, "chain-verify", "--chain", world["chain"])
     assert code == 0 and lines(out)[-1]["height"] == 1
