@@ -3,8 +3,10 @@
 The engine takes the (dataset, file ref) pairs of the datasets a metadata
 filter matches, fetches them per storage (concurrently by default), refuses
 to decode any file before every fetched file matched its chain-recorded
-digest, then streams the decoded events through a closed set of stages
-that were all checked before the first fetch. Output is defined entirely
+digest, then runs a closed set of stages that were all checked before the
+first fetch. Files are decoded one at a time; each event that passes the
+filter keeps only its sort key and its canonical line, and the output is
+those lines in merge order, never re-encoded. Output is defined entirely
 by the merge policy, never by fetch arrival order.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import io
+import itertools
 import os
 import tarfile
 from concurrent.futures import ThreadPoolExecutor
@@ -154,7 +157,8 @@ def pipeline_parameters_hash(pipeline) -> str:
 # -- pipeline stages ------------------------------------------------------------------
 
 # Bound on the input streams (one per file ref recorded on chain) a request
-# may merge; each stream's decoded events are held in memory at once.
+# may merge. One file's decoded events are held at a time; every stream's
+# kept lines are held until the output is joined.
 MAX_STREAMS = 10_000
 
 
@@ -200,22 +204,6 @@ def _check_pipeline(pipeline) -> tuple:
     if "time_ordered_merge" in names[1:]:
         raise PluginConfigError("time_ordered_merge must be the first pipeline stage")
     return tuple(checked)
-
-
-def _time_ordered(name: str, dataset_id: str, events):
-    """Yield (dataset_id, event), refusing a stream whose time goes backwards."""
-    last = None
-    for ev in events:
-        t = ev.registration_time
-        if last is not None and t < last:
-            raise UnsortedInput(f"stream {name} is not time-ordered (saw {t} after {last})")
-        last = t
-        yield dataset_id, ev
-
-
-def _merge_key(item):
-    dataset_id, ev = item
-    return ev.registration_time, dataset_id, ev.event_id
 
 
 def plugin_merge_archive(entries) -> bytes:
@@ -339,33 +327,43 @@ def execute(
         )
         events_in = events_out = 0
     else:
-        streams = []  # (name, dataset_id, events); records stay in file order
-        for ds, ref in pairs:
-            events = decode_events(ref.format, fetched[(ds.storage_id, ref.path)][0])
-            streams.append((f"{ds.dataset_id}:{ref.path}", ds.dataset_id, events))
-        events_in = sum(len(events) for _, _, events in streams)
-
-        if names[:1] == ["time_ordered_merge"]:
-            stream = heapq.merge(*(_time_ordered(*s) for s in streams), key=_merge_key)
-        else:
-            stream = ((dataset_id, ev) for _, dataset_id, events in streams for ev in events)
+        merge = names[:1] == ["time_ordered_merge"]
         # an event passes every energy_filter exactly when it passes the highest
         # threshold; only the first filter ever sees the energy-less events
         floor = max((Decimal(s.parameters["threshold"]) for s in pipeline if s.name == "energy_filter"), default=None)
-        out_events = []
-        missing = 0
-        for _, ev in stream:
-            if floor is not None:
-                if ev.energy_estimate is None:
-                    missing += 1
-                    continue
-                if Decimal(ev.energy_estimate) < floor:
-                    continue
-            out_events.append(ev)
+        # One file decoded at a time, in pair order. A kept event is a
+        # (registration_time, dataset_id, event_id, stream index, line) item:
+        # items merge with no key, and the stream index keeps ties in pair order.
+        streams = []
+        unsorted = None  # the first stream, in pair order, whose time goes backwards
+        events_in = missing = 0
+        for index, (ds, ref) in enumerate(pairs):
+            events = decode_events(ref.format, fetched[(ds.storage_id, ref.path)][0])
+            events_in += len(events)
+            kept = []
+            last = 0
+            for ev in events:
+                t = ev.registration_time
+                if merge and t < last and unsorted is None:
+                    unsorted = f"stream {ds.dataset_id}:{ref.path} is not time-ordered (saw {t} after {last})"
+                last = t
+                if floor is not None:
+                    if ev.energy_estimate is None:
+                        missing += 1
+                        continue
+                    if Decimal(ev.energy_estimate) < floor:
+                        continue
+                kept.append((t, ds.dataset_id, ev.event_id, index, ev.wire_bytes))
+            streams.append(kept)
+        # a decode fault in any file is reported before a time-order fault
+        if unsorted is not None:
+            raise UnsortedInput(unsorted)
         if missing:
             drop_tally["energy_filter"] = missing
-        events_out = len(out_events)
-        output = encode_events("jsonl", out_events)
+        lines = [item[-1] for item in (heapq.merge(*streams) if merge else itertools.chain.from_iterable(streams))]
+        events_out = len(lines)
+        lines.append(b"")  # the final "\n"
+        output = b"\n".join(lines)
 
     result = AggregationResult(
         matched_datasets=tuple(ds.dataset_id for ds in matched),

@@ -121,9 +121,12 @@ def loads_canonical(data: bytes) -> Any:
     """
     try:
         value = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        canonical = dumps_canonical(value) == data
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past int()'s digit limit
         raise InvalidBody(f"not valid JSON: {exc}") from exc
-    if dumps_canonical(value) != data:
+    except RecursionError as exc:  # parse or encodability walk on deeply nested input
+        raise InvalidBody(f"JSON nested too deeply: {exc}") from exc
+    if not canonical:
         raise InvalidBody("input is not in canonical form")
     return value
 

@@ -32,7 +32,6 @@ from .canonical import (
     read_file,
     replace_file,
     sha256_bytes,
-    write_canonical_file,
     write_file,
 )
 from .errors import AlreadyExists, InvalidBody, IoError, NotFound, NotScheduled, SkyprovError
@@ -591,9 +590,20 @@ def _block_path(chain_dir: str, height: int) -> str:
     return os.path.join(chain_dir, f"block_{height}.json")
 
 
+def _create_once(path: str, data: bytes, what: str) -> None:
+    """Create path holding data. A file already there is kept: identical bytes
+    are accepted (save_chain re-saves a store), others raise AlreadyExists."""
+    try:
+        write_file(path, data, exclusive=True)
+    except AlreadyExists:
+        if read_file(path, what) != data:
+            raise
+
+
 def save_genesis(chain_dir: str, config: GenesisConfig) -> None:
+    """Create genesis.json; a different genesis already there raises AlreadyExists."""
     make_dirs(chain_dir)
-    write_canonical_file(_genesis_path(chain_dir), genesis_to_obj(config))
+    _create_once(_genesis_path(chain_dir), dumps_canonical(genesis_to_obj(config)) + b"\n", "genesis")
 
 
 def load_genesis(chain_dir: str) -> GenesisConfig:
@@ -601,16 +611,10 @@ def load_genesis(chain_dir: str) -> GenesisConfig:
 
 
 def save_block_file(chain_dir: str, block: Block) -> str:
-    """Create block_N.json. A file already there is kept: identical bytes are
-    accepted (save_chain re-saves a store), others raise AlreadyExists, so of
-    two writers sealing one height only the first succeeds."""
+    """Create block_N.json; of two writers sealing one height only the first
+    succeeds, and the second gets AlreadyExists."""
     path = _block_path(chain_dir, block.header.height)
-    data = dumps_canonical(block_to_obj(block)) + b"\n"
-    try:
-        write_file(path, data, exclusive=True)
-    except AlreadyExists:
-        if read_file(path, "block file") != data:
-            raise
+    _create_once(path, dumps_canonical(block_to_obj(block)) + b"\n", "block file")
     return path
 
 

@@ -141,8 +141,6 @@ def _handler_spec(home: str, spec: str):
 
 def cmd_genesis_init(args) -> int:
     chain_dir = _chain_dir(args)
-    if os.path.exists(os.path.join(chain_dir, "genesis.json")):
-        raise AlreadyExists(f"{chain_dir} already holds a genesis.json")
     handlers = tuple(_handler_spec(args.home, spec) for spec in args.handler)
     config = GenesisConfig(
         handlers=handlers,

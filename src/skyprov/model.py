@@ -91,6 +91,18 @@ class EasEvent:
 
     __hash__ = None
 
+    @cached_property
+    def checked(self) -> bool:
+        """validate_event, run at most once per object; a failure raises InvalidBody and caches nothing."""
+        validate_event(self)
+        return True
+
+    @cached_property
+    def wire_bytes(self) -> bytes:
+        """Canonical bytes: one jsonl line without its newline. Computing it
+        is the event's one validation, unless a decoder read checked first."""
+        return dumps_validated(event_to_obj(self))
+
 
 def validate_event(ev: EasEvent) -> None:
     _require_str(ev.event_id, "event_id")
@@ -98,10 +110,13 @@ def validate_event(ev: EasEvent) -> None:
     _require(ev.registration_time > 0, "registration_time must be > 0")
     _require_str(ev.facility_id, "facility_id")
     _require_str(ev.detector_id, "detector_id")
-    _require(isinstance(ev.signal_histogram, (list, tuple)), "signal_histogram must be a sequence")
-    for c in ev.signal_histogram:
-        _require_int(c, "histogram count")
-        _require(c >= 0, "histogram counts must be >= 0")
+    hist = ev.signal_histogram
+    _require(isinstance(hist, (list, tuple)), "signal_histogram must be a sequence")
+    # one C-level pass; the loop only runs to name the first bad count
+    if hist and not (set(map(type, hist)) <= {int} and min(hist) >= 0):
+        for c in hist:
+            _require_int(c, "histogram count")
+            _require(c >= 0, "histogram counts must be >= 0")
     _require_int(ev.bin_width, "bin_width")
     _require(ev.bin_width > 0, "bin_width must be > 0")
     if ev.energy_estimate is not None:
@@ -110,7 +125,7 @@ def validate_event(ev: EasEvent) -> None:
 
 
 def event_to_obj(ev: EasEvent) -> dict:
-    validate_event(ev)
+    ev.checked  # validate_event, once per object
     return {
         "bin_width": ev.bin_width,
         "detector_id": ev.detector_id,
@@ -148,7 +163,7 @@ def event_from_obj(obj: Any) -> EasEvent:
         energy_estimate=obj["energy_estimate"],
         service_info=obj["service_info"],
     )
-    validate_event(ev)
+    ev.wire_bytes  # the one validation
     return ev
 
 

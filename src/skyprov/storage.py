@@ -5,6 +5,10 @@ codec. Files are retrieved and stored bit-exact; event files decode to
 canonical events regardless of the underlying format, so everything
 downstream is format-blind.
 
+Each decoded event is validated once. A jsonl event keeps its line as its
+canonical bytes (`EasEvent.wire_bytes`), a packed event computes them when
+something encodes it, and the jsonl encoder joins those bytes.
+
 packed codec, all little-endian:
   file header: magic "EASP", u16 version (1), u32 record count
   per record:
@@ -21,13 +25,12 @@ packed codec, all little-endian:
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from dataclasses import dataclass
 
 from .canonical import (
-    dumps_canonical,
-    loads_canonical,
     make_dirs,
     read_canonical_file,
     read_file,
@@ -36,7 +39,7 @@ from .canonical import (
     write_file,
 )
 from .errors import DecodeError, InvalidBody, NotFound, PathViolation
-from .model import ADAPTER_KINDS, EasEvent, event_from_obj, event_to_obj, validate_event
+from .model import ADAPTER_KINDS, EasEvent, event_from_obj
 
 MANIFEST_NAME = "storage.json"
 
@@ -116,11 +119,9 @@ def put_file(handle: StorageHandle, path: str, data: bytes) -> bytes:
 
 
 def encode_events_jsonl(events) -> bytes:
-    out = bytearray()
-    for ev in events:
-        out += dumps_canonical(event_to_obj(ev))
-        out += b"\n"
-    return bytes(out)
+    lines = [ev.wire_bytes for ev in events]
+    lines.append(b"")  # the final "\n"
+    return b"\n".join(lines)
 
 
 def decode_events_jsonl(data: bytes):
@@ -132,10 +133,15 @@ def decode_events_jsonl(data: bytes):
         raise DecodeError("jsonl file must end with a newline", data.count(b"\n"))
     events = []
     for i, line in enumerate(data[:-1].split(b"\n")):
+        # The canonical round trip: the validator admits only values the
+        # encoder can write, so no encodability walk is needed.
         try:
-            events.append(event_from_obj(loads_canonical(line)))
-        except InvalidBody as exc:
+            ev = event_from_obj(json.loads(line))
+        except (ValueError, RecursionError, InvalidBody) as exc:  # ValueError: bad JSON or UTF-8, an over-long integer
             raise DecodeError(f"bad jsonl record: {exc}", i) from exc
+        if ev.wire_bytes != line:
+            raise DecodeError("bad jsonl record: input is not in canonical form", i)
+        events.append(ev)
     return events
 
 
@@ -155,7 +161,7 @@ def encode_events_packed(events) -> bytes:
     out += PACKED_MAGIC
     out += struct.pack("<HI", PACKED_VERSION, len(events))
     for i, ev in enumerate(events):
-        validate_event(ev)
+        ev.checked  # validate_event, once per object
         if ev.registration_time > _U64_MAX:
             raise InvalidBody(f"record {i}: registration_time exceeds u64")
         if ev.bin_width > _U32_MAX:
@@ -261,7 +267,7 @@ def decode_events_packed(data: bytes):
             service_info=service_info,
         )
         try:
-            validate_event(ev)
+            ev.checked  # the one validation; wire_bytes waits until something encodes the event
         except InvalidBody as exc:
             raise DecodeError(f"invalid packed record: {exc}", i) from exc
         events.append(ev)

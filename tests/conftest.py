@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import settings
 
 from skyprov.chain import ChainState, GenesisConfig
 from skyprov.keys import SigningKey
@@ -17,6 +18,11 @@ from skyprov.model import (
 )
 
 GEOMETRY_HASH = hashlib.sha256(b"geometry-blob-v1").hexdigest()
+
+# Every run draws the same examples (derandomize also turns off the example
+# database), so two commits are compared on the same inputs.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def key_for(label: str) -> SigningKey:

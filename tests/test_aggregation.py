@@ -8,6 +8,7 @@ are checked against plain-Python oracles over the in-memory event lists.
 
 import dataclasses
 import io
+import json
 import os
 import random
 import tarfile
@@ -15,7 +16,7 @@ import tarfile
 import pytest
 from conftest import GEOMETRY_HASH, key_for, make_dataset, program_body
 
-from skyprov import aggregation, storage
+from skyprov import aggregation, model, storage
 from skyprov.aggregation import (
     AggregationRequest,
     LocalSink,
@@ -31,6 +32,7 @@ from skyprov.aggregation import (
 from skyprov.canonical import dumps_canonical, sha256_bytes
 from skyprov.chain import produce_block
 from skyprov.errors import (
+    DecodeError,
     DuplicateDataset,
     DuplicateEntry,
     IntegrityError,
@@ -205,6 +207,72 @@ def test_unsorted_input_names_offending_stream(world, tmp_path):
     with pytest.raises(UnsortedInput) as err:
         execute(request, index, storages)
     assert "ds-bad:data/ds-bad/part0.jsonl" in str(err.value)
+
+
+MERGE = (PluginSpec("time_ordered_merge", {}),)
+
+
+def test_decode_fault_in_a_later_file_beats_an_earlier_unsorted_stream(world):
+    state, keys, _, storages, _ = world
+    user = key_for("user-1")
+    publish_real(state, storages["st-1"], user, "ds-u", [mk_events("u", [900, 850])], start=850, end=900)
+    handle = storages["st-1"]
+    data = b'{"not":"an event"}\n'
+    ref = FileRef(path="x/broken.jsonl", content_hash=put_file(handle, "x/broken.jsonl", data).hex(),
+                  size=len(data), format="jsonl")
+    publish_refs(state, handle, user, "ds-v", [ref], 860, 900)
+    seal(state, keys)
+    window = QueryFilter(time_range=(850, 900))
+    assert [d.dataset_id for d in query(state.registry, window)] == ["ds-u", "ds-v"]
+    with pytest.raises(DecodeError):
+        execute(AggregationRequest(filter=window, pipeline=MERGE), state.registry, storages)
+
+
+def test_first_unsorted_stream_in_pair_order_is_named(world):
+    # the merge would meet ds-u2's fault first: its first event (870) sorts before ds-u1's (900)
+    state, keys, _, storages, _ = world
+    user = key_for("user-1")
+    publish_real(state, storages["st-1"], user, "ds-u1", [mk_events("u1", [900, 850])], start=850, end=900)
+    publish_real(state, storages["st-2"], user, "ds-u2", [mk_events("u2", [870, 860])], start=860, end=870)
+    seal(state, keys)
+    window = QueryFilter(time_range=(850, 900))
+    assert [d.dataset_id for d in query(state.registry, window)] == ["ds-u1", "ds-u2"]
+    with pytest.raises(UnsortedInput) as err:
+        execute(AggregationRequest(filter=window, pipeline=MERGE), state.registry, storages)
+    assert "ds-u1:data/ds-u1/part0.jsonl" in str(err.value)
+
+
+def counting_event_work(monkeypatch):
+    calls = {"validate_event": 0, "json.dumps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model, "validate_event", counted("validate_event", model.validate_event))
+    monkeypatch.setattr(json, "dumps", counted("json.dumps", json.dumps))
+    return calls
+
+
+@pytest.mark.parametrize("storage_id", ["st-1", "st-2", None])
+def test_each_event_is_validated_once_and_encoded_at_most_once(world, monkeypatch, storage_id):
+    _, _, index, storages, _ = world
+    request = AggregationRequest(
+        filter=QueryFilter(time_range=(0, 10_000), storage_id=storage_id),
+        pipeline=MERGE + (PluginSpec("energy_filter", {"threshold": "0.6"}),),
+    )
+    calls = counting_event_work(monkeypatch)
+    result = execute(request, index, storages)
+    assert 0 < result.events_out < result.events_in
+    assert calls["validate_event"] == result.events_in
+    if storage_id == "st-1":  # jsonl: one encode per decoded line, for its round trip; none for the output
+        assert calls["json.dumps"] == result.events_in
+    elif storage_id == "st-2":  # packed: one encode per output event
+        assert calls["json.dumps"] == result.events_out
+    else:
+        assert calls["json.dumps"] <= result.events_in
 
 
 def test_energy_filter_semantics_and_tally(world):

@@ -144,6 +144,10 @@ def test_loads_rejects_garbage():
         loads_canonical(b"")
     with pytest.raises(InvalidBody):
         loads_canonical(b"\xff\xfe")
+    with pytest.raises(InvalidBody):  # deeper than the parser's recursion limit
+        loads_canonical(b"[" * 100_000 + b"]" * 100_000)
+    with pytest.raises(InvalidBody):  # more digits than int() converts
+        loads_canonical(b"1" * 5_000)
 
 
 @settings(max_examples=100, deadline=None)

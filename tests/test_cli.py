@@ -22,9 +22,11 @@ from skyprov.chain import (
     GenesisConfig,
     header_hash,
     load_chain,
+    load_genesis,
     produce_block,
     save_block_file,
     save_chain,
+    save_genesis,
 )
 from skyprov.errors import AlreadyExists, IoError, MalformedKey
 from skyprov.index import QueryFilter, index_to_obj, query
@@ -165,6 +167,19 @@ def test_genesis_init_accepts_hex_and_key_names(tmp_path, capsys):
     assert config.slot_duration_ms == 250 and config.ordering_mode == "reshuffled"
     code, out, _ = run(capsys, "genesis-init", "--home", home, "--handler", "h0=h0")
     assert code == 4 and lines(out)[0]["error"] == "AlreadyExists"
+    assert load_genesis(os.path.join(home, "chain")) == config  # the first roster stays
+
+
+def test_second_genesis_never_replaces_the_first(tmp_path):
+    chain_dir = str(tmp_path / "chain")
+    first = GenesisConfig(handlers=(("h0", SigningKey.from_seed(b"h0").public_hex),), slot_duration_ms=100,
+                          ordering_mode="fixed", genesis_time=1_000)
+    second = dataclasses.replace(first, handlers=(("h0", SigningKey.from_seed(b"other").public_hex),))
+    save_genesis(chain_dir, first)
+    save_genesis(chain_dir, first)  # identical bytes: save_chain re-saves a store
+    with pytest.raises(AlreadyExists):
+        save_genesis(chain_dir, second)
+    assert load_genesis(chain_dir) == first
 
 
 def test_keygen_home_under_a_file_is_an_io_error(tmp_path, capsys):
@@ -298,6 +313,17 @@ def test_chain_verify_detects_mutation(world, capsys):
     err = lines(out)[-1]
     assert err["height"] == 0
     assert err["error"] in ("BadTxRoot", "InvalidTransaction", "InvalidBody", "BadTxId")
+
+
+@pytest.mark.parametrize("damage", [b"[" * 100_000 + b"]" * 100_000, b"1" * 5_000], ids=["nested", "huge_int"])
+def test_chain_verify_rejects_unparsable_block(world, capsys, damage):
+    block_path = os.path.join(world["chain"], "block_1.json")
+    with open(block_path, "wb") as fh:
+        fh.write(damage + b"\n")
+    code, out, err = run(capsys, "chain-verify", "--chain", world["chain"])
+    assert code == 3
+    assert lines(out)[-1]["error"] == "InvalidBody" and lines(out)[-1]["height"] == 1
+    assert "Traceback" not in err
 
 
 def test_chain_verify_rejects_lone_surrogate(world, capsys):

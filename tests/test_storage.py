@@ -24,7 +24,8 @@ from skyprov.errors import (
     NotFound,
     PathViolation,
 )
-from skyprov.model import EasEvent, event_to_obj
+from skyprov.canonical import loads_canonical
+from skyprov.model import EasEvent, event_from_obj, event_to_obj
 from skyprov.storage import (
     PACKED_MAGIC,
     PACKED_VERSION,
@@ -309,6 +310,76 @@ def test_jsonl_rejects_float_smuggling():
     line = json.dumps(obj, sort_keys=True, separators=(",", ":")).replace('"1.25"', "1.25")
     with pytest.raises(DecodeError):
         decode_events_jsonl(line.encode() + b"\n")
+
+
+def test_jsonl_unparsable_line_is_a_decode_error():
+    for line in (b"[" * 100_000 + b"]" * 100_000, b"1" * 5_000):
+        with pytest.raises(DecodeError) as err:
+            decode_events_jsonl(line + b"\n")
+        assert err.value.record_index == 0
+
+
+# -- jsonl decode against the loads_canonical composition ---------------------------------
+
+_MARK = "\u2603mark\u2603"  # a string no generated event holds
+_VALUE_TOKENS = [
+    "0", "7", "-1", "-0", "1.0", "1e3", "NaN", "Infinity", "true", "false", "null",
+    str(2**64), "1" * 5_000, '"x"', '"é"', '"\\u00e9"', '"\\ud800"', '"a\\ud800b"',
+    '"1.5"', '"01.5"', '" 1.5"', "[]", "{}", "[1]", '{"k":"v"}',
+]
+
+
+def _decode_line_via_loads_canonical(line):
+    """The jsonl decode before events carried their bytes: a full
+    loads_canonical round trip, then event_from_obj. None means rejected."""
+    try:
+        return event_from_obj(loads_canonical(line))
+    except InvalidBody:
+        return None
+
+
+@st.composite
+def event_line_mutants(draw):
+    obj = event_to_obj(draw(events_strategy))
+    places = ["bin_width", "detector_id", "energy_estimate", "event_id", "facility_id", "registration_time"]
+    places += [("signal_histogram", i) for i in range(len(obj["signal_histogram"]))]
+    places += [("service_info", k) for k in obj["service_info"]]
+    token = None
+    if draw(st.booleans()):  # replace one value with a raw JSON token
+        place = draw(st.sampled_from(places))
+        token = draw(st.sampled_from(_VALUE_TOKENS))
+        if isinstance(place, tuple):
+            obj[place[0]][place[1]] = _MARK
+        else:
+            obj[place] = _MARK
+    keys = draw(st.permutations(sorted(obj))) if draw(st.booleans()) else sorted(obj)
+    text = json.dumps({k: obj[k] for k in keys}, separators=(",", ":"), ensure_ascii=False)
+    if token is not None:
+        text = text.replace(json.dumps(_MARK, ensure_ascii=False), token)
+    if draw(st.booleans()):  # "é" written as an escape
+        text = text.replace("é", "\\u00e9")
+    if draw(st.booleans()):  # a duplicate key, with its own value or another
+        key = draw(st.sampled_from(keys))
+        value = draw(st.sampled_from([json.dumps(obj[key], ensure_ascii=False)] + _VALUE_TOKENS))
+        text = "{" + json.dumps(key) + ":" + value + "," + text[1:]
+    if draw(st.booleans()):  # insignificant whitespace
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([" ", "\t", "\r", "  "])) + text[at:]
+    return text.encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=600)
+@given(event_line_mutants())
+def test_jsonl_decode_accepts_what_loads_canonical_accepts(line):
+    expected = _decode_line_via_loads_canonical(line)
+    try:
+        [got] = decode_events_jsonl(line + b"\n")
+    except DecodeError as err:
+        assert err.record_index == 0
+        got = None
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got == expected and got.wire_bytes == line
 
 
 def test_packed_histogram_count_bounds():
