@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 import re
-from typing import Any, Iterable, Iterator, Union
+from typing import Any, Iterable, Union
 
 from .errors import AlreadyExists, InvalidBody, IoError
 
@@ -97,20 +97,6 @@ def dumps_validated(value: Any) -> bytes:
         return text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise InvalidBody(f"value has no UTF-8 form: {exc}") from exc
-
-
-def dumps_validated_parts(value: Any, depth: int) -> Iterator[bytes]:
-    """The bytes of dumps_validated(value), in pieces: the members of dicts
-    nested up to depth levels are encoded one at a time, so a large document
-    never has all its fragments in memory at once."""
-    if depth == 0 or not isinstance(value, dict):
-        yield dumps_validated(value)
-        return
-    yield b"{"
-    for i, key in enumerate(sorted(value)):
-        yield (b"," if i else b"") + dumps_validated(key) + b":"
-        yield from dumps_validated_parts(value[key], depth - 1)
-    yield b"}"
 
 
 def loads_canonical(data: bytes) -> Any:

@@ -10,7 +10,6 @@ signature, a tx root, or a registry commitment on replay.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -22,7 +21,6 @@ from .canonical import (
     digest_from_hex,
     dumps_canonical,
     dumps_validated,
-    dumps_validated_parts,
     is_hex64,
     is_hex128,
     loads_canonical,
@@ -35,14 +33,14 @@ from .canonical import (
     write_file,
 )
 from .errors import AlreadyExists, InvalidBody, IoError, NotFound, NotScheduled, SkyprovError
-from .index import index_from_obj, index_to_obj
 from .keys import SigningKey, verify_signature
-from .merkle import DIGEST_SIZE, MerkleLog
+from .merkle import MerkleLog
 from .model import (
     ACCEPT,
     PmdTransaction,
     RegistryState,
     Verdict,
+    tx_from_log_entry,
     tx_from_obj,
     tx_to_obj,
     validate_transaction,
@@ -666,8 +664,9 @@ def _open_store(chain_dir: str):
     return state, digest, heights
 
 
-def _replay_blocks(chain_dir: str, state: ChainState, heights, digest):
-    """Validate and apply the stored blocks at heights, in order; returns
+def _replay_blocks(chain_dir: str, state: ChainState, heights, digest, entries: list):
+    """Validate and apply the stored blocks at heights, in order, appending
+    the wire bytes of each applied transaction to entries; returns
     (results, failure) as replay_chain describes them."""
     results = []
     for height in heights:
@@ -682,6 +681,7 @@ def _replay_blocks(chain_dir: str, state: ChainState, heights, digest):
         if not verdict.ok:
             return results, (height, verdict)
         state.apply_block(block)
+        entries.extend(tx.wire_bytes for tx in block.transactions)
     return results, None
 
 
@@ -696,30 +696,38 @@ def replay_chain(chain_dir: str):
     stored bytes are not canonical.
     """
     state, digest, heights = _open_store(chain_dir)
-    results, failure = _replay_blocks(chain_dir, state, heights, digest)
+    results, failure = _replay_blocks(chain_dir, state, heights, digest, [])
     return state, results, failure
 
 
 # The head cache records the state that validating blocks 0..height
 # produced, so that load_chain can restore it and validate only the blocks
-# stored after it. It is trusted no more than the store it sits in: it is
-# used only while its digest matches the exact bytes of genesis.json and of
-# every block file it covers, the head block hashes to its head_hash, and
-# the rebuilt log matches the head header's registry commitment.
-_CACHE_KEYS = {"cycle_seed", "files_digest", "genesis_hash", "head_hash", "height", "leaves", "registry", "tx_ids"}
+# stored after it. Line 1 is the canonical object {cycle_seed, files_digest,
+# genesis_hash, head_hash, height}; each later line is one registry log
+# entry, a confirmed transaction's wire bytes, in log order. The cache is
+# trusted no more than the store it sits in: it is used only while its
+# digest matches the exact bytes of genesis.json and of every block file it
+# covers and the head block hashes to its head_hash. The entries are hashed
+# into a fresh log, which must match the head header's registry commitment
+# before any entry is parsed; so each entry is exactly the bytes of a
+# transaction validated into the chain, and the registry is folded from
+# them in log order, as apply_block folds it.
+_CACHE_KEYS = {"cycle_seed", "files_digest", "genesis_hash", "head_hash", "height"}
 
 
 def _restore_head(chain_dir: str, state: ChainState, digest, heights):
     """Restore state from the head cache when it matches the store.
 
-    Returns (cached height, digest over genesis.json and blocks 0..height).
-    Returns (-1, digest) and leaves state and digest untouched when the
-    cache is missing, unreadable or does not match.
+    Returns (cached height, digest over genesis.json and blocks 0..height,
+    the cache's log entries). Returns (-1, digest, []) and leaves state and
+    digest untouched when the cache is missing, unreadable or does not match.
     """
     try:
-        # plain json.loads: the canonical round trip would double the peak
-        # memory of a load, and every field is checked below
-        cache = json.loads(read_file(os.path.join(chain_dir, HEAD_CACHE), "head cache"))
+        # a file with no "\n" has no last line to unpack: ValueError
+        head_line, *entries, last = read_file(os.path.join(chain_dir, HEAD_CACHE), "head cache").split(b"\n")
+        _require(last == b"", "head cache does not end in a newline")
+        # plain json.loads: every field is checked below
+        cache = json.loads(head_line)
         _require(isinstance(cache, dict) and set(cache) == _CACHE_KEYS, "head cache keys malformed")
         height = cache["height"]
         _require(type(height) is int and 0 <= height < len(heights), "head cache height is not stored")
@@ -730,49 +738,42 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
         header = load_block_file(chain_dir, height, covered).header
         _require(covered.hexdigest() == cache["files_digest"], "store bytes differ from the head cache's")
         _require(header_hash(header) == cache["head_hash"], "head block differs from the head cache's")
-
-        leaves = cache["leaves"]
-        _require(isinstance(leaves, str) and len(leaves) % (2 * DIGEST_SIZE) == 0, "head cache leaves malformed")
-        raw = bytes.fromhex(leaves)
-        log = MerkleLog.from_leaf_hashes(raw[i:i + DIGEST_SIZE] for i in range(0, len(raw), DIGEST_SIZE))
-        _require(log.root().hex() == header.registry_root and log.size == header.registry_size,
-                 "head cache log does not match the head's registry commitment")
-
-        registry = index_from_obj(cache["registry"])
-        _require(registry.built_to == (height, log.size), "head cache registry is not built to the head")
-        tx_ids = cache["tx_ids"]
-        _require(isinstance(tx_ids, list) and all(is_hex64(t) for t in tx_ids), "head cache tx_ids malformed")
-        tx_index = {tx_id: i for i, tx_id in enumerate(tx_ids)}
-        _require(len(tx_index) == log.size, "head cache tx_ids do not name each leaf once")
-        _require(all(r.tx_id in tx_index for r in registry.datasets.values()), "head cache dataset tx unknown")
-        # the snapshot lists datasets by id; the registry keeps confirmation order
-        registry.datasets = dict(sorted(registry.datasets.items(), key=lambda item: tx_index[item[1].tx_id]))
-
         cycle = cache["cycle_seed"]
         _require(isinstance(cycle, dict) and set(cycle) == {"seed", "start"} and is_hex64(cycle["seed"])
                  and type(cycle["start"]) is int and cycle["start"] == state._cycle_start(header.slot),
                  "head cache cycle seed malformed")
-    except (SkyprovError, ValueError, RecursionError):  # RecursionError: json.loads on deep nesting
-        return -1, digest
+        log = MerkleLog()
+        for entry in entries:
+            log.append(entry)
+        _require(log.root().hex() == header.registry_root and log.size == header.registry_size,
+                 "head cache entries do not match the head's registry commitment")
+        registry, tx_index = RegistryState(), {}
+        for i, entry in enumerate(entries):  # apply_block's fold
+            tx = tx_from_log_entry(entry)
+            tx_index[tx.tx_id] = i
+            registry.apply(tx)
+        registry.built_to = (height, log.size)
+    # Entries bound to a validated head never raise here. A store whose head
+    # block was rewritten, with a cache to match, can commit to any bytes:
+    # ValueError and RecursionError from json.loads, TypeError from an
+    # unhashable id. Each means a full replay, which reports the damage.
+    except (SkyprovError, ValueError, TypeError, RecursionError):
+        return -1, digest, []
     state._adopt_head(header, log, registry, tx_index, (cycle["start"], cycle["seed"]))
-    return height, covered
+    return height, covered, entries
 
 
-def _write_head_cache(chain_dir: str, state: ChainState, digest) -> None:
+def _write_head_cache(chain_dir: str, state: ChainState, digest, entries) -> None:
     start, seed = state._cycle_seed
-    obj = {
+    head = {
         "cycle_seed": {"seed": seed, "start": start},
         "files_digest": digest.hexdigest(),
         "genesis_hash": state.genesis_hash_hex,
         "head_hash": state.head_hash(),
         "height": state.head_height,
-        "leaves": b"".join(state.registry_log.leaves()).hex(),
-        "registry": index_to_obj(state.registry),
-        "tx_ids": list(state.tx_index),
     }
     try:
-        # per dataset entry (cache, registry, datasets, entry), to bound peak memory
-        replace_file(os.path.join(chain_dir, HEAD_CACHE), itertools.chain(dumps_validated_parts(obj, 3), [b"\n"]))
+        replace_file(os.path.join(chain_dir, HEAD_CACHE), (line + b"\n" for line in (dumps_validated(head), *entries)))
     except IoError:
         pass  # the cache only saves time: a store that cannot take it still loads in full
 
@@ -780,19 +781,20 @@ def _write_head_cache(chain_dir: str, state: ChainState, digest) -> None:
 def load_chain(chain_dir: str) -> ChainState:
     """The validated head state of a stored chain, without a block list.
 
-    Restores the head cache when it matches the store and validates only
-    the blocks stored after it; otherwise validates every block, as
-    replay_chain does. Rewrites the cache after validating any block it did
-    not cover. Raises as replay_chain does, and InvalidBody when a block
-    does not validate.
+    Restores the head cache when it matches the store, rebuilding the
+    registry from the cache's log entries, and validates only the blocks
+    stored after it; otherwise validates every block, as replay_chain does.
+    After validating any block the cache did not cover, rewrites it with
+    every log entry up to the new head. Raises as replay_chain does, and
+    InvalidBody when a block does not validate.
     """
     state, digest, heights = _open_store(chain_dir)
     state.blocks = None
-    cached, digest = _restore_head(chain_dir, state, digest, heights)
-    _, failure = _replay_blocks(chain_dir, state, heights[cached + 1:], digest)
+    cached, digest, entries = _restore_head(chain_dir, state, digest, heights)
+    _, failure = _replay_blocks(chain_dir, state, heights[cached + 1:], digest, entries)
     if failure is not None:
         height, verdict = failure
         raise InvalidBody(f"chain invalid at height {height}: {verdict.reason}: {verdict.detail}")
     if state.head_height > cached:
-        _write_head_cache(chain_dir, state, digest)
+        _write_head_cache(chain_dir, state, digest, entries)
     return state

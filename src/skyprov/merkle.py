@@ -77,6 +77,8 @@ class InclusionProof:
             raise InvalidBody("inclusion proof must have leaf_index, tree_size, path")
         if not isinstance(obj["leaf_index"], int) or not isinstance(obj["tree_size"], int):
             raise InvalidBody("proof sizes must be integers")
+        if not isinstance(obj["path"], list):
+            raise InvalidBody("proof path must be a list")
         return cls(
             leaf_index=obj["leaf_index"],
             tree_size=obj["tree_size"],
@@ -108,6 +110,8 @@ class ConsistencyProof:
             raise InvalidBody("consistency proof must have old_size, new_size, path")
         if not isinstance(obj["old_size"], int) or not isinstance(obj["new_size"], int):
             raise InvalidBody("proof sizes must be integers")
+        if not isinstance(obj["path"], list):
+            raise InvalidBody("proof path must be a list")
         return cls(
             old_size=obj["old_size"],
             new_size=obj["new_size"],
@@ -141,14 +145,6 @@ class MerkleLog:
     def __init__(self) -> None:
         self._levels: list[bytearray] = [bytearray()]
         self._peaks: list[tuple[int, Digest]] = []  # (height, subtree root)
-
-    @classmethod
-    def from_leaf_hashes(cls, leaves: Iterable[Digest]) -> "MerkleLog":
-        """The log holding these leaf hashes, in order; every level is rebuilt."""
-        log = cls()
-        for leaf in leaves:
-            log.append_leaf_hash(leaf)
-        return log
 
     @property
     def size(self) -> int:

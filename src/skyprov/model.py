@@ -8,6 +8,7 @@ at the Merkle-log boundary.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -502,17 +503,32 @@ _TX_KEYS = {"body", "created_at", "creator", "signature", "tx_id"}
 
 
 def tx_from_obj(obj: Any) -> PmdTransaction:
+    tx = _tx_from_obj(obj)
+    tx.wire_bytes  # the one field validation
+    return tx
+
+
+def _tx_from_obj(obj: Any) -> PmdTransaction:
+    """Build a transaction after checking the object's shape only."""
     _require(isinstance(obj, dict), "transaction must be an object")
     _require(set(obj) == _TX_KEYS, f"transaction keys must be exactly {sorted(_TX_KEYS)}")
-    tx = PmdTransaction(
+    return PmdTransaction(
         body=_body_from_obj(obj["body"]),
         creator=obj["creator"],
         created_at=obj["created_at"],
         signature=obj["signature"],
         tx_id=obj["tx_id"],
     )
-    tx.wire_bytes  # the one field validation
-    return tx
+
+
+def tx_from_log_entry(data: bytes) -> PmdTransaction:
+    """The transaction a registry log entry holds, read for its shape only.
+
+    Only for entries bound to a validated chain by its registry root (the
+    head cache's): the bytes are those of a transaction that was validated
+    into the chain, so no field is checked again.
+    """
+    return _tx_from_obj(json.loads(data))
 
 
 def tx_wire_bytes(tx: PmdTransaction) -> bytes:

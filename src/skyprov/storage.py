@@ -192,86 +192,81 @@ def encode_events_packed(events) -> bytes:
     return bytes(out)
 
 
-class _Cursor:
-    __slots__ = ("data", "pos", "record")
+_MAGIC = struct.Struct("4s")
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64_U32_U32 = struct.Struct("<QII")  # registration_time, bin_width, histogram length
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.record = 0
 
-    def need(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DecodeError("truncated packed record", self.record)
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.need(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.need(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.need(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.need(8))[0]
-
-    def string(self) -> str:
-        raw = self.need(self.u16())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"invalid UTF-8 in packed record: {exc}", self.record) from exc
+def _unpack_str(data: bytes, pos: int, record: int):
+    """(string, offset after it) of the u16-length-prefixed UTF-8 field at pos."""
+    (n,) = _U16.unpack_from(data, pos)
+    pos += 2
+    raw = data[pos : pos + n]
+    if len(raw) != n:
+        raise struct.error("string runs past the end of the data")
+    try:
+        return raw.decode("utf-8"), pos + n
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"invalid UTF-8 in packed record: {exc}", record) from exc
 
 
 def decode_events_packed(data: bytes):
-    cur = _Cursor(data)
-    if cur.need(4) != PACKED_MAGIC:
-        raise DecodeError("bad packed magic", 0)
-    version = cur.u16()
-    if version != PACKED_VERSION:
-        raise DecodeError(f"unsupported packed version {version}", 0)
-    count = cur.u32()
-    events = []
-    for i in range(count):
-        cur.record = i
-        event_id = cur.string()
-        facility_id = cur.string()
-        detector_id = cur.string()
-        registration_time = cur.u64()
-        bin_width = cur.u32()
-        n = cur.u32()
-        histogram = struct.unpack(f"<{n}I", cur.need(4 * n))  # need() refuses a count the data cannot hold
-        flag = cur.u8()
-        if flag not in (0, 1):
-            raise DecodeError(f"bad energy flag byte {flag}", i)
-        energy = cur.string() if flag else None
-        service_info = {}
-        for _ in range(cur.u16()):
-            key = cur.string()
-            value = cur.string()
-            if key in service_info:
-                raise DecodeError(f"duplicate service_info key {key!r}", i)
-            service_info[key] = value
-        ev = EasEvent(
-            event_id=event_id,
-            registration_time=registration_time,
-            facility_id=facility_id,
-            detector_id=detector_id,
-            signal_histogram=histogram,
-            bin_width=bin_width,
-            energy_estimate=energy,
-            service_info=service_info,
-        )
-        try:
-            ev.checked  # the one validation; wire_bytes waits until something encodes the event
-        except InvalidBody as exc:
-            raise DecodeError(f"invalid packed record: {exc}", i) from exc
-        events.append(ev)
-    if cur.pos != len(data):
+    i = 0  # the record a truncation names; the file header counts as record 0
+    try:
+        if _MAGIC.unpack_from(data)[0] != PACKED_MAGIC:
+            raise DecodeError("bad packed magic", 0)
+        (version,) = _U16.unpack_from(data, 4)
+        if version != PACKED_VERSION:
+            raise DecodeError(f"unsupported packed version {version}", 0)
+        (count,) = _U32.unpack_from(data, 6)
+        pos = 10
+        events = []
+        for i in range(count):
+            event_id, pos = _unpack_str(data, pos, i)
+            facility_id, pos = _unpack_str(data, pos, i)
+            detector_id, pos = _unpack_str(data, pos, i)
+            registration_time, bin_width, n = _U64_U32_U32.unpack_from(data, pos)
+            pos += 16
+            if pos + 4 * n > len(data):  # a count the data cannot hold builds no format for it
+                raise struct.error("histogram runs past the end of the data")
+            histogram = struct.unpack_from(f"<{n}I", data, pos)
+            pos += 4 * n
+            (flag,) = _U8.unpack_from(data, pos)
+            pos += 1
+            if flag not in (0, 1):
+                raise DecodeError(f"bad energy flag byte {flag}", i)
+            energy = None
+            if flag:
+                energy, pos = _unpack_str(data, pos, i)
+            (pairs,) = _U16.unpack_from(data, pos)
+            pos += 2
+            service_info = {}
+            for _ in range(pairs):
+                key, pos = _unpack_str(data, pos, i)
+                value, pos = _unpack_str(data, pos, i)
+                if key in service_info:
+                    raise DecodeError(f"duplicate service_info key {key!r}", i)
+                service_info[key] = value
+            ev = EasEvent(
+                event_id=event_id,
+                registration_time=registration_time,
+                facility_id=facility_id,
+                detector_id=detector_id,
+                signal_histogram=histogram,
+                bin_width=bin_width,
+                energy_estimate=energy,
+                service_info=service_info,
+            )
+            try:
+                ev.checked  # the one validation; wire_bytes waits until something encodes the event
+            except InvalidBody as exc:
+                raise DecodeError(f"invalid packed record: {exc}", i) from exc
+            events.append(ev)
+    except struct.error as exc:
+        raise DecodeError("truncated packed record", i) from exc
+    if pos != len(data):
         raise DecodeError("trailing bytes after final packed record", count)
     return events
 

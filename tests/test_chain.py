@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import shutil
 
 import pytest
 
@@ -39,7 +40,7 @@ from skyprov import model
 from skyprov.canonical import loads_canonical, dumps_canonical
 from skyprov.errors import AlreadyExists, InvalidBody, IoError, NotFound, NotScheduled
 from skyprov.index import index_to_obj
-from skyprov.merkle import ConsistencyProof, verify_consistency
+from skyprov.merkle import ConsistencyProof, MerkleLog, verify_consistency
 from skyprov.model import (
     DeriveDataset,
     PublishDataset,
@@ -864,11 +865,46 @@ def test_head_cache_never_hides_damage(case, tmp_path, capsys):
     assert without[0] == 3
     # A forged cache that matches the damaged bytes passes every restore
     # check: it is trusted as far as the store is. chain-verify never reads it.
-    forged = json.loads(cache)
+    head, entries = cache.split(b"\n", 1)
+    forged = json.loads(head)
     forged["files_digest"] = _store_digest(chain_dir, honest.head_height)
-    cache_path.write_bytes(dumps_canonical(forged) + b"\n")
+    cache_path.write_bytes(dumps_canonical(forged) + b"\n" + entries)
     assert load_chain(str(chain_dir)).head_hash() == honest.head_hash()
     assert _cli_outcome(capsys, "chain-verify", "--chain", chain_dir) == without
+
+
+@pytest.mark.parametrize("case", ["not_json", "not_a_tx", "unhashable_id"])
+def test_rewritten_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_path, capsys):
+    # The head block is rewritten to commit to one entry that is not a
+    # transaction, and the cache is forged to match the rewritten store: the
+    # restore falls back to the full replay and its verdict, not a traceback.
+    chain_dir = tmp_path / "chain"
+    _golden_store(chain_dir)
+    height = load_chain(str(chain_dir)).head_height
+    cache_path = chain_dir / chain_module.HEAD_CACHE
+    head, first = cache_path.read_bytes().split(b"\n")[:2]
+    entry = {"not_json": b"{", "not_a_tx": b"[1]",
+             "unhashable_id": dumps_canonical(dict(json.loads(first), tx_id=[1]))}[case]
+    log = MerkleLog()
+    log.append(entry)
+
+    def commit(obj):
+        obj["header"].update(registry_root=log.root().hex(), registry_size=1)
+
+    _rewrite_block(chain_dir, height, commit)
+    forged = json.loads(head)
+    forged["files_digest"] = _store_digest(chain_dir, height)
+    forged["head_hash"] = header_hash(block_from_bytes((chain_dir / f"block_{height}.json").read_bytes()[:-1]).header)
+    cache = dumps_canonical(forged) + b"\n" + entry + b"\n"
+    argv = ("query", "--chain", chain_dir, "--where", "facility=TAIGA")
+    cache_path.unlink()
+    without = _cli_outcome(capsys, *argv)
+    assert without[0] == 3
+    cache_path.write_bytes(cache)
+    assert _cli_outcome(capsys, *argv) == without
+    cache_path.write_bytes(cache)
+    with pytest.raises(InvalidBody, match=f"height {height}: BadSignature"):
+        load_chain(str(chain_dir))
 
 
 def _reshuffled_store(chain_dir, n_blocks=20):
@@ -895,6 +931,10 @@ def test_restored_state_equals_replayed_state(tmp_path, monkeypatch):
     replayed, _, failure = replay_chain(str(full))
     assert failure is None
     assert list(replayed.registry.datasets) != sorted(replayed.registry.datasets)
+    cold = tmp_path / "cold"
+    shutil.copytree(full, cold)
+    load_chain(str(cold))
+    cold_cache = (cold / chain_module.HEAD_CACHE).read_bytes()
     validated = []
     original_validate = chain_module.validate_block
     monkeypatch.setattr(chain_module, "validate_block", lambda s, b: validated.append(b) or original_validate(s, b))
@@ -917,6 +957,8 @@ def test_restored_state_equals_replayed_state(tmp_path, monkeypatch):
         assert state.registry_log.leaves() == replayed.registry_log.leaves()
         for slot in range(state.last_slot() + 1, state.last_slot() + 9):
             assert state.scheduled_handler(slot) == replayed.scheduled_handler(slot)
+        # restored at k, then extended: the cache a cold full load writes
+        assert (full / chain_module.HEAD_CACHE).read_bytes() == cold_cache
         with pytest.raises(NotFound):  # no block list to find an earlier cycle's seed in
             state.seed_for_slot(0)
 

@@ -779,16 +779,27 @@ def _cache_variants(world, tmp_path):
     save_chain(other, str(foreign))
     load_chain(str(foreign))
     read = lambda d: (d / chain_module.HEAD_CACHE).read_bytes()  # noqa: E731
-    altered = json.loads(read(warm))
-    leaves = altered["leaves"]
-    altered["leaves"] = leaves[:70] + ("0" if leaves[70] != "0" else "1") + leaves[71:]
+    head, *entries = read(warm).split(b"\n")[:-1]
+    join = lambda lines: b"".join(line + b"\n" for line in lines)  # noqa: E731
+    assert join([head, *entries]) == read(warm)
+    altered = bytearray(entries[0])
+    altered[70] ^= 0x01
+    # ds-b's entry now names TAIGA, so a query for TAIGA would list it: valid JSON, wrong bytes
+    at = next(i for i, entry in enumerate(entries) if b'"facility_id":"TUNKA"' in entry)
+    forged = entries[at].replace(b'"facility_id":"TUNKA"', b'"facility_id":"TAIGA"')
+    # the layout before entries: one object holding leaf hashes, the registry snapshot and tx ids
+    parent = dict(json.loads(head), leaves=b"".join(state.registry_log.leaves()).hex(),
+                  registry=index_to_obj(state.registry), tx_ids=list(state.tx_index))
     return {
         None: None,
         "warm": read(warm),
         "stale": read(stale),
         "truncated": read(warm)[: len(read(warm)) // 2],
         "foreign": read(foreign),
-        "leaf_altered": dumps_canonical(altered) + b"\n",
+        "entry_altered": join([head, bytes(altered), *entries[1:]]),
+        "entry_forged": join([head, *entries[:at], forged, *entries[at + 1:]]),
+        "entries_reordered": join([head, entries[1], entries[0], *entries[2:]]),
+        "parent_format": dumps_canonical(parent) + b"\n",
     }
 
 
@@ -832,7 +843,7 @@ def test_head_cache_is_invisible(world, tmp_path, capsys, monkeypatch):
             outcomes[variant] = (code, out, written)
         assert outcomes[None][0] == 0, (name, outcomes[None])
         # the height each cache restored: only the warm and the stale one match the store
-        assert restored[-len(variants):] == [-1, 2, 1, -1, -1, -1], name
+        assert restored[-len(variants):] == [-1, 2, 1, -1, -1, -1, -1, -1, -1], name
         for variant, outcome in outcomes.items():
             assert outcome == outcomes[None], (name, variant)
 

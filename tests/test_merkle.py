@@ -499,6 +499,11 @@ def test_proof_json_rejects_noncanonical():
         InclusionProof.from_json_bytes(
             b'{"leaf_index":0,"path":["ABCD"],"tree_size":1}'
         )
+    # a path that is not a list: a dict would iterate as its keys, an integer not at all
+    with pytest.raises(InvalidBody):
+        ConsistencyProof.from_json_bytes(b'{"new_size":2,"old_size":1,"path":{"' + b"ab" * 32 + b'":1}}')
+    with pytest.raises(InvalidBody):
+        InclusionProof.from_json_bytes(b'{"leaf_index":0,"path":5,"tree_size":1}')
 
 
 # -- log hygiene ----------------------------------------------------------
