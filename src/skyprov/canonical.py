@@ -38,6 +38,31 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidBody(msg)
 
 
+class once:
+    """A read-only attribute computed on first access and then kept in the
+    instance's __dict__, which a frozen dataclass allows; later reads find
+    it there and never reach this descriptor.
+
+    Unlike functools.cached_property it takes no lock, so first reads of
+    different objects do not queue behind one lock per class. Two threads
+    may both compute one object's value; the values are pure functions of
+    the object's fields, so either may be kept. An exception is raised
+    and nothing is kept. dataclasses.replace builds a copy from fields
+    only, so the copy computes its own values.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 def is_hex64(value: Any) -> bool:
     """Lowercase 64-char hex: digests and Ed25519 public keys."""
     return isinstance(value, str) and _HEX64_RE.fullmatch(value) is not None

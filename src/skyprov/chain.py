@@ -26,6 +26,7 @@ from .canonical import (
     loads_canonical,
     loads_canonical_file,
     make_dirs,
+    once,
     read_canonical_file,
     read_file,
     replace_file,
@@ -121,6 +122,11 @@ def genesis_hash(config: GenesisConfig) -> str:
 
 @dataclass(frozen=True)
 class BlockHeader:
+    """A signed block header. Its signing bytes, its hash and its signature
+    verdict under each key are computed once per object, so the nodes and
+    auditors that share one header verify it once; dataclasses.replace
+    gives a copy that computes its own."""
+
     height: int
     slot: int
     prev_block_hash: str
@@ -130,6 +136,31 @@ class BlockHeader:
     timestamp: int  # nanoseconds
     creator: str  # handler_id
     signature: str  # hex, over the canonical header bytes minus this field
+
+    @once
+    def signing_bytes(self) -> bytes:
+        """Canonical bytes of every field but the signature; computing them
+        validates those fields, and a malformed one raises InvalidBody."""
+        return dumps_validated(_header_core_obj(self))
+
+    @once
+    def hash(self) -> str:
+        """Hash over the signed header bytes; the chain-link identity of a
+        block. Computing it is the header's field validation."""
+        return sha256_bytes(dumps_validated(header_to_obj(self))).hex()
+
+    @once
+    def _verdicts(self) -> dict:
+        return {}  # public key -> whether signature verifies under it
+
+    def signed_by(self, public_key: str) -> bool:
+        """Whether signature verifies under public_key over the signing
+        bytes, decided once per key. A malformed header raises InvalidBody."""
+        verdicts = self._verdicts
+        if public_key not in verdicts:
+            _require(is_hex128(self.signature), "header signature malformed")
+            verdicts[public_key] = verify_signature(public_key, self.signing_bytes, bytes.fromhex(self.signature))
+        return verdicts[public_key]
 
 
 def _is_count(value) -> bool:
@@ -158,7 +189,8 @@ def _header_core_obj(h: BlockHeader) -> dict:
 
 
 def header_signing_bytes(h: BlockHeader) -> bytes:
-    return dumps_validated(_header_core_obj(h))
+    """The bytes the creator signs: the canonical header without its signature."""
+    return h.signing_bytes
 
 
 def header_to_obj(h: BlockHeader) -> dict:
@@ -195,13 +227,13 @@ def header_from_obj(obj) -> BlockHeader:
         creator=obj["creator"],
         signature=obj["signature"],
     )
-    header_to_obj(h)  # field validation
+    h.hash  # the one field validation; the hash is kept for the chain link
     return h
 
 
 def header_hash(h: BlockHeader) -> str:
-    """Hash over the signed header bytes; the chain-link identity of a block."""
-    return sha256_bytes(dumps_validated(header_to_obj(h))).hex()
+    """The chain-link identity of a block: the hash over the signed header bytes."""
+    return h.hash
 
 
 @dataclass(frozen=True)
@@ -334,14 +366,11 @@ def detect_equivocation(
     if pub is None:
         return None
     try:
-        hash_a = header_hash(header_a)
-        hash_b = header_hash(header_b)
-        if hash_a == hash_b:
+        hash_a = header_a.hash
+        hash_b = header_b.hash
+        if hash_a == hash_b or not (header_a.signed_by(pub) and header_b.signed_by(pub)):
             return None
-        for h in (header_a, header_b):
-            if not verify_signature(pub, header_signing_bytes(h), bytes.fromhex(h.signature)):
-                return None
-    except (InvalidBody, ValueError):
+    except InvalidBody:
         return None
     return EquivocationEvidence(
         creator=header_a.creator,
@@ -538,7 +567,7 @@ def validate_block(state: ChainState, block: Block) -> Verdict:
     """Full admission check for the next block on this chain."""
     h = block.header
     try:
-        header_to_obj(h)
+        h.hash
     except InvalidBody as exc:
         return Verdict(False, "BadLink", f"malformed header: {exc}")
 
@@ -552,7 +581,7 @@ def validate_block(state: ChainState, block: Block) -> Verdict:
     if h.creator != scheduled:
         return Verdict(False, "NotScheduledHandler", f"slot {h.slot} belongs to {scheduled}, not {h.creator}")
     pub = state.roster_key(h.creator)
-    if pub is None or not verify_signature(pub, header_signing_bytes(h), bytes.fromhex(h.signature)):
+    if pub is None or not h.signed_by(pub):
         return Verdict(False, "BadSignature", "header signature does not verify under roster key")
 
     try:

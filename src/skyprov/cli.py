@@ -82,6 +82,8 @@ def _read_json_file(path: str, what: str):
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise InvalidBody(f"{what} {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than json.loads can follow
+        raise InvalidBody(f"{what} {path} is nested too deeply: {exc}") from exc
 
 
 def _keys_dir(home: str) -> str:

@@ -24,14 +24,13 @@ from .errors import InvalidBody, MalformedKey
 class SigningKey:
     """An Ed25519 signing key plus cached public identity."""
 
-    __slots__ = ("_key", "_public", "_public_hex")
+    __slots__ = ("_key", "_public_hex")
 
     def __init__(self, private_bytes: bytes):
         if not isinstance(private_bytes, bytes) or len(private_bytes) != 32:
             raise MalformedKey("private key must be exactly 32 bytes")
         self._key = Ed25519PrivateKey.from_private_bytes(private_bytes)
-        self._public = self._key.public_key().public_bytes_raw()
-        self._public_hex = self._public.hex()
+        self._public_hex = self._key.public_key().public_bytes_raw().hex()
 
     @classmethod
     def generate(cls) -> "SigningKey":
@@ -41,10 +40,6 @@ class SigningKey:
     def from_seed(cls, seed: bytes) -> "SigningKey":
         # arbitrary seed material hashed down to the 32-byte scalar input
         return cls(hashlib.sha256(b"ed25519-seed:" + seed).digest())
-
-    @property
-    def public_bytes(self) -> bytes:
-        return self._public
 
     @property
     def public_hex(self) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Mapping, Optional, Union
 
 from .canonical import (
@@ -21,6 +20,7 @@ from .canonical import (
     is_hex64,
     is_hex128,
     loads_canonical,
+    once,
     sha256_bytes,
 )
 from .errors import InvalidBody, NotFound
@@ -92,13 +92,13 @@ class EasEvent:
 
     __hash__ = None
 
-    @cached_property
+    @once
     def checked(self) -> bool:
         """validate_event, run at most once per object; a failure raises InvalidBody and caches nothing."""
         validate_event(self)
         return True
 
-    @cached_property
+    @once
     def wire_bytes(self) -> bytes:
         """Canonical bytes: one jsonl line without its newline. Computing it
         is the event's one validation, unless a decoder read checked first."""
@@ -444,7 +444,7 @@ class PmdTransaction:
     signature: str
     tx_id: str
 
-    @cached_property
+    @once
     def wire_bytes(self) -> bytes:
         """Wire form: the canonical bytes appended to the registry log.
 
@@ -460,7 +460,7 @@ class PmdTransaction:
         wire = self.wire_bytes
         return wire[_WIRE_BODY_START : wire.rindex(_WIRE_BODY_END)]
 
-    @cached_property
+    @once
     def signature_ok(self) -> bool:
         """Whether signature verifies under creator over the body bytes."""
         return verify_signature(self.creator, self.body_bytes, bytes.fromhex(self.signature))

@@ -797,6 +797,57 @@ def test_bool_header_height_still_rejected(chain3):
     assert validate_block(state, _tamper_header(b1, height=True)).reason == "BadLink"
 
 
+def test_replaced_header_is_verified_again(chain3):
+    state, keys = chain3
+    block = produce_block(state, 0, keys["h0"], now=state.slot_start_time(0))
+    assert validate_block(state, block).ok  # the header keeps its hash and verdict
+    changed = _tamper_header(block, timestamp=block.header.timestamp + 1)
+    assert header_hash(changed.header) != header_hash(block.header)
+    assert header_signing_bytes(changed.header) != header_signing_bytes(block.header)
+    assert validate_block(state, changed).reason == "BadSignature"
+    assert validate_block(state, block).ok
+
+
+def test_header_verdict_is_kept_per_key(chain3, monkeypatch):
+    state, keys = chain3
+    a = produce_block(state, 0, keys["h0"], now=0).header
+    b = produce_block(state, 0, keys["h0"], now=1).header
+    calls = []
+    original = keys_module.verify_signature
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(chain_module, "verify_signature", counting)
+    own, other = state.roster_key("h0"), state.roster_key("h1")
+    for _ in range(2):
+        assert a.signed_by(own) and not a.signed_by(other)
+    assert len(calls) == 2
+    # a roster that gives h0 another key judges the same objects under that key
+    handlers = tuple((hid, other if hid == "h0" else pub) for hid, pub in state.config.handlers)
+    swapped = dataclasses.replace(state.config, handlers=handlers)
+    for _ in range(2):
+        assert detect_equivocation(a, b, swapped) is None
+        assert detect_equivocation(b, a, state.config) is not None
+        assert detect_equivocation(a, b, swapped) is None
+    assert len(calls) == 3  # b under h0's key; a's verdicts under both keys were kept
+
+
+@pytest.mark.parametrize("field,value", [("prev_block_hash", "XYZ"), ("registry_size", -1), ("signature", "A" * 128)])
+def test_malformed_header_is_rejected_on_every_call(chain3, field, value):
+    state, keys = chain3
+    block = _tamper_header(produce_block(state, 0, keys["h0"], now=0), **{field: value})
+    pub = state.roster_key("h0")
+    for _ in range(3):
+        verdict = validate_block(state, block)
+        assert verdict.reason == "BadLink" and verdict.detail.startswith("malformed header")
+        for check in (header_hash, lambda h: h.signed_by(pub)):
+            with pytest.raises(InvalidBody):
+                check(block.header)
+    assert "hash" not in vars(block.header) and not block.header._verdicts
+
+
 def test_head_hash_and_cycle_seed_follow_the_chain():
     handlers, keys = make_roster(3)
     config = GenesisConfig(handlers=handlers, slot_duration_ms=50, ordering_mode="reshuffled", genesis_time=0)

@@ -559,6 +559,16 @@ def test_sim_run_bad_config_is_validation_error(tmp_path, capsys):
     assert code == 4 and lines(out)[0]["error"] == "IoError"
 
 
+@pytest.mark.parametrize("argv", [["sim-run", "--config"], ["query", "--where", "facility=TAIGA", "--index"]])
+def test_deeply_nested_json_file_is_invalid_body(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *argv, str(deep))
+    assert code == 3
+    assert [row["error"] for row in lines(out)] == ["InvalidBody"]
+    assert "Traceback" not in err
+
+
 # -- aggregate / publish ------------------------------------------------------------
 
 

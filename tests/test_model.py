@@ -1,12 +1,14 @@
 """Data model tests: canonical bytes, signing, validation, provenance."""
 
 import dataclasses
+import functools
 import hashlib
 import random
 
 import pytest
 
 from skyprov.canonical import dumps_canonical, loads_canonical
+from skyprov.chain import BlockHeader
 from skyprov.errors import InvalidBody, NotFound
 from skyprov.keys import verify_signature
 from skyprov import model
@@ -330,6 +332,29 @@ def test_cached_bytes_and_verdict_do_not_follow_a_replace(base_state, user_key):
     resigned = dataclasses.replace(tx, signature=other.signature)
     assert validate_transaction(resigned, base_state).reason == "BadSignature"
     assert validate_transaction(tx, base_state).ok
+
+
+def test_invalid_objects_raise_every_time_and_keep_nothing(user_key):
+    tx = dataclasses.replace(
+        sign_transaction(PublishDataset(make_dataset("ds-1")), user_key, created_at=1), creator="not hex"
+    )
+    ev = EasEvent("e", 1, "f", "d", (1, -2), 10, None, {})
+    for obj, attrs in ((tx, ("wire_bytes", "signature_ok")), (ev, ("checked", "wire_bytes"))):
+        for attr in attrs:
+            for _ in range(2):
+                with pytest.raises(InvalidBody):
+                    getattr(obj, attr)
+            assert attr not in vars(obj)
+
+
+def test_computed_once_attributes_take_no_class_lock():
+    # functools.cached_property takes one lock per class on every first read
+    assert not [
+        (cls.__name__, name)
+        for cls in (model.EasEvent, model.PmdTransaction, BlockHeader)
+        for name, value in vars(cls).items()
+        if isinstance(value, functools.cached_property)
+    ]
 
 
 def test_body_bytes_are_cut_from_wire_bytes(user_key):

@@ -8,9 +8,11 @@ prefix covers the rewritten transaction.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
+from skyprov import keys as keys_module
 from skyprov.chain import ChainState, header_hash, validate_block
 from skyprov.errors import ConfigError
 from skyprov.merkle import MerkleLog
@@ -152,14 +154,40 @@ TRACE_GOLDENS = [
         "6a80f6236704dd1aea7b6eecbbe60018497c448ec5f3e9204204f5f1e14ab7a3",
     ),
 ]
+GOLDEN_IDS = ["tamper-resign", "tamper-keep-headers", "equivocate", "reshuffled-lossy-offline"]
 
 
-@pytest.mark.parametrize("obj,digest", TRACE_GOLDENS, ids=["tamper-resign", "tamper-keep-headers", "equivocate", "reshuffled-lossy-offline"])
+@pytest.mark.parametrize("obj,digest", TRACE_GOLDENS, ids=GOLDEN_IDS)
 def test_trace_golden(obj, digest):
     # Frozen trace bytes: the audit and every other stage must keep producing
     # exactly these records, in this order, whatever they do internally.
     trace = run_simulation(sim_config_from_obj(obj)).to_jsonl_bytes()
     assert hashlib.sha256(trace).hexdigest() == digest
+
+
+# Distinct (key, message, signature) triples each golden run signs: its
+# transactions and headers, the equivocator's second header and the
+# tamperer's re-signed copies.
+VERIFY_COUNTS = [74, 73, 22, 59]
+
+
+@pytest.mark.parametrize("obj,expected", [(obj, n) for (obj, _), n in zip(TRACE_GOLDENS, VERIFY_COUNTS)],
+                         ids=GOLDEN_IDS)
+def test_each_signature_is_verified_once(obj, expected, monkeypatch):
+    # Five nodes and the audit hold the same block and transaction objects,
+    # so each signature is verified once however many of them check it.
+    original = keys_module.verify_signature
+    calls = []
+
+    def counting(public_key, message, signature):
+        calls.append((public_key, message, signature))
+        return original(public_key, message, signature)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "skyprov" and vars(module).get("verify_signature") is original:
+            monkeypatch.setattr(module, "verify_signature", counting)
+    run_simulation(sim_config_from_obj(obj))
+    assert len(calls) == len(set(calls)) == expected
 
 
 def test_different_seeds_differ():
@@ -346,9 +374,20 @@ def test_rewrite_history_resign_modes():
     assert [header_hash(b.header) for b in forged] == [header_hash(b.header) for b in original]
     assert forged[2].transactions[0].body.dataset.extra == {"tampered": "1"}
     assert forged[2].transactions[0].tx_id == original[2].transactions[0].tx_id  # stale id kept
+    # the forgery keeps the verified header object; its tx root gives it away
+    assert forged[2].header is original[2].header
+    replay = ChainState(sim.genesis)
+    assert all(replay.receive_block(b).ok for b in forged[:2])
+    assert replay.receive_block(forged[2]).reason == "BadTxRoot"
 
     resigned = rewrite_history(original, 2, node.key, resign=1)
     assert [b.header.creator for b in resigned] == [b.header.creator for b in original]
+    # the run verified every original header; each forged one is judged on its own bytes
+    roster = dict(sim.genesis.handlers)
+    for old, new in zip(original[2:], resigned[2:]):
+        pub = roster[old.header.creator]
+        assert old.header.signed_by(pub)
+        assert new.header.signed_by(pub) == (new.header.creator == "h2")
     for h in range(2, len(resigned)):
         assert header_hash(resigned[h].header) != header_hash(original[h].header)
         if h + 1 < len(resigned):
