@@ -31,7 +31,6 @@ from .chain import (
     block_bytes,
     detect_equivocation,
     genesis_hash,
-    header_hash,
     load_chain,
     load_genesis,
     produce_block,
@@ -87,7 +86,6 @@ from .model import (
     provenance_trace,
     sign_transaction,
     tx_from_wire_bytes,
-    tx_wire_bytes,
     validate_transaction,
 )
 from .netsim import SimConfig, run_simulation, sim_config_from_obj

@@ -124,18 +124,28 @@ def dumps_validated(value: Any) -> bytes:
         raise InvalidBody(f"value has no UTF-8 form: {exc}") from exc
 
 
+def parse_json(data: bytes, object_pairs_hook=None) -> Any:
+    """json.loads over UTF-8 bytes, with every way bytes fail to parse as
+    InvalidBody. It does not check canonical form: a caller that needs it
+    compares the bytes of what it built with data."""
+    try:
+        return json.loads(data.decode("utf-8"), object_pairs_hook=object_pairs_hook)
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past int()'s digit limit
+        raise InvalidBody(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than json.loads can follow
+        raise InvalidBody(f"JSON nested too deeply: {exc}") from exc
+
+
 def loads_canonical(data: bytes) -> Any:
     """Parse canonical bytes, rejecting any non-canonical encoding.
 
     Round-trips the parsed value through the encoder and requires a byte
     match, so accepted input is always a canonical-form fixpoint.
     """
+    value = parse_json(data)
     try:
-        value = json.loads(data.decode("utf-8"))
         canonical = dumps_canonical(value) == data
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past int()'s digit limit
-        raise InvalidBody(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:  # parse or encodability walk on deeply nested input
+    except RecursionError as exc:  # the encodability walk on deeply nested input
         raise InvalidBody(f"JSON nested too deeply: {exc}") from exc
     if not canonical:
         raise InvalidBody("input is not in canonical form")
@@ -176,7 +186,7 @@ def read_file(path: str, what: str, limit: int = -1) -> bytes:
 
 def loads_canonical_file(data: bytes) -> Any:
     """Parse the bytes of a file written by write_canonical_file; one trailing "\n" is optional."""
-    return loads_canonical(data[:-1] if data.endswith(b"\n") else data)
+    return loads_canonical(data.removesuffix(b"\n"))
 
 
 def read_canonical_file(path: str, what: str) -> Any:

@@ -23,10 +23,10 @@ from .canonical import (
     dumps_validated,
     is_hex64,
     is_hex128,
-    loads_canonical,
     loads_canonical_file,
     make_dirs,
     once,
+    parse_json,
     read_canonical_file,
     read_file,
     replace_file,
@@ -43,7 +43,6 @@ from .model import (
     Verdict,
     tx_from_log_entry,
     tx_from_obj,
-    tx_to_obj,
     validate_transaction,
 )
 
@@ -122,10 +121,11 @@ def genesis_hash(config: GenesisConfig) -> str:
 
 @dataclass(frozen=True)
 class BlockHeader:
-    """A signed block header. Its signing bytes, its hash and its signature
+    """A signed block header. Its wire bytes, its hash and its signature
     verdict under each key are computed once per object, so the nodes and
     auditors that share one header verify it once; dataclasses.replace
-    gives a copy that computes its own."""
+    gives a copy that computes its own. The signing bytes are not kept:
+    they are needed only to sign, or to verify under a key not tried yet."""
 
     height: int
     slot: int
@@ -137,17 +137,22 @@ class BlockHeader:
     creator: str  # handler_id
     signature: str  # hex, over the canonical header bytes minus this field
 
-    @once
+    @property
     def signing_bytes(self) -> bytes:
         """Canonical bytes of every field but the signature; computing them
         validates those fields, and a malformed one raises InvalidBody."""
         return dumps_validated(_header_core_obj(self))
 
     @once
+    def wire_bytes(self) -> bytes:
+        """Canonical bytes of the signed header, as a block file holds them;
+        computing them is the header's field validation."""
+        return dumps_validated(header_to_obj(self))
+
+    @once
     def hash(self) -> str:
-        """Hash over the signed header bytes; the chain-link identity of a
-        block. Computing it is the header's field validation."""
-        return sha256_bytes(dumps_validated(header_to_obj(self))).hex()
+        """Hash over the wire bytes; the chain-link identity of a block."""
+        return sha256_bytes(self.wire_bytes).hex()
 
     @once
     def _verdicts(self) -> dict:
@@ -188,11 +193,6 @@ def _header_core_obj(h: BlockHeader) -> dict:
     }
 
 
-def header_signing_bytes(h: BlockHeader) -> bytes:
-    """The bytes the creator signs: the canonical header without its signature."""
-    return h.signing_bytes
-
-
 def header_to_obj(h: BlockHeader) -> dict:
     obj = _header_core_obj(h)
     _require(is_hex128(h.signature), "header signature malformed")
@@ -227,26 +227,14 @@ def header_from_obj(obj) -> BlockHeader:
         creator=obj["creator"],
         signature=obj["signature"],
     )
-    h.hash  # the one field validation; the hash is kept for the chain link
+    h.wire_bytes  # the one field validation
     return h
-
-
-def header_hash(h: BlockHeader) -> str:
-    """The chain-link identity of a block: the hash over the signed header bytes."""
-    return h.hash
 
 
 @dataclass(frozen=True)
 class Block:
     header: BlockHeader
     transactions: tuple
-
-
-def block_to_obj(block: Block) -> dict:
-    return {
-        "header": header_to_obj(block.header),
-        "transactions": [tx_to_obj(tx) for tx in block.transactions],
-    }
 
 
 def block_from_obj(obj) -> Block:
@@ -260,11 +248,17 @@ def block_from_obj(obj) -> Block:
 
 
 def block_bytes(block: Block) -> bytes:
-    return dumps_canonical(block_to_obj(block))
+    """The block's one byte form, joined from its parts' wire bytes ("header"
+    sorts before "transactions"). Not kept: a replay holds every block."""
+    txs = b",".join(tx.wire_bytes for tx in block.transactions)
+    return b'{"header":' + block.header.wire_bytes + b',"transactions":[' + txs + b"]}"
 
 
 def block_from_bytes(data: bytes) -> Block:
-    return block_from_obj(loads_canonical(data))
+    """Parse a block, accepting only its one byte form."""
+    block = block_from_obj(parse_json(data))
+    _require(block_bytes(block) == data, "input is not in canonical form")
+    return block
 
 
 def tx_tree_root(tx_bytes_list) -> str:
@@ -454,7 +448,7 @@ class ChainState:
             raise NotFound(f"slot {slot} is in a cycle before the head's, and this state holds no block list")
         for block in reversed(self.blocks):  # a cycle before the head's
             if block.header.slot < cycle_start:
-                return digest_from_hex(header_hash(block.header))
+                return digest_from_hex(block.header.hash)
         return digest_from_hex(self._genesis_hash)
 
     def scheduled_handler(self, slot: int) -> str:
@@ -502,7 +496,7 @@ class ChainState:
         if self.blocks is not None:
             self.blocks.append(block)
         self._head_header = block.header
-        self._head_hash = header_hash(block.header)
+        self._head_hash = block.header.hash
         for tx in block.transactions:
             self.tx_index[tx.tx_id] = self.registry_log.size
             self.registry_log.append(tx.wire_bytes)
@@ -522,7 +516,7 @@ class ChainState:
         produced, without a block list (load_chain's head cache)."""
         self.blocks = None
         self._head_header = header
-        self._head_hash = header_hash(header)
+        self._head_hash = header.hash
         self.registry_log = log
         self.registry = registry
         self.tx_index = tx_index
@@ -559,7 +553,7 @@ def produce_block(state: ChainState, slot: int, handler_key: SigningKey, now: in
         creator=handler_id,
         signature="0" * 128,
     )
-    signature = handler_key.sign(header_signing_bytes(unsigned)).hex()
+    signature = handler_key.sign(unsigned.signing_bytes).hex()
     return Block(header=replace(unsigned, signature=signature), transactions=tuple(accepted))
 
 
@@ -630,7 +624,7 @@ def _create_once(path: str, data: bytes, what: str) -> None:
 def save_genesis(chain_dir: str, config: GenesisConfig) -> None:
     """Create genesis.json; a different genesis already there raises AlreadyExists."""
     make_dirs(chain_dir)
-    _create_once(_genesis_path(chain_dir), dumps_canonical(genesis_to_obj(config)) + b"\n", "genesis")
+    _create_once(_genesis_path(chain_dir), genesis_bytes(config) + b"\n", "genesis")
 
 
 def load_genesis(chain_dir: str) -> GenesisConfig:
@@ -641,7 +635,7 @@ def save_block_file(chain_dir: str, block: Block) -> str:
     """Create block_N.json; of two writers sealing one height only the first
     succeeds, and the second gets AlreadyExists."""
     path = _block_path(chain_dir, block.header.height)
-    _create_once(path, dumps_canonical(block_to_obj(block)) + b"\n", "block file")
+    _create_once(path, block_bytes(block) + b"\n", "block file")
     return path
 
 
@@ -676,7 +670,7 @@ def load_block_file(chain_dir: str, height: int, digest) -> Block:
     """Parse block_N.json after feeding its exact bytes to digest."""
     data = read_file(_block_path(chain_dir, height), "block file")
     _feed(digest, data)
-    return block_from_obj(loads_canonical_file(data))
+    return block_from_bytes(data.removesuffix(b"\n"))
 
 
 def _open_store(chain_dir: str):
@@ -766,7 +760,7 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
             _feed(covered, read_file(_block_path(chain_dir, h), "block file"))
         header = load_block_file(chain_dir, height, covered).header
         _require(covered.hexdigest() == cache["files_digest"], "store bytes differ from the head cache's")
-        _require(header_hash(header) == cache["head_hash"], "head block differs from the head cache's")
+        _require(header.hash == cache["head_hash"], "head block differs from the head cache's")
         cycle = cache["cycle_seed"]
         _require(isinstance(cycle, dict) and set(cycle) == {"seed", "start"} and is_hex64(cycle["seed"])
                  and type(cycle["start"]) is int and cycle["start"] == state._cycle_start(header.slot),

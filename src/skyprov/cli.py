@@ -21,13 +21,12 @@ from .aggregation import (
     publish_result,
     request_from_obj,
 )
-from .canonical import dumps_canonical, is_hex64, make_dirs, read_file, write_canonical_file, write_file
+from .canonical import dumps_canonical, is_hex64, make_dirs, parse_json, read_file, write_canonical_file, write_file
 from .chain import (
     ORDERING_MODES,
     Checkpoint,
     GenesisConfig,
     genesis_hash,
-    header_hash,
     load_chain,
     produce_block,
     replay_chain,
@@ -46,7 +45,7 @@ from .errors import (
     SkyprovError,
     UsageError,
 )
-from .index import QueryFilter, index_from_obj, index_to_obj, query, validate_filter
+from .index import QueryFilter, index_to_obj, query, validate_filter
 from .keys import SigningKey, load_key_file, save_key_file
 from .merkle import empty_root
 from .model import body_from_obj, dataset_to_obj, sign_transaction
@@ -75,15 +74,24 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _unique_keys(pairs) -> dict:
+    """An object whose names are unique, as I-JSON (RFC 7493 section 2.3)
+    requires; json.loads alone would keep the last of two values."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidBody(f"duplicate object key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json_file(path: str, what: str):
-    """User-authored JSON, parsed leniently (any spacing, key order, newlines)."""
-    data = read_file(path, what)
+    """User-authored JSON, parsed leniently (any spacing, key order, newlines)
+    except that every object's keys must be unique."""
     try:
-        return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise InvalidBody(f"{what} {path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:  # nesting deeper than json.loads can follow
-        raise InvalidBody(f"{what} {path} is nested too deeply: {exc}") from exc
+        return parse_json(read_file(path, what), object_pairs_hook=_unique_keys)
+    except InvalidBody as exc:
+        raise InvalidBody(f"{what} {path}: {exc}") from exc
 
 
 def _keys_dir(home: str) -> str:
@@ -201,6 +209,8 @@ def cmd_tx_submit(args) -> int:
 
 def cmd_chain_verify(args) -> int:
     chain_dir = _chain_dir(args)
+    # the user's file first: a malformed one costs no replay and gives one error line
+    cp = Checkpoint.from_obj(_read_json_file(args.checkpoint, "checkpoint file")) if args.checkpoint else None
     state, results, failure = replay_chain(chain_dir)
     for height, verdict in results:
         _emit({"height": height, "verdict": "ok" if verdict.ok else verdict.reason})
@@ -215,8 +225,7 @@ def cmd_chain_verify(args) -> int:
         "height": state.head_height,
         "registry_size": log.size,
     }
-    if args.checkpoint:
-        cp = Checkpoint.from_obj(_read_json_file(args.checkpoint, "checkpoint file"))
+    if cp is not None:
         # The checkpoint must name a block of this chain together with that
         # block's registry commitment. Height -1 is the empty chain: its head
         # hash is the genesis hash and its registry is empty.
@@ -226,7 +235,7 @@ def cmd_chain_verify(args) -> int:
             anchor = (state.genesis_hash_hex, 0, empty_root().hex())
         else:
             header = state.blocks[cp.height].header
-            anchor = (header_hash(header), header.registry_size, header.registry_root)
+            anchor = (header.hash, header.registry_size, header.registry_root)
         # No consistency proof is needed on top: the replay checked every
         # header's registry_root and registry_size against the log it
         # extended, so a checkpoint that matches a header is a prefix of this
@@ -333,17 +342,11 @@ def parse_where(clauses) -> QueryFilter:
     return f
 
 
-def _load_registry(args):
-    if getattr(args, "index", None):
-        return index_from_obj(_read_json_file(args.index, "index file"))
-    return load_chain(_chain_dir(args)).registry
-
-
 def cmd_query(args) -> int:
     if not args.where:
         raise UsageError("at least one --where predicate is required")
     f = parse_where(args.where)
-    rows = query(_load_registry(args), f)
+    rows = query(load_chain(_chain_dir(args)).registry, f)
     for ds in rows:
         sys.stdout.buffer.write(dumps_canonical(dataset_to_obj(ds)) + b"\n")
     _progress(f"{len(rows)} datasets matched")
@@ -471,7 +474,6 @@ def build_parser() -> _Parser:
     p = add("query", cmd_query, help="query the registry; one dataset JSON per line")
     p.add_argument("--home", default=None)
     p.add_argument("--chain", default=None)
-    p.add_argument("--index", default=None, help="query a stored index snapshot instead of the chain")
     p.add_argument("--where", action="append", default=[], metavar="K=V|K=lo..hi")
 
     p = add("aggregate", cmd_aggregate, help="run an aggregation request to a local sink")

@@ -3,8 +3,9 @@
 The registry every ChainState builds while it validates blocks
 (model.RegistryState) is the only representation of confirmed metadata.
 This module answers predicate queries by scanning it, and reads and
-writes the index snapshot file that ``query --index`` serves without
-replaying the chain.
+writes the index snapshot file that ``index-build`` exports. The snapshot
+is not bound to the chain (it holds no log entries to check against a
+registry root), so no command reads it back.
 """
 
 from __future__ import annotations

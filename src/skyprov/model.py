@@ -19,8 +19,8 @@ from .canonical import (
     is_decimal,
     is_hex64,
     is_hex128,
-    loads_canonical,
     once,
+    parse_json,
     sha256_bytes,
 )
 from .errors import InvalidBody, NotFound
@@ -419,10 +419,6 @@ def canonical_bytes(body: TxBody) -> bytes:
     return dumps_validated(body_to_obj(body))
 
 
-def compute_tx_id(body: TxBody) -> str:
-    return sha256_bytes(canonical_bytes(body)).hex()
-
-
 # -- signed transactions ---------------------------------------------------
 
 
@@ -531,13 +527,11 @@ def tx_from_log_entry(data: bytes) -> PmdTransaction:
     return _tx_from_obj(json.loads(data))
 
 
-def tx_wire_bytes(tx: PmdTransaction) -> bytes:
-    """Wire form: the canonical bytes appended to the registry log."""
-    return tx.wire_bytes
-
-
 def tx_from_wire_bytes(data: bytes) -> PmdTransaction:
-    return tx_from_obj(loads_canonical(data))
+    """Parse a transaction, accepting only its wire bytes."""
+    tx = tx_from_obj(parse_json(data))
+    _require(tx.wire_bytes == data, "input is not in canonical form")
+    return tx
 
 
 # -- registry state and validation -----------------------------------------

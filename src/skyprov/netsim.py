@@ -31,8 +31,6 @@ from .chain import (
     ChainState,
     GenesisConfig,
     detect_equivocation,
-    header_hash,
-    header_signing_bytes,
     produce_block,
     tx_tree_root,
 )
@@ -46,7 +44,6 @@ from .model import (
     RegisterProgram,
     RegisterStorage,
     sign_transaction,
-    tx_wire_bytes,
 )
 
 # -- configuration -----------------------------------------------------------------
@@ -251,24 +248,24 @@ def rewrite_history(blocks, height: int, key: SigningKey, resign: int):
     log = MerkleLog()
     for block in blocks[:height]:
         for tx in block.transactions:
-            log.append(tx_wire_bytes(tx))
+            log.append(tx.wire_bytes)
     prev_hash = blocks[height].header.prev_block_hash
     for h in range(height, len(blocks)):
         txs = new_txs if h == height else blocks[h].transactions
         for tx in txs:
-            log.append(tx_wire_bytes(tx))
+            log.append(tx.wire_bytes)
         old = blocks[h].header
         unsigned = dataclasses.replace(
             old,
             prev_block_hash=prev_hash,
-            tx_root=tx_tree_root([tx_wire_bytes(tx) for tx in txs]),
+            tx_root=tx_tree_root([tx.wire_bytes for tx in txs]),
             registry_root=log.root().hex(),
             registry_size=log.size,
             signature="0" * 128,
         )
-        signed = dataclasses.replace(unsigned, signature=key.sign(header_signing_bytes(unsigned)).hex())
+        signed = dataclasses.replace(unsigned, signature=key.sign(unsigned.signing_bytes).hex())
         blocks[h] = Block(header=signed, transactions=txs)
-        prev_hash = header_hash(signed)
+        prev_hash = signed.hash
     return blocks
 
 
@@ -550,12 +547,12 @@ class Simulation:
                 sends = [(block, receivers[:half]), (second, receivers[half:])]
                 record.update(
                     type="produce_equivocation",
-                    blocks=[_short(header_hash(block.header)), _short(header_hash(second.header))],
+                    blocks=[_short(block.header.hash), _short(second.header.hash)],
                 )
             else:
                 sends = [(block, receivers)]
                 record.update(
-                    type="produce", height=block.header.height, block=_short(header_hash(block.header))
+                    type="produce", height=block.header.height, block=_short(block.header.hash)
                 )
             node.try_apply(block)
             node.register_header(block.header, self.genesis)
@@ -583,7 +580,8 @@ class Simulation:
                 self.trace.log(
                     {"t": time_ms, "type": "gap", "node": receiver, "height": height, "head": node.state.head_height}
                 )
-                self.send_sync_req(time_ms, receiver, sender)
+                if not node.awaiting_sync:  # the reconnect's requests already cover the gap
+                    self.send_sync_req(time_ms, receiver, sender)
             elif verdict.reason == "BadLink" and height == node.state.head_height + 1:
                 # same-height fork: compare notes with the sender
                 self.trace.log(
@@ -624,7 +622,7 @@ class Simulation:
                 "type": "apply",
                 "node": node_id,
                 "height": block.header.height,
-                "block": _short(header_hash(block.header)),
+                "block": _short(block.header.hash),
             }
         )
 
@@ -675,7 +673,7 @@ class Simulation:
             if not verdict.ok:
                 for served in chain[i:]:
                     for tx in served.transactions:
-                        replay.registry_log.append(tx_wire_bytes(tx))
+                        replay.registry_log.append(tx.wire_bytes)
                 return {"height": block.header.height, "reason": verdict.reason}, replay.registry_log
         return None, replay.registry_log
 

@@ -32,7 +32,6 @@ from skyprov.chain import (
     GenesisConfig,
     block_bytes,
     genesis_bytes,
-    header_signing_bytes,
     produce_block,
     tx_tree_root,
     validate_block,
@@ -55,7 +54,6 @@ from skyprov.model import (
     RegisterStorage,
     provenance_trace,
     sign_transaction,
-    tx_wire_bytes,
 )
 from skyprov.netsim import Simulation, rewrite_history, run_simulation, sim_config_from_obj
 from skyprov.storage import encode_events, init_storage, write_events
@@ -194,7 +192,7 @@ def test_criterion_2_checkpoint_compatibility_20_scenarios():
 
         # honest pairwise: every checkpoint pair within one honest node verifies
         honest = sim.nodes[sorted(h for h in config.handler_ids if h != tamperer)[0]]
-        wire = [tx_wire_bytes(tx) for b in honest.state.blocks for tx in b.transactions]
+        wire = [tx.wire_bytes for b in honest.state.blocks for tx in b.transactions]
         cps = honest.checkpoints
         for j in range(len(cps)):
             log_j = MerkleLog()
@@ -304,7 +302,7 @@ def test_criterion_4_equivocation_and_forgery_detection():
             tx_root=tx_tree_root([]), registry_root=root.hex(), registry_size=size,
             timestamp=state.slot_start_time(next_slot), creator=creator, signature="0" * 128,
         )
-        signature = signing_key.sign(header_signing_bytes(unsigned)).hex()
+        signature = signing_key.sign(unsigned.signing_bytes).hex()
         return Block(header=replace(unsigned, signature=signature), transactions=())
 
     v = validate_block(state, forged_header(attacker, keys[attacker]))
@@ -618,7 +616,7 @@ def test_criterion_8_format_bit_exactness(tmp_path):
 
     assert sha256_bytes(genesis_bytes(config)).hex() == GOLDEN_GENESIS_SHA
     assert sha256_bytes(block_bytes(block0)).hex() == GOLDEN_BLOCK0_SHA
-    assert sha256_bytes(tx_wire_bytes(block0.transactions[0])).hex() == GOLDEN_TX0_WIRE_SHA
+    assert sha256_bytes(block0.transactions[0].wire_bytes).hex() == GOLDEN_TX0_WIRE_SHA
 
     log = state.registry_log
     assert sha256_bytes(log.prove_inclusion(5).to_json_bytes()).hex() == GOLDEN_INCLUSION_SHA

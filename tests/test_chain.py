@@ -1,12 +1,17 @@
 """Chain tests: scheduling oracle, production, validation verdicts, replay."""
 
 import dataclasses
+import functools
 import hashlib
 import json
+import pathlib
 import random
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyprov.chain import (
     Block,
@@ -19,8 +24,7 @@ from skyprov.chain import (
     genesis_bytes,
     genesis_from_obj,
     genesis_hash,
-    header_hash,
-    header_signing_bytes,
+    genesis_to_obj,
     header_to_obj,
     load_chain,
     load_genesis,
@@ -33,6 +37,7 @@ from skyprov.chain import (
     tx_tree_root,
     validate_block,
 )
+from skyprov import canonical as canonical_module
 from skyprov import chain as chain_module
 from skyprov import cli
 from skyprov import keys as keys_module
@@ -48,7 +53,6 @@ from skyprov.model import (
     canonical_bytes,
     sign_transaction,
     tx_to_obj,
-    tx_wire_bytes,
 )
 
 from conftest import key_for, make_dataset, make_roster, program_body, storage_body
@@ -278,14 +282,14 @@ def test_validate_block_verdicts(chain3):
     wrong = state.scheduled_handler(slot + 1)
     unsigned = dataclasses.replace(good.header, creator=wrong, signature="0" * 128)
     resigned = dataclasses.replace(
-        unsigned, signature=keys[wrong].sign(header_signing_bytes(unsigned)).hex()
+        unsigned, signature=keys[wrong].sign(unsigned.signing_bytes).hex()
     )
     assert validate_block(state, Block(resigned, good.transactions)).reason == "NotScheduledHandler"
 
     # correct creator field, wrong signing key
     forged_sig = dataclasses.replace(good.header, signature="0" * 128)
     forged_sig = dataclasses.replace(
-        forged_sig, signature=keys[wrong].sign(header_signing_bytes(forged_sig)).hex()
+        forged_sig, signature=keys[wrong].sign(forged_sig.signing_bytes).hex()
     )
     assert validate_block(state, Block(forged_sig, good.transactions)).reason == "BadSignature"
 
@@ -298,7 +302,7 @@ def test_validate_block_verdicts(chain3):
         PublishDataset(make_dataset("ds-ghost", storage_id="st-ghost")), user, created_at=999
     )
     txs = good.transactions + (bad_tx,)
-    tx_bytes = [tx_wire_bytes(t) for t in txs]
+    tx_bytes = [t.wire_bytes for t in txs]
     root, size = state.registry_log.extended_root(tx_bytes)
     h = dataclasses.replace(
         good.header,
@@ -307,12 +311,12 @@ def test_validate_block_verdicts(chain3):
         registry_size=size,
         signature="0" * 128,
     )
-    h = dataclasses.replace(h, signature=keys[handler].sign(header_signing_bytes(h)).hex())
+    h = dataclasses.replace(h, signature=keys[handler].sign(h.signing_bytes).hex())
     assert validate_block(state, Block(h, txs)).reason == "InvalidTransaction"
 
     # registry commitment drifts from the extended log
     h = dataclasses.replace(good.header, registry_root=HEX64, signature="0" * 128)
-    h = dataclasses.replace(h, signature=keys[handler].sign(header_signing_bytes(h)).hex())
+    h = dataclasses.replace(h, signature=keys[handler].sign(h.signing_bytes).hex())
     assert validate_block(state, Block(h, good.transactions)).reason == "BadRegistryCommitment"
 
     assert validate_block(state, good).ok
@@ -325,7 +329,7 @@ def test_forged_suffix_requires_all_scheduled_keys(chain3):
     # h1 tries to extend with blocks for slots 3 and 4 (scheduled: h0, h1)
     forged = produce_block(state, 4, attacker, now=state.slot_start_time(4))
     fake3 = dataclasses.replace(forged.header, slot=3, signature="0" * 128)
-    fake3 = dataclasses.replace(fake3, signature=attacker.sign(header_signing_bytes(fake3)).hex())
+    fake3 = dataclasses.replace(fake3, signature=attacker.sign(fake3.signing_bytes).hex())
     verdict = validate_block(state, Block(fake3, forged.transactions))
     assert verdict.reason == "NotScheduledHandler"
     # with the genuinely scheduled keys, the suffix extends fine
@@ -372,7 +376,7 @@ def test_reshuffle_seed_changes_between_cycles():
         handler = state.scheduled_handler(slot)
         state.apply_block(produce_block(state, slot, keys[handler], now=0))
     seed1 = state.seed_for_slot(5)
-    assert seed1 == bytes.fromhex(header_hash(state.blocks[-1].header))
+    assert seed1 == bytes.fromhex(state.blocks[-1].header.hash)
     assert seed1 != seed0
 
 
@@ -457,7 +461,7 @@ def test_detect_equivocation(chain3):
     assert evidence is not None
     assert evidence.creator == "h0"
     assert evidence.slot == 0
-    assert evidence.header_hashes == tuple(sorted((header_hash(a.header), header_hash(b.header))))
+    assert evidence.header_hashes == tuple(sorted((a.header.hash, b.header.hash)))
 
 
 def test_detect_equivocation_negative_cases(chain3):
@@ -524,7 +528,7 @@ def test_replay_detects_recommitted_tx_without_resign(chain3, tmp_path):
     obj = loads_canonical(path.read_bytes()[:-1])
     obj["transactions"][0]["body"]["dataset"]["extra"]["tampered"] = "1"
     block = block_from_bytes(dumps_canonical(obj))
-    fixed_root = tx_tree_root([tx_wire_bytes(t) for t in block.transactions])
+    fixed_root = tx_tree_root([t.wire_bytes for t in block.transactions])
     obj["header"]["tx_root"] = fixed_root
     path.write_bytes(dumps_canonical(obj) + b"\n")
     _, _, failure = replay_chain(str(tmp_path))
@@ -553,10 +557,10 @@ def test_replay_detects_registry_commitment_break(chain3, tmp_path):
     creator = block.header.creator
     h = dataclasses.replace(
         block.header,
-        tx_root=tx_tree_root([tx_wire_bytes(t) for t in block.transactions]),
+        tx_root=tx_tree_root([t.wire_bytes for t in block.transactions]),
         signature="0" * 128,
     )
-    h = dataclasses.replace(h, signature=keys[creator].sign(header_signing_bytes(h)).hex())
+    h = dataclasses.replace(h, signature=keys[creator].sign(h.signing_bytes).hex())
     path.write_bytes(block_bytes(Block(h, block.transactions)) + b"\n")
     _, _, failure = replay_chain(str(tmp_path))
     assert failure is not None
@@ -673,11 +677,11 @@ def _resign_header(obj, key):
     block = block_from_bytes(dumps_canonical(obj))
     h = dataclasses.replace(
         block.header,
-        tx_root=tx_tree_root([tx_wire_bytes(t) for t in block.transactions]),
+        tx_root=tx_tree_root([t.wire_bytes for t in block.transactions]),
         signature="0" * 128,
     )
     obj["header"] = loads_canonical(
-        block_bytes(Block(dataclasses.replace(h, signature=key.sign(header_signing_bytes(h)).hex()), ()))
+        block_bytes(Block(dataclasses.replace(h, signature=key.sign(h.signing_bytes).hex()), ()))
     )["header"]
 
 
@@ -763,6 +767,114 @@ def test_replay_validates_and_encodes_each_tx_once(tmp_path, monkeypatch):
     assert len(encodes) <= n_txs + 3 * n_blocks + 2
 
 
+def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
+    # A block file is accepted only as the join of its parts' wire bytes, so
+    # replay never round-trips a whole block through loads_canonical: each
+    # transaction is encoded once (its wire bytes) and each header twice (its
+    # signing bytes and its wire bytes).
+    _golden_store(tmp_path)
+    parsed = []
+    original_loads = canonical_module.loads_canonical
+    monkeypatch.setattr(canonical_module, "loads_canonical", lambda data: parsed.append(data) or original_loads(data))
+    encoded = []
+    original_dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda value, **kw: encoded.append(value) or original_dumps(value, **kw))
+    state, _, failure = replay_chain(str(tmp_path))
+    assert failure is None
+    assert parsed == [(tmp_path / "genesis.json").read_bytes()[:-1]]
+    encoded.remove(genesis_to_obj(state.config))  # the genesis file's round trip
+    encoded.remove(genesis_to_obj(state.config))  # and its hash
+    headers = [header_to_obj(b.header) for b in state.blocks]
+    cores = [{k: v for k, v in h.items() if k != "signature"} for h in headers]
+    txs = [tx_to_obj(tx) for b in state.blocks for tx in b.transactions]
+    expected = headers + cores + txs
+    assert sorted(original_dumps(v, sort_keys=True) for v in encoded) == sorted(
+        original_dumps(v, sort_keys=True) for v in expected)
+
+
+# -- differential decode: parts' wire bytes against the loads_canonical round trip ----------
+
+
+@functools.lru_cache(maxsize=None)
+def _stored_block_files():
+    """The block files of a _golden_store, read back from disk."""
+    with tempfile.TemporaryDirectory() as d:
+        _golden_store(pathlib.Path(d))
+        return tuple(p.read_bytes() for p in sorted(pathlib.Path(d).glob("block_*.json")))
+
+
+@functools.lru_cache(maxsize=None)
+def _stored_tx_wires():
+    return tuple(tx.wire_bytes for data in _stored_block_files() for tx in block_from_bytes(data[:-1]).transactions)
+
+
+_INSERTS = [b" ", b"\n", b'"', b"\\", b",", b":", b"{}", b"[]", b"0", b"-", b".5", b"e3", b"true", b"null",
+            b"\\u0041", b"\\ud800", b"\xc3\xa9", b"\xff", b'"x":1,']
+
+
+@st.composite
+def _mutants(draw, sources):
+    """One stored object's bytes after one to three byte flips, inserts or deletes."""
+    data = bytearray(draw(st.sampled_from(sources())))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["flip", "insert", "delete"])) if at < len(data) else "insert"
+        if op == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 6))  # an ASCII byte stays ASCII
+        elif op == "insert":
+            data[at:at] = draw(st.sampled_from(_INSERTS) | st.binary(min_size=1, max_size=2))
+        else:
+            del data[at : at + draw(st.integers(1, 8))]
+    return bytes(data)
+
+
+def _outcome(decode, data):
+    """(object, None) when decode accepts data, (None, message) when it raises InvalidBody."""
+    try:
+        return decode(data), None
+    except InvalidBody as exc:
+        return None, str(exc)
+
+
+def _assert_decoders_agree(new, reference, malformed, data):
+    """new accepts exactly what reference accepts, builds an equal object, and
+    gives reference's message unless data is both non-canonical and
+    malformed, where the two run their checks in another order."""
+    got, got_msg = _outcome(new, data)
+    want, want_msg = _outcome(reference, data)
+    assert (got is None) == (want is None), (got_msg, want_msg)
+    assert got == want
+    if got_msg != want_msg:
+        assert _outcome(canonical_module.loads_canonical_file, data)[1] is not None
+        assert _outcome(malformed, data)[1] is not None
+    return got
+
+
+@settings(max_examples=500)
+@given(_mutants(_stored_block_files))
+def test_block_decode_accepts_what_loads_canonical_accepts(data):
+    stripped = data.removesuffix(b"\n")
+    block = _assert_decoders_agree(
+        block_from_bytes,
+        lambda d: chain_module.block_from_obj(loads_canonical(d)),
+        lambda d: chain_module.block_from_obj(canonical_module.parse_json(d)),
+        stripped,
+    )
+    assert block is None or block_bytes(block) == stripped
+
+
+@settings(max_examples=500)
+@given(_mutants(_stored_tx_wires))
+def test_tx_decode_accepts_what_loads_canonical_accepts(data):
+    tx = _assert_decoders_agree(
+        model.tx_from_wire_bytes,
+        lambda d: model.tx_from_obj(loads_canonical(d)),
+        lambda d: model.tx_from_obj(canonical_module.parse_json(d)),
+        data,
+    )
+    assert tx is None or tx.wire_bytes == data
+
+
 def test_tx_signature_verified_once_from_submit_to_receive(chain3, monkeypatch):
     state, keys = chain3
     tx = sign_transaction(storage_body(), key_for("user-1"), created_at=1)
@@ -788,7 +900,7 @@ def test_bool_header_height_still_rejected(chain3):
     state, keys = chain3
     b0 = produce_block(state, 0, keys["h0"], now=0)
     forged = dataclasses.replace(b0.header, height=True)
-    for encode in (header_to_obj, header_signing_bytes, header_hash):
+    for encode in (header_to_obj, lambda h: h.signing_bytes, lambda h: h.hash):
         with pytest.raises(InvalidBody):
             encode(forged)
     assert validate_block(state, Block(forged, ())).reason == "BadLink"
@@ -802,8 +914,8 @@ def test_replaced_header_is_verified_again(chain3):
     block = produce_block(state, 0, keys["h0"], now=state.slot_start_time(0))
     assert validate_block(state, block).ok  # the header keeps its hash and verdict
     changed = _tamper_header(block, timestamp=block.header.timestamp + 1)
-    assert header_hash(changed.header) != header_hash(block.header)
-    assert header_signing_bytes(changed.header) != header_signing_bytes(block.header)
+    assert changed.header.hash != block.header.hash
+    assert changed.header.signing_bytes != block.header.signing_bytes
     assert validate_block(state, changed).reason == "BadSignature"
     assert validate_block(state, block).ok
 
@@ -842,7 +954,7 @@ def test_malformed_header_is_rejected_on_every_call(chain3, field, value):
     for _ in range(3):
         verdict = validate_block(state, block)
         assert verdict.reason == "BadLink" and verdict.detail.startswith("malformed header")
-        for check in (header_hash, lambda h: h.signed_by(pub)):
+        for check in (lambda h: h.hash, lambda h: h.signed_by(pub)):
             with pytest.raises(InvalidBody):
                 check(block.header)
     assert "hash" not in vars(block.header) and not block.header._verdicts
@@ -856,13 +968,13 @@ def test_head_hash_and_cycle_seed_follow_the_chain():
     def oracle_seed(slot):
         # hash of the last block before slot's cycle, else the genesis hash
         before = [b for b in state.blocks if b.header.slot < slot // 3 * 3]
-        return bytes.fromhex(header_hash(before[-1].header) if before else genesis_hash(config))
+        return bytes.fromhex(before[-1].header.hash if before else genesis_hash(config))
 
     for slot in (0, 2, 4, 7, 8, 12):
         assert state.seed_for_slot(slot) == oracle_seed(slot)
         block = produce_block(state, slot, keys[state.scheduled_handler(slot)], now=0)
         state.apply_block(block)
-        assert state.head_hash() == header_hash(block.header)
+        assert state.head_hash() == block.header.hash
         for past in range(slot + 4):
             assert state.seed_for_slot(past) == oracle_seed(past)
 
@@ -945,7 +1057,7 @@ def test_rewritten_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_
     _rewrite_block(chain_dir, height, commit)
     forged = json.loads(head)
     forged["files_digest"] = _store_digest(chain_dir, height)
-    forged["head_hash"] = header_hash(block_from_bytes((chain_dir / f"block_{height}.json").read_bytes()[:-1]).header)
+    forged["head_hash"] = block_from_bytes((chain_dir / f"block_{height}.json").read_bytes()[:-1]).header.hash
     cache = dumps_canonical(forged) + b"\n" + entry + b"\n"
     argv = ("query", "--chain", chain_dir, "--where", "facility=TAIGA")
     cache_path.unlink()

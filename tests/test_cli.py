@@ -20,7 +20,6 @@ from skyprov.canonical import digest_from_hex, dumps_canonical, sha256_bytes
 from skyprov.chain import (
     ChainState,
     GenesisConfig,
-    header_hash,
     load_chain,
     load_genesis,
     produce_block,
@@ -29,7 +28,7 @@ from skyprov.chain import (
     save_genesis,
 )
 from skyprov.errors import AlreadyExists, IoError, MalformedKey
-from skyprov.index import QueryFilter, index_to_obj, query
+from skyprov.index import QueryFilter, index_from_obj, index_to_obj, query
 from skyprov.keys import SigningKey, load_key_file, save_key_file
 from skyprov.merkle import verify_inclusion
 from skyprov.model import (
@@ -40,6 +39,7 @@ from skyprov.model import (
     PublishDataset,
     RegisterProgram,
     RegisterStorage,
+    dataset_to_obj,
     sign_transaction,
 )
 from skyprov.storage import init_storage, write_events
@@ -404,7 +404,7 @@ def test_chain_verify_checkpoint_fields_must_be_integers(world, tmp_path, capsys
                                                  now=state.slot_start_time(slot))).ok
     save_chain(state, world["chain"])
     header = state.blocks[1].header
-    named = {"head_hash": header_hash(header), "height": 1,
+    named = {"head_hash": header.hash, "height": 1,
              "registry_root": header.registry_root, "registry_size": header.registry_size}
     empty = ChainState(state.config).checkpoint().to_obj()
     cp = tmp_path / "cp.json"
@@ -475,37 +475,18 @@ def test_query_matches_library_results(world, capsys):
 
 
 def test_query_time_range_and_index_snapshot_agree(world, tmp_path, capsys):
+    # The snapshot is an export no command reads back: it is not bound to the
+    # chain, so query answers from the chain and refuses --index.
     snapshot = tmp_path / "index.json"
     run(capsys, "index-build", "--chain", world["chain"], "--out", str(snapshot))
     code, from_chain, _ = run(capsys, "query", "--chain", world["chain"], "--where", "time=110..260")
-    code2, from_snapshot, _ = run(capsys, "query", "--index", str(snapshot), "--where", "time=110..260")
-    assert code == code2 == 0
-    assert from_chain == from_snapshot
+    assert code == 0
     assert [r["dataset_id"] for r in lines(from_chain)] == ["ds-a", "ds-b"]
-
-
-def _bad_datasets(obj):
-    obj["datasets"] = []
-
-
-def _program_without_code_hash(obj):
-    del obj["programs"][0]["code_hash"]
-
-
-def _scalar_built_to(obj):
-    obj["built_to"] = 5
-
-
-@pytest.mark.parametrize("damage", [_bad_datasets, _program_without_code_hash, _scalar_built_to])
-def test_query_rejects_malformed_index_file(world, tmp_path, capsys, damage):
-    snapshot = tmp_path / "index.json"
-    run(capsys, "index-build", "--chain", world["chain"], "--out", str(snapshot))
-    obj = json.loads(snapshot.read_text())
-    damage(obj)
-    snapshot.write_text(json.dumps(obj))
-    code, out, _ = run(capsys, "query", "--index", str(snapshot), "--where", "facility=TAIGA")
-    assert code == 3
-    assert [row["error"] for row in lines(out)] == ["InvalidBody"]
+    rows = query(index_from_obj(json.loads(snapshot.read_bytes())), QueryFilter(time_range=(110, 260)))
+    assert b"".join(dumps_canonical(dataset_to_obj(ds)) + b"\n" for ds in rows) == from_chain.encode()
+    code, out, _ = run(capsys, "query", "--index", str(snapshot), "--where", "time=110..260")
+    assert code == 2
+    assert [row["error"] for row in lines(out)] == ["UsageError"]
 
 
 @pytest.mark.parametrize(
@@ -559,13 +540,55 @@ def test_sim_run_bad_config_is_validation_error(tmp_path, capsys):
     assert code == 4 and lines(out)[0]["error"] == "IoError"
 
 
-@pytest.mark.parametrize("argv", [["sim-run", "--config"], ["query", "--where", "facility=TAIGA", "--index"]])
-def test_deeply_nested_json_file_is_invalid_body(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv", [["sim-run", "--config"], ["chain-verify", "--checkpoint"]])
+def test_deeply_nested_json_file_is_invalid_body(world, tmp_path, capsys, argv):
+    if argv[0] == "chain-verify":
+        argv = [*argv[:1], "--chain", world["chain"], *argv[1:]]
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run(capsys, *argv, str(deep))
     assert code == 3
     assert [row["error"] for row in lines(out)] == ["InvalidBody"]
+    assert "Traceback" not in err
+
+
+def _duplicate_key_text(obj, key, first):
+    """JSON text of obj with key given twice, first's value before obj's own;
+    json.loads alone would keep obj's value and read exactly obj."""
+    text = "{" + json.dumps(key) + ":" + json.dumps(first) + "," + json.dumps(obj)[1:]
+    assert json.loads(text) == obj
+    return text
+
+
+@pytest.mark.parametrize("what", ["body", "request", "config", "checkpoint"])
+def test_duplicate_object_keys_are_invalid_body(world, tmp_path, capsys, what):
+    # I-JSON (RFC 7493 section 2.3): an object's names must be unique.
+    path = tmp_path / f"{what}.json"
+    home = ["--home", world["home"]]
+    if what == "body":
+        obj = {"adapter_kind": "jsonl", "base_uri": "st-9", "storage_id": "st-9",
+               "storage_pubkey": "ee" * 32, "type": "register_storage"}
+        text = _duplicate_key_text(obj, "storage_id", "st-8")
+        argv = ["tx-submit", *home, "--key", "user", "--no-seal", "--body", path]
+    elif what == "request":
+        obj = json.loads(open(agg_request(tmp_path, {"type": "local_path", "path": "out/dup.jsonl"})).read())
+        nested = _duplicate_key_text(obj["filter"], "time_range", {"start": 0, "end": 1})
+        text = json.dumps(obj).replace(json.dumps(obj["filter"]), nested, 1)  # a duplicate inside "filter"
+        argv = ["aggregate", *home, "--request", path]
+    elif what == "config":
+        text = _duplicate_key_text({"seed": 3, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 4}, "seed", 4)
+        argv = ["sim-run", "--config", path]
+    else:
+        text = _duplicate_key_text(world["state"].checkpoint().to_obj(), "height", -1)
+        argv = ["chain-verify", "--chain", world["chain"], "--checkpoint", path]
+    path.write_text(json.dumps(json.loads(text)))  # the same file without the duplicate is accepted
+    assert run(capsys, *map(str, argv))[0] == 0
+    path.write_text(text)
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 3
+    rows = lines(out)
+    assert [row["error"] for row in rows] == ["InvalidBody"]
+    assert "duplicate object key" in rows[0]["message"]
     assert "Traceback" not in err
 
 

@@ -384,9 +384,22 @@ def _duplicate_program(obj):
     obj["programs"].append(dict(obj["programs"][0]))
 
 
+def _bad_datasets(obj):
+    obj["datasets"] = []
+
+
+def _program_without_code_hash(obj):
+    del obj["programs"][0]["code_hash"]
+
+
+def _scalar_built_to(obj):
+    obj["built_to"] = 5
+
+
 SNAPSHOT_DAMAGE = [
     _rename_dataset, _rename_storage, _dataset_as_storage, _unknown_parent, _unregistered_program,
     _list_program_id, _primary_with_parents, _size_mismatch, _bool_height, _short_tx_id, _duplicate_program,
+    _bad_datasets, _program_without_code_hash, _scalar_built_to,
 ]
 
 

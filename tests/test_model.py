@@ -22,7 +22,6 @@ from skyprov.model import (
     body_from_obj,
     body_to_obj,
     canonical_bytes,
-    compute_tx_id,
     dataset_from_obj,
     dataset_to_obj,
     event_from_obj,
@@ -32,7 +31,6 @@ from skyprov.model import (
     tx_from_obj,
     tx_from_wire_bytes,
     tx_to_obj,
-    tx_wire_bytes,
     validate_event,
     validate_transaction,
 )
@@ -137,7 +135,7 @@ def test_body_value_change_changes_tx_id():
     a = PublishDataset(make_dataset("ds-1", extra={"site": "north"}))
     b = PublishDataset(make_dataset("ds-1", extra={"site": "south"}))
     assert canonical_bytes(a) != canonical_bytes(b)
-    assert compute_tx_id(a) != compute_tx_id(b)
+    assert hashlib.sha256(canonical_bytes(a)).hexdigest() != hashlib.sha256(canonical_bytes(b)).hexdigest()
 
 
 def test_field_insertion_order_is_irrelevant():
@@ -159,7 +157,7 @@ def test_tx_id_injective_campaign():
     seen = set()
     for i in range(10_000):
         body = PublishDataset(make_dataset(f"ds-{i}", start=i, end=i + 10))
-        seen.add(compute_tx_id(body))
+        seen.add(hashlib.sha256(canonical_bytes(body)).hexdigest())
     assert len(seen) == 10_000
 
 
@@ -232,15 +230,15 @@ def test_signature_bitflip_fails(user_key):
 
 def test_tx_wire_roundtrip(user_key):
     tx = sign_transaction(PublishDataset(make_dataset("ds-1")), user_key, created_at=77)
-    data = tx_wire_bytes(tx)
+    data = tx.wire_bytes
     back = tx_from_wire_bytes(data)
     assert back == tx
-    assert tx_wire_bytes(back) == data
+    assert back.wire_bytes == data
 
 
 def test_tx_wire_key_set_is_exact(user_key):
     tx = sign_transaction(storage_body(), user_key, created_at=77)
-    obj = loads_canonical(tx_wire_bytes(tx))
+    obj = loads_canonical(tx.wire_bytes)
     del obj["created_at"]
     with pytest.raises(InvalidBody):
         tx_from_wire_bytes(dumps_canonical(obj))
@@ -308,7 +306,7 @@ def test_duplicate_registrations_rejected(base_state, user_key):
 
 def test_bad_tx_id_rejected(base_state, user_key):
     tx = sign_transaction(PublishDataset(make_dataset("ds-1")), user_key, created_at=20)
-    forged = tx_from_wire_bytes(tx_wire_bytes(tx))
+    forged = tx_from_wire_bytes(tx.wire_bytes)
     object.__setattr__(forged, "tx_id", HEX64)
     assert validate_transaction(forged, base_state).reason == "BadTxId"
 
@@ -363,7 +361,7 @@ def test_body_bytes_are_cut_from_wire_bytes(user_key):
         PublishDataset(make_dataset("ds-1", extra={',"created_at":': ',"created_at":1'})), user_key, created_at=7
     )
     assert tx.body_bytes == canonical_bytes(tx.body)
-    assert tx_wire_bytes(tx) == dumps_canonical(tx_to_obj(tx))
+    assert tx.wire_bytes == dumps_canonical(tx_to_obj(tx))
 
 
 def test_bool_created_at_still_rejected(base_state, user_key):
@@ -371,9 +369,9 @@ def test_bool_created_at_still_rejected(base_state, user_key):
         sign_transaction(PublishDataset(make_dataset("ds-1")), user_key, created_at=1), created_at=True
     )
     with pytest.raises(InvalidBody):
-        tx_wire_bytes(tx)
+        tx.wire_bytes
     assert validate_transaction(tx, base_state).reason == "InvalidBody"
-    obj = loads_canonical(tx_wire_bytes(sign_transaction(storage_body(), user_key, created_at=1)))
+    obj = loads_canonical(sign_transaction(storage_body(), user_key, created_at=1).wire_bytes)
     obj["created_at"] = True
     with pytest.raises(InvalidBody):
         tx_from_obj(obj)
@@ -391,13 +389,13 @@ def test_parse_validates_each_dataset_once(user_key, monkeypatch):
     state = RegistryState()
     state.apply(sign_transaction(storage_body(), user_key, created_at=1))
     state.apply(sign_transaction(program_body(), user_key, created_at=2))
-    wires = [tx_wire_bytes(tx) for tx in txs]
+    wires = [tx.wire_bytes for tx in txs]
     calls = []
     original = model.validate_dataset
     monkeypatch.setattr(model, "validate_dataset", lambda ds: calls.append(ds) or original(ds))
     for data in wires:
         tx = tx_from_wire_bytes(data)
-        assert tx_wire_bytes(tx) == data
+        assert tx.wire_bytes == data
         assert validate_transaction(tx, state).ok
         state.apply(tx)
     assert len(calls) == len(txs)

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from skyprov import keys as keys_module
-from skyprov.chain import ChainState, header_hash, validate_block
+from skyprov.chain import ChainState, validate_block
 from skyprov.errors import ConfigError
 from skyprov.merkle import MerkleLog
 from skyprov.netsim import (
@@ -126,8 +126,8 @@ def _bench_shaped(resign):
 
 
 TRACE_GOLDENS = [
-    (_bench_shaped(1), "9a3ac618c822a97d01683d655b563a79b90114ce298bff2f2a06f6757c84e471"),
-    (_bench_shaped(0), "1196b5855e5a4b9c3558f68cd88435bb1417adb2d85cd1fef7e0555d9501aa4b"),
+    (_bench_shaped(1), "5929fc53d980d0d33592586e4f1750ab1d4fe464effdbef0ec31a666c31647d3"),
+    (_bench_shaped(0), "37ff1eaddb97e8fefedad0226fbc830e88329bda1f74c1ccbba8ad5cf256b870"),
     (
         {
             "seed": 9,
@@ -255,6 +255,25 @@ def test_offline_node_ignores_traffic_in_window():
     assert [a["height"] for a in applies if a["t"] >= 700][:3] == [3, 4, 5]
 
 
+def test_reconnecting_node_requests_sync_once_per_peer():
+    # h2 reconnects at slot 7 and asks every peer for sync; a block of height 6
+    # arrives in the same millisecond, before any answer, and shows a gap that
+    # the requests already cover.
+    config = cfg(seed=3, duration_slots=10, faults=[
+        {"kind": "tamper_history", "handler": "h0", "height": 1, "slot": 3, "resign": 1},
+        {"kind": "offline", "handler": "h2", "from_slot": 4, "to_slot": 6},
+    ])
+    events = run_simulation(config).events
+    start = next(i for i, e in enumerate(events) if e["type"] == "reconnect")
+    end = next(i for i, e in enumerate(events) if e["type"] == "sync_resp" and e["to"] == "h2")
+    window = events[start:end]
+    assert any(e["type"] == "gap" and e["node"] == "h2" for e in window)
+    requested = [e["to"] for e in window if e["type"] == "sync_req" and e["from"] == "h2"]
+    assert sorted(requested) == ["h0", "h1"]
+    responses = [e["from"] for e in events if e["type"] == "sync_resp" and e["to"] == "h2"]
+    assert sorted(responses) == ["h0", "h1"]
+
+
 # -- equivocation ------------------------------------------------------------------
 
 
@@ -371,7 +390,7 @@ def test_rewrite_history_resign_modes():
     original = list(node.state.blocks)
 
     forged = rewrite_history(original, 2, node.key, resign=0)
-    assert [header_hash(b.header) for b in forged] == [header_hash(b.header) for b in original]
+    assert [b.header.hash for b in forged] == [b.header.hash for b in original]
     assert forged[2].transactions[0].body.dataset.extra == {"tampered": "1"}
     assert forged[2].transactions[0].tx_id == original[2].transactions[0].tx_id  # stale id kept
     # the forgery keeps the verified header object; its tx root gives it away
@@ -389,9 +408,9 @@ def test_rewrite_history_resign_modes():
         assert old.header.signed_by(pub)
         assert new.header.signed_by(pub) == (new.header.creator == "h2")
     for h in range(2, len(resigned)):
-        assert header_hash(resigned[h].header) != header_hash(original[h].header)
+        assert resigned[h].header.hash != original[h].header.hash
         if h + 1 < len(resigned):
-            assert resigned[h + 1].header.prev_block_hash == header_hash(resigned[h].header)
+            assert resigned[h + 1].header.prev_block_hash == resigned[h].header.hash
     # the forged suffix replays cleanly up to the first foreign-creator header
     replay = ChainState(sim.genesis)
     assert replay.receive_block(resigned[0]).ok
