@@ -18,11 +18,11 @@ import itertools
 import os
 import tarfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from typing import Optional
 
-from .canonical import dumps_canonical, is_decimal, make_dirs, sha256_bytes, write_file
+from .canonical import _require, dumps_canonical, is_decimal, make_dirs, sha256_bytes, write_file
 from .chain import ChainState
 from .errors import (
     DuplicateDataset,
@@ -35,7 +35,7 @@ from .errors import (
     UnknownProgram,
     UnsortedInput,
 )
-from .index import QueryFilter, query, validate_filter
+from .index import QueryFilter, filter_from_obj, query, validate_filter
 from .keys import SigningKey
 from .model import (
     DatasetDescriptor,
@@ -43,6 +43,8 @@ from .model import (
     FileRef,
     PmdTransaction,
     RegistryState,
+    _require_str,
+    _require_str_map,
     sign_transaction,
 )
 from .storage import decode_events, encode_events, get_file, put_file
@@ -77,71 +79,30 @@ class AggregationRequest:
     sink: object = None
 
 
-_FILTER_KEYS = {
-    "facility_id",
-    "kind",
-    "time_range",
-    "energy_min",
-    "energy_max",
-    "ancestor_of",
-    "descendant_of",
-    "storage_id",
-}
-
-
-def filter_from_obj(obj) -> QueryFilter:
-    if not isinstance(obj, dict) or not set(obj) <= _FILTER_KEYS:
-        raise InvalidBody(f"filter keys must be a subset of {sorted(_FILTER_KEYS)}")
-    kwargs = dict(obj)
-    tr = kwargs.get("time_range")
-    if tr is not None:
-        if isinstance(tr, dict) and set(tr) == {"end", "start"}:
-            kwargs["time_range"] = (tr["start"], tr["end"])
-        elif isinstance(tr, list) and len(tr) == 2:
-            kwargs["time_range"] = (tr[0], tr[1])
-        else:
-            raise InvalidBody("time_range must be [start, end] or {start, end}")
-    f = QueryFilter(**kwargs)
-    validate_filter(f)
-    return f
-
-
 def request_from_obj(obj) -> AggregationRequest:
-    if not isinstance(obj, dict) or set(obj) != {"filter", "pipeline", "sink"}:
-        raise InvalidBody("request must have exactly filter, pipeline, sink")
+    """Read a request; every field is checked before anything is fetched."""
+    _require(isinstance(obj, dict) and set(obj) == {"filter", "pipeline", "sink"},
+             "request must have exactly filter, pipeline, sink")
+    _require(isinstance(obj["pipeline"], list), "pipeline must be a list")
     pipeline = []
-    if not isinstance(obj["pipeline"], list):
-        raise InvalidBody("pipeline must be a list")
     for entry in obj["pipeline"]:
-        if not isinstance(entry, dict) or set(entry) != {"name", "parameters"}:
-            raise InvalidBody("pipeline entries must have exactly name and parameters")
-        params = entry["parameters"]
-        if not isinstance(params, dict) or any(
-            not isinstance(k, str) or not isinstance(v, str) for k, v in params.items()
-        ):
-            raise InvalidBody("plugin parameters must be a string map")
-        pipeline.append(PluginSpec(name=entry["name"], parameters=dict(params)))
-    sink_obj = obj["sink"]
-    if sink_obj is None:
-        return AggregationRequest(filter=filter_from_obj(obj["filter"]), pipeline=tuple(pipeline), sink=None)
-    if not isinstance(sink_obj, dict) or "type" not in sink_obj:
-        raise InvalidBody("sink must be an object with a type")
-    if sink_obj["type"] == "local_path":
-        if set(sink_obj) != {"path", "type"} or not isinstance(sink_obj["path"], str):
-            raise InvalidBody("local_path sink needs exactly a path string")
-        sink = LocalSink(path=sink_obj["path"])
-    elif sink_obj["type"] == "publish":
-        wanted = {"dataset_id", "program_id", "program_version", "storage_id", "type"}
-        if set(sink_obj) != wanted:
-            raise InvalidBody(f"publish sink keys must be exactly {sorted(wanted)}")
-        sink = PublishSink(
-            storage_id=sink_obj["storage_id"],
-            dataset_id=sink_obj["dataset_id"],
-            program_id=sink_obj["program_id"],
-            program_version=sink_obj["program_version"],
-        )
-    else:
-        raise InvalidBody(f"unknown sink type {sink_obj['type']!r}")
+        _require(isinstance(entry, dict) and set(entry) == {"name", "parameters"},
+                 "pipeline entries must have exactly name and parameters")
+        params = _require_str_map(entry["parameters"], "plugin parameters")
+        pipeline.append(PluginSpec(name=entry["name"], parameters=params))
+    sink = obj["sink"]
+    if sink is not None:
+        _require(isinstance(sink, dict), "sink must be an object with a type")
+        kind = sink.get("type")
+        if kind == "local_path":
+            _require(set(sink) == {"path", "type"}, "local_path sink needs exactly a path")
+            sink = LocalSink(path=_require_str(sink["path"], "local_path sink path"))
+        else:
+            _require(kind == "publish", f"unknown sink type {kind!r}")
+            names = [field.name for field in fields(PublishSink)]
+            wanted = {"type", *names}
+            _require(set(sink) == wanted, f"publish sink keys must be exactly {sorted(wanted)}")
+            sink = PublishSink(**{name: _require_str(sink[name], f"publish sink {name}") for name in names})
     return AggregationRequest(filter=filter_from_obj(obj["filter"]), pipeline=tuple(pipeline), sink=sink)
 
 
@@ -398,8 +359,10 @@ def publish_result(
 ) -> PmdTransaction:
     """Write the result into a storage and submit the derivation record.
 
-    Order matters: the file is written first and the transaction submitted
-    second, so a failed write never leaves a dangling registry entry.
+    Order matters: the transaction is built and signed first, so a body
+    that fails validation writes no file; the file is written before the
+    transaction is submitted, so a failed write never leaves a dangling
+    registry entry.
     """
     if result.mode != "events":
         raise PluginConfigError("only event results can be published as datasets")
@@ -425,17 +388,16 @@ def publish_result(
     ).hex()
 
     if handle.kind == "jsonl":
-        data = result.output_bytes
+        data, digest = result.output_bytes, result.output_digest
     else:
         data = encode_events(handle.kind, decode_events("jsonl", result.output_bytes))
+        digest = sha256_bytes(data).hex()
     path = f"derived/{sink.dataset_id}.{handle.kind}"
-    digest = put_file(handle, path, data)  # AlreadyExists / IoError abort before any tx
-
     descriptor = DatasetDescriptor(
         dataset_id=sink.dataset_id,
         kind="secondary",
         storage_id=sink.storage_id,
-        file_refs=(FileRef(path=path, content_hash=digest.hex(), size=len(data), format=handle.kind),),
+        file_refs=(FileRef(path=path, content_hash=digest, size=len(data), format=handle.kind),),
         facility_id=facility_id,
         time_range=time_range,
         detector_geometry_hash=geometry,
@@ -448,7 +410,8 @@ def publish_result(
         program_version=sink.program_version,
         parameters_hash=pipeline_parameters_hash(result.pipeline),
     )
-    tx = sign_transaction(body, key, created_at=created_at)
+    tx = sign_transaction(body, key, created_at=created_at)  # validates the body before any write
+    put_file(handle, path, data)  # AlreadyExists / IoError abort before any submit
     verdict = state.submit(tx)
     if not verdict.ok:
         try:

@@ -262,10 +262,7 @@ def block_from_bytes(data: bytes) -> Block:
 
 
 def tx_tree_root(tx_bytes_list) -> str:
-    log = MerkleLog()
-    for data in tx_bytes_list:
-        log.append(data)
-    return log.root().hex()
+    return MerkleLog().extended_root(tx_bytes_list)[0].hex()
 
 
 # -- scheduling ----------------------------------------------------------------
@@ -340,13 +337,6 @@ class EquivocationEvidence:
     creator: str
     slot: int
     header_hashes: tuple  # the two conflicting header hashes, sorted
-
-    def to_obj(self) -> dict:
-        return {
-            "creator": self.creator,
-            "header_hashes": list(self.header_hashes),
-            "slot": self.slot,
-        }
 
 
 def detect_equivocation(

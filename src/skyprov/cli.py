@@ -36,7 +36,6 @@ from .chain import (
 )
 from .errors import (
     AlreadyExists,
-    ConfigError,
     IntegrityError,
     InvalidBody,
     IoError,
@@ -45,7 +44,7 @@ from .errors import (
     SkyprovError,
     UsageError,
 )
-from .index import QueryFilter, index_to_obj, query, validate_filter
+from .index import QueryFilter, filter_from_obj, index_to_obj, query
 from .keys import SigningKey, load_key_file, save_key_file
 from .merkle import empty_root
 from .model import body_from_obj, dataset_to_obj, sign_transaction
@@ -166,9 +165,7 @@ def cmd_genesis_init(args) -> int:
 
 def cmd_sim_run(args) -> int:
     obj = _read_json_file(args.config, "config file")
-    if not isinstance(obj, dict):
-        raise ConfigError("config file must hold a JSON object")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(obj, dict):
         obj = dict(obj, seed=args.seed)
     config = sim_config_from_obj(obj)
     trace = run_simulation(config)
@@ -324,7 +321,7 @@ def parse_where(clauses) -> QueryFilter:
             if not sep2:
                 raise UsageError(f"--where {key} takes a range lo..hi, got {clause!r}")
             try:
-                fields["time_range"] = (int(lo), int(hi))
+                fields["time_range"] = [int(lo), int(hi)]
             except ValueError:
                 raise UsageError(f"--where {key} bounds must be integers, got {clause!r}")
         elif key in _SCALAR_KEYS:
@@ -334,12 +331,10 @@ def parse_where(clauses) -> QueryFilter:
             fields[field] = value
         else:
             raise UsageError(f"unknown --where key {key!r}")
-    f = QueryFilter(**fields)
     try:
-        validate_filter(f)
+        return filter_from_obj(fields)
     except SkyprovError as exc:
         raise UsageError(str(exc)) from exc
-    return f
 
 
 def cmd_query(args) -> int:

@@ -10,7 +10,7 @@ registry root), so no command reads it back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from typing import Optional
 
@@ -47,18 +47,25 @@ class QueryFilter:
     storage_id: Optional[str] = None
 
 
+def filter_from_obj(obj) -> QueryFilter:
+    """Read a filter object; time_range may be [start, end] or {start, end}."""
+    keys = {field.name for field in fields(QueryFilter)}
+    _require(isinstance(obj, dict) and set(obj) <= keys, f"filter keys must be a subset of {sorted(keys)}")
+    kwargs = dict(obj)
+    tr = kwargs.get("time_range")
+    if tr is not None:
+        if isinstance(tr, dict) and set(tr) == {"end", "start"}:
+            kwargs["time_range"] = (tr["start"], tr["end"])
+        else:
+            _require(isinstance(tr, list) and len(tr) == 2, "time_range must be [start, end] or {start, end}")
+            kwargs["time_range"] = tuple(tr)
+    f = QueryFilter(**kwargs)
+    validate_filter(f)
+    return f
+
+
 def validate_filter(f: QueryFilter) -> None:
-    predicates = (
-        f.facility_id,
-        f.kind,
-        f.time_range,
-        f.energy_min,
-        f.energy_max,
-        f.ancestor_of,
-        f.descendant_of,
-        f.storage_id,
-    )
-    if all(p is None for p in predicates):
+    if all(getattr(f, field.name) is None for field in fields(f)):
         raise InvalidBody("filter must set at least one predicate")
     if f.kind is not None and f.kind not in DATASET_KINDS:
         raise InvalidBody(f"kind must be one of {DATASET_KINDS}")

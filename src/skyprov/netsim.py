@@ -11,7 +11,8 @@ Fault repertoire:
   offline         ignore all traffic in a slot window, sync on reconnect
   equivocate      sign two blocks for one slot, send each to half the net
   tamper_history  rewrite an already-confirmed block (optionally re-signing
-                  the suffix) in the copy served to sync and audit
+                  the suffix) in the copy the end-of-run audit replays; sync
+                  still serves the node's own blocks
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .canonical import sha256_bytes
+from .canonical import _require, sha256_bytes
 from .chain import (
     ORDERING_MODES,
     Block,
@@ -34,7 +35,7 @@ from .chain import (
     produce_block,
     tx_tree_root,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidBody
 from .keys import SigningKey
 from .merkle import MerkleLog
 from .model import (
@@ -43,6 +44,7 @@ from .model import (
     PublishDataset,
     RegisterProgram,
     RegisterStorage,
+    _require_int,
     sign_transaction,
 )
 
@@ -75,108 +77,77 @@ class SimConfig:
     faults: tuple = ()
 
 
-def _want(obj, key, types, what):
-    if key not in obj:
-        raise ConfigError(f"missing {what}")
-    value = obj[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{what} has the wrong type")
-    return value
+# fields each fault kind takes besides kind and handler; all are integers >= 0
+_FAULT_FIELDS = {
+    "offline": ("from_slot", "to_slot"),
+    "equivocate": ("slot",),
+    "tamper_history": ("slot", "height", "resign"),
+}
+
+_CONFIG_KEYS = {"seed", "handlers", "slot_duration_ms", "duration_slots", "ordering_mode", "genesis_time",
+                "latency_ms", "drop_probability", "txs_per_slot", "faults"}
 
 
 def _fault_from_obj(obj, handler_ids) -> FaultSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("fault entries must be objects with a kind")
-    kind = obj["kind"]
-    handler = obj.get("handler")
-    if handler not in handler_ids:
-        raise ConfigError(f"fault names unknown handler {handler!r}")
-    if kind == "offline":
-        if set(obj) != {"kind", "handler", "from_slot", "to_slot"}:
-            raise ConfigError("offline fault takes handler, from_slot, to_slot")
-        lo, hi = obj["from_slot"], obj["to_slot"]
-        if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi):
-            raise ConfigError("offline fault needs 0 <= from_slot <= to_slot")
-        return FaultSpec(kind=kind, handler=handler, from_slot=lo, to_slot=hi)
-    if kind == "equivocate":
-        if set(obj) != {"kind", "handler", "slot"}:
-            raise ConfigError("equivocate fault takes handler, slot")
-        if not isinstance(obj["slot"], int) or obj["slot"] < 0:
-            raise ConfigError("equivocate slot must be a non-negative integer")
-        return FaultSpec(kind=kind, handler=handler, slot=obj["slot"])
-    if kind == "tamper_history":
-        if set(obj) != {"kind", "handler", "slot", "height", "resign"}:
-            raise ConfigError("tamper_history fault takes handler, slot, height, resign")
-        if not isinstance(obj["height"], int) or obj["height"] < 0:
-            raise ConfigError("tamper height must be a non-negative integer")
-        if not isinstance(obj["slot"], int) or obj["slot"] < 0:
-            raise ConfigError("tamper slot must be a non-negative integer")
-        if obj["resign"] not in (0, 1):
-            raise ConfigError("tamper resign must be 0 or 1")
-        return FaultSpec(
-            kind=kind, handler=handler, slot=obj["slot"], height=obj["height"], resign=obj["resign"]
-        )
-    raise ConfigError(f"unknown fault kind {kind!r}")
+    _require(isinstance(obj, dict), "fault entries must be objects")
+    kind, handler = obj.get("kind"), obj.get("handler")
+    _require(isinstance(kind, str) and kind in _FAULT_FIELDS, f"unknown fault kind {kind!r}")
+    _require(handler in handler_ids, f"fault names unknown handler {handler!r}")
+    names = _FAULT_FIELDS[kind]
+    _require(set(obj) == {"kind", "handler", *names}, f"{kind} fault takes handler, {', '.join(names)}")
+    values = {name: _require_int(obj[name], f"{kind} {name}") for name in names}
+    _require(min(values.values()) >= 0, f"{kind} fault fields must be >= 0")
+    _require(values.get("from_slot", 0) <= values.get("to_slot", 0), "offline fault needs from_slot <= to_slot")
+    _require(values.get("resign", 0) in (0, 1), "tamper resign must be 0 or 1")
+    return FaultSpec(kind=kind, handler=handler, **values)
 
 
 def sim_config_from_obj(obj) -> SimConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("simulation config must be an object")
-    known = {
-        "seed",
-        "handlers",
-        "slot_duration_ms",
-        "duration_slots",
-        "ordering_mode",
-        "genesis_time",
-        "latency_ms",
-        "drop_probability",
-        "txs_per_slot",
-        "faults",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    seed = _want(obj, "seed", int, "seed")
-    handlers = _want(obj, "handlers", (int, list), "handlers")
-    if isinstance(handlers, int):
-        if handlers < 1:
-            raise ConfigError("handlers count must be >= 1")
-        handler_ids = tuple(f"h{i}" for i in range(handlers))
-    else:
-        if not handlers or any(not isinstance(h, str) or not h for h in handlers):
-            raise ConfigError("handlers list must hold non-empty strings")
-        if len(set(handlers)) != len(handlers):
-            raise ConfigError("handler ids must be unique")
+    """Read a simulation config; every rejection is a ConfigError."""
+    try:
+        return _sim_config_from_obj(obj)
+    except InvalidBody as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _sim_config_from_obj(obj) -> SimConfig:
+    _require(isinstance(obj, dict), "simulation config must be an object")
+    _require(set(obj) <= _CONFIG_KEYS, f"unknown config keys {sorted(set(obj) - _CONFIG_KEYS)}")
+    missing = {"seed", "handlers", "slot_duration_ms", "duration_slots"} - set(obj)
+    _require(not missing, f"missing config keys {sorted(missing)}")
+    seed = _require_int(obj["seed"], "seed")
+    handlers = obj["handlers"]
+    if isinstance(handlers, list):
+        _require(len(handlers) > 0 and all(isinstance(h, str) and h for h in handlers),
+                 "handlers list must hold non-empty strings")
+        _require(len(set(handlers)) == len(handlers), "handler ids must be unique")
         handler_ids = tuple(handlers)
-    slot_ms = _want(obj, "slot_duration_ms", int, "slot_duration_ms")
-    duration = _want(obj, "duration_slots", int, "duration_slots")
-    if slot_ms < 1 or duration < 1:
-        raise ConfigError("slot_duration_ms and duration_slots must be >= 1")
+    else:
+        _require(_require_int(handlers, "handlers") >= 1, "handlers count must be >= 1")
+        handler_ids = tuple(f"h{i}" for i in range(handlers))
+    slot_ms = _require_int(obj["slot_duration_ms"], "slot_duration_ms")
+    duration = _require_int(obj["duration_slots"], "duration_slots")
+    _require(slot_ms >= 1 and duration >= 1, "slot_duration_ms and duration_slots must be >= 1")
     mode = obj.get("ordering_mode", "fixed")
-    if mode not in ORDERING_MODES:
-        raise ConfigError("ordering_mode must be fixed or reshuffled")
-    genesis_time = obj.get("genesis_time", 1_000_000_000_000)
-    if not isinstance(genesis_time, int) or genesis_time < 0:
-        raise ConfigError("genesis_time must be a non-negative integer")
+    _require(mode in ORDERING_MODES, "ordering_mode must be fixed or reshuffled")
+    genesis_time = _require_int(obj.get("genesis_time", 1_000_000_000_000), "genesis_time")
+    _require(genesis_time >= 0, "genesis_time must be >= 0")
     latency = obj.get("latency_ms", {"min": 0, "max": 0})
-    if (
-        not isinstance(latency, dict)
-        or set(latency) != {"max", "min"}
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in latency.values())
-        or not 0 <= latency["min"] <= latency["max"]
-    ):
-        raise ConfigError("latency_ms must be {min, max} with 0 <= min <= max")
+    _require(isinstance(latency, dict) and set(latency) == {"max", "min"}, "latency_ms must be {min, max}")
+    lo, hi = _require_int(latency["min"], "latency_ms.min"), _require_int(latency["max"], "latency_ms.max")
+    _require(0 <= lo <= hi, "latency_ms needs 0 <= min <= max")
     drop = obj.get("drop_probability", 0.0)
-    if isinstance(drop, bool) or not isinstance(drop, (int, float)) or not 0 <= drop <= 1:
-        raise ConfigError("drop_probability must be in [0, 1]")
-    txs = obj.get("txs_per_slot", 1)
-    if not isinstance(txs, int) or txs < 0:
-        raise ConfigError("txs_per_slot must be >= 0")
-    faults = tuple(_fault_from_obj(f, handler_ids) for f in obj.get("faults", []))
+    _require(
+        isinstance(drop, (int, float)) and not isinstance(drop, bool) and 0 <= drop <= 1,
+        "drop_probability must be in [0, 1]",
+    )
+    txs = _require_int(obj.get("txs_per_slot", 1), "txs_per_slot")
+    _require(txs >= 0, "txs_per_slot must be >= 0")
+    faults = obj.get("faults", [])
+    _require(isinstance(faults, list), "faults must be a list")
+    faults = tuple(_fault_from_obj(f, handler_ids) for f in faults)
     tampered = [f.handler for f in faults if f.kind == "tamper_history"]
-    if len(set(tampered)) != len(tampered):
-        raise ConfigError("at most one tamper_history fault per handler")
+    _require(len(set(tampered)) == len(tampered), "at most one tamper_history fault per handler")
     return SimConfig(
         seed=seed,
         handler_ids=handler_ids,
@@ -184,8 +155,8 @@ def sim_config_from_obj(obj) -> SimConfig:
         duration_slots=duration,
         ordering_mode=mode,
         genesis_time=genesis_time,
-        latency_min=latency["min"],
-        latency_max=latency["max"],
+        latency_min=lo,
+        latency_max=hi,
         drop_probability=float(drop),
         txs_per_slot=txs,
         faults=faults,

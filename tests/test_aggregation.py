@@ -23,7 +23,6 @@ from skyprov.aggregation import (
     PluginSpec,
     PublishSink,
     execute,
-    filter_from_obj,
     pipeline_parameters_hash,
     plugin_merge_archive,
     publish_result,
@@ -42,7 +41,7 @@ from skyprov.errors import (
     UnknownProgram,
     UnsortedInput,
 )
-from skyprov.index import QueryFilter, query
+from skyprov.index import QueryFilter, filter_from_obj, query
 from skyprov.model import (
     DatasetDescriptor,
     EasEvent,
@@ -683,6 +682,10 @@ def test_request_from_obj_roundtrip(world, tmp_path):
     assert result.output_bytes == direct.output_bytes
 
 
+PUBLISH_SINK = {"type": "publish", "storage_id": "st-1", "dataset_id": "ds-x",
+                "program_id": "prog-1", "program_version": "1.0"}
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -692,6 +695,12 @@ def test_request_from_obj_roundtrip(world, tmp_path):
         {"filter": {"kind": "primary"}, "pipeline": [], "sink": {"type": "ftp", "path": "x"}},
         {"filter": {"bogus": 1}, "pipeline": [], "sink": {"type": "local_path", "path": "x"}},
         {"filter": {"kind": "primary"}, "pipeline": [{"name": "f", "parameters": {"a": 1}}], "sink": {"type": "local_path", "path": "x"}},
+        # every sink field is a non-empty string, checked before anything is fetched
+        {"filter": {"kind": "primary"}, "pipeline": [], "sink": {"type": "local_path", "path": ""}},
+        {"filter": {"kind": "primary"}, "pipeline": [], "sink": {**PUBLISH_SINK, "program_id": ["prog-1"]}},
+        {"filter": {"kind": "primary"}, "pipeline": [], "sink": {**PUBLISH_SINK, "storage_id": ["st-1"]}},
+        {"filter": {"kind": "primary"}, "pipeline": [], "sink": {**PUBLISH_SINK, "dataset_id": {"id": "ds-x"}}},
+        {"filter": {"kind": "primary"}, "pipeline": [], "sink": {**PUBLISH_SINK, "dataset_id": ""}},
     ],
 )
 def test_request_from_obj_rejects(obj):
@@ -830,4 +839,15 @@ def test_publish_result_path_collision_aborts_before_tx(world, tmp_path):
 
     with pytest.raises(AlreadyExists):
         publish_result(result, sink, key_for("user-1"), state, storages)
+    assert state.pending_pool == pool_before
+
+
+def test_publish_result_invalid_body_writes_no_file(world):
+    state, _, index, storages, _ = world
+    result = execute(AggregationRequest(filter=ALL), index, storages)
+    sink = PublishSink(storage_id="st-1", dataset_id="", program_id="prog-1", program_version="1.0")
+    pool_before = dict(state.pending_pool)
+    with pytest.raises(InvalidBody):
+        publish_result(result, sink, key_for("user-1"), state, storages)
+    assert not os.path.exists(os.path.join(storages["st-1"].base_uri, "derived"))
     assert state.pending_pool == pool_before

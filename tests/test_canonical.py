@@ -14,7 +14,6 @@ from conftest import key_for, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skyprov.aggregation import filter_from_obj
 from skyprov.canonical import (
     digest_from_hex,
     digest_to_hex,
@@ -36,6 +35,7 @@ from skyprov.chain import (
     produce_block,
 )
 from skyprov.errors import AlreadyExists, InvalidBody, IoError
+from skyprov.index import filter_from_obj
 from skyprov.model import (
     EasEvent,
     PublishDataset,

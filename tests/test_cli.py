@@ -540,6 +540,20 @@ def test_sim_run_bad_config_is_validation_error(tmp_path, capsys):
     assert code == 4 and lines(out)[0]["error"] == "IoError"
 
 
+def test_config_and_request_type_errors_are_one_error_line(world, tmp_path, capsys):
+    code, out, err = run(capsys, "sim-run", "--config", sim_config(tmp_path, faults=None))
+    assert code == 3
+    assert [row["error"] for row in lines(out)] == ["ConfigError"]
+    assert "Traceback" not in err
+    sink = {"type": "publish", "storage_id": "st-1", "dataset_id": "ds-x",
+            "program_id": ["prog-1"], "program_version": "1.0"}
+    code, out, err = run(capsys, "publish", "--home", world["home"], "--request", agg_request(tmp_path, sink),
+                         "--key", "user")
+    assert code == 3
+    assert [row["error"] for row in lines(out)] == ["InvalidBody"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["sim-run", "--config"], ["chain-verify", "--checkpoint"]])
 def test_deeply_nested_json_file_is_invalid_body(world, tmp_path, capsys, argv):
     if argv[0] == "chain-verify":

@@ -72,6 +72,19 @@ def test_config_defaults_and_handler_forms():
          "faults": [{"kind": "offline", "handler": "h1", "from_slot": 3, "to_slot": 2}]},
         {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5,
          "faults": [{"kind": "tamper_history", "handler": "h1", "slot": 3, "height": 1, "resign": 2}]},
+        # faults must be a list, and every integer a JSON integer (not true, not 1.0)
+        {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5, "faults": None},
+        {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5, "faults": 5},
+        {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5, "txs_per_slot": True},
+        {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5, "genesis_time": True},
+        {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5,
+         "faults": [{"kind": "offline", "handler": "h1", "from_slot": True, "to_slot": 2}]},
+        {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5,
+         "faults": [{"kind": "equivocate", "handler": "h1", "slot": True}]},
+        {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5,
+         "faults": [{"kind": "tamper_history", "handler": "h1", "slot": 3, "height": True, "resign": 1}]},
+        {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5,
+         "faults": [{"kind": "tamper_history", "handler": "h1", "slot": 3, "height": 1, "resign": 1.0}]},
     ],
 )
 def test_config_rejections(bad):
