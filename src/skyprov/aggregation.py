@@ -18,11 +18,11 @@ import itertools
 import os
 import tarfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional
 
-from .canonical import _require, dumps_canonical, is_decimal, make_dirs, sha256_bytes, write_file
+from .canonical import _field_names, _require, dumps_canonical, is_decimal, make_dirs, sha256_bytes, write_file
 from .chain import ChainState
 from .errors import (
     DuplicateDataset,
@@ -79,14 +79,21 @@ class AggregationRequest:
     sink: object = None
 
 
+# A request's keys are its fields, and so are a plugin's; a sink adds "type".
+_REQUEST_KEYS = _field_names(AggregationRequest)
+_PLUGIN_KEYS = _field_names(PluginSpec)
+_LOCAL_SINK_KEYS = _field_names(LocalSink) | {"type"}
+_PUBLISH_SINK_FIELDS = _field_names(PublishSink)
+
+
 def request_from_obj(obj) -> AggregationRequest:
     """Read a request; every field is checked before anything is fetched."""
-    _require(isinstance(obj, dict) and set(obj) == {"filter", "pipeline", "sink"},
+    _require(isinstance(obj, dict) and obj.keys() == _REQUEST_KEYS,
              "request must have exactly filter, pipeline, sink")
     _require(isinstance(obj["pipeline"], list), "pipeline must be a list")
     pipeline = []
     for entry in obj["pipeline"]:
-        _require(isinstance(entry, dict) and set(entry) == {"name", "parameters"},
+        _require(isinstance(entry, dict) and entry.keys() == _PLUGIN_KEYS,
                  "pipeline entries must have exactly name and parameters")
         params = _require_str_map(entry["parameters"], "plugin parameters")
         pipeline.append(PluginSpec(name=entry["name"], parameters=params))
@@ -95,14 +102,14 @@ def request_from_obj(obj) -> AggregationRequest:
         _require(isinstance(sink, dict), "sink must be an object with a type")
         kind = sink.get("type")
         if kind == "local_path":
-            _require(set(sink) == {"path", "type"}, "local_path sink needs exactly a path")
+            _require(sink.keys() == _LOCAL_SINK_KEYS, "local_path sink needs exactly a path")
             sink = LocalSink(path=_require_str(sink["path"], "local_path sink path"))
         else:
             _require(kind == "publish", f"unknown sink type {kind!r}")
-            names = [field.name for field in fields(PublishSink)]
-            wanted = {"type", *names}
-            _require(set(sink) == wanted, f"publish sink keys must be exactly {sorted(wanted)}")
-            sink = PublishSink(**{name: _require_str(sink[name], f"publish sink {name}") for name in names})
+            wanted = _PUBLISH_SINK_FIELDS | {"type"}
+            _require(sink.keys() == wanted, f"publish sink keys must be exactly {sorted(wanted)}")
+            sink = PublishSink(**{name: _require_str(sink[name], f"publish sink {name}")
+                                  for name in _PUBLISH_SINK_FIELDS})
     return AggregationRequest(filter=filter_from_obj(obj["filter"]), pipeline=tuple(pipeline), sink=sink)
 
 

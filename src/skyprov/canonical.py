@@ -17,6 +17,7 @@ this module, so a stored canonical object is always its bytes plus one
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -36,6 +37,19 @@ _DECIMAL_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InvalidBody(msg)
+
+
+def _require_keys(obj: dict, keys: frozenset, what: str) -> None:
+    """obj's keys are exactly keys. The message is built only on failure:
+    sorting the keys for it on every call would cost more than the check."""
+    if obj.keys() != keys:
+        raise InvalidBody(f"{what} keys must be exactly {sorted(keys)}")
+
+
+def _field_names(cls) -> frozenset:
+    """A dataclass's field names: the keys of its wire object. Call it once,
+    at import; dataclasses.fields costs microseconds per call."""
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
 class once:

@@ -17,7 +17,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .canonical import (
+    _field_names,
     _require,
+    _require_keys,
     digest_from_hex,
     dumps_canonical,
     dumps_validated,
@@ -79,31 +81,25 @@ def validate_genesis(config: GenesisConfig) -> None:
     _require(config.genesis_time >= 0, "genesis_time must be >= 0")
 
 
+# The key set of each wire object is its class's field names.
+_GENESIS_KEYS = _field_names(GenesisConfig)
+
+
 def genesis_to_obj(config: GenesisConfig) -> dict:
     validate_genesis(config)
-    return {
-        "genesis_time": config.genesis_time,
-        "handlers": [{"handler_id": hid, "public_key": pub} for hid, pub in config.handlers],
-        "ordering_mode": config.ordering_mode,
-        "slot_duration_ms": config.slot_duration_ms,
-    }
+    obj = {name: getattr(config, name) for name in _GENESIS_KEYS}
+    obj["handlers"] = [{"handler_id": hid, "public_key": pub} for hid, pub in config.handlers]
+    return obj
 
 
 def genesis_from_obj(obj) -> GenesisConfig:
     _require(isinstance(obj, dict), "genesis must be an object")
-    _require(set(obj) == {"genesis_time", "handlers", "ordering_mode", "slot_duration_ms"}, "genesis keys malformed")
+    _require(obj.keys() == _GENESIS_KEYS, "genesis keys malformed")
     handlers = obj["handlers"]
     _require(isinstance(handlers, list), "handlers must be a list")
-    entries = []
     for h in handlers:
-        _require(isinstance(h, dict) and set(h) == {"handler_id", "public_key"}, "handler entry malformed")
-        entries.append((h["handler_id"], h["public_key"]))
-    config = GenesisConfig(
-        handlers=tuple(entries),
-        slot_duration_ms=obj["slot_duration_ms"],
-        ordering_mode=obj["ordering_mode"],
-        genesis_time=obj["genesis_time"],
-    )
+        _require(isinstance(h, dict) and h.keys() == {"handler_id", "public_key"}, "handler entry malformed")
+    config = GenesisConfig(**dict(obj, handlers=tuple((h["handler_id"], h["public_key"]) for h in handlers)))
     validate_genesis(config)
     return config
 
@@ -172,6 +168,10 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+_HEADER_KEYS = _field_names(BlockHeader)
+_HEADER_CORE_KEYS = _HEADER_KEYS - {"signature"}
+
+
 def _header_core_obj(h: BlockHeader) -> dict:
     _require(_is_count(h.height), "height must be >= 0")
     _require(_is_count(h.slot), "slot must be >= 0")
@@ -181,16 +181,7 @@ def _header_core_obj(h: BlockHeader) -> dict:
     _require(_is_count(h.registry_size), "registry_size must be >= 0")
     _require(_is_count(h.timestamp), "timestamp must be >= 0")
     _require(isinstance(h.creator, str) and h.creator != "", "creator must be a non-empty string")
-    return {
-        "creator": h.creator,
-        "height": h.height,
-        "prev_block_hash": h.prev_block_hash,
-        "registry_root": h.registry_root,
-        "registry_size": h.registry_size,
-        "slot": h.slot,
-        "timestamp": h.timestamp,
-        "tx_root": h.tx_root,
-    }
+    return {name: getattr(h, name) for name in _HEADER_CORE_KEYS}
 
 
 def header_to_obj(h: BlockHeader) -> dict:
@@ -200,33 +191,10 @@ def header_to_obj(h: BlockHeader) -> dict:
     return obj
 
 
-_HEADER_KEYS = {
-    "creator",
-    "height",
-    "prev_block_hash",
-    "registry_root",
-    "registry_size",
-    "signature",
-    "slot",
-    "timestamp",
-    "tx_root",
-}
-
-
 def header_from_obj(obj) -> BlockHeader:
     _require(isinstance(obj, dict), "header must be an object")
-    _require(set(obj) == _HEADER_KEYS, f"header keys must be exactly {sorted(_HEADER_KEYS)}")
-    h = BlockHeader(
-        height=obj["height"],
-        slot=obj["slot"],
-        prev_block_hash=obj["prev_block_hash"],
-        tx_root=obj["tx_root"],
-        registry_root=obj["registry_root"],
-        registry_size=obj["registry_size"],
-        timestamp=obj["timestamp"],
-        creator=obj["creator"],
-        signature=obj["signature"],
-    )
+    _require_keys(obj, _HEADER_KEYS, "header")
+    h = BlockHeader(**obj)
     h.wire_bytes  # the one field validation
     return h
 
@@ -237,8 +205,11 @@ class Block:
     transactions: tuple
 
 
+_BLOCK_KEYS = _field_names(Block)
+
+
 def block_from_obj(obj) -> Block:
-    _require(isinstance(obj, dict) and set(obj) == {"header", "transactions"}, "block keys malformed")
+    _require(isinstance(obj, dict) and obj.keys() == _BLOCK_KEYS, "block keys malformed")
     txs = obj["transactions"]
     _require(isinstance(txs, list), "transactions must be a list")
     return Block(
@@ -308,28 +279,21 @@ class Checkpoint:
     head_hash: str  # genesis hash when the chain has no blocks yet
 
     def to_obj(self) -> dict:
-        return {
-            "head_hash": self.head_hash,
-            "height": self.height,
-            "registry_root": self.registry_root,
-            "registry_size": self.registry_size,
-        }
+        return {name: getattr(self, name) for name in _CHECKPOINT_KEYS}
 
     @classmethod
     def from_obj(cls, obj) -> "Checkpoint":
         _require(isinstance(obj, dict), "checkpoint must be an object")
-        _require(set(obj) == {"head_hash", "height", "registry_root", "registry_size"}, "checkpoint keys malformed")
+        _require(obj.keys() == _CHECKPOINT_KEYS, "checkpoint keys malformed")
         # the type, not a value test: True is an int that names block 1, and -1.0 == -1
         _require(type(obj["height"]) is int and obj["height"] >= -1, "checkpoint height malformed")
         _require(_is_count(obj["registry_size"]), "checkpoint registry_size malformed")
         _require(is_hex64(obj["registry_root"]), "checkpoint registry_root malformed")
         _require(is_hex64(obj["head_hash"]), "checkpoint head_hash malformed")
-        return cls(
-            registry_root=obj["registry_root"],
-            registry_size=obj["registry_size"],
-            height=obj["height"],
-            head_hash=obj["head_hash"],
-        )
+        return cls(**obj)
+
+
+_CHECKPOINT_KEYS = _field_names(Checkpoint)
 
 
 @dataclass(frozen=True)

@@ -253,29 +253,14 @@ def cmd_proof(args) -> int:
     state = load_chain(chain_dir)
     log = state.registry_log
     if args.consistency_from is not None:
-        proof = log.prove_consistency(args.consistency_from)
-        envelope = {
-            "kind": "consistency",
-            "new_size": proof.new_size,
-            "old_size": proof.old_size,
-            "path": [d.hex() for d in proof.path],
-            "root": log.root().hex(),
-        }
-        sys.stdout.buffer.write(dumps_canonical(envelope) + b"\n")
-        return 0
-    index = state.tx_index.get(args.tx_id)
-    if index is None:
-        raise NotFound(f"transaction {args.tx_id} is not on this chain")
-    proof = log.prove_inclusion(index)
-    envelope = {
-        "kind": "inclusion",
-        "leaf": log.leaf(index).hex(),
-        "leaf_index": proof.leaf_index,
-        "path": [d.hex() for d in proof.path],
-        "root": log.root().hex(),
-        "tree_size": proof.tree_size,
-        "tx_id": args.tx_id,
-    }
+        envelope = dict(log.prove_consistency(args.consistency_from).to_obj(), kind="consistency")
+    else:
+        index = state.tx_index.get(args.tx_id)
+        if index is None:
+            raise NotFound(f"transaction {args.tx_id} is not on this chain")
+        envelope = dict(log.prove_inclusion(index).to_obj(), kind="inclusion", leaf=log.leaf(index).hex(),
+                        tx_id=args.tx_id)
+    envelope["root"] = log.root().hex()
     sys.stdout.buffer.write(dumps_canonical(envelope) + b"\n")
     return 0
 
@@ -298,8 +283,9 @@ def cmd_index_build(args) -> int:
     return 0
 
 
-_RANGE_KEYS = {"time"}
-_SCALAR_KEYS = {
+# --where key -> QueryFilter field; time takes a range lo..hi, the rest a value
+_WHERE_KEYS = {
+    "time": "time_range",
     "facility": "facility_id",
     "kind": "kind",
     "storage": "storage_id",
@@ -316,21 +302,21 @@ def parse_where(clauses) -> QueryFilter:
         key, sep, value = clause.partition("=")
         if not sep or not key or not value:
             raise UsageError(f"--where must look like key=value or key=lo..hi, got {clause!r}")
-        if key in _RANGE_KEYS:
-            lo, sep2, hi = value.partition("..")
-            if not sep2:
-                raise UsageError(f"--where {key} takes a range lo..hi, got {clause!r}")
-            try:
-                fields["time_range"] = [int(lo), int(hi)]
-            except ValueError:
-                raise UsageError(f"--where {key} bounds must be integers, got {clause!r}")
-        elif key in _SCALAR_KEYS:
-            field = _SCALAR_KEYS[key]
-            if field in fields:
-                raise UsageError(f"--where {key} given twice")
-            fields[field] = value
-        else:
+        field = _WHERE_KEYS.get(key)
+        if field is None:
             raise UsageError(f"unknown --where key {key!r}")
+        if field in fields:
+            raise UsageError(f"--where {key} given twice")
+        if field != "time_range":
+            fields[field] = value
+            continue
+        lo, sep2, hi = value.partition("..")
+        if not sep2:
+            raise UsageError(f"--where {key} takes a range lo..hi, got {clause!r}")
+        try:
+            fields[field] = [int(lo), int(hi)]
+        except ValueError:
+            raise UsageError(f"--where {key} bounds must be integers, got {clause!r}")
     try:
         return filter_from_obj(fields)
     except SkyprovError as exc:

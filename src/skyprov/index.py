@@ -10,15 +10,16 @@ registry root), so no command reads it back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
 
-from .canonical import _require, is_decimal
+from .canonical import _field_names, _require, is_decimal
 from .errors import InvalidBody
 from .model import (
     DATASET_KINDS,
     DatasetRecord,
+    RegisterProgram,
     RegisterStorage,
     RegistryState,
     _require_hex64,
@@ -47,10 +48,13 @@ class QueryFilter:
     storage_id: Optional[str] = None
 
 
+_FILTER_KEYS = _field_names(QueryFilter)
+
+
 def filter_from_obj(obj) -> QueryFilter:
     """Read a filter object; time_range may be [start, end] or {start, end}."""
-    keys = {field.name for field in fields(QueryFilter)}
-    _require(isinstance(obj, dict) and set(obj) <= keys, f"filter keys must be a subset of {sorted(keys)}")
+    _require(isinstance(obj, dict) and obj.keys() <= _FILTER_KEYS,
+             f"filter keys must be a subset of {sorted(_FILTER_KEYS)}")
     kwargs = dict(obj)
     tr = kwargs.get("time_range")
     if tr is not None:
@@ -65,7 +69,7 @@ def filter_from_obj(obj) -> QueryFilter:
 
 
 def validate_filter(f: QueryFilter) -> None:
-    if all(getattr(f, field.name) is None for field in fields(f)):
+    if all(getattr(f, name) is None for name in _FILTER_KEYS):
         raise InvalidBody("filter must set at least one predicate")
     if f.kind is not None and f.kind not in DATASET_KINDS:
         raise InvalidBody(f"kind must be one of {DATASET_KINDS}")
@@ -184,6 +188,12 @@ def index_to_obj(registry: RegistryState) -> dict:
     }
 
 
+# A program entry's keys are those of a register_program body without its
+# "type"; a dataset entry's are the record's fields.
+_PROGRAM_KEYS = _field_names(RegisterProgram)
+_RECORD_KEYS = _field_names(DatasetRecord)
+
+
 def index_from_obj(obj) -> RegistryState:
     """Parse an untrusted snapshot. Every shape is checked, every key must
     name its entry, and every reference must resolve inside the snapshot."""
@@ -207,7 +217,7 @@ def index_from_obj(obj) -> RegistryState:
 
     _require(isinstance(obj["programs"], list), "programs must be a list")
     for entry in obj["programs"]:
-        _require(isinstance(entry, dict) and set(entry) == {"code_hash", "program_id", "version"},
+        _require(isinstance(entry, dict) and entry.keys() == _PROGRAM_KEYS,
                  "program entry malformed")
         key = (_require_str(entry["program_id"], "program_id"), _require_str(entry["version"], "version"))
         _require(key not in registry.programs, f"program {key[0]}@{key[1]} listed twice")
@@ -215,7 +225,7 @@ def index_from_obj(obj) -> RegistryState:
 
     _require(isinstance(obj["datasets"], dict), "datasets must be an object")
     for dataset_id, entry in obj["datasets"].items():
-        _require(isinstance(entry, dict) and set(entry) == {"descriptor", "parents", "program", "tx_id"},
+        _require(isinstance(entry, dict) and entry.keys() == _RECORD_KEYS,
                  f"dataset entry {dataset_id!r} malformed")
         descriptor = dataset_from_obj(entry["descriptor"])
         parents, program = entry["parents"], entry["program"]

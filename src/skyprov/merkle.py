@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .canonical import digest_from_hex, digest_to_hex, dumps_canonical, loads_canonical
+from .canonical import _field_names, digest_from_hex, digest_to_hex, dumps_canonical, loads_canonical
 from .errors import IndexOutOfRange, InvalidBody
 
 LEAF_PREFIX = b"\x00"
@@ -53,70 +53,52 @@ def _is_digest(value: object) -> bool:
     return isinstance(value, bytes) and len(value) == DIGEST_SIZE
 
 
+class _Proof:
+    """The wire form the two proofs share: each field under its own name,
+    the sizes as integers and the path as hex digests."""
+
+    _keys: frozenset  # the subclass's field names, set below
+
+    def to_obj(self) -> dict:
+        obj = {name: getattr(self, name) for name in self._keys}
+        obj["path"] = [digest_to_hex(d) for d in self.path]
+        return obj
+
+    def to_json_bytes(self) -> bytes:
+        return dumps_canonical(self.to_obj())
+
+    @classmethod
+    def from_json_bytes(cls, data: bytes):
+        obj = loads_canonical(data)
+        if not isinstance(obj, dict) or obj.keys() != cls._keys:
+            raise InvalidBody(f"{cls.__name__} must have exactly {sorted(cls._keys)}")
+        if not all(isinstance(obj[name], int) for name in cls._keys - {"path"}):
+            raise InvalidBody("proof sizes must be integers")
+        if not isinstance(obj["path"], list):
+            raise InvalidBody("proof path must be a list")
+        return cls(**dict(obj, path=tuple(digest_from_hex(h) for h in obj["path"])))
+
+
 @dataclass(frozen=True)
-class InclusionProof:
+class InclusionProof(_Proof):
     """Sibling hashes along the leaf-to-root path, leaf first."""
 
     leaf_index: int
     tree_size: int
     path: tuple[Digest, ...]
 
-    def to_json_bytes(self) -> bytes:
-        return dumps_canonical(
-            {
-                "leaf_index": self.leaf_index,
-                "tree_size": self.tree_size,
-                "path": [digest_to_hex(d) for d in self.path],
-            }
-        )
-
-    @classmethod
-    def from_json_bytes(cls, data: bytes) -> "InclusionProof":
-        obj = loads_canonical(data)
-        if not isinstance(obj, dict) or set(obj) != {"leaf_index", "tree_size", "path"}:
-            raise InvalidBody("inclusion proof must have leaf_index, tree_size, path")
-        if not isinstance(obj["leaf_index"], int) or not isinstance(obj["tree_size"], int):
-            raise InvalidBody("proof sizes must be integers")
-        if not isinstance(obj["path"], list):
-            raise InvalidBody("proof path must be a list")
-        return cls(
-            leaf_index=obj["leaf_index"],
-            tree_size=obj["tree_size"],
-            path=tuple(digest_from_hex(h) for h in obj["path"]),
-        )
-
 
 @dataclass(frozen=True)
-class ConsistencyProof:
+class ConsistencyProof(_Proof):
     """Subtree roots proving one log version extends another unchanged."""
 
     old_size: int
     new_size: int
     path: tuple[Digest, ...]
 
-    def to_json_bytes(self) -> bytes:
-        return dumps_canonical(
-            {
-                "old_size": self.old_size,
-                "new_size": self.new_size,
-                "path": [digest_to_hex(d) for d in self.path],
-            }
-        )
 
-    @classmethod
-    def from_json_bytes(cls, data: bytes) -> "ConsistencyProof":
-        obj = loads_canonical(data)
-        if not isinstance(obj, dict) or set(obj) != {"old_size", "new_size", "path"}:
-            raise InvalidBody("consistency proof must have old_size, new_size, path")
-        if not isinstance(obj["old_size"], int) or not isinstance(obj["new_size"], int):
-            raise InvalidBody("proof sizes must be integers")
-        if not isinstance(obj["path"], list):
-            raise InvalidBody("proof path must be a list")
-        return cls(
-            old_size=obj["old_size"],
-            new_size=obj["new_size"],
-            path=tuple(digest_from_hex(h) for h in obj["path"]),
-        )
+InclusionProof._keys = _field_names(InclusionProof)
+ConsistencyProof._keys = _field_names(ConsistencyProof)
 
 
 class MerkleLog:

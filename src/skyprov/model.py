@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
 from .canonical import (
+    _field_names,
     _require,
+    _require_keys,
     dumps_validated,
     is_decimal,
     is_hex64,
@@ -30,10 +32,9 @@ DATASET_KINDS = ("primary", "secondary")
 ADAPTER_KINDS = ("jsonl", "packed")
 
 
-def _require_str(value: Any, name: str, allow_empty: bool = False) -> str:
+def _require_str(value: Any, name: str) -> str:
     _require(isinstance(value, str), f"{name} must be a string")
-    if not allow_empty:
-        _require(len(value) > 0, f"{name} must be non-empty")
+    _require(len(value) > 0, f"{name} must be non-empty")
     return value
 
 
@@ -125,35 +126,22 @@ def validate_event(ev: EasEvent) -> None:
     _require_str_map(ev.service_info, "service_info")
 
 
+# The key set of each wire object is its class's field names.
+_EVENT_KEYS = _field_names(EasEvent)
+
+
 def event_to_obj(ev: EasEvent) -> dict:
     ev.checked  # validate_event, once per object
-    return {
-        "bin_width": ev.bin_width,
-        "detector_id": ev.detector_id,
-        "energy_estimate": ev.energy_estimate,
-        "event_id": ev.event_id,
-        "facility_id": ev.facility_id,
-        "registration_time": ev.registration_time,
-        "service_info": dict(sorted(ev.service_info.items())),
-        "signal_histogram": list(ev.signal_histogram),
-    }
-
-
-_EVENT_KEYS = {
-    "bin_width",
-    "detector_id",
-    "energy_estimate",
-    "event_id",
-    "facility_id",
-    "registration_time",
-    "service_info",
-    "signal_histogram",
-}
+    obj = {name: getattr(ev, name) for name in _EVENT_KEYS}
+    obj["service_info"] = dict(sorted(ev.service_info.items()))
+    obj["signal_histogram"] = list(ev.signal_histogram)
+    return obj
 
 
 def event_from_obj(obj: Any) -> EasEvent:
     _require(isinstance(obj, dict), "event must be an object")
-    _require(set(obj) == _EVENT_KEYS, f"event object keys must be exactly {sorted(_EVENT_KEYS)}")
+    _require_keys(obj, _EVENT_KEYS, "event object")
+    # keywords written out, not **obj: this runs once per decoded event
     ev = EasEvent(
         event_id=obj["event_id"],
         registration_time=obj["registration_time"],
@@ -223,35 +211,17 @@ def validate_dataset(ds: DatasetDescriptor) -> None:
     _require_str_map(ds.extra, "extra")
 
 
+_DATASET_KEYS = _field_names(DatasetDescriptor)
+_FILE_REF_KEYS = _field_names(FileRef)
+
+
 def dataset_to_obj(ds: DatasetDescriptor) -> dict:
     validate_dataset(ds)
-    return {
-        "dataset_id": ds.dataset_id,
-        "detector_geometry_hash": ds.detector_geometry_hash,
-        "extra": dict(sorted(ds.extra.items())),
-        "facility_id": ds.facility_id,
-        "file_refs": [
-            {"content_hash": r.content_hash, "format": r.format, "path": r.path, "size": r.size}
-            for r in ds.file_refs
-        ],
-        "kind": ds.kind,
-        "storage_id": ds.storage_id,
-        "time_range": {"end": ds.time_range[1], "start": ds.time_range[0]},
-    }
-
-
-_DATASET_KEYS = {
-    "dataset_id",
-    "detector_geometry_hash",
-    "extra",
-    "facility_id",
-    "file_refs",
-    "kind",
-    "storage_id",
-    "time_range",
-}
-
-_FILE_REF_KEYS = {"content_hash", "format", "path", "size"}
+    obj = {name: getattr(ds, name) for name in _DATASET_KEYS}
+    obj["extra"] = dict(sorted(ds.extra.items()))
+    obj["file_refs"] = [{name: getattr(r, name) for name in _FILE_REF_KEYS} for r in ds.file_refs]
+    obj["time_range"] = {"end": ds.time_range[1], "start": ds.time_range[0]}
+    return obj
 
 
 def dataset_from_obj(obj: Any) -> DatasetDescriptor:
@@ -263,25 +233,15 @@ def dataset_from_obj(obj: Any) -> DatasetDescriptor:
 def _dataset_from_obj(obj: Any) -> DatasetDescriptor:
     """Build a descriptor after checking the object's shape only."""
     _require(isinstance(obj, dict), "dataset must be an object")
-    _require(set(obj) == _DATASET_KEYS, f"dataset object keys must be exactly {sorted(_DATASET_KEYS)}")
-    refs_obj = obj["file_refs"]
-    _require(isinstance(refs_obj, list), "file_refs must be a list")
-    refs = []
-    for r in refs_obj:
-        _require(isinstance(r, dict) and set(r) == _FILE_REF_KEYS, "file_refs entries malformed")
-        refs.append(FileRef(path=r["path"], content_hash=r["content_hash"], size=r["size"], format=r["format"]))
+    _require_keys(obj, _DATASET_KEYS, "dataset object")
+    refs = obj["file_refs"]
+    _require(isinstance(refs, list), "file_refs must be a list")
+    for r in refs:
+        _require(isinstance(r, dict) and r.keys() == _FILE_REF_KEYS, "file_refs entries malformed")
     tr = obj["time_range"]
-    _require(isinstance(tr, dict) and set(tr) == {"end", "start"}, "time_range malformed")
-    return DatasetDescriptor(
-        dataset_id=obj["dataset_id"],
-        kind=obj["kind"],
-        storage_id=obj["storage_id"],
-        file_refs=tuple(refs),
-        facility_id=obj["facility_id"],
-        time_range=(tr["start"], tr["end"]),
-        detector_geometry_hash=obj["detector_geometry_hash"],
-        extra=obj["extra"],
-    )
+    _require(isinstance(tr, dict) and tr.keys() == {"end", "start"}, "time_range malformed")
+    refs = tuple(FileRef(**r) for r in refs)
+    return DatasetDescriptor(**dict(obj, file_refs=refs, time_range=(tr["start"], tr["end"])))
 
 
 # -- transaction bodies ---------------------------------------------------
@@ -318,36 +278,37 @@ class DeriveDataset:
 
 TxBody = Union[RegisterStorage, RegisterProgram, PublishDataset, DeriveDataset]
 
+# A body object's keys are its class's field names plus "type", the class's tag.
+_BODY_CLASSES = {
+    "register_storage": RegisterStorage,
+    "register_program": RegisterProgram,
+    "publish_dataset": PublishDataset,
+    "derive_dataset": DeriveDataset,
+}
+_BODY_TAGS = {cls: tag for tag, cls in _BODY_CLASSES.items()}
+_BODY_FIELDS = {cls: _field_names(cls) for cls in _BODY_TAGS}
+
 
 def body_to_obj(body: TxBody) -> dict:
+    tag = _BODY_TAGS.get(type(body))
+    if tag is None:
+        raise InvalidBody(f"unknown transaction body type {type(body).__name__}")
+    obj = {name: getattr(body, name) for name in _BODY_FIELDS[type(body)]}
+    obj["type"] = tag
     if isinstance(body, RegisterStorage):
         _require_str(body.storage_id, "storage_id")
         _require(body.adapter_kind in ADAPTER_KINDS, f"adapter_kind must be one of {ADAPTER_KINDS}")
         _require_str(body.base_uri, "base_uri")
         _require_hex64(body.storage_pubkey, "storage_pubkey")
-        return {
-            "adapter_kind": body.adapter_kind,
-            "base_uri": body.base_uri,
-            "storage_id": body.storage_id,
-            "storage_pubkey": body.storage_pubkey,
-            "type": "register_storage",
-        }
-    if isinstance(body, RegisterProgram):
+    elif isinstance(body, RegisterProgram):
         _require_str(body.program_id, "program_id")
         _require_str(body.version, "version")
         _require_hex64(body.code_hash, "code_hash")
-        return {
-            "code_hash": body.code_hash,
-            "program_id": body.program_id,
-            "type": "register_program",
-            "version": body.version,
-        }
-    if isinstance(body, PublishDataset):
-        dataset = dataset_to_obj(body.dataset)
+    elif isinstance(body, PublishDataset):
+        obj["dataset"] = dataset_to_obj(body.dataset)
         _require(body.dataset.kind == "primary", "publish_dataset must carry a primary dataset")
-        return {"dataset": dataset, "type": "publish_dataset"}
-    if isinstance(body, DeriveDataset):
-        dataset = dataset_to_obj(body.dataset)
+    else:
+        obj["dataset"] = dataset_to_obj(body.dataset)
         _require(body.dataset.kind == "secondary", "derive_dataset must carry a secondary dataset")
         _require(
             isinstance(body.parent_dataset_ids, (list, tuple)) and len(body.parent_dataset_ids) > 0,
@@ -362,15 +323,8 @@ def body_to_obj(body: TxBody) -> dict:
         _require_str(body.program_id, "program_id")
         _require_str(body.program_version, "program_version")
         _require_hex64(body.parameters_hash, "parameters_hash")
-        return {
-            "dataset": dataset,
-            "parameters_hash": body.parameters_hash,
-            "parent_dataset_ids": list(body.parent_dataset_ids),
-            "program_id": body.program_id,
-            "program_version": body.program_version,
-            "type": "derive_dataset",
-        }
-    raise InvalidBody(f"unknown transaction body type {type(body).__name__}")
+        obj["parent_dataset_ids"] = list(body.parent_dataset_ids)
+    return obj
 
 
 def body_from_obj(obj: Any) -> TxBody:
@@ -383,35 +337,17 @@ def _body_from_obj(obj: Any) -> TxBody:
     """Build a body after checking the object's shape only."""
     _require(isinstance(obj, dict), "body must be an object")
     tag = obj.get("type")
-    if tag == "register_storage":
-        _require(set(obj) == {"adapter_kind", "base_uri", "storage_id", "storage_pubkey", "type"}, "register_storage keys malformed")
-        return RegisterStorage(
-            storage_id=obj["storage_id"],
-            adapter_kind=obj["adapter_kind"],
-            base_uri=obj["base_uri"],
-            storage_pubkey=obj["storage_pubkey"],
-        )
-    if tag == "register_program":
-        _require(set(obj) == {"code_hash", "program_id", "type", "version"}, "register_program keys malformed")
-        return RegisterProgram(program_id=obj["program_id"], version=obj["version"], code_hash=obj["code_hash"])
-    if tag == "publish_dataset":
-        _require(set(obj) == {"dataset", "type"}, "publish_dataset keys malformed")
-        return PublishDataset(dataset=_dataset_from_obj(obj["dataset"]))
-    if tag == "derive_dataset":
-        _require(
-            set(obj) == {"dataset", "parameters_hash", "parent_dataset_ids", "program_id", "program_version", "type"},
-            "derive_dataset keys malformed",
-        )
-        parents = obj["parent_dataset_ids"]
-        _require(isinstance(parents, list), "parent_dataset_ids must be a list")
-        return DeriveDataset(
-            dataset=_dataset_from_obj(obj["dataset"]),
-            parent_dataset_ids=tuple(parents),
-            program_id=obj["program_id"],
-            program_version=obj["program_version"],
-            parameters_hash=obj["parameters_hash"],
-        )
-    raise InvalidBody(f"unknown body type tag {tag!r}")
+    cls = _BODY_CLASSES.get(tag) if isinstance(tag, str) else None
+    _require(cls is not None, f"unknown body type tag {tag!r}")
+    kwargs = dict(obj)
+    del kwargs["type"]
+    _require(kwargs.keys() == _BODY_FIELDS[cls], f"{tag} keys malformed")
+    if "parent_dataset_ids" in kwargs:
+        _require(isinstance(kwargs["parent_dataset_ids"], list), "parent_dataset_ids must be a list")
+        kwargs["parent_dataset_ids"] = tuple(kwargs["parent_dataset_ids"])
+    if "dataset" in kwargs:
+        kwargs["dataset"] = _dataset_from_obj(kwargs["dataset"])
+    return cls(**kwargs)
 
 
 def canonical_bytes(body: TxBody) -> bytes:
@@ -479,6 +415,9 @@ def sign_transaction(body: TxBody, key: SigningKey, created_at: Optional[int] = 
     )
 
 
+_TX_KEYS = _field_names(PmdTransaction)
+
+
 def tx_to_obj(tx: PmdTransaction) -> dict:
     body = body_to_obj(tx.body)
     _require_hex64(tx.creator, "creator")
@@ -486,16 +425,9 @@ def tx_to_obj(tx: PmdTransaction) -> dict:
     _require(tx.created_at > 0, "created_at must be > 0")
     _require(is_hex128(tx.signature), "signature must be 128 lowercase hex chars")
     _require_hex64(tx.tx_id, "tx_id")
-    return {
-        "body": body,
-        "created_at": tx.created_at,
-        "creator": tx.creator,
-        "signature": tx.signature,
-        "tx_id": tx.tx_id,
-    }
-
-
-_TX_KEYS = {"body", "created_at", "creator", "signature", "tx_id"}
+    obj = {name: getattr(tx, name) for name in _TX_KEYS}
+    obj["body"] = body
+    return obj
 
 
 def tx_from_obj(obj: Any) -> PmdTransaction:
@@ -507,14 +439,8 @@ def tx_from_obj(obj: Any) -> PmdTransaction:
 def _tx_from_obj(obj: Any) -> PmdTransaction:
     """Build a transaction after checking the object's shape only."""
     _require(isinstance(obj, dict), "transaction must be an object")
-    _require(set(obj) == _TX_KEYS, f"transaction keys must be exactly {sorted(_TX_KEYS)}")
-    return PmdTransaction(
-        body=_body_from_obj(obj["body"]),
-        creator=obj["creator"],
-        created_at=obj["created_at"],
-        signature=obj["signature"],
-        tx_id=obj["tx_id"],
-    )
+    _require_keys(obj, _TX_KEYS, "transaction")
+    return PmdTransaction(**dict(obj, body=_body_from_obj(obj["body"])))
 
 
 def tx_from_log_entry(data: bytes) -> PmdTransaction:
@@ -665,6 +591,9 @@ class ProvEdge:
     program_version: str
 
 
+_EDGE_KEYS = _field_names(ProvEdge)
+
+
 @dataclass(frozen=True)
 class ProvenanceDag:
     nodes: tuple
@@ -672,15 +601,7 @@ class ProvenanceDag:
 
     def to_obj(self) -> dict:
         return {
-            "edges": [
-                {
-                    "child": e.child,
-                    "parent": e.parent,
-                    "program_id": e.program_id,
-                    "program_version": e.program_version,
-                }
-                for e in self.edges
-            ],
+            "edges": [{name: getattr(e, name) for name in _EDGE_KEYS} for e in self.edges],
             "nodes": list(self.nodes),
         }
 

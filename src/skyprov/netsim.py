@@ -84,6 +84,14 @@ _FAULT_FIELDS = {
     "tamper_history": ("slot", "height", "resign"),
 }
 
+# Upper bounds on a config's counts, checked before anything of that size is
+# built: far above the configs of the tests and the benchmark (at most 7
+# handlers, 50 slots and 3 txs per slot) and a 192-slot sweep, and low enough
+# that a one-line config cannot exhaust memory.
+_MAX_HANDLERS = 32
+_MAX_DURATION_SLOTS = 4096
+_MAX_TXS_PER_SLOT = 16
+
 _CONFIG_KEYS = {"seed", "handlers", "slot_duration_ms", "duration_slots", "ordering_mode", "genesis_time",
                 "latency_ms", "drop_probability", "txs_per_slot", "faults"}
 
@@ -116,18 +124,19 @@ def _sim_config_from_obj(obj) -> SimConfig:
     missing = {"seed", "handlers", "slot_duration_ms", "duration_slots"} - set(obj)
     _require(not missing, f"missing config keys {sorted(missing)}")
     seed = _require_int(obj["seed"], "seed")
-    handlers = obj["handlers"]
+    handlers = obj["handlers"]  # a list of ids, or a count of ids h0, h1, ...
+    count = len(handlers) if isinstance(handlers, list) else _require_int(handlers, "handlers")
+    _require(1 <= count <= _MAX_HANDLERS, f"handlers must number from 1 to {_MAX_HANDLERS}")
     if isinstance(handlers, list):
-        _require(len(handlers) > 0 and all(isinstance(h, str) and h for h in handlers),
-                 "handlers list must hold non-empty strings")
+        _require(all(isinstance(h, str) and h for h in handlers), "handlers list must hold non-empty strings")
         _require(len(set(handlers)) == len(handlers), "handler ids must be unique")
         handler_ids = tuple(handlers)
     else:
-        _require(_require_int(handlers, "handlers") >= 1, "handlers count must be >= 1")
         handler_ids = tuple(f"h{i}" for i in range(handlers))
     slot_ms = _require_int(obj["slot_duration_ms"], "slot_duration_ms")
     duration = _require_int(obj["duration_slots"], "duration_slots")
     _require(slot_ms >= 1 and duration >= 1, "slot_duration_ms and duration_slots must be >= 1")
+    _require(duration <= _MAX_DURATION_SLOTS, f"duration_slots must be <= {_MAX_DURATION_SLOTS}")
     mode = obj.get("ordering_mode", "fixed")
     _require(mode in ORDERING_MODES, "ordering_mode must be fixed or reshuffled")
     genesis_time = _require_int(obj.get("genesis_time", 1_000_000_000_000), "genesis_time")
@@ -142,7 +151,7 @@ def _sim_config_from_obj(obj) -> SimConfig:
         "drop_probability must be in [0, 1]",
     )
     txs = _require_int(obj.get("txs_per_slot", 1), "txs_per_slot")
-    _require(txs >= 0, "txs_per_slot must be >= 0")
+    _require(0 <= txs <= _MAX_TXS_PER_SLOT, f"txs_per_slot must be in [0, {_MAX_TXS_PER_SLOT}]")
     faults = obj.get("faults", [])
     _require(isinstance(faults, list), "faults must be a list")
     faults = tuple(_fault_from_obj(f, handler_ids) for f in faults)

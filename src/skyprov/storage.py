@@ -39,7 +39,7 @@ from .canonical import (
     write_file,
 )
 from .errors import DecodeError, InvalidBody, NotFound, PathViolation
-from .model import ADAPTER_KINDS, EasEvent, event_from_obj
+from .model import ADAPTER_KINDS, EasEvent, _require_str, event_from_obj
 
 MANIFEST_NAME = "storage.json"
 
@@ -80,6 +80,7 @@ def open_storage(base_uri: str) -> StorageHandle:
         raise InvalidBody(f"manifest {manifest} keys malformed")
     if obj["kind"] not in ADAPTER_KINDS:
         raise InvalidBody(f"manifest {manifest} declares unknown kind {obj['kind']!r}")
+    _require_str(obj["storage_id"], f"manifest {manifest} storage_id")
     return StorageHandle(storage_id=obj["storage_id"], base_uri=base_uri, kind=obj["kind"])
 
 

@@ -491,7 +491,8 @@ def test_query_time_range_and_index_snapshot_agree(world, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "where",
-    [[], ["nonsense"], ["flavor=up"], ["time=100"], ["time=a..b"], ["facility=TAIGA", "facility=TUNKA"]],
+    [[], ["nonsense"], ["flavor=up"], ["time=100"], ["time=a..b"], ["facility=TAIGA", "facility=TUNKA"],
+     ["time=1..5", "time=7..9"]],
 )
 def test_query_usage_errors(world, capsys, where):
     argv = ["query", "--chain", world["chain"]]
@@ -552,6 +553,16 @@ def test_config_and_request_type_errors_are_one_error_line(world, tmp_path, caps
     assert code == 3
     assert [row["error"] for row in lines(out)] == ["InvalidBody"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides", [{"handlers": 33}, {"duration_slots": 4097}, {"txs_per_slot": 17}])
+def test_sim_config_count_past_its_bound_is_one_error_line(tmp_path, capsys, overrides):
+    trace = tmp_path / "trace.jsonl"
+    code, out, err = run(capsys, "sim-run", "--config", sim_config(tmp_path, **overrides), "--trace", str(trace))
+    assert code == 3
+    assert [row["error"] for row in lines(out)] == ["ConfigError"]
+    assert "Traceback" not in err
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize("argv", [["sim-run", "--config"], ["chain-verify", "--checkpoint"]])

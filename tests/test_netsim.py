@@ -85,11 +85,22 @@ def test_config_defaults_and_handler_forms():
          "faults": [{"kind": "tamper_history", "handler": "h1", "slot": 3, "height": True, "resign": 1}]},
         {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5,
          "faults": [{"kind": "tamper_history", "handler": "h1", "slot": 3, "height": 1, "resign": 1.0}]},
+        # each count just past its bound
+        {"seed": 1, "handlers": 33, "slot_duration_ms": 100, "duration_slots": 5},
+        {"seed": 1, "handlers": [f"n{i}" for i in range(33)], "slot_duration_ms": 100, "duration_slots": 5},
+        {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 4097},
+        {"seed": 1, "handlers": 3, "slot_duration_ms": 100, "duration_slots": 5, "txs_per_slot": 17},
     ],
 )
 def test_config_rejections(bad):
     with pytest.raises(ConfigError):
         sim_config_from_obj(bad)
+
+
+def test_config_counts_at_their_bounds_are_read():
+    c = sim_config_from_obj({"seed": 1, "handlers": 32, "slot_duration_ms": 100, "duration_slots": 4096,
+                             "txs_per_slot": 16})
+    assert (len(c.handler_ids), c.duration_slots, c.txs_per_slot) == (32, 4096, 16)
 
 
 def test_handler_keys_derive_from_seed():

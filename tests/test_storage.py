@@ -24,7 +24,7 @@ from skyprov.errors import (
     NotFound,
     PathViolation,
 )
-from skyprov.canonical import loads_canonical
+from skyprov.canonical import dumps_canonical, loads_canonical
 from skyprov.model import EasEvent, event_from_obj, event_to_obj
 from skyprov.storage import (
     PACKED_MAGIC,
@@ -437,6 +437,16 @@ def test_open_storage_missing_or_malformed(tmp_path):
     with open(os.path.join(root, "storage.json"), "wb") as fh:
         fh.write(b'{"kind":"csv","storage_id":"x"}\n')
     with pytest.raises(InvalidBody):
+        open_storage(root)
+
+
+@pytest.mark.parametrize("storage_id", [["x"], ""])
+def test_open_storage_rejects_a_manifest_id_that_is_not_a_non_empty_string(tmp_path, storage_id):
+    root = str(tmp_path / "bad")
+    os.makedirs(root)
+    with open(os.path.join(root, "storage.json"), "wb") as fh:
+        fh.write(dumps_canonical({"kind": "jsonl", "storage_id": storage_id}) + b"\n")
+    with pytest.raises(InvalidBody, match="storage_id"):
         open_storage(root)
 
 
