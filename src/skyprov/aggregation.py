@@ -22,7 +22,18 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional
 
-from .canonical import _field_names, _require, dumps_canonical, is_decimal, make_dirs, sha256_bytes, write_file
+from .canonical import (
+    _field_names,
+    _require,
+    _require_keys,
+    _require_str,
+    _require_str_map,
+    dumps_canonical,
+    is_decimal,
+    make_dirs,
+    sha256_bytes,
+    write_file,
+)
 from .chain import ChainState
 from .errors import (
     DuplicateDataset,
@@ -43,8 +54,6 @@ from .model import (
     FileRef,
     PmdTransaction,
     RegistryState,
-    _require_str,
-    _require_str_map,
     sign_transaction,
 )
 from .storage import decode_events, encode_events, get_file, put_file
@@ -105,9 +114,8 @@ def request_from_obj(obj) -> AggregationRequest:
             _require(sink.keys() == _LOCAL_SINK_KEYS, "local_path sink needs exactly a path")
             sink = LocalSink(path=_require_str(sink["path"], "local_path sink path"))
         else:
-            _require(kind == "publish", f"unknown sink type {kind!r}")
-            wanted = _PUBLISH_SINK_FIELDS | {"type"}
-            _require(sink.keys() == wanted, f"publish sink keys must be exactly {sorted(wanted)}")
+            _require(kind == "publish", "unknown sink type {!r}", kind)
+            _require_keys(sink, _PUBLISH_SINK_FIELDS | {"type"}, "publish sink")
             sink = PublishSink(**{name: _require_str(sink[name], f"publish sink {name}")
                                   for name in _PUBLISH_SINK_FIELDS})
     return AggregationRequest(filter=filter_from_obj(obj["filter"]), pipeline=tuple(pipeline), sink=sink)

@@ -34,16 +34,58 @@ _HEX128_RE = re.compile(r"[0-9a-f]{128}")
 _DECIMAL_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
-def _require(cond: bool, msg: str) -> None:
+# -- field checks: each tests first and builds its message only when it raises --
+
+
+def _require(cond: bool, msg: str, *args) -> None:
+    """Raise InvalidBody unless cond, with msg formatted with args if any."""
     if not cond:
-        raise InvalidBody(msg)
+        raise InvalidBody(msg.format(*args) if args else msg)
 
 
 def _require_keys(obj: dict, keys: frozenset, what: str) -> None:
-    """obj's keys are exactly keys. The message is built only on failure:
-    sorting the keys for it on every call would cost more than the check."""
     if obj.keys() != keys:
         raise InvalidBody(f"{what} keys must be exactly {sorted(keys)}")
+
+
+def _require_str(value: Any, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise InvalidBody(f"{name} must be {'non-empty' if isinstance(value, str) else 'a string'}")
+    return value
+
+
+def _require_int(value: Any, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):  # a bool is an int: True would read as 1
+        raise InvalidBody(f"{name} must be an integer")
+    return value
+
+
+def _require_count(value: Any, name: str) -> int:
+    if _require_int(value, name) < 0:
+        raise InvalidBody(f"{name} must be >= 0")
+    return value
+
+
+def _require_hex64(value: Any, name: str) -> str:
+    if not is_hex64(value):
+        raise InvalidBody(f"{name} must be 64 lowercase hex chars")
+    return value
+
+
+def _require_choice(value: Any, choices: tuple, name: str) -> Any:
+    if value not in choices:
+        raise InvalidBody(f"{name} must be one of {choices}")
+    return value
+
+
+def _require_str_map(value: Any, name: str) -> dict:
+    """A copy of value, a dict of strings to strings."""
+    if not isinstance(value, dict):
+        raise InvalidBody(f"{name} must be a string map")
+    for k, v in value.items():
+        if not (isinstance(k, str) and isinstance(v, str)):
+            raise InvalidBody(f"{name} {'values' if isinstance(k, str) else 'keys'} must be strings")
+    return dict(value)
 
 
 def _field_names(cls) -> frozenset:

@@ -19,11 +19,15 @@ from typing import Optional
 from .canonical import (
     _field_names,
     _require,
+    _require_choice,
+    _require_count,
+    _require_hex64,
+    _require_int,
     _require_keys,
+    _require_str,
     digest_from_hex,
     dumps_canonical,
     dumps_validated,
-    is_hex64,
     is_hex128,
     loads_canonical_file,
     make_dirs,
@@ -64,29 +68,23 @@ class GenesisConfig:
     genesis_time: int  # nanoseconds
 
 
-def validate_genesis(config: GenesisConfig) -> None:
-    _require(isinstance(config.handlers, (list, tuple)) and len(config.handlers) >= 1, "need at least one handler")
-    seen = set()
-    for entry in config.handlers:
-        _require(isinstance(entry, (list, tuple)) and len(entry) == 2, "handler entries must be (id, public key) pairs")
-        hid, pub = entry
-        _require(isinstance(hid, str) and hid != "", "handler_id must be a non-empty string")
-        _require(hid not in seen, f"duplicate handler_id {hid}")
-        seen.add(hid)
-        _require(is_hex64(pub), "handler public key must be 64 lowercase hex chars")
-    _require(isinstance(config.slot_duration_ms, int) and not isinstance(config.slot_duration_ms, bool), "slot_duration_ms must be an integer")
-    _require(config.slot_duration_ms > 0, "slot_duration_ms must be > 0")
-    _require(config.ordering_mode in ORDERING_MODES, f"ordering_mode must be one of {ORDERING_MODES}")
-    _require(isinstance(config.genesis_time, int) and not isinstance(config.genesis_time, bool), "genesis_time must be an integer")
-    _require(config.genesis_time >= 0, "genesis_time must be >= 0")
-
-
 # The key set of each wire object is its class's field names.
 _GENESIS_KEYS = _field_names(GenesisConfig)
 
 
 def genesis_to_obj(config: GenesisConfig) -> dict:
-    validate_genesis(config)
+    """The genesis's wire object; building it is the genesis's field validation."""
+    _require(isinstance(config.handlers, (list, tuple)) and len(config.handlers) >= 1, "need at least one handler")
+    seen = set()
+    for entry in config.handlers:
+        _require(isinstance(entry, (list, tuple)) and len(entry) == 2, "handler entries must be (id, public key) pairs")
+        hid, pub = entry
+        _require(_require_str(hid, "handler_id") not in seen, "duplicate handler_id {}", hid)
+        seen.add(hid)
+        _require_hex64(pub, "handler public key")
+    _require(_require_int(config.slot_duration_ms, "slot_duration_ms") > 0, "slot_duration_ms must be > 0")
+    _require_choice(config.ordering_mode, ORDERING_MODES, "ordering_mode")
+    _require_count(config.genesis_time, "genesis_time")
     obj = {name: getattr(config, name) for name in _GENESIS_KEYS}
     obj["handlers"] = [{"handler_id": hid, "public_key": pub} for hid, pub in config.handlers]
     return obj
@@ -100,7 +98,7 @@ def genesis_from_obj(obj) -> GenesisConfig:
     for h in handlers:
         _require(isinstance(h, dict) and h.keys() == {"handler_id", "public_key"}, "handler entry malformed")
     config = GenesisConfig(**dict(obj, handlers=tuple((h["handler_id"], h["public_key"]) for h in handlers)))
-    validate_genesis(config)
+    genesis_to_obj(config)  # full field validation
     return config
 
 
@@ -164,23 +162,19 @@ class BlockHeader:
         return verdicts[public_key]
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 _HEADER_KEYS = _field_names(BlockHeader)
 _HEADER_CORE_KEYS = _HEADER_KEYS - {"signature"}
 
 
 def _header_core_obj(h: BlockHeader) -> dict:
-    _require(_is_count(h.height), "height must be >= 0")
-    _require(_is_count(h.slot), "slot must be >= 0")
-    _require(is_hex64(h.prev_block_hash), "prev_block_hash malformed")
-    _require(is_hex64(h.tx_root), "tx_root malformed")
-    _require(is_hex64(h.registry_root), "registry_root malformed")
-    _require(_is_count(h.registry_size), "registry_size must be >= 0")
-    _require(_is_count(h.timestamp), "timestamp must be >= 0")
-    _require(isinstance(h.creator, str) and h.creator != "", "creator must be a non-empty string")
+    _require_count(h.height, "height")
+    _require_count(h.slot, "slot")
+    _require_hex64(h.prev_block_hash, "prev_block_hash")
+    _require_hex64(h.tx_root, "tx_root")
+    _require_hex64(h.registry_root, "registry_root")
+    _require_count(h.registry_size, "registry_size")
+    _require_count(h.timestamp, "timestamp")
+    _require_str(h.creator, "creator")
     return {name: getattr(h, name) for name in _HEADER_CORE_KEYS}
 
 
@@ -258,7 +252,7 @@ def schedule(slot: int, config: GenesisConfig, prev_cycle_seed: bytes) -> str:
     rotation cycle with the given seed (the chain supplies the header hash
     of the last block before the cycle, or the genesis hash).
     """
-    _require(isinstance(slot, int) and slot >= 0, "slot must be >= 0")
+    _require_count(slot, "slot")
     ids = [hid for hid, _ in config.handlers]
     n = len(ids)
     if config.ordering_mode == "fixed":
@@ -285,11 +279,10 @@ class Checkpoint:
     def from_obj(cls, obj) -> "Checkpoint":
         _require(isinstance(obj, dict), "checkpoint must be an object")
         _require(obj.keys() == _CHECKPOINT_KEYS, "checkpoint keys malformed")
-        # the type, not a value test: True is an int that names block 1, and -1.0 == -1
-        _require(type(obj["height"]) is int and obj["height"] >= -1, "checkpoint height malformed")
-        _require(_is_count(obj["registry_size"]), "checkpoint registry_size malformed")
-        _require(is_hex64(obj["registry_root"]), "checkpoint registry_root malformed")
-        _require(is_hex64(obj["head_hash"]), "checkpoint head_hash malformed")
+        _require(_require_int(obj["height"], "checkpoint height") >= -1, "checkpoint height malformed")
+        _require_count(obj["registry_size"], "checkpoint registry_size")
+        _require_hex64(obj["registry_root"], "checkpoint registry_root")
+        _require_hex64(obj["head_hash"], "checkpoint head_hash")
         return cls(**obj)
 
 
@@ -341,14 +334,13 @@ class ChainState:
     """
 
     def __init__(self, config: GenesisConfig):
-        validate_genesis(config)
+        self._genesis_hash = genesis_hash(config)  # validates config
         self.config = config
         self.blocks: Optional[list] = []
         self.registry_log = MerkleLog()
         self.registry = RegistryState()
         self.tx_index: dict = {}  # tx_id -> leaf index in registry_log, in log order
         self.pending_pool: dict = {}  # tx_id -> PmdTransaction
-        self._genesis_hash = genesis_hash(config)
         self._head_header: Optional[BlockHeader] = None  # None before the first block
         self._head_hash = self._genesis_hash
         self._cycle_seed = (-1, "")  # (first slot, seed) of the head block's rotation cycle
@@ -491,7 +483,7 @@ def produce_block(state: ChainState, slot: int, handler_key: SigningKey, now: in
     scheduled = state.scheduled_handler(slot)
     if scheduled != handler_id:
         raise NotScheduled(f"slot {slot} belongs to {scheduled}, not {handler_id}")
-    _require(isinstance(now, int) and now >= 0, "now must be a non-negative integer timestamp")
+    _require_count(now, "now")
 
     accepted, _ = state.select_transactions()
     tx_bytes_list = [tx.wire_bytes for tx in accepted]
@@ -576,9 +568,11 @@ def _create_once(path: str, data: bytes, what: str) -> None:
 
 
 def save_genesis(chain_dir: str, config: GenesisConfig) -> None:
-    """Create genesis.json; a different genesis already there raises AlreadyExists."""
+    """Create genesis.json, or raise before creating anything when config is
+    invalid; a different genesis already there raises AlreadyExists."""
+    data = genesis_bytes(config) + b"\n"
     make_dirs(chain_dir)
-    _create_once(_genesis_path(chain_dir), genesis_bytes(config) + b"\n", "genesis")
+    _create_once(_genesis_path(chain_dir), data, "genesis")
 
 
 def load_genesis(chain_dir: str) -> GenesisConfig:
@@ -707,7 +701,7 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
         cache = json.loads(head_line)
         _require(isinstance(cache, dict) and set(cache) == _CACHE_KEYS, "head cache keys malformed")
         height = cache["height"]
-        _require(type(height) is int and 0 <= height < len(heights), "head cache height is not stored")
+        _require(_require_count(height, "head cache height") < len(heights), "head cache height is not stored")
         _require(cache["genesis_hash"] == state.genesis_hash_hex, "head cache names another genesis")
         covered = digest.copy()
         for h in range(height):
@@ -716,9 +710,9 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
         _require(covered.hexdigest() == cache["files_digest"], "store bytes differ from the head cache's")
         _require(header.hash == cache["head_hash"], "head block differs from the head cache's")
         cycle = cache["cycle_seed"]
-        _require(isinstance(cycle, dict) and set(cycle) == {"seed", "start"} and is_hex64(cycle["seed"])
-                 and type(cycle["start"]) is int and cycle["start"] == state._cycle_start(header.slot),
-                 "head cache cycle seed malformed")
+        _require(isinstance(cycle, dict) and set(cycle) == {"seed", "start"}, "head cache cycle seed malformed")
+        _require_hex64(cycle["seed"], "head cache cycle seed")
+        _require(_require_int(cycle["start"], "cycle start") == state._cycle_start(header.slot), "cycle start malformed")
         log = MerkleLog()
         for entry in entries:
             log.append(entry)

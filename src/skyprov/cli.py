@@ -32,7 +32,6 @@ from .chain import (
     replay_chain,
     save_block_file,
     save_genesis,
-    validate_genesis,
 )
 from .errors import (
     AlreadyExists,
@@ -157,7 +156,6 @@ def cmd_genesis_init(args) -> int:
         ordering_mode=args.ordering,
         genesis_time=args.genesis_time,
     )
-    validate_genesis(config)
     save_genesis(chain_dir, config)
     _emit({"genesis_hash": genesis_hash(config), "path": os.path.join(chain_dir, "genesis.json")})
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
 
-from .canonical import _field_names, _require, is_decimal
+from .canonical import _field_names, _require, _require_choice, _require_hex64, _require_int, _require_str, is_decimal
 from .errors import InvalidBody
 from .model import (
     DATASET_KINDS,
@@ -22,9 +22,7 @@ from .model import (
     RegisterProgram,
     RegisterStorage,
     RegistryState,
-    _require_hex64,
-    _require_int,
-    _require_str,
+    _RECORD_KEYS,
     body_from_obj,
     body_to_obj,
     dataset_from_obj,
@@ -53,8 +51,8 @@ _FILTER_KEYS = _field_names(QueryFilter)
 
 def filter_from_obj(obj) -> QueryFilter:
     """Read a filter object; time_range may be [start, end] or {start, end}."""
-    _require(isinstance(obj, dict) and obj.keys() <= _FILTER_KEYS,
-             f"filter keys must be a subset of {sorted(_FILTER_KEYS)}")
+    if not (isinstance(obj, dict) and obj.keys() <= _FILTER_KEYS):
+        raise InvalidBody(f"filter keys must be a subset of {sorted(_FILTER_KEYS)}")
     kwargs = dict(obj)
     tr = kwargs.get("time_range")
     if tr is not None:
@@ -69,25 +67,20 @@ def filter_from_obj(obj) -> QueryFilter:
 
 
 def validate_filter(f: QueryFilter) -> None:
-    if all(getattr(f, name) is None for name in _FILTER_KEYS):
-        raise InvalidBody("filter must set at least one predicate")
-    if f.kind is not None and f.kind not in DATASET_KINDS:
-        raise InvalidBody(f"kind must be one of {DATASET_KINDS}")
+    _require(any(getattr(f, name) is not None for name in _FILTER_KEYS), "filter must set at least one predicate")
+    if f.kind is not None:
+        _require_choice(f.kind, DATASET_KINDS, "kind")
     if f.time_range is not None:
-        ok = (
-            isinstance(f.time_range, (list, tuple))
-            and len(f.time_range) == 2
-            and all(isinstance(t, int) and not isinstance(t, bool) for t in f.time_range)
-            and f.time_range[0] <= f.time_range[1]
-        )
-        if not ok:
-            raise InvalidBody("time_range must be an integer (start, end) with start <= end")
+        _require(isinstance(f.time_range, (list, tuple)) and len(f.time_range) == 2,
+                 "time_range must be a (start, end) pair")
+        start, end = f.time_range
+        _require(_require_int(start, "time_range.start") <= _require_int(end, "time_range.end"),
+                 "time_range.start must be <= time_range.end")
     for name, value in (("energy_min", f.energy_min), ("energy_max", f.energy_max)):
-        if value is not None and not is_decimal(value):
-            raise InvalidBody(f"{name} must be a non-negative fixed-point decimal string")
-    for name, value in (("ancestor_of", f.ancestor_of), ("descendant_of", f.descendant_of), ("facility_id", f.facility_id), ("storage_id", f.storage_id)):
-        if value is not None and (not isinstance(value, str) or value == ""):
-            raise InvalidBody(f"{name} must be a non-empty string")
+        _require(value is None or is_decimal(value), "{} must be a non-negative fixed-point decimal string", name)
+    for name in ("ancestor_of", "descendant_of", "facility_id", "storage_id"):
+        if getattr(f, name) is not None:
+            _require_str(getattr(f, name), name)
 
 
 # -- query -----------------------------------------------------------------------
@@ -189,9 +182,8 @@ def index_to_obj(registry: RegistryState) -> dict:
 
 
 # A program entry's keys are those of a register_program body without its
-# "type"; a dataset entry's are the record's fields.
+# "type"; a dataset entry's are the record's fields, model._RECORD_KEYS.
 _PROGRAM_KEYS = _field_names(RegisterProgram)
-_RECORD_KEYS = _field_names(DatasetRecord)
 
 
 def index_from_obj(obj) -> RegistryState:
@@ -212,7 +204,7 @@ def index_from_obj(obj) -> RegistryState:
     for storage_id, body_obj in obj["storages"].items():
         body = body_from_obj(body_obj)
         _require(isinstance(body, RegisterStorage) and body.storage_id == storage_id,
-                 f"storage entry {storage_id!r} malformed")
+                 "storage entry {!r} malformed", storage_id)
         registry.storages[storage_id] = body
 
     _require(isinstance(obj["programs"], list), "programs must be a list")
@@ -220,30 +212,29 @@ def index_from_obj(obj) -> RegistryState:
         _require(isinstance(entry, dict) and entry.keys() == _PROGRAM_KEYS,
                  "program entry malformed")
         key = (_require_str(entry["program_id"], "program_id"), _require_str(entry["version"], "version"))
-        _require(key not in registry.programs, f"program {key[0]}@{key[1]} listed twice")
+        _require(key not in registry.programs, "program {}@{} listed twice", *key)
         registry.programs[key] = _require_hex64(entry["code_hash"], "code_hash")
 
     _require(isinstance(obj["datasets"], dict), "datasets must be an object")
     for dataset_id, entry in obj["datasets"].items():
-        _require(isinstance(entry, dict) and entry.keys() == _RECORD_KEYS,
-                 f"dataset entry {dataset_id!r} malformed")
+        _require(isinstance(entry, dict) and entry.keys() == _RECORD_KEYS, "dataset entry {!r} malformed", dataset_id)
         descriptor = dataset_from_obj(entry["descriptor"])
         parents, program = entry["parents"], entry["program"]
-        _require(descriptor.dataset_id == dataset_id, f"dataset entry {dataset_id!r} holds {descriptor.dataset_id!r}")
-        _require(descriptor.storage_id in registry.storages, f"dataset {dataset_id!r} on unknown storage")
-        _require(isinstance(parents, list), f"dataset {dataset_id!r} parents must be a list")
+        _require(descriptor.dataset_id == dataset_id, "dataset entry {!r} holds {!r}", dataset_id, descriptor.dataset_id)
+        _require(descriptor.storage_id in registry.storages, "dataset {!r} on unknown storage", dataset_id)
+        _require(isinstance(parents, list), "dataset {!r} parents must be a list", dataset_id)
         for parent in parents:
             _require_str(parent, "parent dataset id")
-        _require(len(set(parents)) == len(parents), f"dataset {dataset_id!r} lists a parent twice")
+        _require(len(set(parents)) == len(parents), "dataset {!r} lists a parent twice", dataset_id)
         if program is None:
-            _require(descriptor.kind == "primary" and not parents, f"dataset {dataset_id!r} lineage malformed")
+            _require(descriptor.kind == "primary" and not parents, "dataset {!r} lineage malformed", dataset_id)
         else:
             _require(isinstance(program, dict) and set(program) == {"program_id", "program_version"},
-                     f"dataset {dataset_id!r} program malformed")
+                     "dataset {!r} program malformed", dataset_id)
             program = (_require_str(program["program_id"], "program_id"),
                        _require_str(program["program_version"], "program_version"))
             _require(descriptor.kind == "secondary" and parents and program in registry.programs,
-                     f"dataset {dataset_id!r} lineage malformed")
+                     "dataset {!r} lineage malformed", dataset_id)
         registry.datasets[dataset_id] = DatasetRecord(
             descriptor=descriptor,
             parents=tuple(parents),
@@ -253,7 +244,7 @@ def index_from_obj(obj) -> RegistryState:
 
     for dataset_id, record in registry.datasets.items():
         _require(all(p in registry.datasets and p != dataset_id for p in record.parents),
-                 f"dataset {dataset_id!r} names an unknown parent")
+                 "dataset {!r} names an unknown parent", dataset_id)
     # publish-once: every confirmed transaction added exactly one entry
     entries = len(registry.storages) + len(registry.programs) + len(registry.datasets)
     _require(size == entries, "built_to registry_size does not count the snapshot's entries")

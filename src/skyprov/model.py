@@ -16,10 +16,15 @@ from typing import Any, Mapping, Optional, Union
 from .canonical import (
     _field_names,
     _require,
+    _require_choice,
+    _require_count,
+    _require_hex64,
+    _require_int,
     _require_keys,
+    _require_str,
+    _require_str_map,
     dumps_validated,
     is_decimal,
-    is_hex64,
     is_hex128,
     once,
     parse_json,
@@ -32,28 +37,14 @@ DATASET_KINDS = ("primary", "secondary")
 ADAPTER_KINDS = ("jsonl", "packed")
 
 
-def _require_str(value: Any, name: str) -> str:
-    _require(isinstance(value, str), f"{name} must be a string")
-    _require(len(value) > 0, f"{name} must be non-empty")
-    return value
-
-
-def _require_int(value: Any, name: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
-    return value
-
-
-def _require_hex64(value: Any, name: str) -> str:
-    _require(is_hex64(value), f"{name} must be 64 lowercase hex chars")
-    return value
-
-
-def _require_str_map(value: Any, name: str) -> dict:
-    _require(isinstance(value, dict), f"{name} must be a string map")
-    for k, v in value.items():
-        _require(isinstance(k, str), f"{name} keys must be strings")
-        _require(isinstance(v, str), f"{name} values must be strings")
-    return dict(value)
+def _same_fields(a, b, names) -> bool:
+    """Field-by-field equality, where a list equals the tuple of its items.
+    No wire form is built, so invalid objects compare too."""
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        if (tuple(x) if isinstance(x, list) else x) != (tuple(y) if isinstance(y, list) else y):
+            return False
+    return True
 
 
 # -- events --------------------------------------------------------------
@@ -80,16 +71,7 @@ class EasEvent:
     def __eq__(self, other):
         if not isinstance(other, EasEvent):
             return NotImplemented
-        return (
-            self.event_id == other.event_id
-            and self.registration_time == other.registration_time
-            and self.facility_id == other.facility_id
-            and self.detector_id == other.detector_id
-            and tuple(self.signal_histogram) == tuple(other.signal_histogram)
-            and self.bin_width == other.bin_width
-            and self.energy_estimate == other.energy_estimate
-            and dict(self.service_info) == dict(other.service_info)
-        )
+        return _same_fields(self, other, _EVENT_KEYS)
 
     __hash__ = None
 
@@ -108,8 +90,7 @@ class EasEvent:
 
 def validate_event(ev: EasEvent) -> None:
     _require_str(ev.event_id, "event_id")
-    _require_int(ev.registration_time, "registration_time")
-    _require(ev.registration_time > 0, "registration_time must be > 0")
+    _require(_require_int(ev.registration_time, "registration_time") > 0, "registration_time must be > 0")
     _require_str(ev.facility_id, "facility_id")
     _require_str(ev.detector_id, "detector_id")
     hist = ev.signal_histogram
@@ -117,10 +98,8 @@ def validate_event(ev: EasEvent) -> None:
     # one C-level pass; the loop only runs to name the first bad count
     if hist and not (set(map(type, hist)) <= {int} and min(hist) >= 0):
         for c in hist:
-            _require_int(c, "histogram count")
-            _require(c >= 0, "histogram counts must be >= 0")
-    _require_int(ev.bin_width, "bin_width")
-    _require(ev.bin_width > 0, "bin_width must be > 0")
+            _require_count(c, "histogram count")
+    _require(_require_int(ev.bin_width, "bin_width") > 0, "bin_width must be > 0")
     if ev.energy_estimate is not None:
         _require(is_decimal(ev.energy_estimate), "energy_estimate must be a non-negative fixed-point decimal string")
     _require_str_map(ev.service_info, "service_info")
@@ -181,32 +160,28 @@ class DatasetDescriptor:
     def __eq__(self, other):
         if not isinstance(other, DatasetDescriptor):
             return NotImplemented
-        return dataset_to_obj(self) == dataset_to_obj(other)
+        return _same_fields(self, other, _DATASET_KEYS)
 
     __hash__ = None
 
 
 def validate_dataset(ds: DatasetDescriptor) -> None:
     _require_str(ds.dataset_id, "dataset_id")
-    _require(ds.kind in DATASET_KINDS, f"kind must be one of {DATASET_KINDS}")
+    _require_choice(ds.kind, DATASET_KINDS, "kind")
     _require_str(ds.storage_id, "storage_id")
     _require(isinstance(ds.file_refs, (list, tuple)) and len(ds.file_refs) > 0, "file_refs must be non-empty")
     for ref in ds.file_refs:
         _require(isinstance(ref, FileRef), "file_refs entries must be FileRef")
         _require_str(ref.path, "file path")
         _require_hex64(ref.content_hash, "content_hash")
-        _require_int(ref.size, "file size")
-        _require(ref.size >= 0, "file size must be >= 0")
-        _require(ref.format in ADAPTER_KINDS, f"file format must be one of {ADAPTER_KINDS}")
+        _require_count(ref.size, "file size")
+        _require_choice(ref.format, ADAPTER_KINDS, "file format")
     _require_str(ds.facility_id, "facility_id")
-    _require(
-        isinstance(ds.time_range, (list, tuple)) and len(ds.time_range) == 2,
-        "time_range must be a (start, end) pair",
-    )
+    _require(isinstance(ds.time_range, (list, tuple)) and len(ds.time_range) == 2,
+             "time_range must be a (start, end) pair")
     start, end = ds.time_range
-    _require_int(start, "time_range.start")
-    _require_int(end, "time_range.end")
-    _require(start <= end, "time_range.start must be <= time_range.end")
+    _require(_require_int(start, "time_range.start") <= _require_int(end, "time_range.end"),
+             "time_range.start must be <= time_range.end")
     _require_hex64(ds.detector_geometry_hash, "detector_geometry_hash")
     _require_str_map(ds.extra, "extra")
 
@@ -297,7 +272,7 @@ def body_to_obj(body: TxBody) -> dict:
     obj["type"] = tag
     if isinstance(body, RegisterStorage):
         _require_str(body.storage_id, "storage_id")
-        _require(body.adapter_kind in ADAPTER_KINDS, f"adapter_kind must be one of {ADAPTER_KINDS}")
+        _require_choice(body.adapter_kind, ADAPTER_KINDS, "adapter_kind")
         _require_str(body.base_uri, "base_uri")
         _require_hex64(body.storage_pubkey, "storage_pubkey")
     elif isinstance(body, RegisterProgram):
@@ -338,10 +313,10 @@ def _body_from_obj(obj: Any) -> TxBody:
     _require(isinstance(obj, dict), "body must be an object")
     tag = obj.get("type")
     cls = _BODY_CLASSES.get(tag) if isinstance(tag, str) else None
-    _require(cls is not None, f"unknown body type tag {tag!r}")
+    _require(cls is not None, "unknown body type tag {!r}", tag)
     kwargs = dict(obj)
     del kwargs["type"]
-    _require(kwargs.keys() == _BODY_FIELDS[cls], f"{tag} keys malformed")
+    _require(kwargs.keys() == _BODY_FIELDS[cls], "{} keys malformed", tag)
     if "parent_dataset_ids" in kwargs:
         _require(isinstance(kwargs["parent_dataset_ids"], list), "parent_dataset_ids must be a list")
         kwargs["parent_dataset_ids"] = tuple(kwargs["parent_dataset_ids"])
@@ -404,8 +379,7 @@ def sign_transaction(body: TxBody, key: SigningKey, created_at: Optional[int] = 
     data = canonical_bytes(body)
     if created_at is None:
         created_at = time.time_ns()
-    _require_int(created_at, "created_at")
-    _require(created_at > 0, "created_at must be > 0")
+    _require(_require_int(created_at, "created_at") > 0, "created_at must be > 0")
     return PmdTransaction(
         body=body,
         creator=key.public_hex,
@@ -421,8 +395,7 @@ _TX_KEYS = _field_names(PmdTransaction)
 def tx_to_obj(tx: PmdTransaction) -> dict:
     body = body_to_obj(tx.body)
     _require_hex64(tx.creator, "creator")
-    _require_int(tx.created_at, "created_at")
-    _require(tx.created_at > 0, "created_at must be > 0")
+    _require(_require_int(tx.created_at, "created_at") > 0, "created_at must be > 0")
     _require(is_hex128(tx.signature), "signature must be 128 lowercase hex chars")
     _require_hex64(tx.tx_id, "tx_id")
     obj = {name: getattr(tx, name) for name in _TX_KEYS}
@@ -475,13 +448,10 @@ class DatasetRecord:
     def __eq__(self, other):
         if not isinstance(other, DatasetRecord):
             return NotImplemented
-        return (
-            self.descriptor == other.descriptor
-            and tuple(self.parents) == tuple(other.parents)
-            and self.program == other.program
-            and self.tx_id == other.tx_id
-        )
+        return _same_fields(self, other, _RECORD_KEYS)
 
+
+_RECORD_KEYS = _field_names(DatasetRecord)
 
 class RegistryState:
     """Confirmed-transaction view: what new transactions are validated

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .canonical import _require, sha256_bytes
+from .canonical import _require, _require_choice, _require_count, _require_int, _require_str, dumps_validated, sha256_bytes
 from .chain import (
     ORDERING_MODES,
     Block,
@@ -44,7 +44,6 @@ from .model import (
     PublishDataset,
     RegisterProgram,
     RegisterStorage,
-    _require_int,
     sign_transaction,
 )
 
@@ -99,12 +98,12 @@ _CONFIG_KEYS = {"seed", "handlers", "slot_duration_ms", "duration_slots", "order
 def _fault_from_obj(obj, handler_ids) -> FaultSpec:
     _require(isinstance(obj, dict), "fault entries must be objects")
     kind, handler = obj.get("kind"), obj.get("handler")
-    _require(isinstance(kind, str) and kind in _FAULT_FIELDS, f"unknown fault kind {kind!r}")
-    _require(handler in handler_ids, f"fault names unknown handler {handler!r}")
+    _require(isinstance(kind, str) and kind in _FAULT_FIELDS, "unknown fault kind {!r}", kind)
+    _require(handler in handler_ids, "fault names unknown handler {!r}", handler)
     names = _FAULT_FIELDS[kind]
-    _require(set(obj) == {"kind", "handler", *names}, f"{kind} fault takes handler, {', '.join(names)}")
-    values = {name: _require_int(obj[name], f"{kind} {name}") for name in names}
-    _require(min(values.values()) >= 0, f"{kind} fault fields must be >= 0")
+    if set(obj) != {"kind", "handler", *names}:
+        raise InvalidBody(f"{kind} fault takes handler, {', '.join(names)}")
+    values = {name: _require_count(obj[name], f"{kind} {name}") for name in names}
     _require(values.get("from_slot", 0) <= values.get("to_slot", 0), "offline fault needs from_slot <= to_slot")
     _require(values.get("resign", 0) in (0, 1), "tamper resign must be 0 or 1")
     return FaultSpec(kind=kind, handler=handler, **values)
@@ -120,27 +119,26 @@ def sim_config_from_obj(obj) -> SimConfig:
 
 def _sim_config_from_obj(obj) -> SimConfig:
     _require(isinstance(obj, dict), "simulation config must be an object")
-    _require(set(obj) <= _CONFIG_KEYS, f"unknown config keys {sorted(set(obj) - _CONFIG_KEYS)}")
-    missing = {"seed", "handlers", "slot_duration_ms", "duration_slots"} - set(obj)
-    _require(not missing, f"missing config keys {sorted(missing)}")
+    unknown = sorted(set(obj) - _CONFIG_KEYS)
+    _require(not unknown, "unknown config keys {}", unknown)
+    missing = sorted({"seed", "handlers", "slot_duration_ms", "duration_slots"} - set(obj))
+    _require(not missing, "missing config keys {}", missing)
     seed = _require_int(obj["seed"], "seed")
     handlers = obj["handlers"]  # a list of ids, or a count of ids h0, h1, ...
     count = len(handlers) if isinstance(handlers, list) else _require_int(handlers, "handlers")
-    _require(1 <= count <= _MAX_HANDLERS, f"handlers must number from 1 to {_MAX_HANDLERS}")
+    _require(1 <= count <= _MAX_HANDLERS, "handlers must number from 1 to {}", _MAX_HANDLERS)
     if isinstance(handlers, list):
-        _require(all(isinstance(h, str) and h for h in handlers), "handlers list must hold non-empty strings")
-        _require(len(set(handlers)) == len(handlers), "handler ids must be unique")
-        handler_ids = tuple(handlers)
+        handler_ids = tuple(_require_str(h, "handler id") for h in handlers)
+        _require(len(set(handler_ids)) == len(handler_ids), "handler ids must be unique")
+        dumps_validated(handler_ids)  # each id is hashed into its key and signed into the genesis as UTF-8
     else:
         handler_ids = tuple(f"h{i}" for i in range(handlers))
     slot_ms = _require_int(obj["slot_duration_ms"], "slot_duration_ms")
     duration = _require_int(obj["duration_slots"], "duration_slots")
     _require(slot_ms >= 1 and duration >= 1, "slot_duration_ms and duration_slots must be >= 1")
-    _require(duration <= _MAX_DURATION_SLOTS, f"duration_slots must be <= {_MAX_DURATION_SLOTS}")
-    mode = obj.get("ordering_mode", "fixed")
-    _require(mode in ORDERING_MODES, "ordering_mode must be fixed or reshuffled")
-    genesis_time = _require_int(obj.get("genesis_time", 1_000_000_000_000), "genesis_time")
-    _require(genesis_time >= 0, "genesis_time must be >= 0")
+    _require(duration <= _MAX_DURATION_SLOTS, "duration_slots must be <= {}", _MAX_DURATION_SLOTS)
+    mode = _require_choice(obj.get("ordering_mode", "fixed"), ORDERING_MODES, "ordering_mode")
+    genesis_time = _require_count(obj.get("genesis_time", 1_000_000_000_000), "genesis_time")
     latency = obj.get("latency_ms", {"min": 0, "max": 0})
     _require(isinstance(latency, dict) and set(latency) == {"max", "min"}, "latency_ms must be {min, max}")
     lo, hi = _require_int(latency["min"], "latency_ms.min"), _require_int(latency["max"], "latency_ms.max")
@@ -151,7 +149,7 @@ def _sim_config_from_obj(obj) -> SimConfig:
         "drop_probability must be in [0, 1]",
     )
     txs = _require_int(obj.get("txs_per_slot", 1), "txs_per_slot")
-    _require(0 <= txs <= _MAX_TXS_PER_SLOT, f"txs_per_slot must be in [0, {_MAX_TXS_PER_SLOT}]")
+    _require(0 <= txs <= _MAX_TXS_PER_SLOT, "txs_per_slot must be in [0, {}]", _MAX_TXS_PER_SLOT)
     faults = obj.get("faults", [])
     _require(isinstance(faults, list), "faults must be a list")
     faults = tuple(_fault_from_obj(f, handler_ids) for f in faults)

@@ -31,6 +31,8 @@ import struct
 from dataclasses import dataclass
 
 from .canonical import (
+    _require_choice,
+    _require_str,
     make_dirs,
     read_canonical_file,
     read_file,
@@ -39,7 +41,7 @@ from .canonical import (
     write_file,
 )
 from .errors import DecodeError, InvalidBody, NotFound, PathViolation
-from .model import ADAPTER_KINDS, EasEvent, _require_str, event_from_obj
+from .model import ADAPTER_KINDS, EasEvent, event_from_obj
 
 MANIFEST_NAME = "storage.json"
 
@@ -60,10 +62,8 @@ class StorageHandle:
 
 def init_storage(base_uri: str, storage_id: str, kind: str) -> StorageHandle:
     """Create a storage directory with its manifest."""
-    if kind not in ADAPTER_KINDS:
-        raise InvalidBody(f"kind must be one of {ADAPTER_KINDS}")
-    if not isinstance(storage_id, str) or storage_id == "":
-        raise InvalidBody("storage_id must be a non-empty string")
+    _require_choice(kind, ADAPTER_KINDS, "kind")
+    _require_str(storage_id, "storage_id")
     make_dirs(base_uri)
     manifest = {"kind": kind, "storage_id": storage_id}
     write_canonical_file(os.path.join(base_uri, MANIFEST_NAME), manifest, exclusive=True)
@@ -78,8 +78,7 @@ def open_storage(base_uri: str) -> StorageHandle:
     obj = read_canonical_file(manifest, "storage manifest")
     if not isinstance(obj, dict) or set(obj) != {"kind", "storage_id"}:
         raise InvalidBody(f"manifest {manifest} keys malformed")
-    if obj["kind"] not in ADAPTER_KINDS:
-        raise InvalidBody(f"manifest {manifest} declares unknown kind {obj['kind']!r}")
+    _require_choice(obj["kind"], ADAPTER_KINDS, f"manifest {manifest} kind")
     _require_str(obj["storage_id"], f"manifest {manifest} storage_id")
     return StorageHandle(storage_id=obj["storage_id"], base_uri=base_uri, kind=obj["kind"])
 

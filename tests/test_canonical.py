@@ -5,15 +5,18 @@ encoder shows up as a diff against a frozen string, not against the
 encoder's own output.
 """
 
+import ast
 import copy
 import dataclasses
 import hashlib
+import pathlib
 
 import pytest
-from conftest import key_for, make_dataset
+from conftest import key_for, make_dataset, program_body, storage_body
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skyprov.aggregation import pipeline_parameters_hash, request_from_obj
 from skyprov.canonical import (
     digest_from_hex,
     digest_to_hex,
@@ -26,19 +29,27 @@ from skyprov.canonical import (
     write_file,
 )
 from skyprov.chain import (
+    BlockHeader,
     Checkpoint,
+    GenesisConfig,
     detect_equivocation,
+    genesis_bytes,
     genesis_from_obj,
     genesis_to_obj,
     header_from_obj,
     header_to_obj,
     produce_block,
 )
-from skyprov.errors import AlreadyExists, InvalidBody, IoError
-from skyprov.index import filter_from_obj
+from skyprov.errors import AlreadyExists, InvalidBody, IoError, SkyprovError
+from skyprov.index import filter_from_obj, query
 from skyprov.model import (
+    DeriveDataset,
     EasEvent,
     PublishDataset,
+    RegistryState,
+    body_from_obj,
+    body_to_obj,
+    canonical_bytes,
     dataset_from_obj,
     dataset_to_obj,
     event_from_obj,
@@ -48,6 +59,7 @@ from skyprov.model import (
     tx_to_obj,
     validate_transaction,
 )
+from skyprov.netsim import genesis_for, sim_config_from_obj
 
 
 def test_sorted_keys_and_compact_separators():
@@ -262,3 +274,130 @@ def test_file_helpers(tmp_path):
         read_file(str(tmp_path / "missing"), "object")
     with pytest.raises(IoError):
         write_file(str(tmp_path / "obj.json" / "under-a-file"), b"")
+
+
+# -- field checks ----------------------------------------------------------------
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "skyprov"
+
+
+def _field_check_breaches(source: str, module: str) -> list:
+    """Where a module breaks the field-check rule: a _require message built
+    whether or not the check fails (an f-string or a call after the
+    condition), or, outside canonical.py, a _require_* helper of its own, a
+    `type(...) is int` test or a `not isinstance(..., bool)` test. netsim's
+    drop_probability, the one field that may hold a float, keeps its own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        where = f"{module}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_require":
+            found += [f"{where} eager message" for arg in node.args[1:] if isinstance(arg, (ast.JoinedStr, ast.Call))]
+        if module == "canonical.py":
+            continue
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_require"):
+            found.append(f"{where} defines {node.name}")
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+                and any(isinstance(c, ast.Name) and c.id == "int" for c in node.comparators)):
+            found.append(f"{where} type(...) is int")
+        if (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) and isinstance(node.operand, ast.Call)
+                and isinstance(node.operand.func, ast.Name) and node.operand.func.id == "isinstance"
+                and ast.unparse(node.operand.args[1]) == "bool"
+                and (module, ast.unparse(node)) != ("netsim.py", "not isinstance(drop, bool)")):
+            found.append(f"{where} not isinstance(..., bool)")
+    return found
+
+
+def test_field_checks_build_messages_only_on_failure():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    breaches = [b for path in modules for b in _field_check_breaches(path.read_text(), path.name)]
+    assert breaches == []
+    # each rule catches what it names
+    for snippet in ['_require(ok, f"{name} bad")', '_require(ok, "bad {}", sorted(keys))',
+                    "def _require_thing(v): pass", "ok = type(v) is int",
+                    "ok = isinstance(v, int) and not isinstance(v, bool)"]:
+        assert _field_check_breaches(snippet, "model.py"), snippet
+    assert _field_check_breaches('_require(ok, "bad {!r}", value)', "model.py") == []
+    assert _field_check_breaches('_require(ok, f"{name} bad")', "canonical.py")
+
+
+_HEX = "0" * 64
+_SWAPS = [True, 1.5, -1, "", [], {}, None, 10**30, "\ud800"]
+
+
+def _readers():
+    """(reader, a valid object it reads, what the read value's wire form is).
+    A sim config, a filter and a request have no wire form of their own, so
+    each is taken as far as the program takes it before any I/O."""
+    derived = dataclasses.replace(make_dataset("ds-2", kind="secondary"), extra={"k": "v"})
+    bodies = {
+        "register_storage": storage_body(),
+        "register_program": program_body(),
+        "publish_dataset": PublishDataset(dataset=make_dataset("ds-1", n_files=2)),
+        "derive_dataset": DeriveDataset(dataset=derived, parent_dataset_ids=("ds-1",), program_id="prog-1",
+                                        program_version="1.0", parameters_hash=_HEX),
+    }
+    out = {tag: (body_from_obj, body_to_obj(body), canonical_bytes) for tag, body in bodies.items()}
+    event = EasEvent("e", 1, "TAIGA", "d", (1, 2), 10, "1.5", {"run": "1"})
+    genesis = GenesisConfig(handlers=(("h0", key_for("h0").public_hex), ("h1", key_for("h1").public_hex)),
+                            slot_duration_ms=100, ordering_mode="fixed", genesis_time=0)
+    header = BlockHeader(height=0, slot=0, prev_block_hash=_HEX, tx_root=_HEX, registry_root=_HEX,
+                         registry_size=0, timestamp=0, creator="h0", signature="0" * 128)
+    sim = {"seed": 1, "handlers": ["a", "b"], "slot_duration_ms": 100, "duration_slots": 4,
+           "ordering_mode": "fixed", "genesis_time": 0, "latency_ms": {"min": 0, "max": 1},
+           "drop_probability": 0, "txs_per_slot": 1,
+           "faults": [{"kind": "offline", "handler": "a", "from_slot": 0, "to_slot": 1}]}
+    filter_obj = {"facility_id": "TAIGA", "kind": "primary", "time_range": [0, 10], "energy_min": "1",
+                  "energy_max": "2", "ancestor_of": "a", "descendant_of": "b", "storage_id": "s"}
+    request = {"filter": {"time_range": {"start": 0, "end": 10}},
+               "pipeline": [{"name": "energy_filter", "parameters": {"threshold": "1.5"}}],
+               "sink": {"type": "publish", "storage_id": "s", "dataset_id": "d", "program_id": "p",
+                        "program_version": "1"}}
+    out.update({
+        "event": (event_from_obj, event_to_obj(event), lambda ev: ev.wire_bytes),
+        "genesis": (genesis_from_obj, genesis_to_obj(genesis), genesis_bytes),
+        "header": (header_from_obj, header_to_obj(header), lambda h: h.wire_bytes),
+        "checkpoint": (Checkpoint.from_obj, Checkpoint(_HEX, 0, -1, _HEX).to_obj(),
+                       lambda c: dumps_canonical(c.to_obj())),
+        "sim_config": (sim_config_from_obj, sim, lambda c: genesis_bytes(genesis_for(c))),
+        "filter": (filter_from_obj, filter_obj, lambda f: query(RegistryState(), f)),
+        "request": (request_from_obj, request,
+                    lambda r: (pipeline_parameters_hash(r.pipeline), query(RegistryState(), r.filter))),
+    })
+    return out
+
+
+def _field_paths(value, path=()):
+    """Every key and index path inside value, containers before their items."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _field_paths(item, path + (key,))
+
+
+def _swapped(obj, path, value):
+    out = copy.deepcopy(obj)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("name", list(_readers()))
+def test_type_swapped_fields_are_typed_errors(name):
+    """Each field of a valid object, swapped for a value of another type or
+    out of range, is read into a SkyprovError or into a value whose wire form
+    encodes or raises one; no other exception escapes."""
+    read, valid, wire = _readers()[name]
+    wire(read(copy.deepcopy(valid)))
+    paths = list(_field_paths(valid))
+    assert paths
+    for path in paths:
+        for value in _SWAPS:
+            try:
+                wire(read(_swapped(valid, path, value)))
+            except SkyprovError:
+                pass

@@ -27,7 +27,7 @@ from skyprov.chain import (
     save_chain,
     save_genesis,
 )
-from skyprov.errors import AlreadyExists, IoError, MalformedKey
+from skyprov.errors import AlreadyExists, InvalidBody, IoError, MalformedKey
 from skyprov.index import QueryFilter, index_from_obj, index_to_obj, query
 from skyprov.keys import SigningKey, load_key_file, save_key_file
 from skyprov.merkle import verify_inclusion
@@ -203,6 +203,22 @@ def test_genesis_init_chain_under_a_file_is_an_io_error(tmp_path, capsys):
     rows = lines(out)
     assert len(rows) == 1 and rows[0]["error"] == "IoError"
     assert "Traceback" not in err
+
+
+def test_invalid_genesis_is_one_error_line_and_creates_no_chain_dir(tmp_path, capsys):
+    chain_dir = tmp_path / "home" / "chain"
+    code, out, err = run(
+        capsys, "genesis-init", "--home", str(tmp_path / "home"), "--slot-ms", "0",
+        "--handler", f"h0={SigningKey.from_seed(b'h0').public_hex}",
+    )
+    assert code == 3
+    assert [row["error"] for row in lines(out)] == ["InvalidBody"]
+    assert "Traceback" not in err
+    assert not chain_dir.exists()
+    config = GenesisConfig(handlers=(), slot_duration_ms=100, ordering_mode="fixed", genesis_time=0)
+    with pytest.raises(InvalidBody):
+        save_genesis(str(chain_dir), config)
+    assert not chain_dir.exists()  # checked before the directory is made
 
 
 def test_key_file_follows_the_one_newline_rule(tmp_path):

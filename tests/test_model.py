@@ -110,6 +110,18 @@ def test_dataset_validation_rejections():
         dataset_to_obj(make_dataset("", ))
 
 
+def test_descriptors_compare_by_field_without_validating():
+    invalid = make_dataset("")
+    assert invalid == invalid  # comparing wire forms would raise InvalidBody
+    assert invalid != make_dataset("ds-1")
+    ds = make_dataset("ds-1", n_files=2)
+    listed = dataclasses.replace(ds, file_refs=list(ds.file_refs), time_range=list(ds.time_range))
+    assert listed == ds and ds == listed
+    assert dataclasses.replace(ds, extra={"k": "v"}) != ds
+    record = model.DatasetRecord(descriptor=invalid, parents=["p"], program=None, tx_id="")
+    assert record == dataclasses.replace(record, parents=("p",))
+
+
 # -- canonical body bytes ------------------------------------------------------
 
 
