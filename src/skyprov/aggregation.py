@@ -46,7 +46,7 @@ from .errors import (
     UnknownProgram,
     UnsortedInput,
 )
-from .index import QueryFilter, filter_from_obj, query, validate_filter
+from .index import QueryFilter, filter_from_obj, query
 from .keys import SigningKey
 from .model import (
     DatasetDescriptor,
@@ -270,7 +270,6 @@ def execute(
 ) -> AggregationResult:
     """Run one aggregation request end to end (sink delivery for local sinks;
     publish sinks are completed by publish_result on the returned result)."""
-    validate_filter(request.filter)
     pipeline = _check_pipeline(request.pipeline)
     names = [spec.name for spec in pipeline]
     archive_mode = names == ["merge_archive"]

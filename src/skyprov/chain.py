@@ -26,14 +26,11 @@ from .canonical import (
     _require_keys,
     _require_str,
     digest_from_hex,
-    dumps_canonical,
     dumps_validated,
     is_hex128,
-    loads_canonical_file,
     make_dirs,
     once,
     parse_json,
-    read_canonical_file,
     read_file,
     replace_file,
     sha256_bytes,
@@ -62,10 +59,24 @@ _BLOCK_FILE_RE = re.compile(r"block_([0-9]+)\.json")
 
 @dataclass(frozen=True)
 class GenesisConfig:
+    """A chain's roster and clock; nodes that share one encode it once."""
+
     handlers: tuple  # ((handler_id, public_key_hex), ...) in roster order
     slot_duration_ms: int
     ordering_mode: str
     genesis_time: int  # nanoseconds
+
+    @once
+    def wire_bytes(self) -> bytes:
+        """genesis.json's bytes; computing them is the genesis's field validation."""
+        return dumps_validated(genesis_to_obj(self))
+
+    @once
+    def hash(self) -> str:
+        return sha256_bytes(self.wire_bytes).hex()
+
+    def slot_start_time(self, slot: int) -> int:
+        return self.genesis_time + slot * self.slot_duration_ms * 1_000_000
 
 
 # The key set of each wire object is its class's field names.
@@ -98,16 +109,23 @@ def genesis_from_obj(obj) -> GenesisConfig:
     for h in handlers:
         _require(isinstance(h, dict) and h.keys() == {"handler_id", "public_key"}, "handler entry malformed")
     config = GenesisConfig(**dict(obj, handlers=tuple((h["handler_id"], h["public_key"]) for h in handlers)))
-    genesis_to_obj(config)  # full field validation
+    config.wire_bytes  # the one field validation
+    return config
+
+
+def genesis_from_bytes(data: bytes) -> GenesisConfig:
+    """Parse a genesis, accepting only its one byte form."""
+    config = genesis_from_obj(parse_json(data))
+    _require(config.wire_bytes == data, "input is not in canonical form")
     return config
 
 
 def genesis_bytes(config: GenesisConfig) -> bytes:
-    return dumps_canonical(genesis_to_obj(config))
+    return config.wire_bytes
 
 
 def genesis_hash(config: GenesisConfig) -> str:
-    return sha256_bytes(genesis_bytes(config)).hex()
+    return config.hash
 
 
 # -- headers and blocks ------------------------------------------------------
@@ -334,7 +352,6 @@ class ChainState:
     """
 
     def __init__(self, config: GenesisConfig):
-        self._genesis_hash = genesis_hash(config)  # validates config
         self.config = config
         self.blocks: Optional[list] = []
         self.registry_log = MerkleLog()
@@ -342,7 +359,7 @@ class ChainState:
         self.tx_index: dict = {}  # tx_id -> leaf index in registry_log, in log order
         self.pending_pool: dict = {}  # tx_id -> PmdTransaction
         self._head_header: Optional[BlockHeader] = None  # None before the first block
-        self._head_hash = self._genesis_hash
+        self._head_hash = config.hash  # validates config
         self._cycle_seed = (-1, "")  # (first slot, seed) of the head block's rotation cycle
         self._roster = dict(config.handlers)
 
@@ -350,7 +367,7 @@ class ChainState:
 
     @property
     def genesis_hash_hex(self) -> str:
-        return self._genesis_hash
+        return self.config.hash
 
     @property
     def head_height(self) -> int:
@@ -366,7 +383,7 @@ class ChainState:
         return self._roster.get(handler_id)
 
     def slot_start_time(self, slot: int) -> int:
-        return self.config.genesis_time + slot * self.config.slot_duration_ms * 1_000_000
+        return self.config.slot_start_time(slot)
 
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(
@@ -395,7 +412,7 @@ class ChainState:
         for block in reversed(self.blocks):  # a cycle before the head's
             if block.header.slot < cycle_start:
                 return digest_from_hex(block.header.hash)
-        return digest_from_hex(self._genesis_hash)
+        return digest_from_hex(self.config.hash)
 
     def scheduled_handler(self, slot: int) -> str:
         # fixed mode ignores the seed, so none is derived for it
@@ -570,13 +587,13 @@ def _create_once(path: str, data: bytes, what: str) -> None:
 def save_genesis(chain_dir: str, config: GenesisConfig) -> None:
     """Create genesis.json, or raise before creating anything when config is
     invalid; a different genesis already there raises AlreadyExists."""
-    data = genesis_bytes(config) + b"\n"
+    data = config.wire_bytes + b"\n"
     make_dirs(chain_dir)
     _create_once(_genesis_path(chain_dir), data, "genesis")
 
 
 def load_genesis(chain_dir: str) -> GenesisConfig:
-    return genesis_from_obj(read_canonical_file(_genesis_path(chain_dir), "genesis"))
+    return genesis_from_bytes(read_file(_genesis_path(chain_dir), "genesis").removesuffix(b"\n"))
 
 
 def save_block_file(chain_dir: str, block: Block) -> str:
@@ -624,7 +641,7 @@ def load_block_file(chain_dir: str, height: int, digest) -> Block:
 def _open_store(chain_dir: str):
     """(empty state, digest over genesis.json, stored heights) of a chain store."""
     data = read_file(_genesis_path(chain_dir), "genesis")
-    state = ChainState(genesis_from_obj(loads_canonical_file(data)))
+    state = ChainState(genesis_from_bytes(data.removesuffix(b"\n")))
     digest = hashlib.sha256()
     _feed(digest, data)
     heights = list_block_heights(chain_dir)

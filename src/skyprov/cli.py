@@ -26,7 +26,6 @@ from .chain import (
     ORDERING_MODES,
     Checkpoint,
     GenesisConfig,
-    genesis_hash,
     load_chain,
     produce_block,
     replay_chain,
@@ -108,15 +107,17 @@ def _chain_dir(args) -> str:
     raise UsageError("either --chain or --home is required")
 
 
-def _seal_block(state, home: str):
-    """Produce the next block from the pool with the scheduled handler's key."""
+def _seal_block(state, args):
+    """Produce the next block from the pool with the scheduled handler's key,
+    and store it."""
     slot = state.last_slot() + 1
     handler_id = state.scheduled_handler(slot)
-    key = load_key_file(_key_path(home, handler_id))
+    key = load_key_file(_key_path(args.home, handler_id))
     block = produce_block(state, slot, key, now=state.slot_start_time(slot))
     verdict = state.receive_block(block)
     if not verdict.ok:
         raise IntegrityError(f"sealed block rejected: {verdict.reason}: {verdict.detail}")
+    save_block_file(_chain_dir(args), block)
     return block
 
 
@@ -124,6 +125,10 @@ def _seal_block(state, home: str):
 
 
 def cmd_keygen(args) -> int:
+    try:
+        args.name.encode()  # the seeded key hashes the name as UTF-8; a file name should have that form too
+    except UnicodeEncodeError:
+        raise UsageError(f"--name {args.name!r} has no UTF-8 form") from None
     path = _key_path(args.home, args.name)
     make_dirs(_keys_dir(args.home))
     if args.seed is not None:
@@ -157,7 +162,7 @@ def cmd_genesis_init(args) -> int:
         genesis_time=args.genesis_time,
     )
     save_genesis(chain_dir, config)
-    _emit({"genesis_hash": genesis_hash(config), "path": os.path.join(chain_dir, "genesis.json")})
+    _emit({"genesis_hash": config.hash, "path": os.path.join(chain_dir, "genesis.json")})
     return 0
 
 
@@ -180,8 +185,7 @@ def cmd_sim_run(args) -> int:
 
 
 def cmd_tx_submit(args) -> int:
-    chain_dir = _chain_dir(args)
-    state = load_chain(chain_dir)
+    state = load_chain(_chain_dir(args))
     body = body_from_obj(_read_json_file(args.body, "body file"))
     key = load_key_file(_key_path(args.home, args.key))
     created_at = args.created_at
@@ -195,8 +199,7 @@ def cmd_tx_submit(args) -> int:
     if args.no_seal:
         _emit({"sealed": False, "tx_id": tx.tx_id, "verdict": "ok"})
         return 0
-    block = _seal_block(state, args.home)
-    save_block_file(chain_dir, block)
+    block = _seal_block(state, args)
     _progress(f"sealed block {block.header.height} with {len(block.transactions)} txs")
     _emit({"height": block.header.height, "sealed": True, "tx_id": tx.tx_id, "verdict": "ok"})
     return 0
@@ -355,7 +358,7 @@ def cmd_aggregate(args) -> int:
         raise UsageError("this request has a publish sink; use the publish command")
     if isinstance(req.sink, LocalSink) and not os.path.isabs(req.sink.path):
         req = dataclasses.replace(req, sink=LocalSink(os.path.join(args.home, req.sink.path)))
-    result = execute(req, state.registry, storages, concurrent=not args.sequential)
+    result = execute(req, state.registry, storages)
     output_path = result.output_path
     if output_path is None and args.out:
         write_file(args.out, result.output_bytes)
@@ -372,7 +375,7 @@ def cmd_publish(args) -> int:
     req, state, storages = _prepare_aggregation(args)
     if not isinstance(req.sink, PublishSink):
         raise UsageError("publish requires a request with a publish sink")
-    result = execute(req, state.registry, storages, concurrent=not args.sequential)
+    result = execute(req, state.registry, storages)
     key = load_key_file(_key_path(args.home, args.key))
     created_at = args.created_at
     if created_at is None:
@@ -385,9 +388,7 @@ def cmd_publish(args) -> int:
         "verdict": "ok",
     }
     if not args.no_seal:
-        chain_dir = _chain_dir(args)
-        block = _seal_block(state, args.home)
-        save_block_file(chain_dir, block)
+        block = _seal_block(state, args)
         out["sealed"] = True
         out["height"] = block.header.height
     _emit(out)
@@ -460,7 +461,6 @@ def build_parser() -> _Parser:
     p.add_argument("--chain", default=None)
     p.add_argument("--request", required=True)
     p.add_argument("--out", default=None, help="output file when the request has no sink")
-    p.add_argument("--sequential", action="store_true")
 
     p = add("publish", cmd_publish, help="run an aggregation and register the result as a dataset")
     p.add_argument("--home", required=True)
@@ -468,7 +468,6 @@ def build_parser() -> _Parser:
     p.add_argument("--request", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--created-at", type=int, default=None)
-    p.add_argument("--sequential", action="store_true")
     p.add_argument("--no-seal", action="store_true")
 
     return parser

@@ -105,10 +105,10 @@ def _reachable(start: str, edges) -> set:
 def query(registry: RegistryState, f: QueryFilter):
     """Datasets satisfying every predicate, ordered by (time_range.start, dataset_id).
 
+    f comes checked from filter_from_obj, which reads a request's filter and ``query --where``.
     One scan over the registry. descendant_of collects parent-to-child links
     during that scan and keeps the matches that descend from it afterwards.
     """
-    validate_filter(f)
     datasets = registry.datasets
     ancestors = None
     if f.ancestor_of is not None:

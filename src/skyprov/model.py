@@ -222,8 +222,18 @@ def _dataset_from_obj(obj: Any) -> DatasetDescriptor:
 # -- transaction bodies ---------------------------------------------------
 
 
+class _Body:
+    """Base of the four transaction body classes."""
+
+    @once
+    def wire_bytes(self) -> bytes:
+        """The body's unique byte form, hashed and signed as-is; computing it
+        is the body's field validation."""
+        return dumps_validated(body_to_obj(self))
+
+
 @dataclass(frozen=True)
-class RegisterStorage:
+class RegisterStorage(_Body):
     storage_id: str
     adapter_kind: str
     base_uri: str
@@ -231,19 +241,19 @@ class RegisterStorage:
 
 
 @dataclass(frozen=True)
-class RegisterProgram:
+class RegisterProgram(_Body):
     program_id: str
     version: str
     code_hash: str
 
 
 @dataclass(frozen=True)
-class PublishDataset:
+class PublishDataset(_Body):
     dataset: DatasetDescriptor
 
 
 @dataclass(frozen=True)
-class DeriveDataset:
+class DeriveDataset(_Body):
     dataset: DatasetDescriptor
     parent_dataset_ids: tuple
     program_id: str
@@ -304,7 +314,7 @@ def body_to_obj(body: TxBody) -> dict:
 
 def body_from_obj(obj: Any) -> TxBody:
     body = _body_from_obj(obj)
-    body_to_obj(body)  # full field validation
+    body.wire_bytes  # the one field validation
     return body
 
 
@@ -327,16 +337,12 @@ def _body_from_obj(obj: Any) -> TxBody:
 
 def canonical_bytes(body: TxBody) -> bytes:
     """The unique byte form of a transaction body: hashed and signed as-is."""
-    return dumps_validated(body_to_obj(body))
+    if not isinstance(body, _Body):
+        raise InvalidBody(f"unknown transaction body type {type(body).__name__}")
+    return body.wire_bytes
 
 
 # -- signed transactions ---------------------------------------------------
-
-
-# The wire form's first key is "body", so the body bytes open the wire bytes
-# right after this prefix and end where the created_at member starts.
-_WIRE_BODY_START = len(b'{"body":')
-_WIRE_BODY_END = b',"created_at":'
 
 
 @dataclass(frozen=True)
@@ -353,19 +359,24 @@ class PmdTransaction:
 
     @once
     def wire_bytes(self) -> bytes:
-        """Wire form: the canonical bytes appended to the registry log.
-
-        Computing it is the transaction's field validation, body first;
-        an invalid transaction raises InvalidBody and caches nothing.
-        """
-        return dumps_validated(tx_to_obj(self))
+        """Wire form, appended to the registry log: the body's bytes ("body"
+        sorts first) joined with the other members, each a checked integer
+        or lowercase hex that needs no escaping. Computing it is the
+        transaction's field validation, body first."""
+        body = canonical_bytes(self.body)
+        _require_hex64(self.creator, "creator")
+        _require(_require_int(self.created_at, "created_at") > 0, "created_at must be > 0")
+        _require(is_hex128(self.signature), "signature must be 128 lowercase hex chars")
+        _require_hex64(self.tx_id, "tx_id")
+        return b'{"body":%b,"created_at":%d,"creator":"%b","signature":"%b","tx_id":"%b"}' % (
+            body, self.created_at, self.creator.encode(), self.signature.encode(), self.tx_id.encode())
 
     @property
     def body_bytes(self) -> bytes:
-        """canonical_bytes(self.body), cut from the wire bytes (every member
-        after the body is a hex string or an integer)."""
-        wire = self.wire_bytes
-        return wire[_WIRE_BODY_START : wire.rindex(_WIRE_BODY_END)]
+        """canonical_bytes(self.body), once the transaction's own fields are
+        checked too."""
+        self.wire_bytes
+        return self.body.wire_bytes
 
     @once
     def signature_ok(self) -> bool:
@@ -377,29 +388,24 @@ def sign_transaction(body: TxBody, key: SigningKey, created_at: Optional[int] = 
     if not isinstance(key, SigningKey):
         raise InvalidBody("key must be a SigningKey")
     data = canonical_bytes(body)
-    if created_at is None:
-        created_at = time.time_ns()
-    _require(_require_int(created_at, "created_at") > 0, "created_at must be > 0")
-    return PmdTransaction(
+    tx = PmdTransaction(
         body=body,
         creator=key.public_hex,
-        created_at=created_at,
+        created_at=time.time_ns() if created_at is None else created_at,
         signature=key.sign(data).hex(),
         tx_id=sha256_bytes(data).hex(),
     )
+    tx.wire_bytes  # the field validation; only created_at can fail it here
+    return tx
 
 
 _TX_KEYS = _field_names(PmdTransaction)
 
 
 def tx_to_obj(tx: PmdTransaction) -> dict:
-    body = body_to_obj(tx.body)
-    _require_hex64(tx.creator, "creator")
-    _require(_require_int(tx.created_at, "created_at") > 0, "created_at must be > 0")
-    _require(is_hex128(tx.signature), "signature must be 128 lowercase hex chars")
-    _require_hex64(tx.tx_id, "tx_id")
+    tx.wire_bytes  # the field validation
     obj = {name: getattr(tx, name) for name in _TX_KEYS}
-    obj["body"] = body
+    obj["body"] = body_to_obj(tx.body)
     return obj
 
 
@@ -489,15 +495,13 @@ class RegistryState:
             self.datasets[body.dataset.dataset_id] = DatasetRecord(
                 descriptor=body.dataset, parents=(), program=None, tx_id=tx.tx_id
             )
-        elif isinstance(body, DeriveDataset):
+        else:  # a DeriveDataset: every body read is one of the four classes
             self.datasets[body.dataset.dataset_id] = DatasetRecord(
                 descriptor=body.dataset,
                 parents=tuple(body.parent_dataset_ids),
                 program=(body.program_id, body.program_version),
                 tx_id=tx.tx_id,
             )
-        else:  # pragma: no cover - bodies are validated before apply
-            raise InvalidBody(f"unknown body type {type(body).__name__}")
 
 
 @dataclass(frozen=True)
@@ -532,19 +536,16 @@ def validate_transaction(tx: PmdTransaction, state: RegistryState) -> Verdict:
     elif isinstance(body, RegisterProgram):
         if (body.program_id, body.version) in state.programs:
             return Verdict(False, "DuplicateProgram", f"program {body.program_id}@{body.version} already registered")
-    elif isinstance(body, PublishDataset):
+    else:  # a dataset: its storage, then a derivation's lineage, then the id
         if body.dataset.storage_id not in state.storages:
             return Verdict(False, "UnknownStorage", f"storage {body.dataset.storage_id} not registered")
-        if body.dataset.dataset_id in state.datasets:
-            return Verdict(False, "DuplicateDataset", f"dataset {body.dataset.dataset_id} already exists")
-    elif isinstance(body, DeriveDataset):
-        if body.dataset.storage_id not in state.storages:
-            return Verdict(False, "UnknownStorage", f"storage {body.dataset.storage_id} not registered")
-        for parent in body.parent_dataset_ids:
-            if parent not in state.datasets:
-                return Verdict(False, "UnknownParent", f"parent dataset {parent} not found")
-        if (body.program_id, body.program_version) not in state.programs:
-            return Verdict(False, "UnknownProgram", f"program {body.program_id}@{body.program_version} not registered")
+        if isinstance(body, DeriveDataset):
+            for parent in body.parent_dataset_ids:
+                if parent not in state.datasets:
+                    return Verdict(False, "UnknownParent", f"parent dataset {parent} not found")
+            program = (body.program_id, body.program_version)
+            if program not in state.programs:
+                return Verdict(False, "UnknownProgram", "program {}@{} not registered".format(*program))
         if body.dataset.dataset_id in state.datasets:
             return Verdict(False, "DuplicateDataset", f"dataset {body.dataset.dataset_id} already exists")
     return ACCEPT

@@ -311,10 +311,7 @@ class SimTrace:
         self.events.append(obj)
 
     def to_jsonl_bytes(self) -> bytes:
-        out = []
-        for obj in self.events:
-            out.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-        return ("\n".join(out) + "\n").encode("utf-8") if out else b""
+        return b"".join(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n" for obj in self.events)
 
 
 def _short(hex_digest: str) -> str:
@@ -369,15 +366,12 @@ class Simulation:
         window = self.offline_windows.get(node_id)
         return window is not None and window[0] <= slot <= window[1]
 
-    def slot_of(self, time_ms: int) -> int:
-        return time_ms // self.config.slot_duration_ms
-
     # -- workload --
 
     def make_publish_body(self, slot: int, k: int) -> PublishDataset:
         ds_id = f"ds-{slot}-{k}"
         path = f"data/{ds_id}.jsonl"
-        start = self.nodes_time(slot)
+        start = self.genesis.slot_start_time(slot)
         return PublishDataset(
             dataset=DatasetDescriptor(
                 dataset_id=ds_id,
@@ -392,14 +386,11 @@ class Simulation:
                     ),
                 ),
                 facility_id="SIM",
-                time_range=(start, start + self.config.slot_duration_ms * 1_000_000),
+                time_range=(start, self.genesis.slot_start_time(slot + 1)),
                 detector_geometry_hash=sha256_bytes(b"sim-geometry").hex(),
                 extra={},
             )
         )
-
-    def nodes_time(self, slot: int) -> int:
-        return self.config.genesis_time + slot * self.config.slot_duration_ms * 1_000_000
 
     def schedule_workload(self):
         bootstrap = [
@@ -407,7 +398,7 @@ class Simulation:
                 storage_id="sim-storage",
                 adapter_kind="jsonl",
                 base_uri="/sim/storage",
-                storage_pubkey=client_key(self.config.seed).public_hex,
+                storage_pubkey=self.client.public_hex,
             ),
             RegisterProgram(
                 program_id="sim-program",
@@ -427,7 +418,7 @@ class Simulation:
                     sign_transaction(
                         self.make_publish_body(slot, k),
                         self.client,
-                        created_at=self.nodes_time(slot) + k + 1,
+                        created_at=self.genesis.slot_start_time(slot) + k + 1,
                     )
                 )
             if slot_txs:
@@ -514,13 +505,13 @@ class Simulation:
                 # the node knows it is behind; producing here would fork it off
                 self.trace.log({"t": time_ms, "type": "abstain", "node": node_id, "slot": slot})
                 continue
-            block = produce_block(node.state, slot, node.key, now=self.nodes_time(slot))
+            block = produce_block(node.state, slot, node.key, now=self.genesis.slot_start_time(slot))
             receivers = sorted(set(self.nodes) - {node_id})
             record = {"t": time_ms, "node": node_id, "slot": slot}
             if node_id == equiv:
                 # the second block must be built before the first is applied,
                 # or the slot is no longer after the head's
-                second = produce_block(node.state, slot, node.key, now=self.nodes_time(slot) + 1)
+                second = produce_block(node.state, slot, node.key, now=self.genesis.slot_start_time(slot) + 1)
                 half = len(receivers) // 2
                 sends = [(block, receivers[:half]), (second, receivers[half:])]
                 record.update(
@@ -540,7 +531,7 @@ class Simulation:
 
     def handle_delivery(self, time_ms: int, receiver: str, msg):
         node = self.nodes[receiver]
-        slot = self.slot_of(time_ms)
+        slot = time_ms // self.config.slot_duration_ms
         if self.is_offline(receiver, slot):
             self.trace.log({"t": time_ms, "type": "offline_ignore", "node": receiver, "msg": msg[0]})
             return
@@ -620,16 +611,9 @@ class Simulation:
     def send_sync_req(self, time_ms: int, requester: str, responder: str):
         if responder == requester or responder not in self.nodes:
             return
-        self.trace.log(
-            {"t": time_ms, "type": "sync_req", "from": requester, "to": responder, "head": self.nodes[requester].state.head_height}
-        )
-        self.send(
-            time_ms,
-            requester,
-            responder,
-            ("sync_req", requester, self.nodes[requester].state.head_height),
-            reliable=True,
-        )
+        head = self.nodes[requester].state.head_height
+        self.trace.log({"t": time_ms, "type": "sync_req", "from": requester, "to": responder, "head": head})
+        self.send(time_ms, requester, responder, ("sync_req", requester, head), reliable=True)
 
     def request_sync(self, time_ms: int, node_id: str):
         for other in sorted(set(self.nodes) - {node_id}):

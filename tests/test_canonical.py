@@ -323,6 +323,44 @@ def test_field_checks_build_messages_only_on_failure():
     assert _field_check_breaches('_require(ok, f"{name} bad")', "canonical.py")
 
 
+# Readers that would check or parse an object a second time: a filter is
+# checked in index.filter_from_obj only, and chain.py reads a genesis and a
+# block as the wire bytes of what it built, never through a round trip.
+_CHAIN_ROUND_TRIPS = {"loads_canonical", "loads_canonical_file", "read_canonical_file"}
+
+
+def _second_path_breaches(source: str, module: str) -> list:
+    tree = ast.parse(source)
+    allowed = set()
+    if module == "index.py":
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "filter_from_obj":
+                allowed.update(id(n) for n in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "validate_filter" or (module == "chain.py" and name in _CHAIN_ROUND_TRIPS):
+            found.append(f"{module}:{node.lineno} calls {name}")
+    return found
+
+
+def test_filters_and_genesis_are_checked_on_one_path():
+    breaches = [b for path in sorted(SRC.glob("*.py")) for b in _second_path_breaches(path.read_text(), path.name)]
+    assert breaches == []
+    # each rule catches what it names, and only there
+    for snippet, module in [("validate_filter(f)", "aggregation.py"),
+                            ("def query(r, f):\n    validate_filter(f)", "index.py"),
+                            ("loads_canonical(data)", "chain.py"),
+                            ("loads_canonical_file(data)", "chain.py"),
+                            ("canonical.read_canonical_file(p, 'genesis')", "chain.py")]:
+        assert _second_path_breaches(snippet, module), snippet
+    assert _second_path_breaches("def filter_from_obj(obj):\n    validate_filter(f)", "index.py") == []
+    assert _second_path_breaches("read_canonical_file(p, 'key file')", "keys.py") == []
+
+
 _HEX = "0" * 64
 _SWAPS = [True, 1.5, -1, "", [], {}, None, 10**30, "\ud800"]
 

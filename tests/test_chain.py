@@ -768,10 +768,11 @@ def test_replay_validates_and_encodes_each_tx_once(tmp_path, monkeypatch):
 
 
 def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
-    # A block file is accepted only as the join of its parts' wire bytes, so
-    # replay never round-trips a whole block through loads_canonical: each
-    # transaction is encoded once (its wire bytes) and each header twice (its
-    # signing bytes and its wire bytes).
+    # A block file is accepted only as the join of its parts' wire bytes, and
+    # genesis.json only as the genesis's wire bytes, so replay never calls
+    # loads_canonical: the genesis is encoded once, each transaction body
+    # once (a transaction's wire bytes join its body's), and each header
+    # twice (its signing bytes and its wire bytes).
     _golden_store(tmp_path)
     parsed = []
     original_loads = canonical_module.loads_canonical
@@ -781,13 +782,11 @@ def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
     monkeypatch.setattr(json, "dumps", lambda value, **kw: encoded.append(value) or original_dumps(value, **kw))
     state, _, failure = replay_chain(str(tmp_path))
     assert failure is None
-    assert parsed == [(tmp_path / "genesis.json").read_bytes()[:-1]]
-    encoded.remove(genesis_to_obj(state.config))  # the genesis file's round trip
-    encoded.remove(genesis_to_obj(state.config))  # and its hash
+    assert parsed == []
     headers = [header_to_obj(b.header) for b in state.blocks]
     cores = [{k: v for k, v in h.items() if k != "signature"} for h in headers]
-    txs = [tx_to_obj(tx) for b in state.blocks for tx in b.transactions]
-    expected = headers + cores + txs
+    bodies = [tx_to_obj(tx)["body"] for b in state.blocks for tx in b.transactions]
+    expected = [genesis_to_obj(state.config)] + headers + cores + bodies
     assert sorted(original_dumps(v, sort_keys=True) for v in encoded) == sorted(
         original_dumps(v, sort_keys=True) for v in expected)
 
@@ -861,6 +860,27 @@ def test_block_decode_accepts_what_loads_canonical_accepts(data):
         stripped,
     )
     assert block is None or block_bytes(block) == stripped
+
+
+@functools.lru_cache(maxsize=None)
+def _stored_genesis():
+    """The genesis.json of a _golden_store, read back from disk."""
+    with tempfile.TemporaryDirectory() as d:
+        _golden_store(pathlib.Path(d))
+        return ((pathlib.Path(d) / "genesis.json").read_bytes(),)
+
+
+@settings(max_examples=500)
+@given(_mutants(_stored_genesis))
+def test_genesis_decode_accepts_what_loads_canonical_accepts(data):
+    stripped = data.removesuffix(b"\n")
+    config = _assert_decoders_agree(
+        chain_module.genesis_from_bytes,
+        lambda d: genesis_from_obj(loads_canonical(d)),
+        lambda d: genesis_from_obj(canonical_module.parse_json(d)),
+        stripped,
+    )
+    assert config is None or genesis_bytes(config) == stripped
 
 
 @settings(max_examples=500)

@@ -7,12 +7,16 @@ import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import shutil
+import sys
 
 import pytest
 
+from skyprov import canonical as canonical_module
 from skyprov import chain as chain_module
 from skyprov import cli
+from skyprov import index as index_module
 from skyprov import keys as keys_module
 from skyprov import model as model_module
 from skyprov.aggregation import AggregationRequest, PluginSpec, execute, request_from_obj
@@ -42,6 +46,7 @@ from skyprov.model import (
     dataset_to_obj,
     sign_transaction,
 )
+from skyprov.netsim import run_simulation, sim_config_from_obj
 from skyprov.storage import init_storage, write_events
 
 GEOM = hashlib.sha256(b"cli-geometry").hexdigest()
@@ -142,6 +147,16 @@ def test_keygen_refuses_overwrite(tmp_path, capsys):
     code, out, _ = run(capsys, "keygen", "--home", str(tmp_path), "--name", "k")
     assert code == 4
     assert lines(out)[0]["error"] == "AlreadyExists"
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["random", "seeded"])
+def test_keygen_name_without_utf8_form_is_usage_error(tmp_path, capsys, seed):
+    name = os.fsdecode(b"\xff")  # an argv byte that is not UTF-8 arrives as a lone surrogate
+    code, out, err = run(capsys, "keygen", "--home", str(tmp_path / "home"), "--name", name, *seed)
+    assert code == 2
+    assert [row["error"] for row in lines(out)] == ["UsageError"]
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "home")
 
 
 def test_save_key_file_never_replaces_a_key(tmp_path):
@@ -329,6 +344,32 @@ def test_chain_verify_detects_mutation(world, capsys):
     err = lines(out)[-1]
     assert err["height"] == 0
     assert err["error"] in ("BadTxRoot", "InvalidTransaction", "InvalidBody", "BadTxId")
+
+
+@pytest.mark.parametrize("damage", ["added_space", "keys_swapped"])
+def test_damaged_genesis_exits_3_with_or_without_head_cache(world, tmp_path, capsys, damage):
+    assert run(capsys, "query", "--chain", world["chain"], "--where", "kind=primary")[0] == 0  # writes the cache
+    data = (pathlib.Path(world["chain"]) / "genesis.json").read_bytes()
+    k0, k1 = (world["keys"][hid].public_hex.encode() for hid in ("h0", "h1"))
+    damaged = {
+        "added_space": data.replace(b'"handlers":', b'"handlers": '),
+        "keys_swapped": data.replace(k0, b"-").replace(k1, k0).replace(b"-", k1),
+    }[damage]
+    assert damaged != data
+    cold = tmp_path / "cold"
+    shutil.copytree(world["chain"], cold)
+    os.remove(cold / chain_module.HEAD_CACHE)
+    for chain_dir in (world["chain"], cold):
+        (pathlib.Path(chain_dir) / "genesis.json").write_bytes(damaged)
+    for argv in (["query", "--where", "kind=primary"], ["chain-verify"]):
+        outcomes = []
+        for chain_dir in (world["chain"], cold):
+            code, out, err = run(capsys, argv[0], "--chain", str(chain_dir), *argv[1:])
+            assert code == 3 and "Traceback" not in err, (argv, out, err)
+            outcomes.append(out)
+        assert outcomes[0] == outcomes[1], argv
+        expected = "InvalidBody" if damage == "added_space" or argv[0] == "query" else "BadLink"
+        assert lines(outcomes[0])[-1]["error"] == expected
 
 
 @pytest.mark.parametrize("damage", [b"[" * 100_000 + b"]" * 100_000, b"1" * 5_000], ids=["nested", "huge_int"])
@@ -666,7 +707,7 @@ def test_aggregate_null_sink_with_out_flag(world, tmp_path, capsys):
     request = agg_request(tmp_path, None)
     out_file = tmp_path / "direct.jsonl"
     code, out, _ = run(capsys, "aggregate", "--home", world["home"], "--request", request,
-                       "--out", str(out_file), "--sequential")
+                       "--out", str(out_file))
     assert code == 0
     assert sha256_bytes(out_file.read_bytes()).hex() == lines(out)[0]["output_digest"]
 
@@ -901,7 +942,7 @@ def test_head_cache_is_invisible(world, tmp_path, capsys, monkeypatch):
         "proof-tx": ["proof", "--tx-id", tx_id],
         "proof-consistency": ["proof", "--consistency-from", "2"],
         "index-build": ["index-build", "--out", str(out_file)],
-        "aggregate": ["aggregate", "--request", request, "--out", str(out_file), "--sequential"],
+        "aggregate": ["aggregate", "--request", request, "--out", str(out_file)],
     }
     copies = 0
     for name, argv in commands.items():
@@ -979,3 +1020,78 @@ def test_unwritable_head_cache_leaves_output_unchanged(world, capsys, monkeypatc
     monkeypatch.setattr(chain_module, "replace_file", refuse)
     assert run(capsys, *argv)[:2] == expected
     assert not os.path.exists(os.path.join(world["chain"], chain_module.HEAD_CACHE))
+
+
+# -- census: each body, filter and genesis is checked once ---------------------------
+
+
+def _record_calls(monkeypatch, module, name):
+    """Wrap module.name wherever a skyprov module binds it; returns the list
+    of first arguments it is called with."""
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "skyprov" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+def test_each_body_filter_and_genesis_is_checked_once(world, tmp_path, capsys, monkeypatch):
+    bodies = _record_calls(monkeypatch, model_module, "body_to_obj")
+    filters = _record_calls(monkeypatch, index_module, "validate_filter")
+    genesis_objs = _record_calls(monkeypatch, chain_module, "genesis_to_obj")
+    parsed = _record_calls(monkeypatch, canonical_module, "loads_canonical")
+    genesis_data = (pathlib.Path(world["chain"]) / "genesis.json").read_bytes().removesuffix(b"\n")
+    body_obj = {"adapter_kind": "jsonl", "base_uri": "n", "storage_id": "st-new",
+                "storage_pubkey": "cd" * 32, "type": "register_storage"}
+
+    # read, signed and submitted: one validation and one encode of the body
+    state = load_chain(world["chain"])  # also writes a head cache that covers the head
+    bodies.clear()
+    body = model_module.body_from_obj(body_obj)
+    assert state.submit(sign_transaction(body, world["user"], created_at=7000)).ok
+    assert len(bodies) == 1 and bodies[0] is body
+
+    body_file = tmp_path / "body.json"
+    body_file.write_text(json.dumps(body_obj))
+    (tmp_path / "agg").mkdir()
+    (tmp_path / "pub").mkdir()
+    aggregate = agg_request(tmp_path / "agg", None)
+    publish = agg_request(tmp_path / "pub", {"type": "publish", "storage_id": "st-1", "dataset_id": "ds-agg",
+                                             "program_id": "prog-1", "program_version": "1.0"})
+    commands = [  # (argv, validate_filter calls); tx-submit first, while the cache covers the head
+        (["tx-submit", "--key", "user", "--body", str(body_file), "--created-at", "7000"], 0),
+        (["query", "--where", "kind=primary"], 1),
+        (["aggregate", "--request", aggregate, "--out", str(tmp_path / "out.jsonl")], 1),
+        (["publish", "--request", publish, "--key", "user", "--created-at", "9000"], 1),
+        (["proof", "--consistency-from", "2"], 0),
+        (["index-build", "--out", str(tmp_path / "index.json")], 0),
+        (["chain-verify"], 0),
+    ]
+    for argv, filter_checks in commands:
+        for calls in (bodies, filters, genesis_objs, parsed):
+            calls.clear()
+        code, out, _ = run(capsys, argv[0], "--home", world["home"], *argv[1:])
+        assert code == 0, (argv, out)
+        if argv[0] == "tx-submit":
+            assert [b for b in bodies if b == body] == [body]
+        assert len(filters) == filter_checks, argv
+        assert len(genesis_objs) == 1, argv
+        assert genesis_data not in parsed, argv
+
+    # a bench-shaped simulation: five nodes and the audit share one genesis
+    bodies.clear()
+    genesis_objs.clear()
+    run_simulation(sim_config_from_obj({
+        "seed": 3151, "handlers": 5, "slot_duration_ms": 100, "duration_slots": 48,
+        "latency_ms": {"min": 5, "max": 60}, "txs_per_slot": 3,
+        "faults": [{"kind": "offline", "handler": "h2", "from_slot": 10, "to_slot": 14},
+                   {"kind": "tamper_history", "handler": "h4", "slot": 30, "height": 5, "resign": 1}],
+    }))
+    assert len(genesis_objs) == 1
+    assert len(bodies) > 48 * 3 and len({id(b) for b in bodies}) == len(bodies)
