@@ -44,8 +44,8 @@ from .model import (
     PmdTransaction,
     RegistryState,
     Verdict,
-    tx_from_log_entry,
     tx_from_obj,
+    txs_from_log_entries,
     validate_transaction,
 )
 
@@ -638,6 +638,16 @@ def load_block_file(chain_dir: str, height: int, digest) -> Block:
     return block_from_bytes(data.removesuffix(b"\n"))
 
 
+def load_block_header(chain_dir: str, height: int, digest) -> BlockHeader:
+    """The header of block_N.json, after feeding the file's exact bytes to
+    digest; its transactions are parsed but not built or checked."""
+    data = read_file(_block_path(chain_dir, height), "block file")
+    _feed(digest, data)
+    obj = parse_json(data)
+    _require(isinstance(obj, dict) and obj.keys() == _BLOCK_KEYS, "block keys malformed")
+    return header_from_obj(obj["header"])
+
+
 def _open_store(chain_dir: str):
     """(empty state, digest over genesis.json, stored heights) of a chain store."""
     data = read_file(_genesis_path(chain_dir), "genesis")
@@ -695,11 +705,12 @@ def replay_chain(chain_dir: str):
 # entry, a confirmed transaction's wire bytes, in log order. The cache is
 # trusted no more than the store it sits in: it is used only while its
 # digest matches the exact bytes of genesis.json and of every block file it
-# covers and the head block hashes to its head_hash. The entries are hashed
-# into a fresh log, which must match the head header's registry commitment
-# before any entry is parsed; so each entry is exactly the bytes of a
-# transaction validated into the chain, and the registry is folded from
-# them in log order, as apply_block folds it.
+# covers and the head block hashes to its head_hash; of the blocks, only
+# the head's header is built. The entries are hashed into a fresh log in one
+# batch, which must match the head header's registry commitment before any
+# entry is parsed; so each entry is exactly the bytes of a transaction
+# validated into the chain. Each is then read for its shape only, and the
+# registry is folded from them in log order, as apply_block folds it.
 _CACHE_KEYS = {"cycle_seed", "files_digest", "genesis_hash", "head_hash", "height"}
 
 
@@ -723,7 +734,7 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
         covered = digest.copy()
         for h in range(height):
             _feed(covered, read_file(_block_path(chain_dir, h), "block file"))
-        header = load_block_file(chain_dir, height, covered).header
+        header = load_block_header(chain_dir, height, covered)
         _require(covered.hexdigest() == cache["files_digest"], "store bytes differ from the head cache's")
         _require(header.hash == cache["head_hash"], "head block differs from the head cache's")
         cycle = cache["cycle_seed"]
@@ -731,19 +742,17 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
         _require_hex64(cycle["seed"], "head cache cycle seed")
         _require(_require_int(cycle["start"], "cycle start") == state._cycle_start(header.slot), "cycle start malformed")
         log = MerkleLog()
-        for entry in entries:
-            log.append(entry)
+        log.extend(entries)
         _require(log.root().hex() == header.registry_root and log.size == header.registry_size,
                  "head cache entries do not match the head's registry commitment")
         registry, tx_index = RegistryState(), {}
-        for i, entry in enumerate(entries):  # apply_block's fold
-            tx = tx_from_log_entry(entry)
+        for i, tx in enumerate(txs_from_log_entries(entries)):  # apply_block's fold
             tx_index[tx.tx_id] = i
             registry.apply(tx)
         registry.built_to = (height, log.size)
     # Entries bound to a validated head never raise here. A store whose head
     # block was rewritten, with a cache to match, can commit to any bytes:
-    # ValueError and RecursionError from json.loads, TypeError from an
+    # ValueError and RecursionError from parsing a line, TypeError from an
     # unhashable id. Each means a full replay, which reports the damage.
     except (SkyprovError, ValueError, TypeError, RecursionError):
         return -1, digest, []

@@ -147,6 +147,26 @@ class MerkleLog:
         self._push_peak(self._peaks, leaf, self._levels)
         return index
 
+    def extend(self, entries: Iterable[bytes]) -> None:
+        """Append raw record bytes in order, leaving the log as that many
+        ``append`` calls would: every leaf is hashed in one pass, then each
+        level's newly completed subtree roots from the level below."""
+        levels = self._levels
+        levels[0] += b"".join([leaf_hash(data) for data in entries])
+        height = 0
+        while len(levels[height]) >= 2 * DIGEST_SIZE:
+            if height + 1 == len(levels):
+                levels.append(bytearray())
+            below, level = levels[height], levels[height + 1]
+            # the pairs below whose root level does not hold yet
+            pairs = range(2 * len(level), len(below) - len(below) % (2 * DIGEST_SIZE), 2 * DIGEST_SIZE)
+            level += b"".join([node_hash(below[i : i + DIGEST_SIZE], below[i + DIGEST_SIZE : i + 2 * DIGEST_SIZE])
+                               for i in pairs])
+            height += 1
+        # one peak per set bit of the size: the last root at that height
+        size = self.size
+        self._peaks = [(h, bytes(levels[h][-DIGEST_SIZE:])) for h in reversed(range(len(levels))) if size >> h & 1]
+
     @staticmethod
     def _push_peak(peaks: list[tuple[int, Digest]], leaf: Digest, levels: Optional[list[bytearray]] = None) -> None:
         """Push a leaf onto a peak stack; each merge makes a complete

@@ -9,9 +9,10 @@ at the Merkle-log boundary.
 from __future__ import annotations
 
 import json
+import json.scanner
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Iterator, Mapping, Optional, Union
 
 from .canonical import (
     _field_names,
@@ -188,6 +189,7 @@ def validate_dataset(ds: DatasetDescriptor) -> None:
 
 _DATASET_KEYS = _field_names(DatasetDescriptor)
 _FILE_REF_KEYS = _field_names(FileRef)
+_TIME_RANGE_KEYS = frozenset(("end", "start"))
 
 
 def dataset_to_obj(ds: DatasetDescriptor) -> dict:
@@ -214,9 +216,19 @@ def _dataset_from_obj(obj: Any) -> DatasetDescriptor:
     for r in refs:
         _require(isinstance(r, dict) and r.keys() == _FILE_REF_KEYS, "file_refs entries malformed")
     tr = obj["time_range"]
-    _require(isinstance(tr, dict) and tr.keys() == {"end", "start"}, "time_range malformed")
-    refs = tuple(FileRef(**r) for r in refs)
-    return DatasetDescriptor(**dict(obj, file_refs=refs, time_range=(tr["start"], tr["end"])))
+    _require(isinstance(tr, dict) and tr.keys() == _TIME_RANGE_KEYS, "time_range malformed")
+    # constructors written out, not **obj: this runs once per restored entry
+    return DatasetDescriptor(
+        dataset_id=obj["dataset_id"],
+        kind=obj["kind"],
+        storage_id=obj["storage_id"],
+        file_refs=tuple([FileRef(path=r["path"], content_hash=r["content_hash"], size=r["size"], format=r["format"])
+                         for r in refs]),
+        facility_id=obj["facility_id"],
+        time_range=(tr["start"], tr["end"]),
+        detector_geometry_hash=obj["detector_geometry_hash"],
+        extra=obj["extra"],
+    )
 
 
 # -- transaction bodies ---------------------------------------------------
@@ -272,6 +284,7 @@ _BODY_CLASSES = {
 }
 _BODY_TAGS = {cls: tag for tag, cls in _BODY_CLASSES.items()}
 _BODY_FIELDS = {cls: _field_names(cls) for cls in _BODY_TAGS}
+_BODY_KEYS = {cls: fields | {"type"} for cls, fields in _BODY_FIELDS.items()}
 
 
 def body_to_obj(body: TxBody) -> dict:
@@ -324,15 +337,27 @@ def _body_from_obj(obj: Any) -> TxBody:
     tag = obj.get("type")
     cls = _BODY_CLASSES.get(tag) if isinstance(tag, str) else None
     _require(cls is not None, "unknown body type tag {!r}", tag)
-    kwargs = dict(obj)
-    del kwargs["type"]
-    _require(kwargs.keys() == _BODY_FIELDS[cls], "{} keys malformed", tag)
-    if "parent_dataset_ids" in kwargs:
-        _require(isinstance(kwargs["parent_dataset_ids"], list), "parent_dataset_ids must be a list")
-        kwargs["parent_dataset_ids"] = tuple(kwargs["parent_dataset_ids"])
-    if "dataset" in kwargs:
-        kwargs["dataset"] = _dataset_from_obj(kwargs["dataset"])
-    return cls(**kwargs)
+    _require(obj.keys() == _BODY_KEYS[cls], "{} keys malformed", tag)
+    if cls is PublishDataset:
+        return PublishDataset(dataset=_dataset_from_obj(obj["dataset"]))
+    if cls is DeriveDataset:
+        parents = obj["parent_dataset_ids"]
+        _require(isinstance(parents, list), "parent_dataset_ids must be a list")
+        return DeriveDataset(
+            dataset=_dataset_from_obj(obj["dataset"]),
+            parent_dataset_ids=tuple(parents),
+            program_id=obj["program_id"],
+            program_version=obj["program_version"],
+            parameters_hash=obj["parameters_hash"],
+        )
+    if cls is RegisterStorage:
+        return RegisterStorage(
+            storage_id=obj["storage_id"],
+            adapter_kind=obj["adapter_kind"],
+            base_uri=obj["base_uri"],
+            storage_pubkey=obj["storage_pubkey"],
+        )
+    return RegisterProgram(program_id=obj["program_id"], version=obj["version"], code_hash=obj["code_hash"])
 
 
 def canonical_bytes(body: TxBody) -> bytes:
@@ -419,17 +444,36 @@ def _tx_from_obj(obj: Any) -> PmdTransaction:
     """Build a transaction after checking the object's shape only."""
     _require(isinstance(obj, dict), "transaction must be an object")
     _require_keys(obj, _TX_KEYS, "transaction")
-    return PmdTransaction(**dict(obj, body=_body_from_obj(obj["body"])))
+    return PmdTransaction(
+        body=_body_from_obj(obj["body"]),
+        creator=obj["creator"],
+        created_at=obj["created_at"],
+        signature=obj["signature"],
+        tx_id=obj["tx_id"],
+    )
 
 
-def tx_from_log_entry(data: bytes) -> PmdTransaction:
-    """The transaction a registry log entry holds, read for its shape only.
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def txs_from_log_entries(entries) -> Iterator[PmdTransaction]:
+    """The transactions registry log entries hold, in order, read for their
+    shape only.
 
     Only for entries bound to a validated chain by its registry root (the
-    head cache's): the bytes are those of a transaction that was validated
-    into the chain, so no field is checked again.
+    head cache's): the bytes are those of transactions validated into the
+    chain, so no field is checked again. Each entry must be exactly one JSON
+    value. One prebuilt scanner reads them all, without json.loads's set-up
+    per call.
     """
-    return _tx_from_obj(json.loads(data))
+    for data in entries:
+        text = data.decode("utf-8")
+        try:
+            obj, end = _scan_json(text, 0)
+        except StopIteration:  # no JSON value starts at 0
+            end = -1
+        _require(end == len(text), "log entry is not one JSON value")
+        yield _tx_from_obj(obj)
 
 
 def tx_from_wire_bytes(data: bytes) -> PmdTransaction:

@@ -1056,29 +1056,66 @@ def test_head_cache_never_hides_damage(case, tmp_path, capsys):
     assert _cli_outcome(capsys, "chain-verify", "--chain", chain_dir) == without
 
 
-@pytest.mark.parametrize("case", ["not_json", "not_a_tx", "unhashable_id"])
+def _hostile_entries(case, honest):
+    """The registry log entries a rewritten head commits to in each case:
+    one that is not a transaction, or the honest cache's first three
+    (a storage, a program and a publish) with one of them damaged."""
+    if case in ("not_json", "not_a_tx", "unhashable_id"):
+        return [{"not_json": b"{", "not_a_tx": b"[1]",
+                 "unhashable_id": dumps_canonical(dict(json.loads(honest[0]), tx_id=[1]))}[case]]
+    storage, program, publish = (json.loads(entry) for entry in honest[:3])
+    dataset = publish["body"]["dataset"]
+    if case == "body_keys":
+        publish["body"]["note"] = "x"
+    elif case == "file_refs_not_a_list":
+        dataset["file_refs"] = dataset["file_refs"][0]
+    elif case == "file_ref_extra_key":
+        dataset["file_refs"][0]["note"] = "x"
+    elif case == "time_range_list":
+        dataset["time_range"] = [dataset["time_range"]["start"], dataset["time_range"]["end"]]
+    elif case == "unhashable_dataset_id":
+        dataset["dataset_id"] = [dataset["dataset_id"]]
+    elif case == "unhashable_storage_id":
+        storage["body"]["storage_id"] = [storage["body"]["storage_id"]]
+    elif case == "unhashable_program_version":
+        program["body"]["version"] = [program["body"]["version"]]
+    entries = [dumps_canonical(obj) for obj in (storage, program, publish)]
+    if case == "two_txs_one_line":
+        return [entries[0] + b"," + entries[1], entries[2]]
+    if case == "one_tx_two_lines":
+        cut = entries[2].index(b',"created_at"')
+        return entries[:2] + [entries[2][:cut], entries[2][cut + 1:]]
+    return entries
+
+
+@pytest.mark.parametrize("case", [
+    "not_json", "not_a_tx", "unhashable_id", "body_keys", "file_refs_not_a_list", "file_ref_extra_key",
+    "time_range_list", "unhashable_dataset_id", "unhashable_storage_id", "unhashable_program_version",
+    "two_txs_one_line", "one_tx_two_lines",
+])
 def test_rewritten_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_path, capsys):
-    # The head block is rewritten to commit to one entry that is not a
-    # transaction, and the cache is forged to match the rewritten store: the
-    # restore falls back to the full replay and its verdict, not a traceback.
+    # The head block is rewritten to commit to entries that are not all
+    # transactions, and the cache is forged to match the rewritten store:
+    # the restore falls back to the full replay and its verdict, not a
+    # traceback.
     chain_dir = tmp_path / "chain"
     _golden_store(chain_dir)
     height = load_chain(str(chain_dir)).head_height
     cache_path = chain_dir / chain_module.HEAD_CACHE
-    head, first = cache_path.read_bytes().split(b"\n")[:2]
-    entry = {"not_json": b"{", "not_a_tx": b"[1]",
-             "unhashable_id": dumps_canonical(dict(json.loads(first), tx_id=[1]))}[case]
+    head, *honest = cache_path.read_bytes().split(b"\n")
+    entries = _hostile_entries(case, honest)
     log = MerkleLog()
-    log.append(entry)
+    for entry in entries:
+        log.append(entry)
 
     def commit(obj):
-        obj["header"].update(registry_root=log.root().hex(), registry_size=1)
+        obj["header"].update(registry_root=log.root().hex(), registry_size=log.size)
 
     _rewrite_block(chain_dir, height, commit)
     forged = json.loads(head)
     forged["files_digest"] = _store_digest(chain_dir, height)
     forged["head_hash"] = block_from_bytes((chain_dir / f"block_{height}.json").read_bytes()[:-1]).header.hash
-    cache = dumps_canonical(forged) + b"\n" + entry + b"\n"
+    cache = dumps_canonical(forged) + b"\n" + b"".join(entry + b"\n" for entry in entries)
     argv = ("query", "--chain", chain_dir, "--where", "facility=TAIGA")
     cache_path.unlink()
     without = _cli_outcome(capsys, *argv)
@@ -1107,12 +1144,14 @@ def _reshuffled_store(chain_dir, n_blocks=20):
     return state, keys
 
 
-def test_restored_state_equals_replayed_state(tmp_path, monkeypatch):
+def _assert_restored_states_equal_replayed(tmp_path, monkeypatch, make_store):
+    """Restore the head cache of each prefix of a store, then load the whole
+    store over it: each state equals the full replay's."""
     full = tmp_path / "full"
-    n_blocks = 20
-    _reshuffled_store(full, n_blocks)
+    make_store(full)
     replayed, _, failure = replay_chain(str(full))
     assert failure is None
+    n_blocks = replayed.head_height + 1
     assert list(replayed.registry.datasets) != sorted(replayed.registry.datasets)
     cold = tmp_path / "cold"
     shutil.copytree(full, cold)
@@ -1144,6 +1183,16 @@ def test_restored_state_equals_replayed_state(tmp_path, monkeypatch):
         assert (full / chain_module.HEAD_CACHE).read_bytes() == cold_cache
         with pytest.raises(NotFound):  # no block list to find an earlier cycle's seed in
             state.seed_for_slot(0)
+
+
+def test_restored_state_equals_replayed_state(tmp_path, monkeypatch):
+    _assert_restored_states_equal_replayed(tmp_path, monkeypatch, lambda chain_dir: _reshuffled_store(chain_dir, 20))
+
+
+def test_restored_golden_state_equals_replayed_state(tmp_path, monkeypatch):
+    # every body kind: a derivation with parents, a program registered
+    # mid-chain and publishes with extra maps
+    _assert_restored_states_equal_replayed(tmp_path, monkeypatch, _golden_store)
 
 
 def test_two_sealers_on_one_height(tmp_path):

@@ -470,6 +470,39 @@ def test_proofs_cost_logarithmic_node_hashes(monkeypatch):
         assert verify_inclusion(root, log.leaf(index), proof)
 
 
+def _observable(log: MerkleLog) -> tuple:
+    """Everything a log answers: size, roots, leaves and every proof."""
+    n = log.size
+    return (
+        n,
+        log.root(),
+        log.leaves(),
+        [log.root_at(m) for m in range(n + 1)],
+        [log.prove_inclusion(i) for i in range(n)],
+        [log.prove_consistency(m) for m in range(n + 1)],
+    )
+
+
+@pytest.mark.parametrize("held", range(10))
+def test_extend_equals_appends(held):
+    # extend builds each level in one pass; it must leave the log exactly as
+    # one append per entry would, on an empty log and on one already holding
+    # leaves, and later appends must land on the same subtree roots
+    for n in range(71):
+        entries = entries_for(held + n + 3)
+        appended, extended = build_log(entries[:held]), build_log(entries[:held])
+        for e in entries[held : held + n]:
+            appended.append(e)
+        extended.extend(entries[held : held + n])
+        assert (extended._levels, extended._peaks) == (appended._levels, appended._peaks)
+        assert _observable(extended) == _observable(appended)
+        for e in entries[held + n :]:
+            appended.append(e)
+            extended.append(e)
+        assert _observable(extended) == _observable(appended)
+    assert extended.root() == oracle_root(entries)
+
+
 # -- serialization -------------------------------------------------------
 
 
