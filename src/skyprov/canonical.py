@@ -99,6 +99,8 @@ class once:
     instance's __dict__, which a frozen dataclass allows; later reads find
     it there and never reach this descriptor.
 
+    name, the attribute's name, defaults to the function's.
+
     Unlike functools.cached_property it takes no lock, so first reads of
     different objects do not queue behind one lock per class. Two threads
     may both compute one object's value; the values are pure functions of
@@ -107,9 +109,9 @@ class once:
     only, so the copy computes its own values.
     """
 
-    def __init__(self, func):
+    def __init__(self, func, name=None):
         self.func = func
-        self.name = func.__name__
+        self.name = name or func.__name__
         self.__doc__ = func.__doc__
 
     def __get__(self, obj, owner=None):
@@ -229,15 +231,36 @@ def digest_from_hex(text: str) -> bytes:
 # -- files -----------------------------------------------------------------------
 
 
+_READ_CHUNK = 1 << 16
+
+
 def read_file(path: str, what: str, limit: int = -1) -> bytes:
-    """The file's bytes, at most limit of them when limit >= 0."""
+    """The file's bytes, at most limit of them when limit >= 0.
+
+    Read unbuffered, with no file object: one fstat sizes the first read,
+    and reads go on until EOF or limit, so a file that grows meanwhile, or
+    a pipe, is read to its end."""
     try:
-        with open(path, "rb") as fh:
-            if limit >= 0:  # read(n) allocates n bytes first; a recorded size must not choose that
-                limit = min(limit, os.fstat(fh.fileno()).st_size + 1)
-            return fh.read(limit)
-    except OSError as exc:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            # One byte past the fstat size: a file that did not grow is read
+            # in one call, and the next finds EOF. os.read(fd, n) allocates n
+            # bytes first, so a recorded limit must not choose n alone.
+            n = os.fstat(fd).st_size + 1
+            chunks = []
+            while limit:  # a negative limit reads to EOF
+                chunk = os.read(fd, n if limit < 0 else min(n, limit))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                if limit > 0:
+                    limit -= len(chunk)
+                n = _READ_CHUNK  # for EOF, or the rest of a pipe or of a file that grew
+        finally:
+            os.close(fd)
+    except OSError as exc:  # a directory opens, and fails at its first read
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    return b"".join(chunks)
 
 
 def loads_canonical_file(data: bytes) -> Any:

@@ -44,8 +44,8 @@ from .model import (
     PmdTransaction,
     RegistryState,
     Verdict,
+    fold_log_entries,
     tx_from_obj,
-    txs_from_log_entries,
     validate_transaction,
 )
 
@@ -709,8 +709,9 @@ def replay_chain(chain_dir: str):
 # the head's header is built. The entries are hashed into a fresh log in one
 # batch, which must match the head header's registry commitment before any
 # entry is parsed; so each entry is exactly the bytes of a transaction
-# validated into the chain. Each is then read for its shape only, and the
-# registry is folded from them in log order, as apply_block folds it.
+# validated into the chain. model.fold_log_entries then reads each for its
+# shape only and folds the registry from them in log order, as apply_block
+# folds it, without building their transactions.
 _CACHE_KEYS = {"cycle_seed", "files_digest", "genesis_hash", "head_hash", "height"}
 
 
@@ -745,10 +746,7 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
         log.extend(entries)
         _require(log.root().hex() == header.registry_root and log.size == header.registry_size,
                  "head cache entries do not match the head's registry commitment")
-        registry, tx_index = RegistryState(), {}
-        for i, tx in enumerate(txs_from_log_entries(entries)):  # apply_block's fold
-            tx_index[tx.tx_id] = i
-            registry.apply(tx)
+        registry, tx_index = fold_log_entries(entries)
         registry.built_to = (height, log.size)
     # Entries bound to a validated head never raise here. A store whose head
     # block was rewritten, with a cache to match, can commit to any bytes:

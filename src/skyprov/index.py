@@ -123,9 +123,9 @@ def query(registry: RegistryState, f: QueryFilter):
         if want_children:
             for parent in record.parents:
                 children.setdefault(parent, []).append(dataset_id)
-        ds = record.descriptor
         if ancestors is not None and dataset_id not in ancestors:
             continue
+        ds = record.descriptor  # built on first read for a record the head cache restored
         if f.facility_id is not None and ds.facility_id != f.facility_id:
             continue
         if f.storage_id is not None and ds.storage_id != f.storage_id:

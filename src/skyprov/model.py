@@ -12,7 +12,7 @@ import json
 import json.scanner
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from .canonical import (
     _field_names,
@@ -36,6 +36,12 @@ from .keys import SigningKey, verify_signature
 
 DATASET_KINDS = ("primary", "secondary")
 ADAPTER_KINDS = ("jsonl", "packed")
+
+
+# An instance that no __init__ has filled, and how a frozen dataclass's
+# __init__ fills it.
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _same_fields(a, b, names) -> bool:
@@ -202,13 +208,15 @@ def dataset_to_obj(ds: DatasetDescriptor) -> dict:
 
 
 def dataset_from_obj(obj: Any) -> DatasetDescriptor:
-    ds = _dataset_from_obj(obj)
+    _check_dataset_obj(obj)
+    ds = _dataset_from_checked(obj)
     validate_dataset(ds)
     return ds
 
 
-def _dataset_from_obj(obj: Any) -> DatasetDescriptor:
-    """Build a descriptor after checking the object's shape only."""
+def _check_dataset_obj(obj: Any) -> None:
+    """Check a dataset object's shape: its keys, and those of its file refs
+    and time range. Every key _dataset_from_checked reads is checked here."""
     _require(isinstance(obj, dict), "dataset must be an object")
     _require_keys(obj, _DATASET_KEYS, "dataset object")
     refs = obj["file_refs"]
@@ -217,18 +225,34 @@ def _dataset_from_obj(obj: Any) -> DatasetDescriptor:
         _require(isinstance(r, dict) and r.keys() == _FILE_REF_KEYS, "file_refs entries malformed")
     tr = obj["time_range"]
     _require(isinstance(tr, dict) and tr.keys() == _TIME_RANGE_KEYS, "time_range malformed")
-    # constructors written out, not **obj: this runs once per restored entry
-    return DatasetDescriptor(
-        dataset_id=obj["dataset_id"],
-        kind=obj["kind"],
-        storage_id=obj["storage_id"],
-        file_refs=tuple([FileRef(path=r["path"], content_hash=r["content_hash"], size=r["size"], format=r["format"])
-                         for r in refs]),
-        facility_id=obj["facility_id"],
-        time_range=(tr["start"], tr["end"]),
-        detector_geometry_hash=obj["detector_geometry_hash"],
-        extra=obj["extra"],
-    )
+
+
+def _dataset_from_checked(obj: dict) -> DatasetDescriptor:
+    """A descriptor from an object _check_dataset_obj passed; it cannot raise.
+
+    Filled field by field with object.__setattr__, as the frozen dataclass's
+    __init__ fills it, without that keyword call, which cost most of a build
+    that runs once per dataset read.
+    """
+    refs = []
+    for r in obj["file_refs"]:
+        ref = _new(FileRef)
+        _set(ref, "path", r["path"])
+        _set(ref, "content_hash", r["content_hash"])
+        _set(ref, "size", r["size"])
+        _set(ref, "format", r["format"])
+        refs.append(ref)
+    tr = obj["time_range"]
+    ds = _new(DatasetDescriptor)
+    _set(ds, "dataset_id", obj["dataset_id"])
+    _set(ds, "kind", obj["kind"])
+    _set(ds, "storage_id", obj["storage_id"])
+    _set(ds, "file_refs", tuple(refs))
+    _set(ds, "facility_id", obj["facility_id"])
+    _set(ds, "time_range", (tr["start"], tr["end"]))
+    _set(ds, "detector_geometry_hash", obj["detector_geometry_hash"])
+    _set(ds, "extra", obj["extra"])
+    return ds
 
 
 # -- transaction bodies ---------------------------------------------------
@@ -333,31 +357,43 @@ def body_from_obj(obj: Any) -> TxBody:
 
 def _body_from_obj(obj: Any) -> TxBody:
     """Build a body after checking the object's shape only."""
-    _require(isinstance(obj, dict), "body must be an object")
-    tag = obj.get("type")
-    cls = _BODY_CLASSES.get(tag) if isinstance(tag, str) else None
-    _require(cls is not None, "unknown body type tag {!r}", tag)
-    _require(obj.keys() == _BODY_KEYS[cls], "{} keys malformed", tag)
+    cls = _check_body_obj(obj)
     if cls is PublishDataset:
-        return PublishDataset(dataset=_dataset_from_obj(obj["dataset"]))
+        return PublishDataset(dataset=_dataset_from_checked(obj["dataset"]))
     if cls is DeriveDataset:
-        parents = obj["parent_dataset_ids"]
-        _require(isinstance(parents, list), "parent_dataset_ids must be a list")
         return DeriveDataset(
-            dataset=_dataset_from_obj(obj["dataset"]),
-            parent_dataset_ids=tuple(parents),
+            dataset=_dataset_from_checked(obj["dataset"]),
+            parent_dataset_ids=tuple(obj["parent_dataset_ids"]),
             program_id=obj["program_id"],
             program_version=obj["program_version"],
             parameters_hash=obj["parameters_hash"],
         )
     if cls is RegisterStorage:
-        return RegisterStorage(
-            storage_id=obj["storage_id"],
-            adapter_kind=obj["adapter_kind"],
-            base_uri=obj["base_uri"],
-            storage_pubkey=obj["storage_pubkey"],
-        )
+        return _storage_from_checked(obj)
     return RegisterProgram(program_id=obj["program_id"], version=obj["version"], code_hash=obj["code_hash"])
+
+
+def _check_body_obj(obj: Any) -> type:
+    """Check a body object's shape, its dataset's too, and return its class."""
+    _require(isinstance(obj, dict), "body must be an object")
+    tag = obj.get("type")
+    cls = _BODY_CLASSES.get(tag) if isinstance(tag, str) else None
+    _require(cls is not None, "unknown body type tag {!r}", tag)
+    _require(obj.keys() == _BODY_KEYS[cls], "{} keys malformed", tag)
+    if cls is DeriveDataset:
+        _require(isinstance(obj["parent_dataset_ids"], list), "parent_dataset_ids must be a list")
+    if cls is PublishDataset or cls is DeriveDataset:
+        _check_dataset_obj(obj["dataset"])
+    return cls
+
+
+def _storage_from_checked(obj: dict) -> RegisterStorage:
+    return RegisterStorage(
+        storage_id=obj["storage_id"],
+        adapter_kind=obj["adapter_kind"],
+        base_uri=obj["base_uri"],
+        storage_pubkey=obj["storage_pubkey"],
+    )
 
 
 def canonical_bytes(body: TxBody) -> bytes:
@@ -442,8 +478,7 @@ def tx_from_obj(obj: Any) -> PmdTransaction:
 
 def _tx_from_obj(obj: Any) -> PmdTransaction:
     """Build a transaction after checking the object's shape only."""
-    _require(isinstance(obj, dict), "transaction must be an object")
-    _require_keys(obj, _TX_KEYS, "transaction")
+    _check_tx_obj(obj)
     return PmdTransaction(
         body=_body_from_obj(obj["body"]),
         creator=obj["creator"],
@@ -453,27 +488,10 @@ def _tx_from_obj(obj: Any) -> PmdTransaction:
     )
 
 
-_scan_json = json.scanner.make_scanner(json.JSONDecoder())
-
-
-def txs_from_log_entries(entries) -> Iterator[PmdTransaction]:
-    """The transactions registry log entries hold, in order, read for their
-    shape only.
-
-    Only for entries bound to a validated chain by its registry root (the
-    head cache's): the bytes are those of transactions validated into the
-    chain, so no field is checked again. Each entry must be exactly one JSON
-    value. One prebuilt scanner reads them all, without json.loads's set-up
-    per call.
-    """
-    for data in entries:
-        text = data.decode("utf-8")
-        try:
-            obj, end = _scan_json(text, 0)
-        except StopIteration:  # no JSON value starts at 0
-            end = -1
-        _require(end == len(text), "log entry is not one JSON value")
-        yield _tx_from_obj(obj)
+def _check_tx_obj(obj: Any) -> None:
+    """Check a transaction object's keys; its body is checked on its own."""
+    _require(isinstance(obj, dict), "transaction must be an object")
+    _require_keys(obj, _TX_KEYS, "transaction")
 
 
 def tx_from_wire_bytes(data: bytes) -> PmdTransaction:
@@ -488,6 +506,10 @@ def tx_from_wire_bytes(data: bytes) -> PmdTransaction:
 
 @dataclass(frozen=True)
 class DatasetRecord:
+    """A confirmed dataset, its lineage and the transaction that recorded
+    it. A record fold_log_entries restores holds its log entry's checked
+    dataset object, and builds its descriptor from it on first read."""
+
     descriptor: DatasetDescriptor
     parents: tuple
     program: Optional[tuple]  # (program_id, program_version) for derived data
@@ -502,6 +524,17 @@ class DatasetRecord:
 
 
 _RECORD_KEYS = _field_names(DatasetRecord)
+
+
+def _restored_descriptor(record: DatasetRecord) -> DatasetDescriptor:
+    return _dataset_from_checked(record._dataset)
+
+
+# Reached only where __init__ set no descriptor, on a restored record. Set
+# here, not in the class body, where dataclass would take it for the
+# field's default.
+DatasetRecord.descriptor = once(_restored_descriptor, "descriptor")
+
 
 class RegistryState:
     """Confirmed-transaction view: what new transactions are validated
@@ -546,6 +579,58 @@ class RegistryState:
                 program=(body.program_id, body.program_version),
                 tx_id=tx.tx_id,
             )
+
+
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def fold_log_entries(entries) -> tuple:
+    """(registry, tx index) folded from registry log entries in log order,
+    as ChainState.apply_block folds their transactions.
+
+    Only for entries bound to a validated chain by its registry root (the
+    head cache's): the bytes are those of transactions validated into the
+    chain, so no field is checked again. Each entry is checked for its
+    shape only: it must be exactly one JSON value, read by one prebuilt
+    scanner, with the keys of a transaction, its body and its dataset, and
+    each parent it names must be a dataset folded before it. No transaction
+    is built, and of the bodies only a storage registration, which the
+    registry keeps. A dataset's record builds its descriptor on first read.
+    """
+    registry, tx_index = RegistryState(), {}
+    storages, programs, datasets = registry.storages, registry.programs, registry.datasets
+    for i, data in enumerate(entries):
+        text = data.decode("utf-8")
+        try:
+            obj, end = _scan_json(text, 0)
+        except StopIteration:  # no JSON value starts at 0
+            end = -1
+        _require(end == len(text), "log entry is not one JSON value")
+        _check_tx_obj(obj)
+        body = obj["body"]
+        cls = _check_body_obj(body)
+        tx_id = obj["tx_id"]
+        tx_index[tx_id] = i
+        if cls is RegisterStorage:
+            storages[body["storage_id"]] = _storage_from_checked(body)
+        elif cls is RegisterProgram:
+            programs[(body["program_id"], body["version"])] = body["code_hash"]
+        else:
+            if cls is DeriveDataset:
+                parents = tuple(body["parent_dataset_ids"])
+                for parent in parents:  # an unhashable id raises TypeError
+                    _require(parent in datasets, "parent dataset {!r} is not folded before its child", parent)
+                program = (body["program_id"], body["program_version"])
+            else:
+                parents, program = (), None
+            dataset = body["dataset"]
+            record = _new(DatasetRecord)
+            _set(record, "parents", parents)
+            _set(record, "program", program)
+            _set(record, "tx_id", tx_id)
+            _set(record, "_dataset", dataset)
+            datasets[dataset["dataset_id"]] = record
+    return registry, tx_index
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ import ast
 import copy
 import dataclasses
 import hashlib
+import os
 import pathlib
+import threading
 
 import pytest
 from conftest import key_for, make_dataset, program_body, storage_body
@@ -274,6 +276,35 @@ def test_file_helpers(tmp_path):
         read_file(str(tmp_path / "missing"), "object")
     with pytest.raises(IoError):
         write_file(str(tmp_path / "obj.json" / "under-a-file"), b"")
+
+
+def test_read_file_edges(tmp_path):
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    assert read_file(str(empty), "object") == b""
+    assert read_file(str(empty), "object", 5) == b""
+    path = tmp_path / "data"
+    data = bytes(range(256)) * 300  # 76,800 bytes, more than one read chunk
+    path.write_bytes(data)
+    assert read_file(str(path), "object", 0) == b""
+    assert read_file(str(path), "object", len(data)) == data
+    assert read_file(str(path), "object", len(data) - 1) == data[:-1]
+    # a directory opens, and fails at its first read
+    with pytest.raises(IoError, match=f"cannot read object {tmp_path}"):
+        read_file(str(tmp_path), "object")
+
+
+def test_read_file_reads_a_pipe_to_its_end(tmp_path):
+    # a pipe's fstat size is 0: the reads go on until its writer closes it
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    data = bytes(range(256)) * 1000
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        assert read_file(str(fifo), "object") == data
+    finally:
+        writer.join()
 
 
 # -- field checks ----------------------------------------------------------------

@@ -1063,6 +1063,16 @@ def _hostile_entries(case, honest):
     if case in ("not_json", "not_a_tx", "unhashable_id"):
         return [{"not_json": b"{", "not_a_tx": b"[1]",
                  "unhashable_id": dumps_canonical(dict(json.loads(honest[0]), tx_id=[1]))}[case]]
+    if case in ("unhashable_parent_id", "unknown_parent_id"):
+        # every honest entry, with the derivation's first parent replaced by
+        # a list holding its id, or by a dataset published after it
+        entries = honest[:-1]  # the cache ends in "\n", so its last line is empty
+        at = next(i for i, entry in enumerate(entries) if b'"type":"derive_dataset"' in entry)
+        derive = json.loads(entries[at])
+        parents = derive["body"]["parent_dataset_ids"]
+        later = json.loads(entries[at + 1])["body"]["dataset"]["dataset_id"]
+        parents[0] = [parents[0]] if case == "unhashable_parent_id" else later
+        return entries[:at] + [dumps_canonical(derive)] + entries[at + 1:]
     storage, program, publish = (json.loads(entry) for entry in honest[:3])
     dataset = publish["body"]["dataset"]
     if case == "body_keys":
@@ -1091,7 +1101,7 @@ def _hostile_entries(case, honest):
 @pytest.mark.parametrize("case", [
     "not_json", "not_a_tx", "unhashable_id", "body_keys", "file_refs_not_a_list", "file_ref_extra_key",
     "time_range_list", "unhashable_dataset_id", "unhashable_storage_id", "unhashable_program_version",
-    "two_txs_one_line", "one_tx_two_lines",
+    "two_txs_one_line", "one_tx_two_lines", "unhashable_parent_id", "unknown_parent_id",
 ])
 def test_rewritten_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_path, capsys):
     # The head block is rewritten to commit to entries that are not all

@@ -1096,3 +1096,70 @@ def test_each_body_filter_and_genesis_is_checked_once(world, tmp_path, capsys, m
     }))
     assert len(genesis_objs) == 1
     assert len(bodies) > 48 * 3 and len({id(b) for b in bodies}) == len(bodies)
+
+
+_BODY_CLASSES = (RegisterStorage, RegisterProgram, PublishDataset, DeriveDataset)
+
+
+def _record_builds(monkeypatch):
+    """The PmdTransaction, body and DatasetDescriptor instances built, by
+    class name: through their __init__, or filled by model._new without it."""
+    built = {}
+    classes = (model_module.PmdTransaction, *_BODY_CLASSES, DatasetDescriptor)
+    for cls in classes:
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            built.setdefault(type(self).__name__, []).append(self)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    original_new = getattr(model_module, "_new", object.__new__)
+
+    def new(cls):
+        obj = original_new(cls)
+        if cls in classes:
+            built.setdefault(cls.__name__, []).append(obj)
+        return obj
+
+    monkeypatch.setattr(model_module, "_new", new, raising=False)
+    return built
+
+
+def test_warm_commands_build_no_transaction_and_only_the_descriptors_they_read(world, tmp_path, capsys,
+                                                                               monkeypatch):
+    state = world["state"]
+    _grow(state, world["keys"], world["user"], 3)
+    save_chain(state, world["chain"])
+    cache_path = os.path.join(world["chain"], chain_module.HEAD_CACHE)
+    query = ("query", "--home", world["home"], "--where", "kind=primary")
+    cold = run(capsys, *query)  # validates every block and writes the cache
+    assert cold[0] == 0 and len(lines(cold[1])) == 2
+    built = _record_builds(monkeypatch)
+
+    tx_id = state.blocks[0].transactions[2].tx_id
+    assert run(capsys, "proof", "--home", world["home"], "--tx-id", tx_id)[0] == 0
+    # the registry keeps each registered storage's body: st-1 and st-g1..st-g3
+    assert {name: len(objs) for name, objs in built.items()} == {"RegisterStorage": 4}
+
+    built.clear()
+    assert run(capsys, *query)[:2] == cold[:2]
+    assert [ds.dataset_id for ds in built.pop("DatasetDescriptor")] == ["ds-a", "ds-b"]
+    assert {name: len(objs) for name, objs in built.items()} == {"RegisterStorage": 4}
+
+    new = DatasetDescriptor(dataset_id="ds-new", kind="primary", storage_id="st-1",
+                            file_refs=(FileRef(path="data/new.jsonl", content_hash="ab" * 32, size=1, format="jsonl"),),
+                            facility_id="TAIGA", time_range=(400, 500), detector_geometry_hash=GEOM, extra={})
+    body_file = tmp_path / "body.json"
+    body_file.write_text(json.dumps({"dataset": dataset_to_obj(new), "type": "publish_dataset"}))
+    built.clear()
+    code, out, _ = run(capsys, "tx-submit", "--home", world["home"], "--key", "user", "--body", str(body_file))
+    assert code == 0 and lines(out)[-1]["height"] == 4
+    # only the submitted transaction, its body and its dataset are built
+    assert [ds.dataset_id for ds in built.pop("DatasetDescriptor")] == ["ds-new"]
+    assert [body.dataset for body in built.pop("PublishDataset")] == [new]
+    assert len(built.pop("PmdTransaction")) == 1
+    assert {name: len(objs) for name, objs in built.items()} == {"RegisterStorage": 4}
+
+    # the cache is rewritten over the new block; a query prints what it prints without one
+    warm = run(capsys, *query)
+    os.remove(cache_path)
+    assert run(capsys, *query)[:2] == warm[:2] and len(lines(warm[1])) == 3
