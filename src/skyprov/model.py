@@ -209,14 +209,14 @@ def dataset_to_obj(ds: DatasetDescriptor) -> dict:
 
 def dataset_from_obj(obj: Any) -> DatasetDescriptor:
     _check_dataset_obj(obj)
-    ds = _dataset_from_checked(obj)
+    ds = _dataset_from_fields(_dataset_fields(obj))
     validate_dataset(ds)
     return ds
 
 
 def _check_dataset_obj(obj: Any) -> None:
     """Check a dataset object's shape: its keys, and those of its file refs
-    and time range. Every key _dataset_from_checked reads is checked here."""
+    and time range. Every key _dataset_fields reads is checked here."""
     _require(isinstance(obj, dict), "dataset must be an object")
     _require_keys(obj, _DATASET_KEYS, "dataset object")
     refs = obj["file_refs"]
@@ -227,31 +227,43 @@ def _check_dataset_obj(obj: Any) -> None:
     _require(isinstance(tr, dict) and tr.keys() == _TIME_RANGE_KEYS, "time_range malformed")
 
 
-def _dataset_from_checked(obj: dict) -> DatasetDescriptor:
-    """A descriptor from an object _check_dataset_obj passed; it cannot raise.
+def _dataset_fields(obj: dict) -> tuple:
+    """The fields of a dataset object _check_dataset_obj passed, in
+    DatasetDescriptor's order, with each file ref and the time range as a
+    tuple. A restored record keeps them in place of the parsed object, whose
+    dicts and key strings cost more than the descriptor. Every key read was
+    checked, so it cannot raise."""
+    tr = obj["time_range"]
+    refs = tuple([(r["path"], r["content_hash"], r["size"], r["format"]) for r in obj["file_refs"]])
+    return (obj["dataset_id"], obj["kind"], obj["storage_id"], refs, obj["facility_id"],
+            (tr["start"], tr["end"]), obj["detector_geometry_hash"], obj["extra"])
+
+
+def _dataset_from_fields(fields: tuple) -> DatasetDescriptor:
+    """The descriptor holding _dataset_fields' fields; it cannot raise.
 
     Filled field by field with object.__setattr__, as the frozen dataclass's
     __init__ fills it, without that keyword call, which cost most of a build
     that runs once per dataset read.
     """
+    dataset_id, kind, storage_id, file_refs, facility_id, time_range, geometry_hash, extra = fields
     refs = []
-    for r in obj["file_refs"]:
+    for path, content_hash, size, fmt in file_refs:
         ref = _new(FileRef)
-        _set(ref, "path", r["path"])
-        _set(ref, "content_hash", r["content_hash"])
-        _set(ref, "size", r["size"])
-        _set(ref, "format", r["format"])
+        _set(ref, "path", path)
+        _set(ref, "content_hash", content_hash)
+        _set(ref, "size", size)
+        _set(ref, "format", fmt)
         refs.append(ref)
-    tr = obj["time_range"]
     ds = _new(DatasetDescriptor)
-    _set(ds, "dataset_id", obj["dataset_id"])
-    _set(ds, "kind", obj["kind"])
-    _set(ds, "storage_id", obj["storage_id"])
+    _set(ds, "dataset_id", dataset_id)
+    _set(ds, "kind", kind)
+    _set(ds, "storage_id", storage_id)
     _set(ds, "file_refs", tuple(refs))
-    _set(ds, "facility_id", obj["facility_id"])
-    _set(ds, "time_range", (tr["start"], tr["end"]))
-    _set(ds, "detector_geometry_hash", obj["detector_geometry_hash"])
-    _set(ds, "extra", obj["extra"])
+    _set(ds, "facility_id", facility_id)
+    _set(ds, "time_range", time_range)
+    _set(ds, "detector_geometry_hash", geometry_hash)
+    _set(ds, "extra", extra)
     return ds
 
 
@@ -359,10 +371,10 @@ def _body_from_obj(obj: Any) -> TxBody:
     """Build a body after checking the object's shape only."""
     cls = _check_body_obj(obj)
     if cls is PublishDataset:
-        return PublishDataset(dataset=_dataset_from_checked(obj["dataset"]))
+        return PublishDataset(dataset=_dataset_from_fields(_dataset_fields(obj["dataset"])))
     if cls is DeriveDataset:
         return DeriveDataset(
-            dataset=_dataset_from_checked(obj["dataset"]),
+            dataset=_dataset_from_fields(_dataset_fields(obj["dataset"])),
             parent_dataset_ids=tuple(obj["parent_dataset_ids"]),
             program_id=obj["program_id"],
             program_version=obj["program_version"],
@@ -507,8 +519,9 @@ def tx_from_wire_bytes(data: bytes) -> PmdTransaction:
 @dataclass(frozen=True)
 class DatasetRecord:
     """A confirmed dataset, its lineage and the transaction that recorded
-    it. A record fold_log_entries restores holds its log entry's checked
-    dataset object, and builds its descriptor from it on first read."""
+    it. A record fold_log_entries restores holds the fields of its log
+    entry's checked dataset object, and builds its descriptor from them on
+    first read."""
 
     descriptor: DatasetDescriptor
     parents: tuple
@@ -527,7 +540,7 @@ _RECORD_KEYS = _field_names(DatasetRecord)
 
 
 def _restored_descriptor(record: DatasetRecord) -> DatasetDescriptor:
-    return _dataset_from_checked(record._dataset)
+    return _dataset_from_fields(record._dataset_fields)
 
 
 # Reached only where __init__ set no descriptor, on a restored record. Set
@@ -628,7 +641,7 @@ def fold_log_entries(entries) -> tuple:
             _set(record, "parents", parents)
             _set(record, "program", program)
             _set(record, "tx_id", tx_id)
-            _set(record, "_dataset", dataset)
+            _set(record, "_dataset_fields", _dataset_fields(dataset))
             datasets[dataset["dataset_id"]] = record
     return registry, tx_index
 

@@ -1075,7 +1075,9 @@ def _hostile_entries(case, honest):
         return entries[:at] + [dumps_canonical(derive)] + entries[at + 1:]
     storage, program, publish = (json.loads(entry) for entry in honest[:3])
     dataset = publish["body"]["dataset"]
-    if case == "body_keys":
+    if case == "tx_keys":
+        publish["note"] = "x"
+    elif case == "body_keys":
         publish["body"]["note"] = "x"
     elif case == "file_refs_not_a_list":
         dataset["file_refs"] = dataset["file_refs"][0]
@@ -1099,7 +1101,7 @@ def _hostile_entries(case, honest):
 
 
 @pytest.mark.parametrize("case", [
-    "not_json", "not_a_tx", "unhashable_id", "body_keys", "file_refs_not_a_list", "file_ref_extra_key",
+    "not_json", "not_a_tx", "unhashable_id", "tx_keys", "body_keys", "file_refs_not_a_list", "file_ref_extra_key",
     "time_range_list", "unhashable_dataset_id", "unhashable_storage_id", "unhashable_program_version",
     "two_txs_one_line", "one_tx_two_lines", "unhashable_parent_id", "unknown_parent_id",
 ])

@@ -1098,21 +1098,21 @@ def test_each_body_filter_and_genesis_is_checked_once(world, tmp_path, capsys, m
     assert len(bodies) > 48 * 3 and len({id(b) for b in bodies}) == len(bodies)
 
 
-_BODY_CLASSES = (RegisterStorage, RegisterProgram, PublishDataset, DeriveDataset)
+_BODY_TYPES = (RegisterStorage, RegisterProgram, PublishDataset, DeriveDataset)
 
 
 def _record_builds(monkeypatch):
     """The PmdTransaction, body and DatasetDescriptor instances built, by
     class name: through their __init__, or filled by model._new without it."""
     built = {}
-    classes = (model_module.PmdTransaction, *_BODY_CLASSES, DatasetDescriptor)
+    classes = (model_module.PmdTransaction, *_BODY_TYPES, DatasetDescriptor)
     for cls in classes:
         def init(self, *args, _init=cls.__init__, **kwargs):
             built.setdefault(type(self).__name__, []).append(self)
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", init)
-    original_new = getattr(model_module, "_new", object.__new__)
+    original_new = model_module._new
 
     def new(cls):
         obj = original_new(cls)
@@ -1120,7 +1120,7 @@ def _record_builds(monkeypatch):
             built.setdefault(cls.__name__, []).append(obj)
         return obj
 
-    monkeypatch.setattr(model_module, "_new", new, raising=False)
+    monkeypatch.setattr(model_module, "_new", new)
     return built
 
 
