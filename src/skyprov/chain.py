@@ -244,8 +244,9 @@ def block_from_bytes(data: bytes) -> Block:
     return block
 
 
-def tx_tree_root(tx_bytes_list) -> str:
-    return MerkleLog().extended_root(tx_bytes_list)[0].hex()
+def tx_tree_root(leaf_hashes) -> str:
+    """Hex root of a block's own tree over its transactions' leaf hashes."""
+    return MerkleLog().extended_root(leaf_hashes)[0].hex()
 
 
 # -- scheduling ----------------------------------------------------------------
@@ -461,8 +462,7 @@ class ChainState:
         self._head_header = block.header
         self._head_hash = block.header.hash
         for tx in block.transactions:
-            self.tx_index[tx.tx_id] = self.registry_log.size
-            self.registry_log.append(tx.wire_bytes)
+            self.tx_index[tx.tx_id] = self.registry_log.append_leaf_hash(tx.leaf_hash)
             self.registry.apply(tx)
             self.pending_pool.pop(tx.tx_id, None)
         self.registry.built_to = (block.header.height, self.registry_log.size)
@@ -503,13 +503,13 @@ def produce_block(state: ChainState, slot: int, handler_key: SigningKey, now: in
     _require_count(now, "now")
 
     accepted, _ = state.select_transactions()
-    tx_bytes_list = [tx.wire_bytes for tx in accepted]
-    registry_root, registry_size = state.registry_log.extended_root(tx_bytes_list)
+    leaves = [tx.leaf_hash for tx in accepted]
+    registry_root, registry_size = state.registry_log.extended_root(leaves)
     unsigned = BlockHeader(
         height=state.head_height + 1,
         slot=slot,
         prev_block_hash=state.head_hash(),
-        tx_root=tx_tree_root(tx_bytes_list),
+        tx_root=tx_tree_root(leaves),
         registry_root=registry_root.hex(),
         registry_size=registry_size,
         timestamp=now,
@@ -542,10 +542,10 @@ def validate_block(state: ChainState, block: Block) -> Verdict:
         return Verdict(False, "BadSignature", "header signature does not verify under roster key")
 
     try:
-        tx_bytes_list = [tx.wire_bytes for tx in block.transactions]
+        leaves = [tx.leaf_hash for tx in block.transactions]
     except InvalidBody as exc:
         return Verdict(False, "InvalidTransaction", f"malformed transaction: {exc}")
-    if tx_tree_root(tx_bytes_list) != h.tx_root:
+    if tx_tree_root(leaves) != h.tx_root:
         return Verdict(False, "BadTxRoot", "tx_root does not match block transactions")
 
     staged = state.registry.clone()
@@ -555,7 +555,7 @@ def validate_block(state: ChainState, block: Block) -> Verdict:
             return Verdict(False, "InvalidTransaction", f"tx {i} ({tx.tx_id[:12]}): {verdict.reason}: {verdict.detail}")
         staged.apply(tx)
 
-    registry_root, registry_size = state.registry_log.extended_root(tx_bytes_list)
+    registry_root, registry_size = state.registry_log.extended_root(leaves)
     if h.registry_root != registry_root.hex() or h.registry_size != registry_size:
         return Verdict(False, "BadRegistryCommitment", "registry root/size do not recompute over the extended log")
     return ACCEPT

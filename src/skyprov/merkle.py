@@ -8,6 +8,11 @@ consistency proofs show one log version is an unmodified prefix extension
 of another, which is how two registry versions are checked for
 compatibility.
 
+A leaf hash is a pure function of the record's bytes, so a caller that
+keeps a record object hashes it once (``PmdTransaction.leaf_hash``) and
+hands ``append_leaf_hash``, ``extended_root`` and ``chain.tx_tree_root``
+the digest; ``append`` and ``extend`` take raw record bytes.
+
 Proofs carry their tree sizes explicitly so verification needs no
 external context, and serialize as canonical JSON with lowercase hex
 digests.
@@ -19,7 +24,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .canonical import _field_names, digest_from_hex, digest_to_hex, dumps_canonical, loads_canonical
+from .canonical import _field_names, _require, digest_from_hex, digest_to_hex, dumps_canonical, loads_canonical
 from .errors import IndexOutOfRange, InvalidBody
 
 LEAF_PREFIX = b"\x00"
@@ -27,6 +32,7 @@ NODE_PREFIX = b"\x01"
 
 Digest = bytes  # 32-byte SHA-256 output; rendered as lowercase 64-char hex
 DIGEST_SIZE = 32
+_NOT_A_LEAF = "leaf hash must be a 32-byte digest"
 
 
 def leaf_hash(data: bytes) -> Digest:
@@ -140,8 +146,8 @@ class MerkleLog:
         return self.append_leaf_hash(leaf_hash(data))
 
     def append_leaf_hash(self, leaf: Digest) -> int:
-        if not _is_digest(leaf):
-            raise InvalidBody("leaf hash must be a 32-byte digest")
+        """Append a record by its leaf hash; returns the new leaf's index."""
+        _require(_is_digest(leaf), _NOT_A_LEAF)
         index = self.size
         self._levels[0] += leaf
         self._push_peak(self._peaks, leaf, self._levels)
@@ -194,8 +200,9 @@ class MerkleLog:
     def root(self) -> Digest:
         return self._fold_peaks(self._peaks)
 
-    def extended_root(self, extra_records: Iterable[bytes]) -> tuple[Digest, int]:
-        """Root and size the log would have after appending ``extra_records``.
+    def extended_root(self, extra_leaves: Iterable[Digest]) -> tuple[Digest, int]:
+        """Root and size the log would have after appending the records
+        whose leaf hashes are ``extra_leaves``.
 
         Works on a copy of the peak stack and records no subtree roots, so
         the log itself is untouched; used by block validation to check
@@ -203,8 +210,9 @@ class MerkleLog:
         """
         peaks = list(self._peaks)
         count = self.size
-        for data in extra_records:
-            self._push_peak(peaks, leaf_hash(data))
+        for leaf in extra_leaves:
+            _require(_is_digest(leaf), _NOT_A_LEAF)
+            self._push_peak(peaks, leaf)
             count += 1
         return self._fold_peaks(peaks), count
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import json.scanner
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
@@ -33,6 +34,7 @@ from .canonical import (
 )
 from .errors import InvalidBody, NotFound
 from .keys import SigningKey, verify_signature
+from .merkle import leaf_hash
 
 DATASET_KINDS = ("primary", "secondary")
 ADAPTER_KINDS = ("jsonl", "packed")
@@ -420,9 +422,9 @@ def canonical_bytes(body: TxBody) -> bytes:
 
 @dataclass(frozen=True)
 class PmdTransaction:
-    """A signed transaction. Its wire bytes and signature verdict are
-    computed once per object; dataclasses.replace gives a copy that
-    computes its own."""
+    """A signed transaction. Its wire bytes, leaf hash, tx-id check and
+    signature verdict are computed once per object; dataclasses.replace
+    gives a copy that computes its own."""
 
     body: TxBody
     creator: str
@@ -450,6 +452,16 @@ class PmdTransaction:
         checked too."""
         self.wire_bytes
         return self.body.wire_bytes
+
+    @once
+    def leaf_hash(self) -> bytes:
+        """The registry log's and the tx tree's leaf hash of the wire bytes."""
+        return leaf_hash(self.wire_bytes)
+
+    @once
+    def tx_id_ok(self) -> bool:
+        """Whether tx_id is the SHA-256 of the body bytes."""
+        return self.tx_id == sha256_bytes(self.body_bytes).hex()
 
     @once
     def signature_ok(self) -> bool:
@@ -491,9 +503,12 @@ def tx_from_obj(obj: Any) -> PmdTransaction:
 def _tx_from_obj(obj: Any) -> PmdTransaction:
     """Build a transaction after checking the object's shape only."""
     _check_tx_obj(obj)
+    creator = obj["creator"]
     return PmdTransaction(
         body=_body_from_obj(obj["body"]),
-        creator=obj["creator"],
+        # a chain's transactions come from a few keys: one string per key,
+        # not one per parsed transaction, in a replay that holds them all
+        creator=sys.intern(creator) if type(creator) is str else creator,
         created_at=obj["created_at"],
         signature=obj["signature"],
         tx_id=obj["tx_id"],
@@ -664,10 +679,10 @@ ACCEPT = Verdict(True)
 def validate_transaction(tx: PmdTransaction, state: RegistryState) -> Verdict:
     """Full admission check against the given confirmed state."""
     try:
-        data = tx.body_bytes
+        tx.body_bytes
     except InvalidBody as exc:
         return Verdict(False, "InvalidBody", str(exc))
-    if tx.tx_id != sha256_bytes(data).hex():
+    if not tx.tx_id_ok:
         return Verdict(False, "BadTxId", "tx_id does not hash the body")
     if not tx.signature_ok:
         return Verdict(False, "BadSignature", "signature does not verify under creator key")

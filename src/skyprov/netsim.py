@@ -191,6 +191,20 @@ def genesis_for(config: SimConfig) -> GenesisConfig:
 # -- history rewriting (the tamper fault) --------------------------------------------
 
 
+def tamper_target(blocks, height: int):
+    """The transaction a tamper at height rewrites: the first of confirmed
+    block[height], which must carry a dataset. Raises ConfigError if there
+    is none."""
+    if not 0 <= height < len(blocks):
+        raise ConfigError(f"tamper height {height} is not a confirmed block (head is {len(blocks) - 1})")
+    txs = blocks[height].transactions
+    if not txs:
+        raise ConfigError(f"block {height} has no transactions to tamper with")
+    if not hasattr(txs[0].body, "dataset"):
+        raise ConfigError("tamper expects a dataset-carrying first transaction")
+    return txs[0]
+
+
 def rewrite_history(blocks, height: int, key: SigningKey, resign: int):
     """A forged copy of the chain with block[height]'s first tx mutated.
 
@@ -201,15 +215,9 @@ def rewrite_history(blocks, height: int, key: SigningKey, resign: int):
     verifying instead.
     """
     blocks = list(blocks)
-    if not 0 <= height < len(blocks):
-        raise ConfigError(f"tamper height {height} is not a confirmed block")
+    tx0 = tamper_target(blocks, height)
     target = blocks[height]
-    if not target.transactions:
-        raise ConfigError(f"block {height} has no transactions to tamper with")
-    tx0 = target.transactions[0]
     body = tx0.body
-    if not hasattr(body, "dataset"):
-        raise ConfigError("tamper expects a dataset-carrying first transaction")
     extra = dict(body.dataset.extra)
     extra["tampered"] = "1"
     new_body = dataclasses.replace(body, dataset=dataclasses.replace(body.dataset, extra=extra))
@@ -226,17 +234,17 @@ def rewrite_history(blocks, height: int, key: SigningKey, resign: int):
     log = MerkleLog()
     for block in blocks[:height]:
         for tx in block.transactions:
-            log.append(tx.wire_bytes)
+            log.append_leaf_hash(tx.leaf_hash)
     prev_hash = blocks[height].header.prev_block_hash
     for h in range(height, len(blocks)):
         txs = new_txs if h == height else blocks[h].transactions
         for tx in txs:
-            log.append(tx.wire_bytes)
+            log.append_leaf_hash(tx.leaf_hash)
         old = blocks[h].header
         unsigned = dataclasses.replace(
             old,
             prev_block_hash=prev_hash,
-            tx_root=tx_tree_root([tx.wire_bytes for tx in txs]),
+            tx_root=tx_tree_root([tx.leaf_hash for tx in txs]),
             registry_root=log.root().hex(),
             registry_size=log.size,
             signature="0" * 128,
@@ -461,12 +469,7 @@ class Simulation:
                 node.awaiting_sync = True
                 self.request_sync(time_ms, node_id)
             if node.tamper is not None and slot == node.tamper.slot and not node.tamper_active:
-                if node.tamper.height > node.state.head_height:
-                    raise ConfigError(
-                        f"tamper height {node.tamper.height} not confirmed at slot {slot} "
-                        f"(head is {node.state.head_height})"
-                    )
-                node.export_chain()  # raises ConfigError if the target block is untamperable
+                tamper_target(node.state.blocks, node.tamper.height)  # a ConfigError if there is none
                 node.tamper_active = True
                 self.trace.log(
                     {
@@ -621,48 +624,57 @@ class Simulation:
 
     # -- end-of-run verification --
 
-    def replay_peer(self, peer: str):
-        """Replay the chain a peer serves from genesis.
+    def replay_served(self, chain):
+        """Replay a served chain from genesis.
 
         Returns (failure, log): failure is None or the first rejected block's
         height and reason, and log is the registry log over every
         transaction served, rejected blocks included.
         """
-        chain = self.nodes[peer].export_chain()
         replay = ChainState(self.genesis)
         for i, block in enumerate(chain):
             verdict = replay.receive_block(block)
             if not verdict.ok:
                 for served in chain[i:]:
                     for tx in served.transactions:
-                        replay.registry_log.append(tx.wire_bytes)
+                        replay.registry_log.append_leaf_hash(tx.leaf_hash)
                 return {"height": block.header.height, "reason": verdict.reason}, replay.registry_log
         return None, replay.registry_log
 
     def audit(self):
         tamperers = {f.handler for f in self.config.faults if f.kind == "tamper_history"}
         verifiers = [n for n in sorted(self.nodes) if n not in tamperers]
-        # A served chain depends only on the peer (export_chain is
-        # deterministic, and so is the tamperer's re-signing), so one replay
-        # per peer stands for every verifier.
-        replays = {}
+        # Each peer's chain is exported once. Blocks are immutable, so the
+        # same block objects in the same order replay to the same verdict
+        # and log: one replay per distinct served chain, and one memo of its
+        # log's roots by size, stand for every verifier of every peer that
+        # serves it.
+        replays = {}  # ids of the served blocks -> (chain, failure, log, roots), built on first use
+        served = {}  # peer -> the replay of the chain it serves
         for verifier in verifiers:
             own = self.nodes[verifier]
             for peer in sorted(self.nodes):
                 if peer == verifier:
                     continue
-                if peer not in replays:
-                    replays[peer] = self.replay_peer(peer)
-                failure, peer_log = replays[peer]
+                if peer not in served:
+                    chain = self.nodes[peer].export_chain()
+                    key = tuple(map(id, chain))
+                    if key not in replays:
+                        # kept with its chain, so no id in the key is reused during the audit
+                        replays[key] = (chain, *self.replay_served(chain), {})
+                    served[peer] = replays[key]
+                _, failure, peer_log, roots = served[peer]
                 # The auditor holds the peer's whole log, so a checkpoint is
                 # checked against the log's own root at the checkpoint's size;
-                # a consistency proof would only re-derive that root.
-                failed_checkpoints = [
-                    cp.registry_size
-                    for cp in own.checkpoints
-                    if cp.registry_size > peer_log.size
-                    or peer_log.root_at(cp.registry_size).hex() != cp.registry_root
-                ]
+                # a consistency proof would only re-derive that root. A size
+                # past the log's end has no root, and fails.
+                failed_checkpoints = set()
+                for cp in own.checkpoints:
+                    size = cp.registry_size
+                    if size not in roots and size <= peer_log.size:
+                        roots[size] = peer_log.root_at(size).hex()
+                    if roots.get(size) != cp.registry_root:
+                        failed_checkpoints.add(size)
                 self.trace.log(
                     {
                         "type": "audit",
@@ -670,7 +682,7 @@ class Simulation:
                         "peer": peer,
                         "replay": failure if failure else "ok",
                         "checkpoints": len(own.checkpoints),
-                        "failed_checkpoints": sorted(set(failed_checkpoints)),
+                        "failed_checkpoints": sorted(failed_checkpoints),
                     }
                 )
 

@@ -302,11 +302,11 @@ def test_validate_block_verdicts(chain3):
         PublishDataset(make_dataset("ds-ghost", storage_id="st-ghost")), user, created_at=999
     )
     txs = good.transactions + (bad_tx,)
-    tx_bytes = [t.wire_bytes for t in txs]
-    root, size = state.registry_log.extended_root(tx_bytes)
+    leaves = [t.leaf_hash for t in txs]
+    root, size = state.registry_log.extended_root(leaves)
     h = dataclasses.replace(
         good.header,
-        tx_root=tx_tree_root(tx_bytes),
+        tx_root=tx_tree_root(leaves),
         registry_root=root.hex(),
         registry_size=size,
         signature="0" * 128,
@@ -320,6 +320,14 @@ def test_validate_block_verdicts(chain3):
     assert validate_block(state, Block(h, good.transactions)).reason == "BadRegistryCommitment"
 
     assert validate_block(state, good).ok
+
+
+def test_tx_tree_root_takes_leaf_hashes():
+    tx = sign_transaction(PublishDataset(make_dataset("ds-leaf")), key_for("user-1"), created_at=999)
+    assert tx.leaf_hash == hashlib.sha256(b"\x00" + tx.wire_bytes).digest()
+    assert tx_tree_root([tx.leaf_hash]) == tx.leaf_hash.hex()  # a one-leaf tree's root is its leaf
+    with pytest.raises(InvalidBody):
+        tx_tree_root([tx.wire_bytes])
 
 
 def test_forged_suffix_requires_all_scheduled_keys(chain3):
@@ -528,7 +536,7 @@ def test_replay_detects_recommitted_tx_without_resign(chain3, tmp_path):
     obj = loads_canonical(path.read_bytes()[:-1])
     obj["transactions"][0]["body"]["dataset"]["extra"]["tampered"] = "1"
     block = block_from_bytes(dumps_canonical(obj))
-    fixed_root = tx_tree_root([t.wire_bytes for t in block.transactions])
+    fixed_root = tx_tree_root([t.leaf_hash for t in block.transactions])
     obj["header"]["tx_root"] = fixed_root
     path.write_bytes(dumps_canonical(obj) + b"\n")
     _, _, failure = replay_chain(str(tmp_path))
@@ -557,7 +565,7 @@ def test_replay_detects_registry_commitment_break(chain3, tmp_path):
     creator = block.header.creator
     h = dataclasses.replace(
         block.header,
-        tx_root=tx_tree_root([t.wire_bytes for t in block.transactions]),
+        tx_root=tx_tree_root([t.leaf_hash for t in block.transactions]),
         signature="0" * 128,
     )
     h = dataclasses.replace(h, signature=keys[creator].sign(h.signing_bytes).hex())
@@ -677,7 +685,7 @@ def _resign_header(obj, key):
     block = block_from_bytes(dumps_canonical(obj))
     h = dataclasses.replace(
         block.header,
-        tx_root=tx_tree_root([t.wire_bytes for t in block.transactions]),
+        tx_root=tx_tree_root([t.leaf_hash for t in block.transactions]),
         signature="0" * 128,
     )
     obj["header"] = loads_canonical(
@@ -765,6 +773,16 @@ def test_replay_validates_and_encodes_each_tx_once(tmp_path, monkeypatch):
     # stored bytes, the header signing bytes and the header hash; the genesis
     # file's round trip and its hash
     assert len(encodes) <= n_txs + 3 * n_blocks + 2
+
+
+def test_replayed_transactions_share_one_creator_string_per_key(tmp_path):
+    # a replay holds every transaction, and most share a few creator keys
+    _golden_store(tmp_path)
+    state, _, failure = replay_chain(str(tmp_path))
+    assert failure is None
+    creators = [tx.creator for b in state.blocks for tx in b.transactions]
+    assert len(creators) > len(set(creators))
+    assert len({id(c) for c in creators}) == len(set(creators))
 
 
 def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):

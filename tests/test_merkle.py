@@ -169,7 +169,7 @@ def test_incremental_root_thousand_leaves():
 def test_extended_root_previews_appends():
     entries = entries_for(11)
     log = build_log(entries[:7])
-    root, size = log.extended_root(entries[7:])
+    root, size = log.extended_root([leaf_hash(e) for e in entries[7:]])
     assert size == 11
     assert root == oracle_root(entries)
     assert log.size == 7
@@ -426,10 +426,10 @@ def test_cached_proofs_survive_fork_and_extended_root():
     # previews must record nothing: later appends of other records would
     # otherwise land on stale subtree roots
     for k in (1, 2, 50, 150):
-        assert log.extended_root([b"preview-%d" % i for i in range(k)])[0] == oracle_root(
+        assert log.extended_root([leaf_hash(b"preview-%d" % i) for i in range(k)])[0] == oracle_root(
             entries[:150] + [b"preview-%d" % i for i in range(k)]
         )
-        fork.extended_root([b"x"] * k)
+        fork.extended_root([leaf_hash(b"x")] * k)
     for e in entries[150:]:
         fork.append(e)
     roots = oracle_prefix_roots(entries)
@@ -555,3 +555,12 @@ def test_append_leaf_hash_requires_digest():
     log = MerkleLog()
     with pytest.raises(InvalidBody):
         log.append_leaf_hash(b"not a digest")
+
+
+def test_extended_root_requires_digests():
+    # it takes leaf hashes; raw record bytes, hex or None are refused
+    log = build_log(entries_for(3))
+    for bad in (b"not a digest", leaf_hash(b"x").hex(), None):
+        with pytest.raises(InvalidBody):
+            log.extended_root([leaf_hash(b"a"), bad])
+    assert log.size == 3 and log.root() == oracle_root(entries_for(3))

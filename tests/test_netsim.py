@@ -13,6 +13,8 @@ import sys
 import pytest
 
 from skyprov import keys as keys_module
+from skyprov import merkle as merkle_module
+from skyprov import model as model_module
 from skyprov.chain import ChainState, validate_block
 from skyprov.errors import ConfigError
 from skyprov.merkle import MerkleLog
@@ -361,22 +363,32 @@ def test_audit_replays_each_peer_once(monkeypatch):
     sim = Simulation(config)
     sim.run(audit=False)
     exports = []
-    replayed = {}  # id of each replaying ChainState -> blocks it received
-    real_export, real_receive = SimNode.export_chain, ChainState.receive_block
+    replayed = {}  # id -> each replaying ChainState, kept so that no id is reused
+    roots = []  # (id of a served log, size) per root_at call
+    real_export, real_receive, real_root_at = SimNode.export_chain, ChainState.receive_block, MerkleLog.root_at
 
     def export_chain(node):
         exports.append(node.node_id)
         return real_export(node)
 
     def receive_block(state, block):
-        replayed[id(state)] = replayed.get(id(state), 0) + 1
+        replayed[id(state)] = state
         return real_receive(state, block)
+
+    def root_at(log, size):
+        roots.append((id(log), size))
+        return real_root_at(log, size)
 
     monkeypatch.setattr(SimNode, "export_chain", export_chain)
     monkeypatch.setattr(ChainState, "receive_block", receive_block)
+    monkeypatch.setattr(MerkleLog, "root_at", root_at)
     sim.audit()
     assert sorted(exports) == sorted(config.handler_ids)
-    assert len(replayed) <= len(config.handler_ids)
+    # the four honest nodes serve one list of the same block objects, and
+    # the tamperer its forged copy: one replay each
+    assert len(replayed) == 2
+    # each served log computes its root at a checkpoint size once, for every verifier
+    assert roots and len(roots) == len(set(roots))
     records = audits(sim.trace)
     assert len(records) == 16  # still one per (verifier, peer)
     assert [a["replay"] for a in records if a["peer"] == "h4"] == [{"height": 5, "reason": "BadSignature"}] * 4
@@ -399,6 +411,46 @@ def test_audit_checks_checkpoints_without_consistency_proofs(monkeypatch):
     assert len(records) == 16
     assert records == expected
     assert any(a["failed_checkpoints"] for a in records)
+
+
+def test_untamperable_target_is_refused_at_the_tamper_slot():
+    # with no publish workload, block 2 holds no transaction to rewrite; the
+    # tamper tick must say so, with or without the end-of-run audit
+    config = cfg(txs_per_slot=0, faults=[{"kind": "tamper_history", "handler": "h0", "height": 2, "slot": 5, "resign": 1}])
+    sim = Simulation(config)
+    with pytest.raises(ConfigError, match="no transactions to tamper with"):
+        sim.run(audit=False)
+    assert not any(e["type"] == "tamper" for e in sim.trace.events)
+    assert sim.nodes["h0"].state.head_height == 4  # raised at slot 5's tick, before that slot's block
+
+
+def test_each_transaction_is_hashed_once(monkeypatch):
+    # A leaf hash is a pure function of a transaction's wire bytes, and the
+    # tx-id check of its body bytes, so each transaction object computes
+    # each once however many nodes, blocks and replays hold it. Every
+    # transaction here has its own bytes, so a repeated argument means a
+    # repeated computation.
+    leaves, id_checks = [], []
+    real_leaf_hash, real_sha256 = merkle_module.leaf_hash, model_module.sha256_bytes
+
+    def leaf_hash(data):
+        leaves.append(data)
+        return real_leaf_hash(data)
+
+    def sha256_bytes(data):
+        if sys._getframe(1).f_code.co_name != "sign_transaction":  # signing derives the id the check re-derives
+            id_checks.append(data)
+        return real_sha256(data)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "skyprov" and vars(module).get("leaf_hash") is real_leaf_hash:
+            monkeypatch.setattr(module, "leaf_hash", leaf_hash)
+    monkeypatch.setattr(model_module, "sha256_bytes", sha256_bytes)
+    run_simulation(sim_config_from_obj(_bench_shaped(1)))
+    # 2 bootstrap and 48 publish transactions, and the tamperer's re-signed copy
+    assert len(leaves) == len(set(leaves)) == 51
+    # the re-signed copy sits in a block whose header fails first, so it is never checked
+    assert len(id_checks) == len(set(id_checks)) == 50
 
 
 def test_tamper_height_must_be_confirmed():
