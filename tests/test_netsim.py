@@ -416,7 +416,8 @@ def test_audit_checks_checkpoints_without_consistency_proofs(monkeypatch):
 def test_untamperable_target_is_refused_at_the_tamper_slot():
     # with no publish workload, block 2 holds no transaction to rewrite; the
     # tamper tick must say so, with or without the end-of-run audit
-    config = cfg(txs_per_slot=0, faults=[{"kind": "tamper_history", "handler": "h0", "height": 2, "slot": 5, "resign": 1}])
+    tamper = {"kind": "tamper_history", "handler": "h0", "height": 2, "slot": 5, "resign": 1}
+    config = cfg(txs_per_slot=0, faults=[tamper])
     sim = Simulation(config)
     with pytest.raises(ConfigError, match="no transactions to tamper with"):
         sim.run(audit=False)
