@@ -20,6 +20,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import json.scanner
 import os
 import re
 from typing import Any, Iterable, Union
@@ -166,6 +167,12 @@ def dumps_canonical(value: Any) -> bytes:
     return dumps_validated(value)
 
 
+# The one encoder every canonical byte form comes from. json.dumps with
+# these arguments builds an encoder per call, a cost paid once per event
+# decoded; this one is built once and holds no state between calls.
+_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def dumps_validated(value: Any) -> bytes:
     """dumps_canonical for a value a *_to_obj validator built.
 
@@ -175,11 +182,19 @@ def dumps_validated(value: Any) -> bytes:
     section 2.1, forbids it), so it is rejected here, for every encoder and
     for the round-trip in loads_canonical.
     """
-    text = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    text = _encoder.encode(value)
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise InvalidBody(f"value has no UTF-8 form: {exc}") from exc
+
+
+# (value, offset after it) of the JSON value that starts at an offset of a
+# str; StopIteration when none starts there. Built once: a reader that
+# requires one value per line, as the event and log entry readers do, calls
+# it per line, where json.loads would also sniff the encoding and skip
+# whitespace that no canonical line holds.
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def parse_json(data: bytes, object_pairs_hook=None) -> Any:

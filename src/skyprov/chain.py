@@ -705,13 +705,14 @@ def replay_chain(chain_dir: str):
 # entry, a confirmed transaction's wire bytes, in log order. The cache is
 # trusted no more than the store it sits in: it is used only while its
 # digest matches the exact bytes of genesis.json and of every block file it
-# covers and the head block hashes to its head_hash; of the blocks, only
-# the head's header is built. The entries are hashed into a fresh log in one
-# batch, which must match the head header's registry commitment before any
-# entry is parsed; so each entry is exactly the bytes of a transaction
-# validated into the chain. model.fold_log_entries then reads each for its
-# shape only and folds the registry from them in log order, as apply_block
-# folds it, without building their transactions.
+# covers, the head block hashes to its head_hash, and the head's signature
+# verifies under its creator's roster key (one Ed25519 verify); of the
+# blocks, only the head's header is built. The entries are hashed into a
+# fresh log in one batch, which must match the head header's registry
+# commitment before any entry is parsed; so each entry is exactly the bytes
+# of a transaction validated into the chain. model.fold_log_entries then
+# reads each for its shape only and folds the registry from them in log
+# order, as apply_block folds it, without building their transactions.
 _CACHE_KEYS = {"cycle_seed", "files_digest", "genesis_hash", "head_hash", "height"}
 
 
@@ -742,14 +743,16 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
         _require(isinstance(cycle, dict) and set(cycle) == {"seed", "start"}, "head cache cycle seed malformed")
         _require_hex64(cycle["seed"], "head cache cycle seed")
         _require(_require_int(cycle["start"], "cycle start") == state._cycle_start(header.slot), "cycle start malformed")
+        pub = state.roster_key(header.creator)
+        _require(pub is not None and header.signed_by(pub), "head block is not signed by its creator's roster key")
         log = MerkleLog()
         log.extend(entries)
         _require(log.root().hex() == header.registry_root and log.size == header.registry_size,
                  "head cache entries do not match the head's registry commitment")
         registry, tx_index = fold_log_entries(entries)
         registry.built_to = (height, log.size)
-    # Entries bound to a validated head never raise here. A store whose head
-    # block was rewritten, with a cache to match, can commit to any bytes:
+    # Entries bound to a validated head never raise here. A head block that
+    # a roster key re-signed, with a cache to match, can commit to any bytes:
     # ValueError and RecursionError from parsing a line, TypeError from an
     # unhashable id. Each means a full replay, which reports the damage.
     except (SkyprovError, ValueError, TypeError, RecursionError):

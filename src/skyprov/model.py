@@ -8,8 +8,6 @@ at the Merkle-log boundary.
 
 from __future__ import annotations
 
-import json
-import json.scanner
 import sys
 import time
 from dataclasses import dataclass, field
@@ -25,6 +23,7 @@ from .canonical import (
     _require_keys,
     _require_str,
     _require_str_map,
+    _scan_json,
     dumps_validated,
     is_decimal,
     is_hex128,
@@ -93,7 +92,8 @@ class EasEvent:
     @once
     def wire_bytes(self) -> bytes:
         """Canonical bytes: one jsonl line without its newline. Computing it
-        is the event's one validation, unless a decoder read checked first."""
+        is the event's one validation, unless a decoder built the event: it
+        checks the fields first, and a jsonl decode sets these bytes."""
         return dumps_validated(event_to_obj(self))
 
 
@@ -126,21 +126,40 @@ def event_to_obj(ev: EasEvent) -> dict:
     return obj
 
 
+def _event_from_fields(event_id, registration_time, facility_id, detector_id, signal_histogram, bin_width,
+                       energy_estimate, service_info) -> EasEvent:
+    """The event holding these fields, checked by validate_event: the one
+    build of every decoded event. A failure raises InvalidBody.
+
+    Filled field by field with object.__setattr__, as the frozen dataclass's
+    __init__ fills it, without that keyword call, as _dataset_from_fields
+    fills a descriptor.
+    """
+    ev = _new(EasEvent)
+    _set(ev, "event_id", event_id)
+    _set(ev, "registration_time", registration_time)
+    _set(ev, "facility_id", facility_id)
+    _set(ev, "detector_id", detector_id)
+    _set(ev, "signal_histogram", signal_histogram)
+    _set(ev, "bin_width", bin_width)
+    _set(ev, "energy_estimate", energy_estimate)
+    _set(ev, "service_info", service_info)
+    validate_event(ev)
+    _set(ev, "checked", True)
+    return ev
+
+
 def event_from_obj(obj: Any) -> EasEvent:
+    """The event an event object holds, checked once and encoded once."""
     _require(isinstance(obj, dict), "event must be an object")
     _require_keys(obj, _EVENT_KEYS, "event object")
-    # keywords written out, not **obj: this runs once per decoded event
-    ev = EasEvent(
-        event_id=obj["event_id"],
-        registration_time=obj["registration_time"],
-        facility_id=obj["facility_id"],
-        detector_id=obj["detector_id"],
-        signal_histogram=tuple(obj["signal_histogram"]) if isinstance(obj["signal_histogram"], (list, tuple)) else obj["signal_histogram"],
-        bin_width=obj["bin_width"],
-        energy_estimate=obj["energy_estimate"],
-        service_info=obj["service_info"],
-    )
-    ev.wire_bytes  # the one validation
+    hist = obj["signal_histogram"]
+    ev = _event_from_fields(obj["event_id"], obj["registration_time"], obj["facility_id"], obj["detector_id"],
+                            tuple(hist) if isinstance(hist, (list, tuple)) else hist, obj["bin_width"],
+                            obj["energy_estimate"], obj["service_info"])
+    # obj holds the fields just checked, and the encoder sorts service_info's
+    # keys, so its bytes are those of event_to_obj(ev), with no rebuild
+    _set(ev, "wire_bytes", dumps_validated(obj))
     return ev
 
 
@@ -607,9 +626,6 @@ class RegistryState:
                 program=(body.program_id, body.program_version),
                 tx_id=tx.tx_id,
             )
-
-
-_scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def fold_log_entries(entries) -> tuple:

@@ -5,9 +5,15 @@ codec. Files are retrieved and stored bit-exact; event files decode to
 canonical events regardless of the underlying format, so everything
 downstream is format-blind.
 
-Each decoded event is validated once. A jsonl event keeps its line as its
-canonical bytes (`EasEvent.wire_bytes`), a packed event computes them when
-something encodes it, and the jsonl encoder joins those bytes.
+Each decoded event is built in one pass: one scan, one field check
+(validate_event) and at most one encode. A jsonl line is read by one
+prebuilt JSON scanner, must hold exactly one JSON value, and is encoded
+once; the event keeps those bytes (`EasEvent.wire_bytes`), which must equal
+the line. A packed record encodes nothing: its event computes its bytes when
+something encodes it. The jsonl encoder joins the events' bytes.
+
+Every event has one byte form in each codec, so a decoded file re-encodes
+to its own bytes.
 
 packed codec, all little-endian:
   file header: magic "EASP", u16 version (1), u32 record count
@@ -19,20 +25,22 @@ packed codec, all little-endian:
     u32 bin_width
     u32 histogram length, then one u32 per count
     u8 energy-present flag; if 1: u16 length, decimal-string bytes
-    u16 service-info pair count; per pair (sorted by key):
+    u16 service-info pair count; per pair, keys strictly increasing (a
+    file with a duplicate key or keys out of order does not decode):
         u16 key length, key bytes, u16 value length, value bytes
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass
 
 from .canonical import (
+    _require,
     _require_choice,
     _require_str,
+    _scan_json,
     make_dirs,
     read_canonical_file,
     read_file,
@@ -41,7 +49,7 @@ from .canonical import (
     write_file,
 )
 from .errors import DecodeError, InvalidBody, NotFound, PathViolation
-from .model import ADAPTER_KINDS, EasEvent, event_from_obj
+from .model import ADAPTER_KINDS, _event_from_fields, event_from_obj
 
 MANIFEST_NAME = "storage.json"
 
@@ -136,7 +144,12 @@ def decode_events_jsonl(data: bytes):
         # The canonical round trip: the validator admits only values the
         # encoder can write, so no encodability walk is needed.
         try:
-            ev = event_from_obj(json.loads(line))
+            text = line.decode("utf-8")
+            obj, end = _scan_json(text, 0)
+            _require(end == len(text), "the line is not one JSON value")
+            ev = event_from_obj(obj)
+        except StopIteration:  # no JSON value starts the line
+            raise DecodeError("bad jsonl record: the line is not one JSON value", i) from None
         except (ValueError, RecursionError, InvalidBody) as exc:  # ValueError: bad JSON or UTF-8, an over-long integer
             raise DecodeError(f"bad jsonl record: {exc}", i) from exc
         if ev.wire_bytes != line:
@@ -243,27 +256,21 @@ def decode_events_packed(data: bytes):
             (pairs,) = _U16.unpack_from(data, pos)
             pos += 2
             service_info = {}
+            key = None
             for _ in range(pairs):
+                last = key
                 key, pos = _unpack_str(data, pos, i)
                 value, pos = _unpack_str(data, pos, i)
-                if key in service_info:
-                    raise DecodeError(f"duplicate service_info key {key!r}", i)
+                if last is not None and key <= last:  # one byte form: keys strictly increase
+                    raise DecodeError(f"duplicate service_info key {key!r}" if key == last
+                                      else f"service_info key {key!r} sorts before {last!r}", i)
                 service_info[key] = value
-            ev = EasEvent(
-                event_id=event_id,
-                registration_time=registration_time,
-                facility_id=facility_id,
-                detector_id=detector_id,
-                signal_histogram=histogram,
-                bin_width=bin_width,
-                energy_estimate=energy,
-                service_info=service_info,
-            )
             try:
-                ev.checked  # the one validation; wire_bytes waits until something encodes the event
+                # the one validation; wire_bytes waits until something encodes the event
+                events.append(_event_from_fields(event_id, registration_time, facility_id, detector_id, histogram,
+                                                 bin_width, energy, service_info))
             except InvalidBody as exc:
                 raise DecodeError(f"invalid packed record: {exc}", i) from exc
-            events.append(ev)
     except struct.error as exc:
         raise DecodeError("truncated packed record", i) from exc
     if pos != len(data):

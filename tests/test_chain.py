@@ -762,8 +762,8 @@ def test_replay_validates_and_encodes_each_tx_once(tmp_path, monkeypatch):
     original_validate = model.validate_dataset
     monkeypatch.setattr(model, "validate_dataset", lambda ds: validated.append(ds) or original_validate(ds))
     encodes = []
-    original_dumps = json.dumps
-    monkeypatch.setattr(json, "dumps", lambda *a, **kw: encodes.append(1) or original_dumps(*a, **kw))
+    original_encode = canonical_module._encoder.encode
+    monkeypatch.setattr(canonical_module._encoder, "encode", lambda value: encodes.append(1) or original_encode(value))
     state, _, failure = replay_chain(str(tmp_path))
     assert failure is None
     n_blocks = len(state.blocks)
@@ -796,8 +796,8 @@ def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
     original_loads = canonical_module.loads_canonical
     monkeypatch.setattr(canonical_module, "loads_canonical", lambda data: parsed.append(data) or original_loads(data))
     encoded = []
-    original_dumps = json.dumps
-    monkeypatch.setattr(json, "dumps", lambda value, **kw: encoded.append(value) or original_dumps(value, **kw))
+    original_encode = canonical_module._encoder.encode
+    monkeypatch.setattr(canonical_module._encoder, "encode", lambda value: encoded.append(value) or original_encode(value))
     state, _, failure = replay_chain(str(tmp_path))
     assert failure is None
     assert parsed == []
@@ -805,8 +805,8 @@ def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
     cores = [{k: v for k, v in h.items() if k != "signature"} for h in headers]
     bodies = [tx_to_obj(tx)["body"] for b in state.blocks for tx in b.transactions]
     expected = [genesis_to_obj(state.config)] + headers + cores + bodies
-    assert sorted(original_dumps(v, sort_keys=True) for v in encoded) == sorted(
-        original_dumps(v, sort_keys=True) for v in expected)
+    assert sorted(json.dumps(v, sort_keys=True) for v in encoded) == sorted(
+        json.dumps(v, sort_keys=True) for v in expected)
 
 
 # -- differential decode: parts' wire bytes against the loads_canonical round trip ----------
@@ -1103,6 +1103,8 @@ def _hostile_entries(case, honest):
         dataset["file_refs"][0]["note"] = "x"
     elif case == "time_range_list":
         dataset["time_range"] = [dataset["time_range"]["start"], dataset["time_range"]["end"]]
+    elif case == "time_range_start_str":  # the right shape, a field of the wrong type
+        dataset["time_range"]["start"] = "x"
     elif case == "unhashable_dataset_id":
         dataset["dataset_id"] = [dataset["dataset_id"]]
     elif case == "unhashable_storage_id":
@@ -1118,18 +1120,19 @@ def _hostile_entries(case, honest):
     return entries
 
 
-@pytest.mark.parametrize("case", [
+# Entries that model.fold_log_entries refuses for their shape.
+_UNFOLDABLE_ENTRIES = [
     "not_json", "not_a_tx", "unhashable_id", "tx_keys", "body_keys", "file_refs_not_a_list", "file_ref_extra_key",
     "time_range_list", "unhashable_dataset_id", "unhashable_storage_id", "unhashable_program_version",
     "two_txs_one_line", "one_tx_two_lines", "unhashable_parent_id", "unknown_parent_id",
-])
-def test_rewritten_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_path, capsys):
-    # The head block is rewritten to commit to entries that are not all
-    # transactions, and the cache is forged to match the rewritten store:
-    # the restore falls back to the full replay and its verdict, not a
-    # traceback.
-    chain_dir = tmp_path / "chain"
-    _golden_store(chain_dir)
+]
+
+
+def _forge_head_and_cache(case, chain_dir, resign_with=None):
+    """Rewrite the head block of a _golden_store to commit to the case's
+    entries, re-signed when resign_with maps handlers to keys, and forge a
+    head cache that matches the rewritten store. Returns (head height, the
+    forged cache's bytes), with no cache file left in the store."""
     height = load_chain(str(chain_dir)).head_height
     cache_path = chain_dir / chain_module.HEAD_CACHE
     head, *honest = cache_path.read_bytes().split(b"\n")
@@ -1140,21 +1143,57 @@ def test_rewritten_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_
 
     def commit(obj):
         obj["header"].update(registry_root=log.root().hex(), registry_size=log.size)
+        if resign_with is not None:
+            _resign_header(obj, resign_with[obj["header"]["creator"]])
 
     _rewrite_block(chain_dir, height, commit)
     forged = json.loads(head)
     forged["files_digest"] = _store_digest(chain_dir, height)
     forged["head_hash"] = block_from_bytes((chain_dir / f"block_{height}.json").read_bytes()[:-1]).header.hash
-    cache = dumps_canonical(forged) + b"\n" + b"".join(entry + b"\n" for entry in entries)
-    argv = ("query", "--chain", chain_dir, "--where", "facility=TAIGA")
     cache_path.unlink()
+    return height, dumps_canonical(forged) + b"\n" + b"".join(entry + b"\n" for entry in entries)
+
+
+def _assert_forged_cache_gets_replay_verdict(chain_dir, cache, capsys):
+    """The query outcome with the forged cache equals the full replay's,
+    an exit 3; returns the message load_chain raises with the cache."""
+    argv = ("query", "--chain", chain_dir, "--where", "facility=TAIGA")
+    cache_path = chain_dir / chain_module.HEAD_CACHE
     without = _cli_outcome(capsys, *argv)
     assert without[0] == 3
     cache_path.write_bytes(cache)
     assert _cli_outcome(capsys, *argv) == without
     cache_path.write_bytes(cache)
-    with pytest.raises(InvalidBody, match=f"height {height}: BadSignature"):
+    with pytest.raises(InvalidBody) as err:
         load_chain(str(chain_dir))
+    return str(err.value)
+
+
+@pytest.mark.parametrize("case", _UNFOLDABLE_ENTRIES + ["time_range_start_str"])
+def test_rewritten_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_path, capsys):
+    # The head block is rewritten to commit to entries that are not all
+    # transactions, and the cache is forged to match the rewritten store:
+    # the head's signature no longer verifies, so the restore falls back to
+    # the full replay and its verdict, not a traceback or a field error.
+    chain_dir = tmp_path / "chain"
+    _golden_store(chain_dir)
+    height, cache = _forge_head_and_cache(case, chain_dir)
+    assert f"height {height}: BadSignature" in _assert_forged_cache_gets_replay_verdict(chain_dir, cache, capsys)
+
+
+@pytest.mark.parametrize("case", _UNFOLDABLE_ENTRIES)
+def test_resigned_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_path, capsys, monkeypatch):
+    # A roster key re-signs the rewritten head, so the head passes the
+    # restore's checks: the fold refuses the entries, and the restore still
+    # falls back to the full replay.
+    chain_dir = tmp_path / "chain"
+    height, cache = _forge_head_and_cache(case, chain_dir, resign_with=_golden_store(chain_dir))
+    folds = []
+    original_fold = chain_module.fold_log_entries
+    monkeypatch.setattr(chain_module, "fold_log_entries", lambda entries: folds.append(1) or original_fold(entries))
+    message = _assert_forged_cache_gets_replay_verdict(chain_dir, cache, capsys)
+    assert f"height {height}: BadRegistryCommitment" in message
+    assert len(folds) == 2  # the cached query's restore and load_chain's each reach the fold
 
 
 def _reshuffled_store(chain_dir, n_blocks=20):

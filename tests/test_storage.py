@@ -24,6 +24,7 @@ from skyprov.errors import (
     NotFound,
     PathViolation,
 )
+from skyprov import canonical, model
 from skyprov.canonical import dumps_canonical, loads_canonical
 from skyprov.model import EasEvent, event_from_obj, event_to_obj
 from skyprov.storage import (
@@ -265,6 +266,23 @@ def test_packed_duplicate_service_key():
     assert "duplicate" in str(err.value)
 
 
+def test_packed_service_keys_out_of_order_are_refused():
+    # "sorted by key" is the one byte form: swapped pairs would decode to an
+    # event equal to the sorted one, which re-encodes to other bytes
+    ev = dataclasses.replace(EV_B, service_info={"a": "1", "b": "2"})
+    swapped = oracle_pack_event(ev)[:-len(oracle_pack_str("a") * 2 + oracle_pack_str("b") * 2)]
+    swapped += oracle_pack_str("b") + oracle_pack_str("2") + oracle_pack_str("a") + oracle_pack_str("1")
+    sorted_file = encode_events_packed([EV_A, ev])
+    assert sorted_file == oracle_pack_file([EV_A, ev])
+    assert decode_events_packed(sorted_file) == [EV_A, ev]
+    data = PACKED_MAGIC + struct.pack("<HI", PACKED_VERSION, 2) + oracle_pack_event(EV_A) + swapped
+    assert len(data) == len(sorted_file) and data != sorted_file
+    with pytest.raises(DecodeError) as err:
+        decode_events_packed(data)
+    assert err.value.record_index == 1
+    assert "'a' sorts before 'b'" in str(err.value)
+
+
 def test_packed_invalid_utf8():
     raw = bytearray(encode_events_packed([EV_A]))
     # event_id bytes start right after the header and its u16 length
@@ -380,6 +398,79 @@ def test_jsonl_decode_accepts_what_loads_canonical_accepts(line):
     assert (got is None) == (expected is None)
     if got is not None:
         assert got == expected and got.wire_bytes == line
+
+
+# -- packed decode under byte mutations -------------------------------------------------
+
+_PACKED_SOURCE = encode_events_packed([
+    EV_A,
+    EV_B,
+    dataclasses.replace(EV_A, event_id="ev-003", energy_estimate="0.5",
+                        service_info={"": "", "a": "1", "ab": "2", "é": "3"}),
+])
+
+
+@st.composite
+def packed_mutants(draw):
+    """A valid packed file after one to three byte flips, inserts or deletes."""
+    data = bytearray(_PACKED_SOURCE)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["flip", "insert", "delete"])) if at < len(data) else "insert"
+        if op == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif op == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+        else:
+            del data[at:at + draw(st.integers(1, 4))]
+    return bytes(data)
+
+
+@settings(max_examples=800, deadline=None)
+@given(packed_mutants())
+def test_packed_mutants_decode_to_their_own_bytes_or_fail_typed(mutant):
+    # Each mutant is refused with a record index the file can name, or it
+    # decodes to events whose encoding is exactly the mutant: no packed file
+    # has a second byte form, and no other exception escapes.
+    count = struct.unpack_from("<I", mutant, 6)[0] if len(mutant) >= 10 else 0
+    try:
+        events = decode_events_packed(mutant)
+    except DecodeError as err:
+        assert 0 <= err.record_index <= count
+        return
+    assert encode_events_packed(events) == mutant
+
+
+# -- decode census: one validation per event, at most one encode -----------------------
+
+
+def test_decoders_check_each_event_once_and_encode_at_most_once(monkeypatch):
+    events = [EV_A, EV_B, dataclasses.replace(EV_A, event_id="ev-003")]
+    jsonl, packed, obj = encode_events_jsonl(events), encode_events_packed(events), event_to_obj(EV_A)
+    validated, encoded = [], []
+    original_validate, original_encode = model.validate_event, canonical._encoder.encode
+    monkeypatch.setattr(model, "validate_event", lambda ev: validated.append(ev) or original_validate(ev))
+    monkeypatch.setattr(canonical._encoder, "encode", lambda value: encoded.append(value) or original_encode(value))
+    decoded = decode_events_packed(packed)
+    assert decoded == events
+    assert (len(validated), len(encoded)) == (3, 0)  # a packed decode encodes nothing
+    validated.clear()
+    decoded = decode_events_jsonl(jsonl)
+    assert decoded == events
+    assert (len(validated), len(encoded)) == (3, 3)  # one encode per line, kept as the event's bytes
+    assert encode_events_jsonl(decoded) == jsonl and len(encoded) == 3
+    validated.clear()
+    encoded.clear()
+    ev = event_from_obj(obj)
+    assert (len(validated), len(encoded)) == (1, 1)
+    assert ev.wire_bytes == jsonl.split(b"\n")[0] and len(encoded) == 1
+
+
+def test_event_from_obj_refuses_a_lone_surrogate_when_built():
+    obj = event_to_obj(EV_A)
+    obj["service_info"] = {"run": "\ud800"}
+    with pytest.raises(InvalidBody, match="no UTF-8 form"):
+        event_from_obj(obj)
 
 
 def test_packed_histogram_count_bounds():
