@@ -190,11 +190,24 @@ def dumps_validated(value: Any) -> bytes:
 
 
 # (value, offset after it) of the JSON value that starts at an offset of a
-# str; StopIteration when none starts there. Built once: a reader that
-# requires one value per line, as the event and log entry readers do, calls
-# it per line, where json.loads would also sniff the encoding and skip
-# whitespace that no canonical line holds.
+# str; StopIteration when none starts there.
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def scan_one_json(data: bytes) -> Any:
+    """The one JSON value UTF-8 data holds, read by one prebuilt scanner,
+    for readers that parse one value per line and check its form after.
+    json.loads would also sniff the encoding and skip whitespace, which no
+    canonical line holds. InvalidBody when data holds no value or more
+    than one; ValueError for bad UTF-8 or JSON or an over-long integer, and
+    RecursionError for deep nesting, as json.loads raises them."""
+    text = data.decode("utf-8")
+    try:
+        value, end = _scan_json(text, 0)
+    except StopIteration:  # no JSON value starts at 0
+        end = -1
+    _require(end == len(text), "not one JSON value")
+    return value
 
 
 def parse_json(data: bytes, object_pairs_hook=None) -> Any:

@@ -23,12 +23,12 @@ from .canonical import (
     _require_keys,
     _require_str,
     _require_str_map,
-    _scan_json,
     dumps_validated,
     is_decimal,
     is_hex128,
     once,
     parse_json,
+    scan_one_json,
     sha256_bytes,
 )
 from .errors import InvalidBody, NotFound
@@ -644,12 +644,7 @@ def fold_log_entries(entries) -> tuple:
     registry, tx_index = RegistryState(), {}
     storages, programs, datasets = registry.storages, registry.programs, registry.datasets
     for i, data in enumerate(entries):
-        text = data.decode("utf-8")
-        try:
-            obj, end = _scan_json(text, 0)
-        except StopIteration:  # no JSON value starts at 0
-            end = -1
-        _require(end == len(text), "log entry is not one JSON value")
+        obj = scan_one_json(data)
         _check_tx_obj(obj)
         body = obj["body"]
         cls = _check_body_obj(body)

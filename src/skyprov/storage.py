@@ -37,13 +37,12 @@ import struct
 from dataclasses import dataclass
 
 from .canonical import (
-    _require,
     _require_choice,
     _require_str,
-    _scan_json,
     make_dirs,
     read_canonical_file,
     read_file,
+    scan_one_json,
     sha256_bytes,
     write_canonical_file,
     write_file,
@@ -144,12 +143,7 @@ def decode_events_jsonl(data: bytes):
         # The canonical round trip: the validator admits only values the
         # encoder can write, so no encodability walk is needed.
         try:
-            text = line.decode("utf-8")
-            obj, end = _scan_json(text, 0)
-            _require(end == len(text), "the line is not one JSON value")
-            ev = event_from_obj(obj)
-        except StopIteration:  # no JSON value starts the line
-            raise DecodeError("bad jsonl record: the line is not one JSON value", i) from None
+            ev = event_from_obj(scan_one_json(line))
         except (ValueError, RecursionError, InvalidBody) as exc:  # ValueError: bad JSON or UTF-8, an over-long integer
             raise DecodeError(f"bad jsonl record: {exc}", i) from exc
         if ev.wire_bytes != line:
