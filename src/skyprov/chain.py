@@ -37,7 +37,7 @@ from .canonical import (
     write_file,
 )
 from .errors import AlreadyExists, InvalidBody, IoError, NotFound, NotScheduled, SkyprovError
-from .keys import SigningKey, verify_signature
+from .keys import SigningKey, verify_signature, verify_signatures
 from .merkle import MerkleLog
 from .model import (
     ACCEPT,
@@ -662,25 +662,77 @@ def _open_store(chain_dir: str):
     return state, digest, heights
 
 
-def _replay_blocks(chain_dir: str, state: ChainState, heights, digest, entries: list):
-    """Validate and apply the stored blocks at heights, in order, appending
-    the wire bytes of each applied transaction to entries; returns
-    (results, failure) as replay_chain describes them."""
-    results = []
+# A replay reads blocks ahead until it holds this many signatures, ending
+# on a block boundary, and verifies them in one verify_signatures batch.
+_WINDOW_SIGNATURES = 2048
+
+
+def _read_window(chain_dir: str, heights, digest):
+    """Load blocks from the heights iterator, in order, until they carry
+    _WINDOW_SIGNATURES signatures or the heights run out. Returns the
+    (height, block) pairs loaded and, when a load raised, (its height, the
+    exception), which the replay meets only after the blocks before it."""
+    window = []
+    signatures = 0
     for height in heights:
         try:
             block = load_block_file(chain_dir, height, digest)
-        except InvalidBody as exc:
+        except Exception as exc:
+            return window, (height, exc)
+        window.append((height, block))
+        signatures += 1 + len(block.transactions)
+        if signatures >= _WINDOW_SIGNATURES:
+            break
+    return window, None
+
+
+def _verify_window(state: ChainState, window) -> None:
+    """Verify every header signature under its creator's roster key and every
+    transaction signature in window in one batch, and keep each verdict
+    where signed_by and signature_ok keep it, so validate_block reads them.
+    A block file parses only when its parts are well formed, so building
+    the items raises nothing."""
+    items, keep = [], []
+    for _, block in window:
+        header = block.header
+        pub = state.roster_key(header.creator)
+        if pub is not None:
+            items.append((pub, header.signing_bytes, bytes.fromhex(header.signature)))
+            keep.append((header._verdicts, pub))
+        for tx in block.transactions:
+            items.append((tx.creator, tx.body_bytes, bytes.fromhex(tx.signature)))
+            keep.append((vars(tx), "signature_ok"))
+    for (verdicts, key), verdict in zip(keep, verify_signatures(items)):
+        verdicts[key] = verdict
+
+
+def _replay_blocks(chain_dir: str, state: ChainState, heights, digest, entries: list):
+    """Validate and apply the stored blocks at heights, in order, appending
+    the wire bytes of each applied transaction to entries; returns
+    (results, failure) as replay_chain describes them. Blocks are read and
+    their signatures verified a window at a time, and then validated one by
+    one, so results, failures and exceptions come in height order."""
+    results = []
+    heights = iter(heights)
+    while True:
+        window, fault = _read_window(chain_dir, heights, digest)
+        _verify_window(state, window)
+        for height, block in window:
+            verdict = validate_block(state, block)
+            results.append((height, verdict))
+            if not verdict.ok:
+                return results, (height, verdict)
+            state.apply_block(block)
+            entries.extend(tx.wire_bytes for tx in block.transactions)
+        if fault is not None:
+            height, exc = fault
+            if not isinstance(exc, InvalidBody):
+                raise exc
             verdict = Verdict(False, "InvalidBody", str(exc))
             results.append((height, verdict))
             return results, (height, verdict)
-        verdict = validate_block(state, block)
-        results.append((height, verdict))
-        if not verdict.ok:
-            return results, (height, verdict)
-        state.apply_block(block)
-        entries.extend(tx.wire_bytes for tx in block.transactions)
-    return results, None
+        if not window:
+            return results, None
 
 
 def replay_chain(chain_dir: str):

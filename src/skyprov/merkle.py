@@ -11,7 +11,7 @@ compatibility.
 A leaf hash is a pure function of the record's bytes, so a caller that
 keeps a record object hashes it once (``PmdTransaction.leaf_hash``) and
 hands ``append_leaf_hash``, ``extended_root`` and ``chain.tx_tree_root``
-the digest; ``append`` and ``extend`` take raw record bytes.
+the digest; ``extend`` takes raw record bytes.
 
 Proofs carry their tree sizes explicitly so verification needs no
 external context, and serialize as canonical JSON with lowercase hex
@@ -141,10 +141,6 @@ class MerkleLog:
     def _node(self, height: int, index: int) -> Digest:
         return bytes(self._levels[height][index * DIGEST_SIZE : (index + 1) * DIGEST_SIZE])
 
-    def append(self, data: bytes) -> int:
-        """Append raw record bytes; returns the new leaf's index."""
-        return self.append_leaf_hash(leaf_hash(data))
-
     def append_leaf_hash(self, leaf: Digest) -> int:
         """Append a record by its leaf hash; returns the new leaf's index."""
         _require(_is_digest(leaf), _NOT_A_LEAF)
@@ -154,9 +150,9 @@ class MerkleLog:
         return index
 
     def extend(self, entries: Iterable[bytes]) -> None:
-        """Append raw record bytes in order, leaving the log as that many
-        ``append`` calls would: every leaf is hashed in one pass, then each
-        level's newly completed subtree roots from the level below."""
+        """Append raw record bytes in order, leaving the log as appending
+        each one's leaf hash would: every leaf is hashed in one pass, then
+        each level's newly completed subtree roots from the level below."""
         levels = self._levels
         levels[0] += b"".join([leaf_hash(data) for data in entries])
         height = 0

@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic keys, dataset factories, a small roster."""
 
 import hashlib
+import os
 
 import pytest
 from hypothesis import settings
@@ -23,6 +24,18 @@ GEOMETRY_HASH = hashlib.sha256(b"geometry-blob-v1").hexdigest()
 # database), so two commits are compared on the same inputs.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every test reaps every process it starts, forked verify helpers and
+    subprocesses alike: one still running or unreaped fails the test."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind: waitpid(-1, WNOHANG) gave {left}")
 
 
 def key_for(label: str) -> SigningKey:

@@ -76,7 +76,7 @@ def test_criterion_1_merkle_proofs_exhaustive_and_mutation_campaign():
     logs = [MerkleLog()]  # logs[n] holds the first n leaves
     for data in leaves:
         nxt = logs[-1].fork()
-        nxt.append(data)
+        nxt.append_leaf_hash(leaf_hash(data))
         logs.append(nxt)
 
     checked = 0
@@ -197,7 +197,7 @@ def test_criterion_2_checkpoint_compatibility_20_scenarios():
         for j in range(len(cps)):
             log_j = MerkleLog()
             for data in wire[: cps[j].registry_size]:
-                log_j.append(data)
+                log_j.append_leaf_hash(leaf_hash(data))
             assert log_j.root().hex() == cps[j].registry_root, (seed, j)
             for i in range(j + 1):
                 size_i = cps[i].registry_size

@@ -45,7 +45,7 @@ from skyprov import model
 from skyprov.canonical import loads_canonical, dumps_canonical
 from skyprov.errors import AlreadyExists, InvalidBody, IoError, NotFound, NotScheduled
 from skyprov.index import index_to_obj
-from skyprov.merkle import ConsistencyProof, MerkleLog, verify_consistency
+from skyprov.merkle import ConsistencyProof, MerkleLog, leaf_hash, verify_consistency
 from skyprov.model import (
     DeriveDataset,
     PublishDataset,
@@ -1139,7 +1139,7 @@ def _forge_head_and_cache(case, chain_dir, resign_with=None):
     entries = _hostile_entries(case, honest)
     log = MerkleLog()
     for entry in entries:
-        log.append(entry)
+        log.append_leaf_hash(leaf_hash(entry))
 
     def commit(obj):
         obj["header"].update(registry_root=log.root().hex(), registry_size=log.size)

@@ -22,6 +22,7 @@ from skyprov import model as model_module
 from skyprov.aggregation import AggregationRequest, PluginSpec, execute, request_from_obj
 from skyprov.canonical import digest_from_hex, dumps_canonical, sha256_bytes
 from skyprov.chain import (
+    Block,
     ChainState,
     GenesisConfig,
     load_chain,
@@ -34,7 +35,7 @@ from skyprov.chain import (
 from skyprov.errors import AlreadyExists, InvalidBody, IoError, MalformedKey
 from skyprov.index import QueryFilter, index_from_obj, index_to_obj, query
 from skyprov.keys import SigningKey, load_key_file, save_key_file
-from skyprov.merkle import verify_inclusion
+from skyprov.merkle import MerkleLog, verify_inclusion
 from skyprov.model import (
     DatasetDescriptor,
     DeriveDataset,
@@ -978,14 +979,13 @@ def _count_verifies(monkeypatch):
 
 def test_warm_commands_verify_only_new_blocks(world, tmp_path, capsys, monkeypatch):
     state = world["state"]
-    _grow(state, world["keys"], world["user"], 9)
-    small = tmp_path / "small"
-    shutil.copytree(world["home"], small)
-    save_chain(state, str(small / "chain"))
-    _grow(state, world["keys"], world["user"], 30)
-    big = tmp_path / "big"
-    shutil.copytree(world["home"], big)
-    save_chain(state, str(big / "chain"))
+    homes = []
+    for name, n_blocks in (("small", 9), ("big", 30), ("forking", 100)):
+        _grow(state, world["keys"], world["user"], n_blocks)
+        home = tmp_path / name
+        shutil.copytree(world["home"], home)
+        save_chain(state, str(home / "chain"))
+        homes.append((home, state.head_height))
     body_file = tmp_path / "body.json"
     body_file.write_text(json.dumps({"adapter_kind": "jsonl", "base_uri": "n", "storage_id": "st-new",
                                      "storage_pubkey": "cd" * 32, "type": "register_storage"}))
@@ -995,19 +995,116 @@ def test_warm_commands_verify_only_new_blocks(world, tmp_path, capsys, monkeypat
     for name in ("load_block_file", "load_block_header"):
         original = getattr(chain_module, name)
         monkeypatch.setattr(chain_module, name, lambda d, h, digest, load=original: parsed.append(h) or load(d, h, digest))
+    # a host with two usable CPUs: the cold replay of the 140-block store forks a helper
+    monkeypatch.setattr(keys_module, "_usable_cpus", lambda: 2)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     submit_verifies = []
-    for home, head in ((small, 9), (big, 39)):
+    for home, head in homes:
+        forks.clear()
         assert run(capsys, "query", "--home", str(home), "--where", "kind=primary")[0] == 0  # writes the cache
+        assert len(forks) == (head == 139)
         for argv in (("query", "--where", "kind=primary"), ("proof", "--tx-id", tx_id)):
             verifies.clear()
             parsed.clear()
+            forks.clear()
             assert run(capsys, argv[0], "--home", str(home), *argv[1:])[0] == 0
-            assert (len(verifies), parsed) == (1, [head]), argv  # the head header's signature
+            assert (len(verifies), parsed, forks) == (1, [head], []), argv  # the head header's signature
         verifies.clear()
+        forks.clear()
         code, out, _ = run(capsys, "tx-submit", "--home", str(home), "--key", "user", "--body", str(body_file))
-        assert code == 0 and lines(out)[0]["height"] == head + 1
+        assert code == 0 and lines(out)[0]["height"] == head + 1 and forks == []
         submit_verifies.append(len(verifies))
-    assert submit_verifies[0] == submit_verifies[1]
+    assert [head for _, head in homes] == [9, 39, 139]
+    assert submit_verifies[0] == submit_verifies[1] == submit_verifies[2]
+
+
+# -- signatures verified by forked helpers ---------------------------------------------
+
+# 5 + 2 * 139 = 283 signatures: two shares of at least keys._MIN_SHARE, so a
+# replay of this store forks one helper, which verifies blocks 70 and up
+_HELPER_STORE_BLOCKS = 140
+
+
+def _resigned(header, keys, **changes):
+    header = dataclasses.replace(header, **changes)
+    return dataclasses.replace(header, signature=keys[header.creator].sign(header.signing_bytes).hex())
+
+
+def _with_forged_tx_signature(state, keys, user, height):
+    """Block height with its transaction signed over other bytes, its
+    commitments recomputed and its header re-signed: only that signature fails."""
+    block = state.blocks[height]
+    (tx,) = block.transactions
+    forged = dataclasses.replace(tx, signature=user.sign(b"other bytes").hex())
+    prior = [t.leaf_hash for b in state.blocks[:height] for t in b.transactions]
+    root, size = MerkleLog().extended_root(prior + [forged.leaf_hash])
+    header = _resigned(block.header, keys, tx_root=chain_module.tx_tree_root([forged.leaf_hash]),
+                       registry_root=root.hex(), registry_size=size)
+    return chain_module.block_bytes(Block(header, (forged,))) + b"\n"
+
+
+def _with_bad_header_signature(state, keys, height):
+    block = state.blocks[height]
+    header = dataclasses.replace(block.header, signature=keys[block.header.creator].sign(b"other bytes").hex())
+    return chain_module.block_bytes(Block(header, block.transactions)) + b"\n"
+
+
+def test_helpers_leave_every_verdict_and_error_unchanged(world, tmp_path, capsys, monkeypatch):
+    state, keys, user = world["state"], world["keys"], world["user"]
+    _grow(state, keys, user, _HELPER_STORE_BLOCKS - 1)
+    save_chain(state, world["chain"])
+    truncated = (pathlib.Path(world["chain"]) / "block_135.json").read_bytes()[:100]
+    cases = {  # height -> the bytes, or None for a directory, that replace block_<height>.json
+        "honest": ({}, None),
+        "bad_tx_signature_in_helper_share": ({120: _with_forged_tx_signature(state, keys, user, 120)},
+                                             (120, "InvalidTransaction")),
+        "bad_header_signature_in_helper_share": ({110: _with_bad_header_signature(state, keys, 110)},
+                                                 (110, "BadSignature")),
+        "failure_then_truncated_block": ({10: _with_bad_header_signature(state, keys, 10), 135: truncated},
+                                         (10, "BadSignature")),
+        "failure_then_directory": ({10: _with_bad_header_signature(state, keys, 10), 136: None},
+                                   (10, "BadSignature")),
+    }
+    monkeypatch.setattr(keys_module, "_usable_cpus", lambda: 2)
+    forks = []
+    real_fork = os.fork
+
+    def fork_with_helpers():
+        forks.append(1)
+        return real_fork()
+
+    def fork_refused():
+        forks.append(1)
+        raise OSError(11, "Resource temporarily unavailable")
+
+    for case, (damage, failure) in cases.items():
+        outcomes = {}
+        for mode, fork in (("helpers", fork_with_helpers), ("no_fork", fork_refused)):
+            for argv in (("chain-verify",), ("query", "--where", "kind=primary")):
+                home = tmp_path / case / mode / argv[0]  # a fresh store each run, so every query is cold
+                shutil.copytree(world["home"], home)
+                for height, data in damage.items():
+                    path = home / "chain" / f"block_{height}.json"
+                    os.remove(path)
+                    os.mkdir(path) if data is None else path.write_bytes(data)
+                forks.clear()
+                monkeypatch.setattr(os, "fork", fork)
+                outcomes[mode, argv[0]] = run(capsys, argv[0], "--home", str(home), *argv[1:])
+                monkeypatch.setattr(os, "fork", real_fork)
+                assert len(forks) == 1, (case, mode, argv)
+        for command in ("chain-verify", "query"):
+            assert outcomes["helpers", command] == outcomes["no_fork", command], (case, command)
+        code, out, _ = outcomes["helpers", "chain-verify"]
+        if failure is None:
+            assert code == 0 and lines(out)[-1]["blocks"] == _HELPER_STORE_BLOCKS
+            assert outcomes["helpers", "query"][0] == 0
+        else:
+            height, reason = failure
+            assert code == 3 and {k: lines(out)[-1][k] for k in ("error", "height")} == {"error": reason,
+                                                                                       "height": height}, case
+            assert lines(outcomes["helpers", "query"][1])[-1]["error"] == "InvalidBody", case
 
 
 def test_unwritable_head_cache_leaves_output_unchanged(world, capsys, monkeypatch):

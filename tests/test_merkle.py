@@ -82,7 +82,7 @@ def entries_for(n: int) -> list[bytes]:
 def build_log(entries: list[bytes]) -> MerkleLog:
     log = MerkleLog()
     for e in entries:
-        log.append(e)
+        log.append_leaf_hash(leaf_hash(e))
     return log
 
 
@@ -151,7 +151,7 @@ def test_domain_separation_leaf_vs_interior():
 def test_incremental_root_equals_from_scratch(entries):
     log = MerkleLog()
     for i, e in enumerate(entries):
-        log.append(e)
+        log.append_leaf_hash(leaf_hash(e))
         assert log.root() == oracle_root(entries[: i + 1])
 
 
@@ -161,7 +161,7 @@ def test_incremental_root_thousand_leaves():
     log = MerkleLog()
     checkpoints = {1, 2, 3, 5, 64, 65, 127, 128, 513, 1000}
     for i, e in enumerate(entries):
-        log.append(e)
+        log.append_leaf_hash(leaf_hash(e))
         if i + 1 in checkpoints:
             assert log.root() == oracle_root(entries[: i + 1])
 
@@ -413,7 +413,7 @@ def test_cached_proofs_match_oracle_at_every_size():
     roots = oracle_prefix_roots(entries)
     log = MerkleLog()
     for n in range(1, 301):
-        log.append(entries[n - 1])
+        log.append_leaf_hash(leaf_hash(entries[n - 1]))
         assert log.root() == roots[n]
         assert_proofs_match_oracle(log, entries[:n], roots, rng)
 
@@ -431,13 +431,13 @@ def test_cached_proofs_survive_fork_and_extended_root():
         )
         fork.extended_root([leaf_hash(b"x")] * k)
     for e in entries[150:]:
-        fork.append(e)
+        fork.append_leaf_hash(leaf_hash(e))
     roots = oracle_prefix_roots(entries)
     assert_proofs_match_oracle(log, entries[:150], roots, rng)
     assert_proofs_match_oracle(fork, entries, roots, rng)
     other = entries[:150] + [b"other-%d" % i for i in range(150)]
     for e in other[150:]:
-        log.append(e)
+        log.append_leaf_hash(leaf_hash(e))
     assert_proofs_match_oracle(log, other, oracle_prefix_roots(other), rng)
     assert_proofs_match_oracle(fork, entries, roots, rng)
 
@@ -492,13 +492,13 @@ def test_extend_equals_appends(held):
         entries = entries_for(held + n + 3)
         appended, extended = build_log(entries[:held]), build_log(entries[:held])
         for e in entries[held : held + n]:
-            appended.append(e)
+            appended.append_leaf_hash(leaf_hash(e))
         extended.extend(entries[held : held + n])
         assert (extended._levels, extended._peaks) == (appended._levels, appended._peaks)
         assert _observable(extended) == _observable(appended)
         for e in entries[held + n :]:
-            appended.append(e)
-            extended.append(e)
+            appended.append_leaf_hash(leaf_hash(e))
+            extended.append_leaf_hash(leaf_hash(e))
         assert _observable(extended) == _observable(appended)
     assert extended.root() == oracle_root(entries)
 
@@ -545,7 +545,7 @@ def test_proof_json_rejects_noncanonical():
 def test_fork_is_independent():
     log = build_log(entries_for(4))
     fork = log.fork()
-    fork.append(b"only in fork")
+    fork.append_leaf_hash(leaf_hash(b"only in fork"))
     assert log.size == 4
     assert fork.size == 5
     assert log.root() == oracle_root(entries_for(4))
