@@ -679,6 +679,14 @@ def _read_window(chain_dir: str, heights, digest):
             block = load_block_file(chain_dir, height, digest)
         except Exception as exc:
             return window, (height, exc)
+        # What validate_block computes first, computed in its order as each
+        # block is read: CPython keeps an instance dict compact only while
+        # instances add their attributes in one order soon after creation,
+        # and a dict that misses this is several times the size.
+        header = block.header
+        header.hash, header._verdicts
+        for tx in block.transactions:
+            tx.leaf_hash, tx.tx_id_ok
         window.append((height, block))
         signatures += 1 + len(block.transactions)
         if signatures >= _WINDOW_SIGNATURES:
@@ -692,18 +700,22 @@ def _verify_window(state: ChainState, window) -> None:
     where signed_by and signature_ok keep it, so validate_block reads them.
     A block file parses only when its parts are well formed, so building
     the items raises nothing."""
-    items, keep = [], []
+    items = []
     for _, block in window:
         header = block.header
         pub = state.roster_key(header.creator)
         if pub is not None:
             items.append((pub, header.signing_bytes, bytes.fromhex(header.signature)))
-            keep.append((header._verdicts, pub))
+        items.extend((tx.creator, tx.body_bytes, bytes.fromhex(tx.signature)) for tx in block.transactions)
+    verdicts = iter(verify_signatures(items))
+    del items  # the messages and signatures are not kept
+    for _, block in window:
+        header = block.header
+        pub = state.roster_key(header.creator)
+        if pub is not None:
+            header._verdicts[pub] = next(verdicts)
         for tx in block.transactions:
-            items.append((tx.creator, tx.body_bytes, bytes.fromhex(tx.signature)))
-            keep.append((vars(tx), "signature_ok"))
-    for (verdicts, key), verdict in zip(keep, verify_signatures(items)):
-        verdicts[key] = verdict
+            vars(tx)["signature_ok"] = next(verdicts)  # where the once attribute keeps it
 
 
 def _replay_blocks(chain_dir: str, state: ChainState, heights, digest, entries: list):
