@@ -4,9 +4,12 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import pathlib
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -783,6 +786,43 @@ def test_replayed_transactions_share_one_creator_string_per_key(tmp_path):
     creators = [tx.creator for b in state.blocks for tx in b.transactions]
     assert len(creators) > len(set(creators))
     assert len({id(c) for c in creators}) == len(set(creators))
+
+
+_INSTANCE_DICT_SIZES = """
+import sys
+from skyprov import chain
+chain_dir, how = sys.argv[1:]
+if how == "replay":
+    state, _, failure = chain.replay_chain(chain_dir)
+    assert failure is None
+else:  # each block validated as soon as it is read
+    state, digest, heights = chain._open_store(chain_dir)
+    for height in heights:
+        block = chain.load_block_file(chain_dir, height, digest)
+        assert chain.validate_block(state, block).ok
+        state.apply_block(block)
+print(max(sys.getsizeof(vars(tx)) for b in state.blocks for tx in b.transactions),
+      max(sys.getsizeof(vars(b.header)) for b in state.blocks))
+"""
+
+
+def test_reading_blocks_ahead_keeps_instance_dicts_small(chain3, tmp_path):
+    # A replay reads a window of blocks before it validates any. That must
+    # leave each transaction's and header's instance dict no larger than
+    # validating each block as it is read does. Each way runs in a fresh
+    # interpreter, whose classes have not yet shared any attribute keys.
+    state, keys = chain3
+    build_chain(state, keys, 40, txs_per_slot=2)
+    save_chain(state, str(tmp_path))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    sizes = {}
+    for how in ("replay", "serial"):
+        proc = subprocess.run([sys.executable, "-c", _INSTANCE_DICT_SIZES, str(tmp_path), how],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        sizes[how] = [int(size) for size in proc.stdout.split()]
+    assert all(replayed <= serial for replayed, serial in zip(sizes["replay"], sizes["serial"])), sizes
 
 
 def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
