@@ -59,12 +59,7 @@ from .errors import (
     UnsortedInput,
     UsageError,
 )
-from .index import (
-    QueryFilter,
-    index_from_obj,
-    index_to_obj,
-    query,
-)
+from .index import QueryFilter, index_to_obj, query
 from .keys import SigningKey, load_key_file, save_key_file, verify_signature
 from .merkle import (
     ConsistencyProof,

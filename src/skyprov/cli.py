@@ -21,7 +21,16 @@ from .aggregation import (
     publish_result,
     request_from_obj,
 )
-from .canonical import dumps_canonical, is_hex64, make_dirs, parse_json, read_file, write_canonical_file, write_file
+from .canonical import (
+    dumps_canonical,
+    dumps_validated,
+    is_hex64,
+    make_dirs,
+    parse_json,
+    read_file,
+    write_canonical_file,
+    write_file,
+)
 from .chain import (
     ORDERING_MODES,
     Checkpoint,
@@ -330,7 +339,7 @@ def cmd_query(args) -> int:
     f = parse_where(args.where)
     rows = query(load_chain(_chain_dir(args)).registry, f)
     for ds in rows:
-        sys.stdout.buffer.write(dumps_canonical(dataset_to_obj(ds)) + b"\n")
+        sys.stdout.buffer.write(dumps_validated(dataset_to_obj(ds)) + b"\n")  # dataset_to_obj checked every field
     _progress(f"{len(rows)} datasets matched")
     return 0
 
@@ -397,89 +406,122 @@ def cmd_publish(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+# Each subcommand once, in help order: name -> (help, arguments). An argument
+# is (flag, options); a tuple of arguments in its place is one required
+# mutually exclusive group. The handler of "tx-submit" is cmd_tx_submit,
+# looked up in this module when the command runs, so a wrapper set on the
+# module attribute (a profiler's, say) is the one that runs.
+_HOME = ("--home", {"required": True})
+_HOME_OPT = ("--home", {"default": None})
+_CHAIN = ("--chain", {"default": None})
+_CREATED_AT = ("--created-at", {"type": int, "default": None})
+
+COMMANDS = {
+    "keygen": ("create a named signing key under home", (
+        _HOME,
+        ("--name", {"required": True}),
+        ("--seed", {"type": int, "default": None, "help": "derive deterministically from a seed"}),
+    )),
+    "genesis-init": ("write a genesis file for a handler roster", (
+        _HOME,
+        _CHAIN,
+        ("--handler", {"action": "append", "required": True, "metavar": "NAME=PUBHEX|NAME=KEYNAME"}),
+        ("--slot-ms", {"type": int, "default": 100}),
+        ("--ordering", {"choices": ORDERING_MODES, "default": "fixed"}),
+        ("--genesis-time", {"type": int, "default": 1_000_000_000_000}),
+    )),
+    "sim-run": ("run a simulated handler network from a config file", (
+        ("--config", {"required": True}),
+        ("--seed", {"type": int, "default": None, "help": "override the config seed"}),
+        ("--trace", {"default": None, "help": "write the trace here instead of stdout"}),
+    )),
+    "tx-submit": ("sign a transaction body and seal it into a block", (
+        _HOME,
+        _CHAIN,
+        ("--key", {"required": True, "help": "signing key name under home/keys"}),
+        ("--body", {"required": True, "help": "JSON transaction body file"}),
+        _CREATED_AT,
+        ("--no-seal", {"action": "store_true", "help": "validate only, do not extend the chain"}),
+    )),
+    "chain-verify": ("replay a chain store with full validation", (
+        _HOME_OPT,
+        _CHAIN,
+        ("--checkpoint", {"default": None, "help": "also verify log consistency from this checkpoint"}),
+        ("--write-checkpoint", {"default": None, "help": "store the verified head as a checkpoint"}),
+    )),
+    "proof": ("emit an inclusion or consistency proof for the registry log", (
+        _HOME_OPT,
+        _CHAIN,
+        (("--tx-id", {"default": None}),
+         ("--consistency-from", {"type": int, "default": None, "metavar": "OLD_SIZE"})),
+    )),
+    "index-build": ("build the query index from a chain store", (
+        _HOME_OPT,
+        _CHAIN,
+        ("--out", {"default": None}),
+    )),
+    "query": ("query the registry; one dataset JSON per line", (
+        _HOME_OPT,
+        _CHAIN,
+        ("--where", {"action": "append", "default": [], "metavar": "K=V|K=lo..hi"}),
+    )),
+    "aggregate": ("run an aggregation request to a local sink", (
+        _HOME,
+        _CHAIN,
+        ("--request", {"required": True}),
+        ("--out", {"default": None, "help": "output file when the request has no sink"}),
+    )),
+    "publish": ("run an aggregation and register the result as a dataset", (
+        _HOME,
+        _CHAIN,
+        ("--request", {"required": True}),
+        ("--key", {"required": True}),
+        _CREATED_AT,
+        ("--no-seal", {"action": "store_true"}),
+    )),
+}
+
+
+def _add_arguments(parser: _Parser, arguments) -> None:
+    for argument in arguments:
+        if isinstance(argument[0], tuple):  # a required mutually exclusive group
+            group = parser.add_mutually_exclusive_group(required=True)
+            for flag, options in argument:
+                group.add_argument(flag, **options)
+        else:
+            flag, options = argument
+            parser.add_argument(flag, **options)
+
 
 def build_parser() -> _Parser:
+    """The parser of every subcommand: what main parses with when its first
+    argument names no subcommand (none, --help or an unknown name)."""
     parser = _Parser(prog="skyprov", description="registry, audit, and aggregation toolkit")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name, (help_text, arguments) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), arguments)
+    return parser
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
 
-    p = add("keygen", cmd_keygen, help="create a named signing key under home")
-    p.add_argument("--home", required=True)
-    p.add_argument("--name", required=True)
-    p.add_argument("--seed", type=int, default=None, help="derive deterministically from a seed")
-
-    p = add("genesis-init", cmd_genesis_init, help="write a genesis file for a handler roster")
-    p.add_argument("--home", required=True)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--handler", action="append", required=True, metavar="NAME=PUBHEX|NAME=KEYNAME")
-    p.add_argument("--slot-ms", type=int, default=100)
-    p.add_argument("--ordering", choices=ORDERING_MODES, default="fixed")
-    p.add_argument("--genesis-time", type=int, default=1_000_000_000_000)
-
-    p = add("sim-run", cmd_sim_run, help="run a simulated handler network from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--trace", default=None, help="write the trace here instead of stdout")
-
-    p = add("tx-submit", cmd_tx_submit, help="sign a transaction body and seal it into a block")
-    p.add_argument("--home", required=True)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--key", required=True, help="signing key name under home/keys")
-    p.add_argument("--body", required=True, help="JSON transaction body file")
-    p.add_argument("--created-at", type=int, default=None)
-    p.add_argument("--no-seal", action="store_true", help="validate only, do not extend the chain")
-
-    p = add("chain-verify", cmd_chain_verify, help="replay a chain store with full validation")
-    p.add_argument("--home", default=None)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--checkpoint", default=None, help="also verify log consistency from this checkpoint")
-    p.add_argument("--write-checkpoint", default=None, help="store the verified head as a checkpoint")
-
-    p = add("proof", cmd_proof, help="emit an inclusion or consistency proof for the registry log")
-    p.add_argument("--home", default=None)
-    p.add_argument("--chain", default=None)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--tx-id", default=None)
-    group.add_argument("--consistency-from", type=int, default=None, metavar="OLD_SIZE")
-
-    p = add("index-build", cmd_index_build, help="build the query index from a chain store")
-    p.add_argument("--home", default=None)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--out", default=None)
-
-    p = add("query", cmd_query, help="query the registry; one dataset JSON per line")
-    p.add_argument("--home", default=None)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--where", action="append", default=[], metavar="K=V|K=lo..hi")
-
-    p = add("aggregate", cmd_aggregate, help="run an aggregation request to a local sink")
-    p.add_argument("--home", required=True)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--request", required=True)
-    p.add_argument("--out", default=None, help="output file when the request has no sink")
-
-    p = add("publish", cmd_publish, help="run an aggregation and register the result as a dataset")
-    p.add_argument("--home", required=True)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--request", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--created-at", type=int, default=None)
-    p.add_argument("--no-seal", action="store_true")
-
+def command_parser(name: str) -> _Parser:
+    """The parser of one subcommand, as build_parser builds it as a
+    subparser: the same class and prog, so its help and errors are too."""
+    parser = _Parser(prog=f"skyprov {name}")
+    parser.set_defaults(command=name)
+    _add_arguments(parser, COMMANDS[name][1])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "fn", None):
-            raise UsageError("a subcommand is required (see --help)")
-        return args.fn(args)
+        if argv and argv[0] in COMMANDS:
+            args = command_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
+            if args.command is None:
+                raise UsageError("a subcommand is required (see --help)")
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as exc:
         _emit({"error": "UsageError", "message": str(exc)})
         return USAGE_EXIT

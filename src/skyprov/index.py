@@ -1,11 +1,12 @@
-"""Queries and snapshot files over the chain's registry.
+"""Queries and the snapshot file over the chain's registry.
 
 The registry every ChainState builds while it validates blocks
 (model.RegistryState) is the only representation of confirmed metadata.
-This module answers predicate queries by scanning it, and reads and
-writes the index snapshot file that ``index-build`` exports. The snapshot
-is not bound to the chain (it holds no log entries to check against a
-registry root), so no command reads it back.
+This module answers predicate queries by scanning it, testing each
+record's fields in place and building descriptors only for the datasets
+it returns, and writes the index snapshot file that ``index-build``
+exports. The snapshot is not bound to the chain (it holds no log entries
+to check against a registry root), so nothing reads it back.
 """
 
 from __future__ import annotations
@@ -14,20 +15,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
 
-from .canonical import _field_names, _require, _require_choice, _require_hex64, _require_int, _require_str, is_decimal
+from .canonical import _field_names, _require, _require_choice, _require_int, _require_str, is_decimal
 from .errors import InvalidBody
-from .model import (
-    DATASET_KINDS,
-    DatasetRecord,
-    RegisterProgram,
-    RegisterStorage,
-    RegistryState,
-    _RECORD_KEYS,
-    body_from_obj,
-    body_to_obj,
-    dataset_from_obj,
-    dataset_to_obj,
-)
+from .model import DATASET_KINDS, RegistryState, body_to_obj, dataset_to_obj
 
 # -- filters -------------------------------------------------------------------
 
@@ -106,8 +96,11 @@ def query(registry: RegistryState, f: QueryFilter):
     """Datasets satisfying every predicate, ordered by (time_range.start, dataset_id).
 
     f comes checked from filter_from_obj, which reads a request's filter and ``query --where``.
-    One scan over the registry. descendant_of collects parent-to-child links
-    during that scan and keeps the matches that descend from it afterwards.
+    One scan over the registry, testing each record's dataset_fields; only
+    the records returned are read for their descriptors, which a record the
+    head cache restored builds on first read. descendant_of collects
+    parent-to-child links during that scan and keeps the matches that
+    descend from it afterwards.
     """
     datasets = registry.datasets
     ancestors = None
@@ -118,39 +111,38 @@ def query(registry: RegistryState, f: QueryFilter):
     want_children = f.descendant_of is not None
     children = {}
 
-    out = []
+    hits = []  # (time_range.start, dataset_id, record)
     for dataset_id, record in datasets.items():
         if want_children:
             for parent in record.parents:
                 children.setdefault(parent, []).append(dataset_id)
         if ancestors is not None and dataset_id not in ancestors:
             continue
-        ds = record.descriptor  # built on first read for a record the head cache restored
-        if f.facility_id is not None and ds.facility_id != f.facility_id:
+        _, kind, storage_id, _, facility_id, (start, end), _, extra = record.dataset_fields
+        if f.facility_id is not None and facility_id != f.facility_id:
             continue
-        if f.storage_id is not None and ds.storage_id != f.storage_id:
+        if f.storage_id is not None and storage_id != f.storage_id:
             continue
-        if f.kind is not None and ds.kind != f.kind:
+        if f.kind is not None and kind != f.kind:
             continue
         if f.time_range is not None:
             lo, hi = f.time_range
-            start, end = ds.time_range
             if end < lo or start > hi:
                 continue
         if energy_min is not None:
-            upper = _decimal_or_none(ds.extra.get("energy_max"))
+            upper = _decimal_or_none(extra.get("energy_max"))
             if upper is None or upper < energy_min:
                 continue
         if energy_max is not None:
-            lower = _decimal_or_none(ds.extra.get("energy_min"))
+            lower = _decimal_or_none(extra.get("energy_min"))
             if lower is None or lower > energy_max:
                 continue
-        out.append(ds)
+        hits.append((start, dataset_id, record))
     if want_children:
         descendants = _reachable(f.descendant_of, lambda d: children.get(d, ()))
-        out = [ds for ds in out if ds.dataset_id in descendants]
-    out.sort(key=lambda d: (d.time_range[0], d.dataset_id))
-    return out
+        hits = [hit for hit in hits if hit[1] in descendants]
+    hits.sort(key=lambda hit: hit[:2])
+    return [record.descriptor for _, _, record in hits]
 
 
 # -- serialization (index snapshot file) ----------------------------------------------------
@@ -179,73 +171,3 @@ def index_to_obj(registry: RegistryState) -> dict:
         ],
         "storages": {sid: body_to_obj(body) for sid, body in sorted(registry.storages.items())},
     }
-
-
-# A program entry's keys are those of a register_program body without its
-# "type"; a dataset entry's are the record's fields, model._RECORD_KEYS.
-_PROGRAM_KEYS = _field_names(RegisterProgram)
-
-
-def index_from_obj(obj) -> RegistryState:
-    """Parse an untrusted snapshot. Every shape is checked, every key must
-    name its entry, and every reference must resolve inside the snapshot."""
-    _require(isinstance(obj, dict) and set(obj) == {"built_to", "datasets", "programs", "storages"},
-             "index snapshot keys malformed")
-    registry = RegistryState()
-
-    built = obj["built_to"]
-    _require(isinstance(built, dict) and set(built) == {"height", "registry_size"}, "built_to malformed")
-    height = _require_int(built["height"], "built_to.height")
-    size = _require_int(built["registry_size"], "built_to.registry_size")
-    _require(height >= -1 and size >= 0, "built_to out of range")
-    registry.built_to = (height, size)
-
-    _require(isinstance(obj["storages"], dict), "storages must be an object")
-    for storage_id, body_obj in obj["storages"].items():
-        body = body_from_obj(body_obj)
-        _require(isinstance(body, RegisterStorage) and body.storage_id == storage_id,
-                 "storage entry {!r} malformed", storage_id)
-        registry.storages[storage_id] = body
-
-    _require(isinstance(obj["programs"], list), "programs must be a list")
-    for entry in obj["programs"]:
-        _require(isinstance(entry, dict) and entry.keys() == _PROGRAM_KEYS,
-                 "program entry malformed")
-        key = (_require_str(entry["program_id"], "program_id"), _require_str(entry["version"], "version"))
-        _require(key not in registry.programs, "program {}@{} listed twice", *key)
-        registry.programs[key] = _require_hex64(entry["code_hash"], "code_hash")
-
-    _require(isinstance(obj["datasets"], dict), "datasets must be an object")
-    for dataset_id, entry in obj["datasets"].items():
-        _require(isinstance(entry, dict) and entry.keys() == _RECORD_KEYS, "dataset entry {!r} malformed", dataset_id)
-        descriptor = dataset_from_obj(entry["descriptor"])
-        parents, program = entry["parents"], entry["program"]
-        _require(descriptor.dataset_id == dataset_id, "dataset entry {!r} holds {!r}", dataset_id, descriptor.dataset_id)
-        _require(descriptor.storage_id in registry.storages, "dataset {!r} on unknown storage", dataset_id)
-        _require(isinstance(parents, list), "dataset {!r} parents must be a list", dataset_id)
-        for parent in parents:
-            _require_str(parent, "parent dataset id")
-        _require(len(set(parents)) == len(parents), "dataset {!r} lists a parent twice", dataset_id)
-        if program is None:
-            _require(descriptor.kind == "primary" and not parents, "dataset {!r} lineage malformed", dataset_id)
-        else:
-            _require(isinstance(program, dict) and set(program) == {"program_id", "program_version"},
-                     "dataset {!r} program malformed", dataset_id)
-            program = (_require_str(program["program_id"], "program_id"),
-                       _require_str(program["program_version"], "program_version"))
-            _require(descriptor.kind == "secondary" and parents and program in registry.programs,
-                     "dataset {!r} lineage malformed", dataset_id)
-        registry.datasets[dataset_id] = DatasetRecord(
-            descriptor=descriptor,
-            parents=tuple(parents),
-            program=program,
-            tx_id=_require_hex64(entry["tx_id"], "tx_id"),
-        )
-
-    for dataset_id, record in registry.datasets.items():
-        _require(all(p in registry.datasets and p != dataset_id for p in record.parents),
-                 "dataset {!r} names an unknown parent", dataset_id)
-    # publish-once: every confirmed transaction added exactly one entry
-    entries = len(registry.storages) + len(registry.programs) + len(registry.datasets)
-    _require(size == entries, "built_to registry_size does not count the snapshot's entries")
-    return registry

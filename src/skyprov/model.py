@@ -569,12 +569,22 @@ class DatasetRecord:
             return NotImplemented
         return _same_fields(self, other, _RECORD_KEYS)
 
+    @once
+    def dataset_fields(self) -> tuple:
+        """The dataset's fields as _dataset_fields gives them: what a query
+        tests. A restored record holds them; a record apply() made derives
+        them from its descriptor on first read."""
+        ds = self.descriptor
+        refs = tuple([(r.path, r.content_hash, r.size, r.format) for r in ds.file_refs])
+        return (ds.dataset_id, ds.kind, ds.storage_id, refs, ds.facility_id, tuple(ds.time_range),
+                ds.detector_geometry_hash, ds.extra)
+
 
 _RECORD_KEYS = _field_names(DatasetRecord)
 
 
 def _restored_descriptor(record: DatasetRecord) -> DatasetDescriptor:
-    return _dataset_from_fields(record._dataset_fields)
+    return _dataset_from_fields(record.dataset_fields)
 
 
 # Reached only where __init__ set no descriptor, on a restored record. Set
@@ -667,7 +677,7 @@ def fold_log_entries(entries) -> tuple:
             _set(record, "parents", parents)
             _set(record, "program", program)
             _set(record, "tx_id", tx_id)
-            _set(record, "_dataset_fields", _dataset_fields(dataset))
+            _set(record, "dataset_fields", _dataset_fields(dataset))
             datasets[dataset["dataset_id"]] = record
     return registry, tx_index
 

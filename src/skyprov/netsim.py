@@ -400,6 +400,15 @@ class Simulation:
             )
         )
 
+    def sign(self, body, created_at: int):
+        """A client transaction, with what every node computes of it computed
+        now, in a replay's order: CPython keeps a class's instance dicts
+        compact only while instances add their attributes in one order soon
+        after creation, and the workload is signed before any node reads it."""
+        tx = sign_transaction(body, self.client, created_at=created_at)
+        tx.leaf_hash, tx.tx_id_ok
+        return tx
+
     def schedule_workload(self):
         bootstrap = [
             RegisterStorage(
@@ -414,21 +423,12 @@ class Simulation:
                 code_hash=SigningKey.from_seed(b"sim-code").public_hex,
             ),
         ]
-        txs = [
-            sign_transaction(body, self.client, created_at=self.config.genesis_time)
-            for body in bootstrap
-        ]
+        txs = [self.sign(body, self.config.genesis_time) for body in bootstrap]
         for slot in range(self.config.duration_slots):
             t = slot * self.config.slot_duration_ms
             slot_txs = list(txs) if slot == 0 else []
             for k in range(self.config.txs_per_slot):
-                slot_txs.append(
-                    sign_transaction(
-                        self.make_publish_body(slot, k),
-                        self.client,
-                        created_at=self.genesis.slot_start_time(slot) + k + 1,
-                    )
-                )
+                slot_txs.append(self.sign(self.make_publish_body(slot, k), self.genesis.slot_start_time(slot) + k + 1))
             if slot_txs:
                 self.push(t, PRIORITY_DELIVER, "client", ("txs", slot, tuple(slot_txs)))
 

@@ -825,6 +825,40 @@ def test_reading_blocks_ahead_keeps_instance_dicts_small(chain3, tmp_path):
     assert all(replayed <= serial for replayed, serial in zip(sizes["replay"], sizes["serial"])), sizes
 
 
+_SIM_INSTANCE_DICT_SIZES = """
+import json, sys
+from skyprov import chain, netsim
+chain_dir, config = sys.argv[1:]
+sim = netsim.Simulation(netsim.sim_config_from_obj(json.loads(config)))
+sim.run()
+print(max(sys.getsizeof(vars(tx)) for node in sim.nodes.values() for b in node.state.blocks for tx in b.transactions))
+chain.save_chain(sim.nodes["h0"].state, chain_dir)
+"""
+
+
+def test_simulated_transactions_keep_instance_dicts_as_small_as_replayed_ones(tmp_path):
+    # A sim signs its whole workload before any node reads a transaction.
+    # Each transaction a node holds must still have an instance dict no
+    # larger than the same transaction replayed from a store, each side in
+    # a fresh interpreter.
+    config = json.dumps({
+        "seed": 301, "handlers": 5, "slot_duration_ms": 100, "duration_slots": 48,
+        "latency_ms": {"min": 5, "max": 60}, "txs_per_slot": 3,
+        "faults": [{"kind": "offline", "handler": "h2", "from_slot": 10, "to_slot": 14},
+                   {"kind": "tamper_history", "handler": "h4", "slot": 30, "height": 5, "resign": 1}],
+    })
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    sizes = []
+    for script, args in ((_SIM_INSTANCE_DICT_SIZES, (config,)), (_INSTANCE_DICT_SIZES, ("replay",))):
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), *args],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        sizes.append(int(proc.stdout.split()[0]))
+    simulated, replayed = sizes
+    assert simulated <= replayed, sizes
+
+
 def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
     # A block file is accepted only as the join of its parts' wire bytes, and
     # genesis.json only as the genesis's wire bytes, so replay never calls

@@ -1,6 +1,6 @@
 """Index tests: predicate queries over the chain's registry vs a brute-force
-scan oracle, snapshot file round-trips and hardening, and fetch-plan
-resolution.
+scan oracle, snapshot files, and the registry folded back from the
+registry log.
 
 The oracle never looks at the registry. It re-derives every answer from the
 wire form of confirmed transactions, so agreement means the registry the
@@ -16,14 +16,8 @@ from conftest import GEOMETRY_HASH, key_for, make_dataset, program_body, storage
 from skyprov.canonical import dumps_canonical
 from skyprov.chain import produce_block
 from skyprov.errors import InvalidBody
-from skyprov.index import (
-    QueryFilter,
-    index_from_obj,
-    index_to_obj,
-    query,
-    validate_filter,
-)
-from skyprov.model import DeriveDataset, PublishDataset, sign_transaction, tx_to_obj
+from skyprov.index import QueryFilter, index_to_obj, query, validate_filter
+from skyprov.model import DeriveDataset, PublishDataset, dataset_to_obj, fold_log_entries, sign_transaction, tx_to_obj
 
 
 # -- oracle: brute-force scan over confirmed transaction wire objects ---------------
@@ -323,91 +317,31 @@ def test_randomized_query_equivalence(seed, chain3_factory):
 # -- snapshot serialization ------------------------------------------------------------
 
 
+def _folded(state, blocks):
+    """The registry the head cache restores: folded from the registry log's
+    entries, each record holding its dataset's fields in place of a
+    descriptor."""
+    registry, _ = fold_log_entries([tx.wire_bytes for block in blocks for tx in block.transactions])
+    registry.built_to = state.registry.built_to
+    return registry
+
+
 def test_snapshot_roundtrip_bit_identical(populated):
-    state, _ = populated
+    # the registry's one way back in is its log: folded from it, it writes the same snapshot bytes
+    state, blocks = populated
     index = state.registry
-    wire = dumps_canonical(index_to_obj(index))
-    back = index_from_obj(index_to_obj(index))
-    assert dumps_canonical(index_to_obj(back)) == wire
-    assert back.built_to == index.built_to
+    back = _folded(state, blocks)
+    assert all("descriptor" not in vars(record) for record in back.datasets.values())
+    assert dumps_canonical(index_to_obj(back)) == dumps_canonical(index_to_obj(index))
 
 
 def test_snapshot_roundtrip_preserves_queries(populated):
-    state, _ = populated
+    state, blocks = populated
     index = state.registry
-    back = index_from_obj(index_to_obj(index))
     for f in FILTERS:
-        assert [d.dataset_id for d in query(back, f)] == [d.dataset_id for d in query(index, f)]
-
-
-def _rename_dataset(obj):
-    obj["datasets"]["ds-z"] = obj["datasets"].pop("ds-a")
-
-
-def _rename_storage(obj):
-    obj["storages"]["st-9"] = obj["storages"].pop("st-1")
-
-
-def _dataset_as_storage(obj):
-    obj["storages"]["st-1"] = {"type": "publish_dataset", "dataset": obj["datasets"]["ds-a"]["descriptor"]}
-
-
-def _unknown_parent(obj):
-    obj["datasets"]["ds-e"]["parents"] = ["ds-ghost"]
-
-
-def _unregistered_program(obj):
-    obj["datasets"]["ds-d"]["program"]["program_version"] = "9.9"
-
-
-def _list_program_id(obj):
-    obj["datasets"]["ds-d"]["program"]["program_id"] = ["prog-1"]
-
-
-def _primary_with_parents(obj):
-    obj["datasets"]["ds-a"]["parents"] = ["ds-b"]
-
-
-def _size_mismatch(obj):
-    obj["built_to"]["registry_size"] += 1
-
-
-def _bool_height(obj):
-    obj["built_to"]["height"] = True
-
-
-def _short_tx_id(obj):
-    obj["datasets"]["ds-c"]["tx_id"] = "ab"
-
-
-def _duplicate_program(obj):
-    obj["programs"].append(dict(obj["programs"][0]))
-
-
-def _bad_datasets(obj):
-    obj["datasets"] = []
-
-
-def _program_without_code_hash(obj):
-    del obj["programs"][0]["code_hash"]
-
-
-def _scalar_built_to(obj):
-    obj["built_to"] = 5
-
-
-SNAPSHOT_DAMAGE = [
-    _rename_dataset, _rename_storage, _dataset_as_storage, _unknown_parent, _unregistered_program,
-    _list_program_id, _primary_with_parents, _size_mismatch, _bool_height, _short_tx_id, _duplicate_program,
-    _bad_datasets, _program_without_code_hash, _scalar_built_to,
-]
-
-
-@pytest.mark.parametrize("damage", SNAPSHOT_DAMAGE, ids=[d.__name__.strip("_") for d in SNAPSHOT_DAMAGE])
-def test_snapshot_from_obj_rejects_damage(populated, damage):
-    state, _ = populated
-    obj = index_to_obj(state.registry)
-    index_from_obj(index_to_obj(state.registry))  # the honest snapshot loads
-    damage(obj)
-    with pytest.raises(InvalidBody):
-        index_from_obj(obj)
+        back = _folded(state, blocks)
+        got = [dumps_canonical(dataset_to_obj(d)) for d in query(back, f)]
+        assert got == [dumps_canonical(dataset_to_obj(d)) for d in query(index, f)], f
+        # a restored record builds its descriptor only when the query returns it
+        assert {d for d, record in back.datasets.items() if "descriptor" in vars(record)} == {
+            d.dataset_id for d in query(index, f)}, f
