@@ -23,7 +23,7 @@ import json
 import json.scanner
 import os
 import re
-from typing import Any, Iterable, Union
+from typing import Any
 
 from .errors import AlreadyExists, InvalidBody, IoError
 
@@ -189,23 +189,27 @@ def dumps_validated(value: Any) -> bytes:
         raise InvalidBody(f"value has no UTF-8 form: {exc}") from exc
 
 
-# (value, offset after it) of the JSON value that starts at an offset of a
-# str; StopIteration when none starts there.
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def scan_one_json(data: bytes) -> Any:
-    """The one JSON value UTF-8 data holds, read by one prebuilt scanner,
-    for readers that parse one value per line and check its form after.
-    json.loads would also sniff the encoding and skip whitespace, which no
-    canonical line holds. InvalidBody when data holds no value or more
-    than one; ValueError for bad UTF-8 or JSON or an over-long integer, and
-    RecursionError for deep nesting, as json.loads raises them."""
-    text = data.decode("utf-8")
+def scan_json(text: str, at: int) -> tuple:
+    """(value, offset after it) of the JSON value that starts at offset at
+    of text, read by one prebuilt scanner, for readers that check the form
+    of what they scanned after. json.loads would also sniff the encoding
+    and skip whitespace, which no canonical bytes hold. InvalidBody when no
+    value starts there; ValueError for bad JSON or an over-long integer,
+    and RecursionError for deep nesting, as json.loads raises them."""
     try:
-        value, end = _scan_json(text, 0)
-    except StopIteration:  # no JSON value starts at 0
-        end = -1
+        return _scan_json(text, at)
+    except StopIteration:  # which a generator calling this would turn into RuntimeError
+        raise InvalidBody("not one JSON value") from None
+
+
+def scan_one_json(data: bytes) -> Any:
+    """The one JSON value UTF-8 data holds, as scan_json reads it; InvalidBody
+    unless data holds exactly one, and ValueError for bad UTF-8."""
+    text = data.decode("utf-8")
+    value, end = scan_json(text, 0)
     _require(end == len(text), "not one JSON value")
     return value
 
@@ -300,15 +304,11 @@ def read_canonical_file(path: str, what: str) -> Any:
     return loads_canonical_file(read_file(path, what))
 
 
-def write_file(path: str, data: Union[bytes, Iterable[bytes]], exclusive: bool = False, mode: int = 0o666) -> None:
-    """Write data, bytes or an iterable of bytes pieces, to path; exclusive
-    refuses an existing path with AlreadyExists."""
+def write_file(path: str, data: bytes, exclusive: bool = False, mode: int = 0o666) -> None:
+    """Write data to path; exclusive refuses an existing path with AlreadyExists."""
     try:
         with open(path, "xb" if exclusive else "wb", opener=lambda p, flags: os.open(p, flags, mode)) as fh:
-            if isinstance(data, bytes):
-                fh.write(data)
-            else:
-                fh.writelines(data)
+            fh.write(data)
     except FileExistsError as exc:
         raise AlreadyExists(f"{path} already exists") from exc
     except OSError as exc:
@@ -319,7 +319,7 @@ def write_canonical_file(path: str, obj: Any, **kwargs) -> None:
     write_file(path, dumps_canonical(obj) + b"\n", **kwargs)
 
 
-def replace_file(path: str, data: Union[bytes, Iterable[bytes]]) -> None:
+def replace_file(path: str, data: bytes) -> None:
     """Write data to a temp name beside path, then rename it over path, so a
     reader sees the whole old file or the whole new one. The temp name holds
     the process id, so two writers never share one."""

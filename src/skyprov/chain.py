@@ -33,6 +33,7 @@ from .canonical import (
     parse_json,
     read_file,
     replace_file,
+    scan_json,
     sha256_bytes,
     write_file,
 )
@@ -401,19 +402,14 @@ class ChainState:
         return (slot // n) * n
 
     def seed_for_slot(self, slot: int) -> bytes:
-        """The reshuffle seed of slot's rotation cycle: the hash of the last
-        block before the cycle, or the genesis hash."""
+        """The reshuffle seed of slot's rotation cycle, the head's or a later
+        one: the hash of the last block before it, or the genesis hash."""
         cycle_start = self._cycle_start(slot)
         if self.last_slot() < cycle_start:
             return digest_from_hex(self._head_hash)
         if self._cycle_seed[0] == cycle_start:
             return digest_from_hex(self._cycle_seed[1])
-        if self.blocks is None:
-            raise NotFound(f"slot {slot} is in a cycle before the head's, and this state holds no block list")
-        for block in reversed(self.blocks):  # a cycle before the head's
-            if block.header.slot < cycle_start:
-                return digest_from_hex(block.header.hash)
-        return digest_from_hex(self.config.hash)
+        raise NotFound(f"slot {slot} is in a cycle before the head's")
 
     def scheduled_handler(self, slot: int) -> str:
         # fixed mode ignores the seed, so none is derived for it
@@ -638,16 +634,6 @@ def load_block_file(chain_dir: str, height: int, digest) -> Block:
     return block_from_bytes(data.removesuffix(b"\n"))
 
 
-def load_block_header(chain_dir: str, height: int, digest) -> BlockHeader:
-    """The header of block_N.json, after feeding the file's exact bytes to
-    digest; its transactions are parsed but not built or checked."""
-    data = read_file(_block_path(chain_dir, height), "block file")
-    _feed(digest, data)
-    obj = parse_json(data)
-    _require(isinstance(obj, dict) and obj.keys() == _BLOCK_KEYS, "block keys malformed")
-    return header_from_obj(obj["header"])
-
-
 def _open_store(chain_dir: str):
     """(empty state, digest over genesis.json, stored heights) of a chain store."""
     data = read_file(_genesis_path(chain_dir), "genesis")
@@ -718,9 +704,8 @@ def _verify_window(state: ChainState, window) -> None:
             vars(tx)["signature_ok"] = next(verdicts)  # where the once attribute keeps it
 
 
-def _replay_blocks(chain_dir: str, state: ChainState, heights, digest, entries: list):
-    """Validate and apply the stored blocks at heights, in order, appending
-    the wire bytes of each applied transaction to entries; returns
+def _replay_blocks(chain_dir: str, state: ChainState, heights, digest):
+    """Validate and apply the stored blocks at heights, in order; returns
     (results, failure) as replay_chain describes them. Blocks are read and
     their signatures verified a window at a time, and then validated one by
     one, so results, failures and exceptions come in height order."""
@@ -735,7 +720,6 @@ def _replay_blocks(chain_dir: str, state: ChainState, heights, digest, entries: 
             if not verdict.ok:
                 return results, (height, verdict)
             state.apply_block(block)
-            entries.extend(tx.wire_bytes for tx in block.transactions)
         if fault is not None:
             height, exc = fault
             if not isinstance(exc, InvalidBody):
@@ -758,50 +742,67 @@ def replay_chain(chain_dir: str):
     stored bytes are not canonical.
     """
     state, digest, heights = _open_store(chain_dir)
-    results, failure = _replay_blocks(chain_dir, state, heights, digest, [])
+    results, failure = _replay_blocks(chain_dir, state, heights, digest)
     return state, results, failure
 
 
 # The head cache records the state that validating blocks 0..height
 # produced, so that load_chain can restore it and validate only the blocks
-# stored after it. Line 1 is the canonical object {cycle_seed, files_digest,
-# genesis_hash, head_hash, height}; each later line is one registry log
-# entry, a confirmed transaction's wire bytes, in log order. The cache is
-# trusted no more than the store it sits in: it is used only while its
-# digest matches the exact bytes of genesis.json and of every block file it
-# covers, the head block hashes to its head_hash, and the head's signature
-# verifies under its creator's roster key (one Ed25519 verify); of the
-# blocks, only the head's header is built. The entries are hashed into a
-# fresh log in one batch, which must match the head header's registry
-# commitment before any entry is parsed; so each entry is exactly the bytes
-# of a transaction validated into the chain. model.fold_log_entries then
-# reads each for its shape only and folds the registry from them in log
-# order, as apply_block folds it, without building their transactions.
+# stored after it: the canonical object {cycle_seed, files_digest,
+# genesis_hash, head_hash, height} plus "\n". It is trusted no more than
+# the store it sits in: it is used only while its digest matches the exact
+# bytes of genesis.json and of every block file it covers, the head block
+# hashes to its head_hash, the head's signature verifies under its
+# creator's roster key (one Ed25519 verify), and the covered transactions
+# hash to the head header's registry commitment. Of the headers, only the
+# head's is built. Each transaction is scanned once, from the bytes the
+# digest reads: those exact bytes are its leaf, and its object goes to
+# model.fold_log_entries, which checks its shape only and folds the
+# registry in log order, as apply_block folds it, without building it.
 _CACHE_KEYS = {"cycle_seed", "files_digest", "genesis_hash", "head_hash", "height"}
+
+# In canonical block bytes the first match is the transactions array's key,
+# since a bare '"' never occurs inside a JSON string. From other bytes, the
+# values scanned differ from those the head commits to.
+_TXS_KEY = '"transactions":['
+
+
+def _scan_log_entries(chain_dir: str, height: int, head: bytes, covered, entries: list):
+    """Yield the object of each transaction in block files 0..height, head
+    being block height's bytes, in log order. Each file's bytes are fed to
+    covered, and each transaction's exact bytes appended to entries."""
+    for h in range(height + 1):
+        data = head if h == height else read_file(_block_path(chain_dir, h), "block file")
+        _feed(covered, data)
+        text = data.decode("utf-8")
+        _require(text.endswith("]}\n"), "block file does not end its transactions array")
+        at, stop = text.index(_TXS_KEY) + len(_TXS_KEY), len(text) - 3
+        while at < stop:
+            obj, end = scan_json(text, at)
+            entries.append(text[at:end].encode("utf-8"))
+            yield obj
+            _require(end == stop or text[end] == "," and end + 1 < stop, "transactions array malformed")
+            at = end + 1
 
 
 def _restore_head(chain_dir: str, state: ChainState, digest, heights):
     """Restore state from the head cache when it matches the store.
 
-    Returns (cached height, digest over genesis.json and blocks 0..height,
-    the cache's log entries). Returns (-1, digest, []) and leaves state and
-    digest untouched when the cache is missing, unreadable or does not match.
+    Returns (cached height, digest over genesis.json and blocks 0..height).
+    Returns (-1, digest) and leaves state and digest untouched when the
+    cache is missing, unreadable or does not match.
     """
     try:
-        # a file with no "\n" has no last line to unpack: ValueError
-        head_line, *entries, last = read_file(os.path.join(chain_dir, HEAD_CACHE), "head cache").split(b"\n")
-        _require(last == b"", "head cache does not end in a newline")
         # plain json.loads: every field is checked below
-        cache = json.loads(head_line)
+        cache = json.loads(read_file(os.path.join(chain_dir, HEAD_CACHE), "head cache"))
         _require(isinstance(cache, dict) and set(cache) == _CACHE_KEYS, "head cache keys malformed")
         height = cache["height"]
         _require(_require_count(height, "head cache height") < len(heights), "head cache height is not stored")
         _require(cache["genesis_hash"] == state.genesis_hash_hex, "head cache names another genesis")
-        covered = digest.copy()
-        for h in range(height):
-            _feed(covered, read_file(_block_path(chain_dir, h), "block file"))
-        header = load_block_header(chain_dir, height, covered)
-        _require(covered.hexdigest() == cache["files_digest"], "store bytes differ from the head cache's")
+        head = read_file(_block_path(chain_dir, height), "block file")
+        text = head.decode("utf-8")
+        _require(text.startswith('{"header":'), "head block malformed")
+        header = header_from_obj(scan_json(text, len('{"header":'))[0])
         _require(header.hash == cache["head_hash"], "head block differs from the head cache's")
         cycle = cache["cycle_seed"]
         _require(isinstance(cycle, dict) and set(cycle) == {"seed", "start"}, "head cache cycle seed malformed")
@@ -809,23 +810,25 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
         _require(_require_int(cycle["start"], "cycle start") == state._cycle_start(header.slot), "cycle start malformed")
         pub = state.roster_key(header.creator)
         _require(pub is not None and header.signed_by(pub), "head block is not signed by its creator's roster key")
+        covered, entries = digest.copy(), []
+        registry, tx_index = fold_log_entries(_scan_log_entries(chain_dir, height, head, covered, entries))
+        _require(covered.hexdigest() == cache["files_digest"], "store bytes differ from the head cache's")
         log = MerkleLog()
         log.extend(entries)
         _require(log.root().hex() == header.registry_root and log.size == header.registry_size,
-                 "head cache entries do not match the head's registry commitment")
-        registry, tx_index = fold_log_entries(entries)
+                 "covered transactions do not match the head's registry commitment")
         registry.built_to = (height, log.size)
-    # Entries bound to a validated head never raise here. A head block that
-    # a roster key re-signed, with a cache to match, can commit to any bytes:
-    # ValueError and RecursionError from parsing a line, TypeError from an
-    # unhashable id. Each means a full replay, which reports the damage.
+    # Until every check has passed, the files hold any bytes: ValueError
+    # from decoding or scanning them, RecursionError from deep nesting and
+    # TypeError from an unhashable id. Each means a full replay, which
+    # reports any damage.
     except (SkyprovError, ValueError, TypeError, RecursionError):
-        return -1, digest, []
+        return -1, digest
     state._adopt_head(header, log, registry, tx_index, (cycle["start"], cycle["seed"]))
-    return height, covered, entries
+    return height, covered
 
 
-def _write_head_cache(chain_dir: str, state: ChainState, digest, entries) -> None:
+def _write_head_cache(chain_dir: str, state: ChainState, digest) -> None:
     start, seed = state._cycle_seed
     head = {
         "cycle_seed": {"seed": seed, "start": start},
@@ -835,7 +838,7 @@ def _write_head_cache(chain_dir: str, state: ChainState, digest, entries) -> Non
         "height": state.head_height,
     }
     try:
-        replace_file(os.path.join(chain_dir, HEAD_CACHE), (line + b"\n" for line in (dumps_validated(head), *entries)))
+        replace_file(os.path.join(chain_dir, HEAD_CACHE), dumps_validated(head) + b"\n")
     except IoError:
         pass  # the cache only saves time: a store that cannot take it still loads in full
 
@@ -843,20 +846,20 @@ def _write_head_cache(chain_dir: str, state: ChainState, digest, entries) -> Non
 def load_chain(chain_dir: str) -> ChainState:
     """The validated head state of a stored chain, without a block list.
 
-    Restores the head cache when it matches the store, rebuilding the
-    registry from the cache's log entries, and validates only the blocks
-    stored after it; otherwise validates every block, as replay_chain does.
-    After validating any block the cache did not cover, rewrites it with
-    every log entry up to the new head. Raises as replay_chain does, and
+    Restores the head cache when it matches the store, folding the registry
+    from the transactions of the block files it covers, and validates only
+    the blocks stored after it; otherwise validates every block, as
+    replay_chain does. After validating any block the cache did not cover,
+    rewrites it for the new head. Raises as replay_chain does, and
     InvalidBody when a block does not validate.
     """
     state, digest, heights = _open_store(chain_dir)
     state.blocks = None
-    cached, digest, entries = _restore_head(chain_dir, state, digest, heights)
-    _, failure = _replay_blocks(chain_dir, state, heights[cached + 1:], digest, entries)
+    cached, digest = _restore_head(chain_dir, state, digest, heights)
+    _, failure = _replay_blocks(chain_dir, state, heights[cached + 1:], digest)
     if failure is not None:
         height, verdict = failure
         raise InvalidBody(f"chain invalid at height {height}: {verdict.reason}: {verdict.detail}")
     if state.head_height > cached:
-        _write_head_cache(chain_dir, state, digest, entries)
+        _write_head_cache(chain_dir, state, digest)
     return state

@@ -28,7 +28,6 @@ from .canonical import (
     is_hex128,
     once,
     parse_json,
-    scan_one_json,
     sha256_bytes,
 )
 from .errors import InvalidBody, NotFound
@@ -226,13 +225,6 @@ def dataset_to_obj(ds: DatasetDescriptor) -> dict:
     obj["file_refs"] = [{name: getattr(r, name) for name in _FILE_REF_KEYS} for r in ds.file_refs]
     obj["time_range"] = {"end": ds.time_range[1], "start": ds.time_range[0]}
     return obj
-
-
-def dataset_from_obj(obj: Any) -> DatasetDescriptor:
-    _check_dataset_obj(obj)
-    ds = _dataset_from_fields(_dataset_fields(obj))
-    validate_dataset(ds)
-    return ds
 
 
 def _check_dataset_obj(obj: Any) -> None:
@@ -638,23 +630,22 @@ class RegistryState:
             )
 
 
-def fold_log_entries(entries) -> tuple:
-    """(registry, tx index) folded from registry log entries in log order,
-    as ChainState.apply_block folds their transactions.
+def fold_log_entries(objs) -> tuple:
+    """(registry, tx index) folded from the parsed registry log entries
+    objs, in log order, as ChainState.apply_block folds their transactions.
 
-    Only for entries bound to a validated chain by its registry root (the
-    head cache's): the bytes are those of transactions validated into the
-    chain, so no field is checked again. Each entry is checked for its
-    shape only: it must be exactly one JSON value, read by one prebuilt
-    scanner, with the keys of a transaction, its body and its dataset, and
-    each parent it names must be a dataset folded before it. No transaction
-    is built, and of the bodies only a storage registration, which the
-    registry keeps. A dataset's record builds its descriptor on first read.
+    Only for entries that the caller binds to a validated chain by its
+    registry root before it uses the result (the head cache's restore): the
+    bytes are those of transactions validated into the chain, so no field
+    is checked again. Each object is checked for its shape only: the keys
+    of a transaction, its body and its dataset, and each parent it names
+    must be a dataset folded before it. No transaction is built, and of the
+    bodies only a storage registration, which the registry keeps. A
+    dataset's record builds its descriptor on first read.
     """
     registry, tx_index = RegistryState(), {}
     storages, programs, datasets = registry.storages, registry.programs, registry.datasets
-    for i, data in enumerate(entries):
-        obj = scan_one_json(data)
+    for i, obj in enumerate(objs):
         _check_tx_obj(obj)
         body = obj["body"]
         cls = _check_body_obj(body)

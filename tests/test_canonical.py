@@ -52,7 +52,6 @@ from skyprov.model import (
     body_from_obj,
     body_to_obj,
     canonical_bytes,
-    dataset_from_obj,
     dataset_to_obj,
     event_from_obj,
     event_to_obj,
@@ -232,7 +231,8 @@ def test_trailing_newline_is_rejected(chain3, wire, path):
         "tx": (tx_to_obj(tx), tx_from_obj),
         "genesis": (genesis_to_obj(state.config), genesis_from_obj),
         "checkpoint": (state.checkpoint().to_obj(), Checkpoint.from_obj),
-        "dataset": (dataset_to_obj(make_dataset("ds-nl")), dataset_from_obj),
+        "dataset": (dataset_to_obj(make_dataset("ds-nl")),
+                    lambda obj: body_from_obj({"dataset": obj, "type": "publish_dataset"})),
         "event": (event_to_obj(event), event_from_obj),
         "filter": ({"energy_min": "1.5"}, filter_from_obj),
     }[wire]

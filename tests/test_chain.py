@@ -13,7 +13,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skyprov.chain import (
@@ -1088,7 +1088,11 @@ def test_head_hash_and_cycle_seed_follow_the_chain():
         state.apply_block(block)
         assert state.head_hash() == block.header.hash
         for past in range(slot + 4):
-            assert state.seed_for_slot(past) == oracle_seed(past)
+            if past < slot // 3 * 3:  # a cycle before the head's: no state keeps its seed
+                with pytest.raises(NotFound):
+                    state.seed_for_slot(past)
+            else:
+                assert state.seed_for_slot(past) == oracle_seed(past)
 
 
 # -- head cache ---------------------------------------------------------------------------
@@ -1138,33 +1142,105 @@ def test_head_cache_never_hides_damage(case, tmp_path, capsys):
     if case == "honest":
         return
     assert without[0] == 3
-    # A forged cache that matches the damaged bytes passes every restore
-    # check: it is trusted as far as the store is. chain-verify never reads it.
-    head, entries = cache.split(b"\n", 1)
-    forged = json.loads(head)
+    # A cache forged to match the damaged bytes passes the digest check, but
+    # the transactions scanned from the block files no longer match the
+    # head's registry commitment: the restore ends, and load_chain reports
+    # the damage as the full replay does.
+    forged = json.loads(cache)
     forged["files_digest"] = _store_digest(chain_dir, honest.head_height)
-    cache_path.write_bytes(dumps_canonical(forged) + b"\n" + entries)
-    assert load_chain(str(chain_dir)).head_hash() == honest.head_hash()
-    assert _cli_outcome(capsys, "chain-verify", "--chain", chain_dir) == without
+    cache_path.write_bytes(dumps_canonical(forged) + b"\n")
+    state, digest, heights = chain_module._open_store(str(chain_dir))
+    assert chain_module._restore_head(str(chain_dir), state, digest, heights) == (-1, digest)
+    for argv in _golden_commands(chain_dir, tx_id, tmp_path / "index.json"):
+        cache_path.unlink(missing_ok=True)
+        without = _cli_outcome(capsys, *argv)
+        cache_path.write_bytes(dumps_canonical(forged) + b"\n")
+        assert _cli_outcome(capsys, *argv) == without, argv
 
 
-def _hostile_entries(case, honest):
-    """The registry log entries a rewritten head commits to in each case:
-    one that is not a transaction, or the honest cache's first three
-    (a storage, a program and a publish) with one of them damaged."""
+@functools.lru_cache(maxsize=None)
+def _golden_store_with_cache():
+    """{file name: bytes} of a _golden_store, with the head cache that
+    load_chain writes for it."""
+    with tempfile.TemporaryDirectory() as d:
+        _golden_store(pathlib.Path(d))
+        load_chain(d)
+        return {p.name: p.read_bytes() for p in pathlib.Path(d).iterdir()}
+
+
+@st.composite
+def _transactions_array_mutants(draw):
+    """(name, bytes) of one block file of a _golden_store after one to three
+    byte flips, inserts or deletes inside its transactions array, many of
+    them where a transaction starts or ends."""
+    files = _golden_store_with_cache()
+    name = draw(st.sampled_from(sorted(n for n in files if n.startswith("block_"))))
+    data = bytearray(files[name])
+    text = data.decode("ascii")
+    start = text.index('"transactions":[') + len('"transactions":[')
+    stop = len(text) - len("]}\n")  # where the array's "]" is
+    edges = [start, stop]
+    at = start
+    while at < stop:
+        at = json.JSONDecoder().raw_decode(text, at)[1]
+        edges += [at, at + 1]
+        at += 1
+    # applied from the last offset back, so each offset still points where it was drawn
+    offsets = draw(st.lists(st.integers(start, stop) | st.sampled_from(edges), min_size=1, max_size=3))
+    for at in sorted(offsets, reverse=True):
+        at = min(at, stop)
+        op = draw(st.sampled_from(["flip", "insert", "delete"])) if at < stop else "insert"
+        if op == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 6))  # an ASCII byte stays ASCII
+        elif op == "insert":
+            piece = draw(st.sampled_from(_INSERTS) | st.binary(min_size=1, max_size=2))
+            data[at:at] = piece
+            stop += len(piece)
+        else:
+            n = min(draw(st.integers(1, 8)), stop - at)
+            del data[at : at + n]
+            stop -= n
+    return name, bytes(data)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_transactions_array_mutants())
+def test_restore_is_total_on_damaged_transactions_arrays(capsys, mutant):
+    # Under a cache whose digest is recomputed over the damaged store, query
+    # gives what it gives without a cache: the restore ends, whatever the
+    # bytes hold, and no exception escapes it.
+    name, data = mutant
+    with tempfile.TemporaryDirectory() as d:
+        chain_dir = pathlib.Path(d)
+        for file_name, honest in _golden_store_with_cache().items():
+            (chain_dir / file_name).write_bytes(data if file_name == name else honest)
+        cache_path = chain_dir / chain_module.HEAD_CACHE
+        cache = json.loads(cache_path.read_bytes())
+        cache["files_digest"] = _store_digest(chain_dir, cache["height"])
+        argv = ("query", "--chain", chain_dir, "--where", "facility=TAIGA")
+        cache_path.unlink()
+        without = _cli_outcome(capsys, *argv)
+        cache_path.write_bytes(dumps_canonical(cache) + b"\n")
+        assert _cli_outcome(capsys, *argv) == without
+
+
+def _hostile_entries(case, honest, head):
+    """The transactions array of a rewritten head in each case, given the
+    wire bytes of every honest transaction and of the head's own: one value
+    that is not a transaction, a derivation followed by the head's own
+    transactions, or the chain's first three transactions (a storage, a
+    program and a publish) with one of them damaged."""
     if case in ("not_json", "not_a_tx", "unhashable_id"):
         return [{"not_json": b"{", "not_a_tx": b"[1]",
                  "unhashable_id": dumps_canonical(dict(json.loads(honest[0]), tx_id=[1]))}[case]]
     if case in ("unhashable_parent_id", "unknown_parent_id"):
-        # every honest entry, with the derivation's first parent replaced by
-        # a list holding its id, or by a dataset published after it
-        entries = honest[:-1]  # the cache ends in "\n", so its last line is empty
-        at = next(i for i, entry in enumerate(entries) if b'"type":"derive_dataset"' in entry)
-        derive = json.loads(entries[at])
+        # the derivation's first parent replaced by a list holding its id,
+        # or by the dataset the head publishes after it
+        derive = json.loads(next(entry for entry in honest if b'"type":"derive_dataset"' in entry))
         parents = derive["body"]["parent_dataset_ids"]
-        later = json.loads(entries[at + 1])["body"]["dataset"]["dataset_id"]
+        later = json.loads(head[0])["body"]["dataset"]["dataset_id"]
         parents[0] = [parents[0]] if case == "unhashable_parent_id" else later
-        return entries[:at] + [dumps_canonical(derive)] + entries[at + 1:]
+        return [dumps_canonical(derive), *head]
     storage, program, publish = (json.loads(entry) for entry in honest[:3])
     dataset = publish["body"]["dataset"]
     if case == "tx_keys":
@@ -1185,47 +1261,42 @@ def _hostile_entries(case, honest):
         storage["body"]["storage_id"] = [storage["body"]["storage_id"]]
     elif case == "unhashable_program_version":
         program["body"]["version"] = [program["body"]["version"]]
-    entries = [dumps_canonical(obj) for obj in (storage, program, publish)]
-    if case == "two_txs_one_line":
-        return [entries[0] + b"," + entries[1], entries[2]]
-    if case == "one_tx_two_lines":
-        cut = entries[2].index(b',"created_at"')
-        return entries[:2] + [entries[2][:cut], entries[2][cut + 1:]]
-    return entries
+    return [dumps_canonical(obj) for obj in (storage, program, publish)]
 
 
-# Entries that model.fold_log_entries refuses for their shape.
+# Transactions arrays that the restore's scan or model.fold_log_entries refuses.
 _UNFOLDABLE_ENTRIES = [
     "not_json", "not_a_tx", "unhashable_id", "tx_keys", "body_keys", "file_refs_not_a_list", "file_ref_extra_key",
     "time_range_list", "unhashable_dataset_id", "unhashable_storage_id", "unhashable_program_version",
-    "two_txs_one_line", "one_tx_two_lines", "unhashable_parent_id", "unknown_parent_id",
+    "unhashable_parent_id", "unknown_parent_id",
 ]
 
 
 def _forge_head_and_cache(case, chain_dir, resign_with=None):
-    """Rewrite the head block of a _golden_store to commit to the case's
-    entries, re-signed when resign_with maps handlers to keys, and forge a
-    head cache that matches the rewritten store. Returns (head height, the
-    forged cache's bytes), with no cache file left in the store."""
-    height = load_chain(str(chain_dir)).head_height
+    """Rewrite the head block of a _golden_store to hold the case's
+    transactions array, with its header committing to it, re-signed when
+    resign_with maps handlers to keys, and forge a head cache that matches
+    the rewritten store. Returns (head height, the forged cache's bytes),
+    with no cache file left in the store."""
+    replayed, _, _ = replay_chain(str(chain_dir))
+    height = replayed.head_height
+    load_chain(str(chain_dir))
     cache_path = chain_dir / chain_module.HEAD_CACHE
-    head, *honest = cache_path.read_bytes().split(b"\n")
-    entries = _hostile_entries(case, honest)
-    log = MerkleLog()
-    for entry in entries:
-        log.append_leaf_hash(leaf_hash(entry))
-
-    def commit(obj):
-        obj["header"].update(registry_root=log.root().hex(), registry_size=log.size)
-        if resign_with is not None:
-            _resign_header(obj, resign_with[obj["header"]["creator"]])
-
-    _rewrite_block(chain_dir, height, commit)
-    forged = json.loads(head)
-    forged["files_digest"] = _store_digest(chain_dir, height)
-    forged["head_hash"] = block_from_bytes((chain_dir / f"block_{height}.json").read_bytes()[:-1]).header.hash
+    forged = json.loads(cache_path.read_bytes())
     cache_path.unlink()
-    return height, dumps_canonical(forged) + b"\n" + b"".join(entry + b"\n" for entry in entries)
+    honest = [tx.wire_bytes for block in replayed.blocks for tx in block.transactions]
+    head = replayed.blocks[-1]
+    entries = _hostile_entries(case, honest, [tx.wire_bytes for tx in head.transactions])
+    log = MerkleLog()
+    log.extend(honest[: len(honest) - len(head.transactions)] + entries)
+    header = dataclasses.replace(head.header, tx_root=tx_tree_root([leaf_hash(entry) for entry in entries]),
+                                 registry_root=log.root().hex(), registry_size=log.size)
+    if resign_with is not None:
+        header = dataclasses.replace(header, signature=resign_with[header.creator].sign(header.signing_bytes).hex())
+    (chain_dir / f"block_{height}.json").write_bytes(
+        b'{"header":' + header.wire_bytes + b',"transactions":[' + b",".join(entries) + b"]}\n")
+    forged.update(files_digest=_store_digest(chain_dir, height), head_hash=header.hash)
+    return height, dumps_canonical(forged) + b"\n"
 
 
 def _assert_forged_cache_gets_replay_verdict(chain_dir, cache, capsys):
@@ -1243,30 +1314,49 @@ def _assert_forged_cache_gets_replay_verdict(chain_dir, cache, capsys):
     return str(err.value)
 
 
+def _replay_reason(case, resigned):
+    """The full replay's verdict on the rewritten head: a block file that
+    holds a malformed transaction does not parse. Only the derivation naming
+    a later parent is well formed: its head fails its signature unless
+    re-signed, and then the derivation's tx id, which no longer hashes it."""
+    if case != "unknown_parent_id":
+        return "InvalidBody"
+    return "InvalidTransaction: tx 0" if resigned else "BadSignature"
+
+
+def _count_folds(monkeypatch):
+    folds = []
+    original_fold = chain_module.fold_log_entries
+    monkeypatch.setattr(chain_module, "fold_log_entries", lambda objs: folds.append(1) or original_fold(objs))
+    return folds
+
+
 @pytest.mark.parametrize("case", _UNFOLDABLE_ENTRIES + ["time_range_start_str"])
-def test_rewritten_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_path, capsys):
-    # The head block is rewritten to commit to entries that are not all
-    # transactions, and the cache is forged to match the rewritten store:
-    # the head's signature no longer verifies, so the restore falls back to
-    # the full replay and its verdict, not a traceback or a field error.
+def test_rewritten_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_path, capsys, monkeypatch):
+    # The head block is rewritten to hold transactions that are not all
+    # valid, its header committing to them, and the cache is forged to match
+    # the rewritten store: the head's signature no longer verifies, so the
+    # restore ends before it scans any transaction and falls back to the
+    # full replay and its verdict, not a traceback or a field error.
     chain_dir = tmp_path / "chain"
     _golden_store(chain_dir)
     height, cache = _forge_head_and_cache(case, chain_dir)
-    assert f"height {height}: BadSignature" in _assert_forged_cache_gets_replay_verdict(chain_dir, cache, capsys)
+    folds = _count_folds(monkeypatch)
+    message = _assert_forged_cache_gets_replay_verdict(chain_dir, cache, capsys)
+    assert f"height {height}: {_replay_reason(case, resigned=False)}" in message
+    assert folds == []
 
 
 @pytest.mark.parametrize("case", _UNFOLDABLE_ENTRIES)
 def test_resigned_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_path, capsys, monkeypatch):
     # A roster key re-signs the rewritten head, so the head passes the
-    # restore's checks: the fold refuses the entries, and the restore still
-    # falls back to the full replay.
+    # restore's checks: the scan or the fold refuses the transactions, and
+    # the restore still falls back to the full replay.
     chain_dir = tmp_path / "chain"
     height, cache = _forge_head_and_cache(case, chain_dir, resign_with=_golden_store(chain_dir))
-    folds = []
-    original_fold = chain_module.fold_log_entries
-    monkeypatch.setattr(chain_module, "fold_log_entries", lambda entries: folds.append(1) or original_fold(entries))
+    folds = _count_folds(monkeypatch)
     message = _assert_forged_cache_gets_replay_verdict(chain_dir, cache, capsys)
-    assert f"height {height}: BadRegistryCommitment" in message
+    assert f"height {height}: {_replay_reason(case, resigned=True)}" in message
     assert len(folds) == 2  # the cached query's restore and load_chain's each reach the fold
 
 

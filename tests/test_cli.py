@@ -893,26 +893,20 @@ def _cache_variants(world, tmp_path):
     save_chain(other, str(foreign))
     load_chain(str(foreign))
     read = lambda d: (d / chain_module.HEAD_CACHE).read_bytes()  # noqa: E731
-    head, *entries = read(warm).split(b"\n")[:-1]
-    join = lambda lines: b"".join(line + b"\n" for line in lines)  # noqa: E731
-    assert join([head, *entries]) == read(warm)
-    altered = bytearray(entries[0])
-    altered[70] ^= 0x01
-    # ds-b's entry now names TAIGA, so a query for TAIGA would list it: valid JSON, wrong bytes
-    at = next(i for i, entry in enumerate(entries) if b'"facility_id":"TUNKA"' in entry)
-    forged = entries[at].replace(b'"facility_id":"TUNKA"', b'"facility_id":"TAIGA"')
-    # the layout before entries: one object holding leaf hashes, the registry snapshot and tx ids
+    head = read(warm)
+    assert head.count(b"\n") == 1 and head.endswith(b"\n")
+    # the layout that held the registry log: the same object, then one line per log entry
+    entries = b"".join(tx.wire_bytes + b"\n" for block in state.blocks for tx in block.transactions)
+    # the layout before that: one object holding leaf hashes, the registry snapshot and tx ids
     parent = dict(json.loads(head), leaves=b"".join(state.registry_log.leaves()).hex(),
                   registry=index_to_obj(state.registry), tx_ids=list(state.tx_index))
     return {
         None: None,
-        "warm": read(warm),
+        "warm": head,
         "stale": read(stale),
-        "truncated": read(warm)[: len(read(warm)) // 2],
+        "truncated": head[: len(head) // 2],
         "foreign": read(foreign),
-        "entry_altered": join([head, bytes(altered), *entries[1:]]),
-        "entry_forged": join([head, *entries[:at], forged, *entries[at + 1:]]),
-        "entries_reordered": join([head, entries[1], entries[0], *entries[2:]]),
+        "entries_format": head + entries,
         "parent_format": dumps_canonical(parent) + b"\n",
     }
 
@@ -957,7 +951,7 @@ def test_head_cache_is_invisible(world, tmp_path, capsys, monkeypatch):
             outcomes[variant] = (code, out, written)
         assert outcomes[None][0] == 0, (name, outcomes[None])
         # the height each cache restored: only the warm and the stale one match the store
-        assert restored[-len(variants):] == [-1, 2, 1, -1, -1, -1, -1, -1, -1], name
+        assert restored[-len(variants):] == [-1, 2, 1, -1, -1, -1, -1], name
         for variant, outcome in outcomes.items():
             assert outcome == outcomes[None], (name, variant)
 
@@ -989,33 +983,41 @@ def test_warm_commands_verify_only_new_blocks(world, tmp_path, capsys, monkeypat
                                      "storage_pubkey": "cd" * 32, "type": "register_storage"}))
     tx_id = state.blocks[0].transactions[2].tx_id
     verifies = _count_verifies(monkeypatch)
-    parsed = []  # the heights of the block files parsed, whole or header only
-    for name in ("load_block_file", "load_block_header"):
-        original = getattr(chain_module, name)
-        monkeypatch.setattr(chain_module, name, lambda d, h, digest, load=original: parsed.append(h) or load(d, h, digest))
+    built = []  # the heights of the headers built, of whole blocks or alone
+    original = chain_module.header_from_obj
+    monkeypatch.setattr(chain_module, "header_from_obj", lambda obj: built.append(obj["height"]) or original(obj))
     # a host with two usable CPUs: the cold replay of the 140-block store forks a helper
     monkeypatch.setattr(keys_module, "_usable_cpus", lambda: 2)
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    submit_verifies = []
+    submit_verifies, caches = [], []
     for home, head in homes:
         forks.clear()
         assert run(capsys, "query", "--home", str(home), "--where", "kind=primary")[0] == 0  # writes the cache
         assert len(forks) == (head == 139)
         for argv in (("query", "--where", "kind=primary"), ("proof", "--tx-id", tx_id)):
             verifies.clear()
-            parsed.clear()
+            built.clear()
             forks.clear()
             assert run(capsys, argv[0], "--home", str(home), *argv[1:])[0] == 0
-            assert (len(verifies), parsed, forks) == (1, [head], []), argv  # the head header's signature
+            assert (len(verifies), built, forks) == (1, [head], []), argv  # the head header's signature
         verifies.clear()
         forks.clear()
         code, out, _ = run(capsys, "tx-submit", "--home", str(home), "--key", "user", "--body", str(body_file))
         assert code == 0 and lines(out)[0]["height"] == head + 1 and forks == []
         submit_verifies.append(len(verifies))
+        caches.append((home / "chain" / chain_module.HEAD_CACHE).read_bytes())
     assert [head for _, head in homes] == [9, 39, 139]
     assert submit_verifies[0] == submit_verifies[1] == submit_verifies[2]
+    # the cache is one canonical line: from height 9 to 139, its length grows
+    # only by the digits of the head's height and of its cycle's first slot
+    sizes = set()
+    for cache, (_, head) in zip(caches, homes):
+        obj = json.loads(cache)
+        assert cache == dumps_canonical(obj) + b"\n" and obj["height"] == head
+        sizes.add(len(cache) - len(str(head)) - len(str(obj["cycle_seed"]["start"])))
+    assert len(sizes) == 1
 
 
 # -- signatures verified by forked helpers ---------------------------------------------

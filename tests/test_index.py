@@ -318,10 +318,10 @@ def test_randomized_query_equivalence(seed, chain3_factory):
 
 
 def _folded(state, blocks):
-    """The registry the head cache restores: folded from the registry log's
-    entries, each record holding its dataset's fields in place of a
-    descriptor."""
-    registry, _ = fold_log_entries([tx.wire_bytes for block in blocks for tx in block.transactions])
+    """The registry the head cache restores: folded from the objects of the
+    registry log's entries, each record holding its dataset's fields in
+    place of a descriptor."""
+    registry, _ = fold_log_entries([tx_to_obj(tx) for block in blocks for tx in block.transactions])
     registry.built_to = state.registry.built_to
     return registry
 

@@ -22,7 +22,6 @@ from skyprov.model import (
     body_from_obj,
     body_to_obj,
     canonical_bytes,
-    dataset_from_obj,
     dataset_to_obj,
     event_from_obj,
     event_to_obj,
@@ -94,7 +93,7 @@ def test_event_histogram_order_matters():
 
 def test_dataset_obj_roundtrip():
     ds = make_dataset("ds-1", extra={"energy_min": "0.5", "energy_max": "3.0"}, n_files=2)
-    assert dataset_from_obj(dataset_to_obj(ds)) == ds
+    assert body_from_obj({"dataset": dataset_to_obj(ds), "type": "publish_dataset"}).dataset == ds
 
 
 def test_dataset_validation_rejections():
