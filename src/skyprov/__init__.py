@@ -30,7 +30,6 @@ from .chain import (
     block_from_bytes,
     block_bytes,
     detect_equivocation,
-    genesis_hash,
     load_chain,
     load_genesis,
     produce_block,

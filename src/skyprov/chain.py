@@ -9,7 +9,6 @@ signature, a tx root, or a registry commitment on replay.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -119,14 +118,6 @@ def genesis_from_bytes(data: bytes) -> GenesisConfig:
     config = genesis_from_obj(parse_json(data))
     _require(config.wire_bytes == data, "input is not in canonical form")
     return config
-
-
-def genesis_bytes(config: GenesisConfig) -> bytes:
-    return config.wire_bytes
-
-
-def genesis_hash(config: GenesisConfig) -> str:
-    return config.hash
 
 
 # -- headers and blocks ------------------------------------------------------
@@ -473,7 +464,6 @@ class ChainState:
                     tx_index: dict, cycle_seed: tuple) -> None:
         """Take on the head state that validating every block up to header
         produced, without a block list (load_chain's head cache)."""
-        self.blocks = None
         self._head_header = header
         self._head_hash = header.hash
         self.registry_log = log
@@ -620,32 +610,19 @@ def list_block_heights(chain_dir: str) -> list:
     return heights
 
 
-def _feed(digest, data: bytes) -> None:
-    """Add one file's bytes to a store digest, length first, so moving bytes
-    from one file to the next changes the digest."""
-    digest.update(len(data).to_bytes(8, "big"))
-    digest.update(data)
-
-
-def load_block_file(chain_dir: str, height: int, digest) -> Block:
-    """Parse block_N.json after feeding its exact bytes to digest."""
-    data = read_file(_block_path(chain_dir, height), "block file")
-    _feed(digest, data)
-    return block_from_bytes(data.removesuffix(b"\n"))
+def load_block_file(chain_dir: str, height: int) -> Block:
+    return block_from_bytes(read_file(_block_path(chain_dir, height), "block file").removesuffix(b"\n"))
 
 
 def _open_store(chain_dir: str):
-    """(empty state, digest over genesis.json, stored heights) of a chain store."""
-    data = read_file(_genesis_path(chain_dir), "genesis")
-    state = ChainState(genesis_from_bytes(data.removesuffix(b"\n")))
-    digest = hashlib.sha256()
-    _feed(digest, data)
+    """(empty state, stored heights) of a chain store."""
+    state = ChainState(load_genesis(chain_dir))
     heights = list_block_heights(chain_dir)
     if heights and heights != list(range(heights[0], heights[-1] + 1)):
         raise IoError(f"block files in {chain_dir} are not dense: {heights}")
     if heights and heights[0] != 0:
         raise IoError(f"chain store {chain_dir} does not start at height 0")
-    return state, digest, heights
+    return state, heights
 
 
 # A replay reads blocks ahead until it holds this many signatures, ending
@@ -653,7 +630,7 @@ def _open_store(chain_dir: str):
 _WINDOW_SIGNATURES = 2048
 
 
-def _read_window(chain_dir: str, heights, digest):
+def _read_window(chain_dir: str, heights):
     """Load blocks from the heights iterator, in order, until they carry
     _WINDOW_SIGNATURES signatures or the heights run out. Returns the
     (height, block) pairs loaded and, when a load raised, (its height, the
@@ -662,7 +639,7 @@ def _read_window(chain_dir: str, heights, digest):
     signatures = 0
     for height in heights:
         try:
-            block = load_block_file(chain_dir, height, digest)
+            block = load_block_file(chain_dir, height)
         except Exception as exc:
             return window, (height, exc)
         # What validate_block computes first, computed in its order as each
@@ -704,7 +681,7 @@ def _verify_window(state: ChainState, window) -> None:
             vars(tx)["signature_ok"] = next(verdicts)  # where the once attribute keeps it
 
 
-def _replay_blocks(chain_dir: str, state: ChainState, heights, digest):
+def _replay_blocks(chain_dir: str, state: ChainState, heights):
     """Validate and apply the stored blocks at heights, in order; returns
     (results, failure) as replay_chain describes them. Blocks are read and
     their signatures verified a window at a time, and then validated one by
@@ -712,7 +689,7 @@ def _replay_blocks(chain_dir: str, state: ChainState, heights, digest):
     results = []
     heights = iter(heights)
     while True:
-        window, fault = _read_window(chain_dir, heights, digest)
+        window, fault = _read_window(chain_dir, heights)
         _verify_window(state, window)
         for height, block in window:
             verdict = validate_block(state, block)
@@ -741,57 +718,76 @@ def replay_chain(chain_dir: str):
     Raises IoError when files are missing or unreadable, InvalidBody when
     stored bytes are not canonical.
     """
-    state, digest, heights = _open_store(chain_dir)
-    results, failure = _replay_blocks(chain_dir, state, heights, digest)
+    state, heights = _open_store(chain_dir)
+    results, failure = _replay_blocks(chain_dir, state, heights)
     return state, results, failure
 
 
-# The head cache records the state that validating blocks 0..height
-# produced, so that load_chain can restore it and validate only the blocks
-# stored after it: the canonical object {cycle_seed, files_digest,
-# genesis_hash, head_hash, height} plus "\n". It is trusted no more than
-# the store it sits in: it is used only while its digest matches the exact
-# bytes of genesis.json and of every block file it covers, the head block
-# hashes to its head_hash, the head's signature verifies under its
-# creator's roster key (one Ed25519 verify), and the covered transactions
-# hash to the head header's registry commitment. Of the headers, only the
-# head's is built. Each transaction is scanned once, from the bytes the
-# digest reads: those exact bytes are its leaf, and its object goes to
-# model.fold_log_entries, which checks its shape only and folds the
-# registry in log order, as apply_block folds it, without building it.
-_CACHE_KEYS = {"cycle_seed", "files_digest", "genesis_hash", "head_hash", "height"}
+# The head cache names the head that validating blocks 0..height reached,
+# so that load_chain can restore its state and validate only the blocks
+# stored after it: the canonical object {genesis_hash, head_hash, height}
+# plus "\n". It is trusted no more than the store it sits in. The restore
+# checks the store back from the head, as a light client checks headers
+# back from a trusted tip: the head block hashes to head_hash and its
+# signature verifies under its creator's roster key (one Ed25519 verify).
+# Every covered block file must then be exactly
+# {"header":H,"transactions":[T1,...,Tn]}\n, where each H's prev_block_hash
+# is the hash of the previous H's exact bytes (the genesis hash for block
+# 0), the last H hashes to head_hash, and each H's registry_size counts the
+# transactions up to its block's; and the covered transactions must hash to
+# the head's registry root. So each byte of each covered file is the one
+# the signed head commits to. Of the headers, only the head's is built.
+# Each transaction is scanned once: its exact bytes are its leaf, and its
+# object goes to model.fold_log_entries, which checks its shape only and
+# folds the registry in log order, as apply_block folds it, without
+# building it.
+_CACHE_KEYS = {"genesis_hash", "head_hash", "height"}
 
-# In canonical block bytes the first match is the transactions array's key,
-# since a bare '"' never occurs inside a JSON string. From other bytes, the
-# values scanned differ from those the head commits to.
-_TXS_KEY = '"transactions":['
+# A block file's one byte form opens with the first, and its transactions
+# array opens with the second, right after the header's last byte.
+_HEADER_KEY = '{"header":'
+_TXS_KEY = ',"transactions":['
 
 
-def _scan_log_entries(chain_dir: str, height: int, head: bytes, covered, entries: list):
-    """Yield the object of each transaction in block files 0..height, head
-    being block height's bytes, in log order. Each file's bytes are fed to
-    covered, and each transaction's exact bytes appended to entries."""
+def _scan_header(text: str) -> tuple:
+    """(object, end) of the header that a block file's text opens with: its
+    exact bytes are text[len(_HEADER_KEY):end], and _TXS_KEY follows them."""
+    _require(text.startswith(_HEADER_KEY), "block file does not open with its header")
+    obj, end = scan_json(text, len(_HEADER_KEY))
+    _require(isinstance(obj, dict) and obj.keys() == _HEADER_KEYS and text.startswith(_TXS_KEY, end),
+             "block file header malformed")
+    return obj, end
+
+
+def _scan_log_entries(chain_dir: str, height: int, head: tuple, links: list, entries: list):
+    """Yield the object of each transaction in block files 0..height, in log
+    order, head being (text, header object, header end) of block height.
+    Each file's header must link to links[-1], and is appended to links as
+    (slot, hash of its exact bytes); each transaction's exact bytes are
+    appended to entries."""
     for h in range(height + 1):
-        data = head if h == height else read_file(_block_path(chain_dir, h), "block file")
-        _feed(covered, data)
-        text = data.decode("utf-8")
+        if h < height:
+            text = read_file(_block_path(chain_dir, h), "block file").decode("utf-8")
+            header, at = _scan_header(text)
+        else:
+            text, header, at = head
+        _require(header["prev_block_hash"] == links[-1][1], "block does not link to the one before it")
+        links.append((header["slot"], sha256_bytes(text[len(_HEADER_KEY):at].encode("utf-8")).hex()))
         _require(text.endswith("]}\n"), "block file does not end its transactions array")
-        at, stop = text.index(_TXS_KEY) + len(_TXS_KEY), len(text) - 3
+        at, stop = at + len(_TXS_KEY), len(text) - 3
         while at < stop:
             obj, end = scan_json(text, at)
             entries.append(text[at:end].encode("utf-8"))
             yield obj
             _require(end == stop or text[end] == "," and end + 1 < stop, "transactions array malformed")
             at = end + 1
+        _require(header["registry_size"] == len(entries), "registry size differs from the transactions stored")
 
 
-def _restore_head(chain_dir: str, state: ChainState, digest, heights):
-    """Restore state from the head cache when it matches the store.
-
-    Returns (cached height, digest over genesis.json and blocks 0..height).
-    Returns (-1, digest) and leaves state and digest untouched when the
-    cache is missing, unreadable or does not match.
-    """
+def _restore_head(chain_dir: str, state: ChainState, heights) -> int:
+    """Restore state from the head cache when it matches the store, and
+    return the cached height; return -1 and leave state untouched when the
+    cache is missing, unreadable or does not match."""
     try:
         # plain json.loads: every field is checked below
         cache = json.loads(read_file(os.path.join(chain_dir, HEAD_CACHE), "head cache"))
@@ -799,23 +795,18 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
         height = cache["height"]
         _require(_require_count(height, "head cache height") < len(heights), "head cache height is not stored")
         _require(cache["genesis_hash"] == state.genesis_hash_hex, "head cache names another genesis")
-        head = read_file(_block_path(chain_dir, height), "block file")
-        text = head.decode("utf-8")
-        _require(text.startswith('{"header":'), "head block malformed")
-        header = header_from_obj(scan_json(text, len('{"header":'))[0])
+        text = read_file(_block_path(chain_dir, height), "block file").decode("utf-8")
+        obj, end = _scan_header(text)
+        header = header_from_obj(obj)
         _require(header.hash == cache["head_hash"], "head block differs from the head cache's")
-        cycle = cache["cycle_seed"]
-        _require(isinstance(cycle, dict) and set(cycle) == {"seed", "start"}, "head cache cycle seed malformed")
-        _require_hex64(cycle["seed"], "head cache cycle seed")
-        _require(_require_int(cycle["start"], "cycle start") == state._cycle_start(header.slot), "cycle start malformed")
         pub = state.roster_key(header.creator)
         _require(pub is not None and header.signed_by(pub), "head block is not signed by its creator's roster key")
-        covered, entries = digest.copy(), []
-        registry, tx_index = fold_log_entries(_scan_log_entries(chain_dir, height, head, covered, entries))
-        _require(covered.hexdigest() == cache["files_digest"], "store bytes differ from the head cache's")
+        links, entries = [(-1, state.genesis_hash_hex)], []
+        registry, tx_index = fold_log_entries(_scan_log_entries(chain_dir, height, (text, obj, end), links, entries))
+        _require(links[-1][1] == header.hash, "covered blocks do not link to the head")
         log = MerkleLog()
         log.extend(entries)
-        _require(log.root().hex() == header.registry_root and log.size == header.registry_size,
+        _require(log.root().hex() == header.registry_root,
                  "covered transactions do not match the head's registry commitment")
         registry.built_to = (height, log.size)
     # Until every check has passed, the files hold any bytes: ValueError
@@ -823,20 +814,16 @@ def _restore_head(chain_dir: str, state: ChainState, digest, heights):
     # TypeError from an unhashable id. Each means a full replay, which
     # reports any damage.
     except (SkyprovError, ValueError, TypeError, RecursionError):
-        return -1, digest
-    state._adopt_head(header, log, registry, tx_index, (cycle["start"], cycle["seed"]))
-    return height, covered
+        return -1
+    # the seed of the head's cycle: the hash of the last block before it, or the genesis hash
+    cycle_start = state._cycle_start(header.slot)
+    seed = next(link for slot, link in reversed(links) if slot < cycle_start)
+    state._adopt_head(header, log, registry, tx_index, (cycle_start, seed))
+    return height
 
 
-def _write_head_cache(chain_dir: str, state: ChainState, digest) -> None:
-    start, seed = state._cycle_seed
-    head = {
-        "cycle_seed": {"seed": seed, "start": start},
-        "files_digest": digest.hexdigest(),
-        "genesis_hash": state.genesis_hash_hex,
-        "head_hash": state.head_hash(),
-        "height": state.head_height,
-    }
+def _write_head_cache(chain_dir: str, state: ChainState) -> None:
+    head = {"genesis_hash": state.genesis_hash_hex, "head_hash": state.head_hash(), "height": state.head_height}
     try:
         replace_file(os.path.join(chain_dir, HEAD_CACHE), dumps_validated(head) + b"\n")
     except IoError:
@@ -853,13 +840,13 @@ def load_chain(chain_dir: str) -> ChainState:
     rewrites it for the new head. Raises as replay_chain does, and
     InvalidBody when a block does not validate.
     """
-    state, digest, heights = _open_store(chain_dir)
+    state, heights = _open_store(chain_dir)
     state.blocks = None
-    cached, digest = _restore_head(chain_dir, state, digest, heights)
-    _, failure = _replay_blocks(chain_dir, state, heights[cached + 1:], digest)
+    cached = _restore_head(chain_dir, state, heights)
+    _, failure = _replay_blocks(chain_dir, state, heights[cached + 1:])
     if failure is not None:
         height, verdict = failure
         raise InvalidBody(f"chain invalid at height {height}: {verdict.reason}: {verdict.detail}")
     if state.head_height > cached:
-        _write_head_cache(chain_dir, state, digest)
+        _write_head_cache(chain_dir, state)
     return state

@@ -31,7 +31,6 @@ from skyprov.chain import (
     ChainState,
     GenesisConfig,
     block_bytes,
-    genesis_bytes,
     produce_block,
     tx_tree_root,
     validate_block,
@@ -613,7 +612,7 @@ def test_criterion_7_provenance_round_trip_golden(tmp_path):
 def test_criterion_8_format_bit_exactness(tmp_path):
     state, config, _, _, block0 = _provenance_world(str(tmp_path))
 
-    assert sha256_bytes(genesis_bytes(config)).hex() == GOLDEN_GENESIS_SHA
+    assert sha256_bytes(config.wire_bytes).hex() == GOLDEN_GENESIS_SHA
     assert sha256_bytes(block_bytes(block0)).hex() == GOLDEN_BLOCK0_SHA
     assert sha256_bytes(block0.transactions[0].wire_bytes).hex() == GOLDEN_TX0_WIRE_SHA
 

@@ -35,7 +35,6 @@ from skyprov.chain import (
     Checkpoint,
     GenesisConfig,
     detect_equivocation,
-    genesis_bytes,
     genesis_from_obj,
     genesis_to_obj,
     header_from_obj,
@@ -426,11 +425,11 @@ def _readers():
                         "program_version": "1"}}
     out.update({
         "event": (event_from_obj, event_to_obj(event), lambda ev: ev.wire_bytes),
-        "genesis": (genesis_from_obj, genesis_to_obj(genesis), genesis_bytes),
+        "genesis": (genesis_from_obj, genesis_to_obj(genesis), lambda g: g.wire_bytes),
         "header": (header_from_obj, header_to_obj(header), lambda h: h.wire_bytes),
         "checkpoint": (Checkpoint.from_obj, Checkpoint(_HEX, 0, -1, _HEX).to_obj(),
                        lambda c: dumps_canonical(c.to_obj())),
-        "sim_config": (sim_config_from_obj, sim, lambda c: genesis_bytes(genesis_for(c))),
+        "sim_config": (sim_config_from_obj, sim, lambda c: genesis_for(c).wire_bytes),
         "filter": (filter_from_obj, filter_obj, lambda f: query(RegistryState(), f)),
         "request": (request_from_obj, request,
                     lambda r: (pipeline_parameters_hash(r.pipeline), query(RegistryState(), r.filter))),

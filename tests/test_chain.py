@@ -24,9 +24,7 @@ from skyprov.chain import (
     block_bytes,
     block_from_bytes,
     detect_equivocation,
-    genesis_bytes,
     genesis_from_obj,
-    genesis_hash,
     genesis_to_obj,
     header_to_obj,
     load_chain,
@@ -127,18 +125,18 @@ def test_reshuffled_schedule_matches_oracle():
 def test_genesis_roundtrip(roster3):
     handlers, _ = roster3
     config = _config(handlers)
-    data = genesis_bytes(config)
+    data = config.wire_bytes
     assert genesis_from_obj(loads_canonical(data)) == config
-    assert len(genesis_hash(config)) == 64
-    assert genesis_hash(config) == hashlib.sha256(data).hexdigest()
+    assert len(config.hash) == 64
+    assert config.hash == hashlib.sha256(data).hexdigest()
 
 
 def test_genesis_rejects_duplicates_and_empty(roster3):
     handlers, _ = roster3
     with pytest.raises(InvalidBody):
-        genesis_bytes(_config(()))
+        _config(()).wire_bytes
     with pytest.raises(InvalidBody):
-        genesis_bytes(_config((handlers[0], handlers[0])))
+        _config((handlers[0], handlers[0])).wire_bytes
 
 
 # -- block production ---------------------------------------------------------------
@@ -382,7 +380,7 @@ def test_reshuffle_seed_changes_between_cycles():
     )
     state = ChainState(config)
     seed0 = state.seed_for_slot(0)
-    assert seed0 == bytes.fromhex(genesis_hash(config))
+    assert seed0 == bytes.fromhex(config.hash)
     for slot in range(5):
         handler = state.scheduled_handler(slot)
         state.apply_block(produce_block(state, slot, keys[handler], now=0))
@@ -399,7 +397,7 @@ def test_checkpoint_empty_chain(chain3):
     cp = state.checkpoint()
     assert cp.registry_size == 0
     assert cp.height == -1
-    assert cp.head_hash == genesis_hash(state.config)
+    assert cp.head_hash == state.config.hash
     assert cp.registry_root == hashlib.sha256(b"").hexdigest()
 
 
@@ -796,9 +794,9 @@ if how == "replay":
     state, _, failure = chain.replay_chain(chain_dir)
     assert failure is None
 else:  # each block validated as soon as it is read
-    state, digest, heights = chain._open_store(chain_dir)
+    state, heights = chain._open_store(chain_dir)
     for height in heights:
-        block = chain.load_block_file(chain_dir, height, digest)
+        block = chain.load_block_file(chain_dir, height)
         assert chain.validate_block(state, block).ok
         state.apply_block(block)
 print(max(sys.getsizeof(vars(tx)) for b in state.blocks for tx in b.transactions),
@@ -972,7 +970,7 @@ def test_genesis_decode_accepts_what_loads_canonical_accepts(data):
         lambda d: genesis_from_obj(canonical_module.parse_json(d)),
         stripped,
     )
-    assert config is None or genesis_bytes(config) == stripped
+    assert config is None or config.wire_bytes == stripped
 
 
 @settings(max_examples=500)
@@ -1080,7 +1078,7 @@ def test_head_hash_and_cycle_seed_follow_the_chain():
     def oracle_seed(slot):
         # hash of the last block before slot's cycle, else the genesis hash
         before = [b for b in state.blocks if b.header.slot < slot // 3 * 3]
-        return bytes.fromhex(before[-1].header.hash if before else genesis_hash(config))
+        return bytes.fromhex(before[-1].header.hash if before else config.hash)
 
     for slot in (0, 2, 4, 7, 8, 12):
         assert state.seed_for_slot(slot) == oracle_seed(slot)
@@ -1113,16 +1111,6 @@ def _golden_commands(chain_dir, tx_id, out_file):
     ]
 
 
-def _store_digest(chain_dir, height):
-    """What the head cache's files_digest records: SHA-256 over each file's
-    8-byte big-endian length and bytes, genesis.json first."""
-    digest = hashlib.sha256()
-    for name in ["genesis.json"] + [f"block_{h}.json" for h in range(height + 1)]:
-        data = (chain_dir / name).read_bytes()
-        digest.update(len(data).to_bytes(8, "big") + data)
-    return digest.hexdigest()
-
-
 @pytest.mark.parametrize("case", sorted(REPLAY_GOLDENS))
 def test_head_cache_never_hides_damage(case, tmp_path, capsys):
     # the cache is built while the store is honest, then the store is damaged
@@ -1142,20 +1130,13 @@ def test_head_cache_never_hides_damage(case, tmp_path, capsys):
     if case == "honest":
         return
     assert without[0] == 3
-    # A cache forged to match the damaged bytes passes the digest check, but
-    # the transactions scanned from the block files no longer match the
-    # head's registry commitment: the restore ends, and load_chain reports
+    # The restore itself refuses the damaged store under the cache the
+    # honest one wrote, leaving the state untouched, so load_chain reports
     # the damage as the full replay does.
-    forged = json.loads(cache)
-    forged["files_digest"] = _store_digest(chain_dir, honest.head_height)
-    cache_path.write_bytes(dumps_canonical(forged) + b"\n")
-    state, digest, heights = chain_module._open_store(str(chain_dir))
-    assert chain_module._restore_head(str(chain_dir), state, digest, heights) == (-1, digest)
-    for argv in _golden_commands(chain_dir, tx_id, tmp_path / "index.json"):
-        cache_path.unlink(missing_ok=True)
-        without = _cli_outcome(capsys, *argv)
-        cache_path.write_bytes(dumps_canonical(forged) + b"\n")
-        assert _cli_outcome(capsys, *argv) == without, argv
+    cache_path.write_bytes(cache)
+    state, heights = chain_module._open_store(str(chain_dir))
+    assert chain_module._restore_head(str(chain_dir), state, heights) == -1
+    assert state.head_height == -1 and state.registry_log.size == 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -1169,59 +1150,115 @@ def _golden_store_with_cache():
 
 
 @st.composite
-def _transactions_array_mutants(draw):
+def _block_file_mutants(draw):
     """(name, bytes) of one block file of a _golden_store after one to three
-    byte flips, inserts or deletes inside its transactions array, many of
-    them where a transaction starts or ends."""
+    byte flips, inserts or deletes anywhere in it, many of them where its
+    header, a transaction, the frame around them or the trailer starts or
+    ends."""
     files = _golden_store_with_cache()
     name = draw(st.sampled_from(sorted(n for n in files if n.startswith("block_"))))
     data = bytearray(files[name])
     text = data.decode("ascii")
-    start = text.index('"transactions":[') + len('"transactions":[')
+    header_end = json.JSONDecoder().raw_decode(text, len('{"header":'))[1]
+    start = header_end + len(',"transactions":[')
     stop = len(text) - len("]}\n")  # where the array's "]" is
-    edges = [start, stop]
+    edges = [0, len('{"header":'), header_end, header_end + 1, start, stop + 1, stop + 2, len(text)]
     at = start
     while at < stop:
         at = json.JSONDecoder().raw_decode(text, at)[1]
         edges += [at, at + 1]
         at += 1
     # applied from the last offset back, so each offset still points where it was drawn
-    offsets = draw(st.lists(st.integers(start, stop) | st.sampled_from(edges), min_size=1, max_size=3))
+    offsets = draw(st.lists(st.integers(0, len(data)) | st.sampled_from(edges), min_size=1, max_size=3))
     for at in sorted(offsets, reverse=True):
-        at = min(at, stop)
-        op = draw(st.sampled_from(["flip", "insert", "delete"])) if at < stop else "insert"
+        op = draw(st.sampled_from(["flip", "insert", "delete"])) if at < len(data) else "insert"
         if op == "flip":
             data[at] ^= 1 << draw(st.integers(0, 6))  # an ASCII byte stays ASCII
         elif op == "insert":
-            piece = draw(st.sampled_from(_INSERTS) | st.binary(min_size=1, max_size=2))
-            data[at:at] = piece
-            stop += len(piece)
+            data[at:at] = draw(st.sampled_from(_INSERTS) | st.binary(min_size=1, max_size=2))
         else:
-            n = min(draw(st.integers(1, 8)), stop - at)
-            del data[at : at + n]
-            stop -= n
+            del data[at : at + draw(st.integers(1, 8))]
     return name, bytes(data)
 
 
+def _restores(chain_dir):
+    state, heights = chain_module._open_store(str(chain_dir))
+    return chain_module._restore_head(str(chain_dir), state, heights) != -1
+
+
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_transactions_array_mutants())
-def test_restore_is_total_on_damaged_transactions_arrays(capsys, mutant):
-    # Under a cache whose digest is recomputed over the damaged store, query
-    # gives what it gives without a cache: the restore ends, whatever the
-    # bytes hold, and no exception escapes it.
+@given(_block_file_mutants())
+def test_restore_is_total_on_damaged_block_files(capsys, mutant):
+    # Under the cache the honest store wrote, the restore refuses any change
+    # to a covered block file, whatever the bytes hold, and query gives what
+    # it gives without a cache: no exception escapes the restore.
     name, data = mutant
     with tempfile.TemporaryDirectory() as d:
         chain_dir = pathlib.Path(d)
         for file_name, honest in _golden_store_with_cache().items():
             (chain_dir / file_name).write_bytes(data if file_name == name else honest)
         cache_path = chain_dir / chain_module.HEAD_CACHE
-        cache = json.loads(cache_path.read_bytes())
-        cache["files_digest"] = _store_digest(chain_dir, cache["height"])
+        cache = cache_path.read_bytes()
+        assert _restores(chain_dir) == (data == _golden_store_with_cache()[name])
         argv = ("query", "--chain", chain_dir, "--where", "facility=TAIGA")
         cache_path.unlink()
         without = _cli_outcome(capsys, *argv)
-        cache_path.write_bytes(dumps_canonical(cache) + b"\n")
+        cache_path.write_bytes(cache)
         assert _cli_outcome(capsys, *argv) == without
+
+
+def _block_parts(path):
+    """(the bytes of a block file up to its transactions array, each value's bytes in the array)."""
+    data = path.read_bytes()
+    text = data.decode("ascii")
+    at = text.index('"transactions":[') + len('"transactions":[')
+    head, values = data[:at], []
+    while at < len(text) - len("]}\n"):
+        end = json.JSONDecoder().raw_decode(text, at)[1]
+        values.append(data[at:end])
+        at = end + 1
+    return head, values
+
+
+def _space_before_transactions(chain_dir):
+    # block 3's header bytes stay as they were, but the file is no longer the block's one byte form
+    path = chain_dir / "block_3.json"
+    path.write_bytes(path.read_bytes().replace(b',"transactions":[', b' ,"transactions":[', 1))
+
+
+def _transaction_moved_to_next_block(chain_dir):
+    # block 2's last transaction moved to the front of block 3: the registry log keeps its order and root
+    (head2, txs2), (head3, txs3) = _block_parts(chain_dir / "block_2.json"), _block_parts(chain_dir / "block_3.json")
+    (chain_dir / "block_2.json").write_bytes(head2 + b",".join(txs2[:-1]) + b"]}\n")
+    (chain_dir / "block_3.json").write_bytes(head3 + b",".join(txs2[-1:] + txs3) + b"]}\n")
+
+
+@pytest.mark.parametrize("damage,verdict", [
+    pytest.param(_space_before_transactions, "height 3: InvalidBody", id="space_before_transactions"),
+    pytest.param(_transaction_moved_to_next_block, "height 2: BadTxRoot", id="transaction_moved_to_next_block"),
+])
+def test_restore_refuses_covered_blocks_that_the_head_does_not_commit_to(damage, verdict, tmp_path, capsys):
+    # Neither damage changes a header or the registry log, so the head's
+    # hash, signature and registry root all still check: only the walk back
+    # from the head (each file's frame and each header's registry size)
+    # tells the damaged store from the one the cache was written for.
+    chain_dir = tmp_path / "chain"
+    _golden_store(chain_dir)
+    tx_id = next(iter(load_chain(str(chain_dir)).tx_index))
+    cache_path = chain_dir / chain_module.HEAD_CACHE
+    cache = cache_path.read_bytes()
+    damage(chain_dir)
+    assert not _restores(chain_dir)
+    outcomes = []
+    for argv in _golden_commands(chain_dir, tx_id, tmp_path / "index.json"):
+        cache_path.unlink(missing_ok=True)
+        without = _cli_outcome(capsys, *argv)
+        cache_path.write_bytes(cache)
+        assert _cli_outcome(capsys, *argv) == without, argv
+        outcomes.append(without[0])
+    assert outcomes == [3] * len(outcomes)
+    with pytest.raises(InvalidBody, match=verdict):
+        load_chain(str(chain_dir))
 
 
 def _hostile_entries(case, honest, head):
@@ -1275,9 +1312,9 @@ _UNFOLDABLE_ENTRIES = [
 def _forge_head_and_cache(case, chain_dir, resign_with=None):
     """Rewrite the head block of a _golden_store to hold the case's
     transactions array, with its header committing to it, re-signed when
-    resign_with maps handlers to keys, and forge a head cache that matches
-    the rewritten store. Returns (head height, the forged cache's bytes),
-    with no cache file left in the store."""
+    resign_with maps handlers to keys, and forge a head cache: the honest
+    one, naming the rewritten head's hash. Returns (head height, the forged
+    cache's bytes), with no cache file left in the store."""
     replayed, _, _ = replay_chain(str(chain_dir))
     height = replayed.head_height
     load_chain(str(chain_dir))
@@ -1295,7 +1332,7 @@ def _forge_head_and_cache(case, chain_dir, resign_with=None):
         header = dataclasses.replace(header, signature=resign_with[header.creator].sign(header.signing_bytes).hex())
     (chain_dir / f"block_{height}.json").write_bytes(
         b'{"header":' + header.wire_bytes + b',"transactions":[' + b",".join(entries) + b"]}\n")
-    forged.update(files_digest=_store_digest(chain_dir, height), head_hash=header.hash)
+    forged["head_hash"] = header.hash
     return height, dumps_canonical(forged) + b"\n"
 
 

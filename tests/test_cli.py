@@ -900,6 +900,13 @@ def _cache_variants(world, tmp_path):
     # the layout before that: one object holding leaf hashes, the registry snapshot and tx ids
     parent = dict(json.loads(head), leaves=b"".join(state.registry_log.leaves()).hex(),
                   registry=index_to_obj(state.registry), tx_ids=list(state.tx_index))
+    # the layout that also held the reshuffle seed and a digest over every file, length first
+    files = sorted(warm.glob("block_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    digest = hashlib.sha256()
+    for path in [warm / "genesis.json"] + files:
+        digest.update(len(path.read_bytes()).to_bytes(8, "big") + path.read_bytes())
+    start, seed = state._cycle_seed
+    digest_format = dict(json.loads(head), cycle_seed={"seed": seed, "start": start}, files_digest=digest.hexdigest())
     return {
         None: None,
         "warm": head,
@@ -908,6 +915,7 @@ def _cache_variants(world, tmp_path):
         "foreign": read(foreign),
         "entries_format": head + entries,
         "parent_format": dumps_canonical(parent) + b"\n",
+        "digest_format": dumps_canonical(digest_format) + b"\n",
     }
 
 
@@ -918,7 +926,7 @@ def test_head_cache_is_invisible(world, tmp_path, capsys, monkeypatch):
 
     def recording_restore(*args):
         result = original_restore(*args)
-        restored.append(result[0])
+        restored.append(result)
         return result
 
     monkeypatch.setattr(chain_module, "_restore_head", recording_restore)
@@ -951,7 +959,7 @@ def test_head_cache_is_invisible(world, tmp_path, capsys, monkeypatch):
             outcomes[variant] = (code, out, written)
         assert outcomes[None][0] == 0, (name, outcomes[None])
         # the height each cache restored: only the warm and the stale one match the store
-        assert restored[-len(variants):] == [-1, 2, 1, -1, -1, -1, -1], name
+        assert restored[-len(variants):] == [-1, 2, 1, -1, -1, -1, -1, -1], name
         for variant, outcome in outcomes.items():
             assert outcome == outcomes[None], (name, variant)
 
@@ -1010,13 +1018,14 @@ def test_warm_commands_verify_only_new_blocks(world, tmp_path, capsys, monkeypat
         caches.append((home / "chain" / chain_module.HEAD_CACHE).read_bytes())
     assert [head for _, head in homes] == [9, 39, 139]
     assert submit_verifies[0] == submit_verifies[1] == submit_verifies[2]
-    # the cache is one canonical line: from height 9 to 139, its length grows
-    # only by the digits of the head's height and of its cycle's first slot
+    # the cache is one canonical line of three keys: from height 9 to 139,
+    # its length grows only by the digits of the head's height
     sizes = set()
     for cache, (_, head) in zip(caches, homes):
         obj = json.loads(cache)
-        assert cache == dumps_canonical(obj) + b"\n" and obj["height"] == head
-        sizes.add(len(cache) - len(str(head)) - len(str(obj["cycle_seed"]["start"])))
+        assert cache == dumps_canonical(obj) + b"\n" and obj.keys() == {"genesis_hash", "head_hash", "height"}
+        assert obj["height"] == head
+        sizes.add(len(cache) - len(str(head)))
     assert len(sizes) == 1
 
 
