@@ -224,7 +224,7 @@ def block_from_obj(obj) -> Block:
 
 def block_bytes(block: Block) -> bytes:
     """The block's one byte form, joined from its parts' wire bytes ("header"
-    sorts before "transactions"). Not kept: a replay holds every block."""
+    sorts before "transactions"). Not kept: a netsim node holds every block."""
     txs = b",".join(tx.wire_bytes for tx in block.transactions)
     return b'{"header":' + block.header.wire_bytes + b',"transactions":[' + txs + b"]}"
 
@@ -340,8 +340,8 @@ class ChainState:
     Everything it validates against is head state that apply_block keeps
     current: the head header and hash, the registry, its log, and the
     reshuffle seed of the head's cycle. ``blocks`` lists the applied blocks
-    where a caller serves or audits them (netsim, replay_chain); it is None
-    on a state that holds no block list (load_chain).
+    where a node serves or saves them; every state loaded from a store, and
+    netsim's audit replay, keeps head state only, with blocks None.
     """
 
     def __init__(self, config: GenesisConfig):
@@ -578,8 +578,15 @@ def save_genesis(chain_dir: str, config: GenesisConfig) -> None:
     _create_once(_genesis_path(chain_dir), data, "genesis")
 
 
+def _read_stored(path: str, what: str) -> bytes:
+    """A stored file's bytes but the "\n" it must end with, as saved."""
+    data = read_file(path, what)
+    _require(data.endswith(b"\n"), "{} does not end with a newline", what)
+    return data[:-1]
+
+
 def load_genesis(chain_dir: str) -> GenesisConfig:
-    return genesis_from_bytes(read_file(_genesis_path(chain_dir), "genesis").removesuffix(b"\n"))
+    return genesis_from_bytes(_read_stored(_genesis_path(chain_dir), "genesis"))
 
 
 def save_block_file(chain_dir: str, block: Block) -> str:
@@ -611,12 +618,13 @@ def list_block_heights(chain_dir: str) -> list:
 
 
 def load_block_file(chain_dir: str, height: int) -> Block:
-    return block_from_bytes(read_file(_block_path(chain_dir, height), "block file").removesuffix(b"\n"))
+    return block_from_bytes(_read_stored(_block_path(chain_dir, height), "block file"))
 
 
-def _open_store(chain_dir: str):
-    """(empty state, stored heights) of a chain store."""
+def open_store(chain_dir: str):
+    """(empty head-only state, stored heights) of a chain store."""
     state = ChainState(load_genesis(chain_dir))
+    state.blocks = None
     heights = list_block_heights(chain_dir)
     if heights and heights != list(range(heights[0], heights[-1] + 1)):
         raise IoError(f"block files in {chain_dir} are not dense: {heights}")
@@ -681,45 +689,46 @@ def _verify_window(state: ChainState, window) -> None:
             vars(tx)["signature_ok"] = next(verdicts)  # where the once attribute keeps it
 
 
-def _replay_blocks(chain_dir: str, state: ChainState, heights):
-    """Validate and apply the stored blocks at heights, in order; returns
-    (results, failure) as replay_chain describes them. Blocks are read and
-    their signatures verified a window at a time, and then validated one by
-    one, so results, failures and exceptions come in height order."""
-    results = []
+def replay_blocks(chain_dir: str, state: ChainState, heights):
+    """Validate the stored blocks at heights into state, in order, yielding
+    (height, verdict) for each block examined, once state has applied it;
+    stops after the first that does not validate. Blocks are read and their
+    signatures verified a window at a time, then validated one by one, so
+    verdicts and exceptions come in height order; no block outlives its window."""
     heights = iter(heights)
     while True:
         window, fault = _read_window(chain_dir, heights)
         _verify_window(state, window)
         for height, block in window:
             verdict = validate_block(state, block)
-            results.append((height, verdict))
             if not verdict.ok:
-                return results, (height, verdict)
+                yield height, verdict
+                return
             state.apply_block(block)
+            yield height, verdict
         if fault is not None:
             height, exc = fault
             if not isinstance(exc, InvalidBody):
                 raise exc
-            verdict = Verdict(False, "InvalidBody", str(exc))
-            results.append((height, verdict))
-            return results, (height, verdict)
+            yield height, Verdict(False, "InvalidBody", str(exc))
+            return
         if not window:
-            return results, None
+            return
 
 
 def replay_chain(chain_dir: str):
     """Replay a stored chain with full validation; the audit, so it never
     reads the head cache.
 
-    Returns (state, results, failure): state covers every validated block,
-    results one (height, verdict) per examined block, failure the first
-    (height, verdict) that did not validate (None for an honest chain).
-    Raises IoError when files are missing or unreadable, InvalidBody when
-    stored bytes are not canonical.
+    Returns (state, results, failure): state is the head state of every
+    validated block, results one (height, verdict) per examined block,
+    failure the first (height, verdict) that did not validate (None for an
+    honest chain). Raises IoError when files are missing or unreadable,
+    InvalidBody when genesis.json is not a genesis as saved.
     """
-    state, heights = _open_store(chain_dir)
-    results, failure = _replay_blocks(chain_dir, state, heights)
+    state, heights = open_store(chain_dir)
+    results = list(replay_blocks(chain_dir, state, heights))
+    failure = results[-1] if results and not results[-1][1].ok else None
     return state, results, failure
 
 
@@ -840,13 +849,11 @@ def load_chain(chain_dir: str) -> ChainState:
     rewrites it for the new head. Raises as replay_chain does, and
     InvalidBody when a block does not validate.
     """
-    state, heights = _open_store(chain_dir)
-    state.blocks = None
+    state, heights = open_store(chain_dir)
     cached = _restore_head(chain_dir, state, heights)
-    _, failure = _replay_blocks(chain_dir, state, heights[cached + 1:])
-    if failure is not None:
-        height, verdict = failure
-        raise InvalidBody(f"chain invalid at height {height}: {verdict.reason}: {verdict.detail}")
+    for height, verdict in replay_blocks(chain_dir, state, heights[cached + 1:]):
+        if not verdict.ok:
+            raise InvalidBody(f"chain invalid at height {height}: {verdict.reason}: {verdict.detail}")
     if state.head_height > cached:
         _write_head_cache(chain_dir, state)
     return state

@@ -36,8 +36,9 @@ from .chain import (
     Checkpoint,
     GenesisConfig,
     load_chain,
+    open_store,
     produce_block,
-    replay_chain,
+    replay_blocks,
     save_block_file,
     save_genesis,
 )
@@ -53,7 +54,6 @@ from .errors import (
 )
 from .index import QueryFilter, filter_from_obj, index_to_obj, query
 from .keys import SigningKey, load_key_file, save_key_file
-from .merkle import empty_root
 from .model import body_from_obj, dataset_to_obj, sign_transaction
 from .netsim import run_simulation, sim_config_from_obj
 from .storage import open_storage
@@ -218,13 +218,23 @@ def cmd_chain_verify(args) -> int:
     chain_dir = _chain_dir(args)
     # the user's file first: a malformed one costs no replay and gives one error line
     cp = Checkpoint.from_obj(_read_json_file(args.checkpoint, "checkpoint file")) if args.checkpoint else None
-    state, results, failure = replay_chain(chain_dir)
+    state, heights = open_store(chain_dir)
+    # The checkpoint must be the head state the replay reached at its height
+    # (-1: before the first block). No consistency proof is needed on top:
+    # the replay checked every header's registry_root and registry_size
+    # against the log it extended, so a checkpoint that matches is a prefix
+    # of this log, and a proof built from this log would always verify.
+    reached = state.checkpoint() if cp is not None and cp.height < 0 else None
+    results = []
+    for height, verdict in replay_blocks(chain_dir, state, heights):
+        results.append((height, verdict))
+        if cp is not None and height == cp.height and verdict.ok:
+            reached = state.checkpoint()
     for height, verdict in results:
         _emit({"height": height, "verdict": "ok" if verdict.ok else verdict.reason})
-    if failure is not None:
-        height, verdict = failure
-        _emit({"error": verdict.reason, "height": height, "message": verdict.detail})
-        return VALIDATION_EXIT
+        if not verdict.ok:  # the replay's last verdict
+            _emit({"error": verdict.reason, "height": height, "message": verdict.detail})
+            return VALIDATION_EXIT
     log = state.registry_log
     final = {
         "blocks": state.head_height + 1,
@@ -233,21 +243,7 @@ def cmd_chain_verify(args) -> int:
         "registry_size": log.size,
     }
     if cp is not None:
-        # The checkpoint must name a block of this chain together with that
-        # block's registry commitment. Height -1 is the empty chain: its head
-        # hash is the genesis hash and its registry is empty.
-        if cp.height > state.head_height:
-            anchor = None
-        elif cp.height < 0:
-            anchor = (state.genesis_hash_hex, 0, empty_root().hex())
-        else:
-            header = state.blocks[cp.height].header
-            anchor = (header.hash, header.registry_size, header.registry_root)
-        # No consistency proof is needed on top: the replay checked every
-        # header's registry_root and registry_size against the log it
-        # extended, so a checkpoint that matches a header is a prefix of this
-        # log, and a proof built from this log would always verify.
-        if anchor != (cp.head_hash, cp.registry_size, cp.registry_root):
+        if reached != cp:
             _emit({"error": "IntegrityError", "message": "checkpoint is not consistent with this chain"})
             return VALIDATION_EXIT
         final["checkpoint"] = "ok"

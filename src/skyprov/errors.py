@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all skyprov modules.
 
-Every error carries a stable ``code`` string (its class name) so the CLI can
-emit one machine-readable error line regardless of which module raised.
+The CLI names each error by its class name in one machine-readable error
+line, whichever module raised it.
 """
 
 from __future__ import annotations
@@ -9,10 +9,6 @@ from __future__ import annotations
 
 class SkyprovError(Exception):
     """Base class for all errors raised by this package."""
-
-    @property
-    def code(self) -> str:
-        return type(self).__name__
 
 
 class IndexOutOfRange(SkyprovError):

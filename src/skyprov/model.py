@@ -576,7 +576,9 @@ _RECORD_KEYS = _field_names(DatasetRecord)
 
 
 def _restored_descriptor(record: DatasetRecord) -> DatasetDescriptor:
-    return _dataset_from_fields(record.dataset_fields)
+    ds = _dataset_from_fields(record.dataset_fields)
+    validate_dataset(ds)  # a head re-signed by a roster key may hold any field values
+    return ds
 
 
 # Reached only where __init__ set no descriptor, on a restored record. Set
@@ -638,10 +640,12 @@ def fold_log_entries(objs) -> tuple:
     registry root before it uses the result (the head cache's restore): the
     bytes are those of transactions validated into the chain, so no field
     is checked again. Each object is checked for its shape only: the keys
-    of a transaction, its body and its dataset, and each parent it names
-    must be a dataset folded before it. No transaction is built, and of the
-    bodies only a storage registration, which the registry keeps. A
-    dataset's record builds its descriptor on first read.
+    of a transaction, its body and its dataset, the types of the fields a
+    query orders and filters by (integer time range bounds, an extra
+    object), and each parent it names must be a dataset folded before it.
+    No transaction is built, and of the bodies only a storage registration,
+    which the registry keeps. A dataset's record builds and validates its
+    descriptor on first read.
     """
     registry, tx_index = RegistryState(), {}
     storages, programs, datasets = registry.storages, registry.programs, registry.datasets
@@ -664,6 +668,9 @@ def fold_log_entries(objs) -> tuple:
             else:
                 parents, program = (), None
             dataset = body["dataset"]
+            tr = dataset["time_range"]  # what index.query orders and filters by
+            _require(isinstance(tr["start"], int) and isinstance(tr["end"], int) and isinstance(dataset["extra"], dict),
+                     "dataset time_range or extra malformed")
             record = _new(DatasetRecord)
             _set(record, "parents", parents)
             _set(record, "program", program)

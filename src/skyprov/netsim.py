@@ -632,6 +632,7 @@ class Simulation:
         transaction served, rejected blocks included.
         """
         replay = ChainState(self.genesis)
+        replay.blocks = None  # the chain is served; the replay keeps head state only
         for i, block in enumerate(chain):
             verdict = replay.receive_block(block)
             if not verdict.ok:

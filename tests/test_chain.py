@@ -27,6 +27,7 @@ from skyprov.chain import (
     genesis_from_obj,
     genesis_to_obj,
     header_to_obj,
+    load_block_file,
     load_chain,
     load_genesis,
     produce_block,
@@ -497,7 +498,9 @@ def test_save_and_replay_roundtrip(chain3, tmp_path):
     assert all(v.ok for _, v in results)
     assert replayed.head_hash() == state.head_hash()
     assert replayed.registry_log.root() == state.registry_log.root()
-    assert [b.header.slot for b in replayed.blocks] == [b.header.slot for b in state.blocks]
+    assert replayed.blocks is None  # a replay keeps head state only
+    stored = [load_block_file(str(tmp_path), height) for height in range(replayed.head_height + 1)]
+    assert [b.header.slot for b in stored] == [b.header.slot for b in state.blocks]
     assert replayed.registry.datasets.keys() == state.registry.datasets.keys()
 
 
@@ -754,6 +757,30 @@ def test_replay_golden(case, tmp_path):
     assert hashlib.sha256(dumps_canonical(record)).hexdigest() == REPLAY_GOLDENS[case]
 
 
+@pytest.mark.parametrize("name", ["block_3.json", "genesis.json"])
+def test_stored_files_must_end_with_their_newline(name, tmp_path, capsys):
+    # Each stored file is saved ending in "\n", and the head cache's restore
+    # requires it of a block file. A file that lost its last byte fails the
+    # replay too, so a warm command gets the replay's verdict and leaves the
+    # cache as it was.
+    chain_dir = tmp_path / "chain"
+    _golden_store(chain_dir)
+    load_chain(str(chain_dir))
+    cache = (chain_dir / chain_module.HEAD_CACHE).read_bytes()
+    path = chain_dir / name
+    path.write_bytes(path.read_bytes()[:-1])
+    if name == "genesis.json":
+        with pytest.raises(InvalidBody, match="^genesis does not end with a newline$"):
+            replay_chain(str(chain_dir))
+    else:
+        _, results, failure = replay_chain(str(chain_dir))
+        assert failure == results[-1] and failure[0] == 3
+        assert (failure[1].reason, failure[1].detail) == ("InvalidBody", "block file does not end with a newline")
+    code, out = _cli_outcome(capsys, "query", "--chain", chain_dir, "--where", "facility=TAIGA")
+    assert code == 3 and json.loads(out)["error"] == "InvalidBody"
+    assert (chain_dir / chain_module.HEAD_CACHE).read_bytes() == cache
+
+
 # -- parse once, verify once ---------------------------------------------------------------
 
 
@@ -767,7 +794,7 @@ def test_replay_validates_and_encodes_each_tx_once(tmp_path, monkeypatch):
     monkeypatch.setattr(canonical_module._encoder, "encode", lambda value: encodes.append(1) or original_encode(value))
     state, _, failure = replay_chain(str(tmp_path))
     assert failure is None
-    n_blocks = len(state.blocks)
+    n_blocks = state.head_height + 1
     n_txs = state.registry_log.size
     assert len(validated) == len(state.registry.datasets)
     # one per tx (its wire bytes); per block, the canonical round trip of the
@@ -776,12 +803,22 @@ def test_replay_validates_and_encodes_each_tx_once(tmp_path, monkeypatch):
     assert len(encodes) <= n_txs + 3 * n_blocks + 2
 
 
-def test_replayed_transactions_share_one_creator_string_per_key(tmp_path):
-    # a replay holds every transaction, and most share a few creator keys
+def _capture_applied_blocks(monkeypatch):
+    """The list that each block ChainState.apply_block applies is appended to."""
+    applied = []
+    original_apply = ChainState.apply_block
+    monkeypatch.setattr(ChainState, "apply_block",
+                        lambda state, block: applied.append(block) or original_apply(state, block))
+    return applied
+
+
+def test_replayed_transactions_share_one_creator_string_per_key(tmp_path, monkeypatch):
+    # a replay's window holds many transactions, and most share a few creator keys
     _golden_store(tmp_path)
-    state, _, failure = replay_chain(str(tmp_path))
+    applied = _capture_applied_blocks(monkeypatch)
+    _, _, failure = replay_chain(str(tmp_path))
     assert failure is None
-    creators = [tx.creator for b in state.blocks for tx in b.transactions]
+    creators = [tx.creator for b in applied for tx in b.transactions]
     assert len(creators) > len(set(creators))
     assert len({id(c) for c in creators}) == len(set(creators))
 
@@ -790,17 +827,20 @@ _INSTANCE_DICT_SIZES = """
 import sys
 from skyprov import chain
 chain_dir, how = sys.argv[1:]
+blocks = []  # each block applied, kept past the replay
+apply_block = chain.ChainState.apply_block
+chain.ChainState.apply_block = lambda state, block: blocks.append(block) or apply_block(state, block)
 if how == "replay":
     state, _, failure = chain.replay_chain(chain_dir)
     assert failure is None
 else:  # each block validated as soon as it is read
-    state, heights = chain._open_store(chain_dir)
+    state, heights = chain.open_store(chain_dir)
     for height in heights:
         block = chain.load_block_file(chain_dir, height)
         assert chain.validate_block(state, block).ok
         state.apply_block(block)
-print(max(sys.getsizeof(vars(tx)) for b in state.blocks for tx in b.transactions),
-      max(sys.getsizeof(vars(b.header)) for b in state.blocks))
+print(max(sys.getsizeof(vars(tx)) for b in blocks for tx in b.transactions),
+      max(sys.getsizeof(vars(b.header)) for b in blocks))
 """
 
 
@@ -864,6 +904,7 @@ def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
     # once (a transaction's wire bytes join its body's), and each header
     # twice (its signing bytes and its wire bytes).
     _golden_store(tmp_path)
+    applied = _capture_applied_blocks(monkeypatch)
     parsed = []
     original_loads = canonical_module.loads_canonical
     monkeypatch.setattr(canonical_module, "loads_canonical", lambda data: parsed.append(data) or original_loads(data))
@@ -873,9 +914,9 @@ def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
     state, _, failure = replay_chain(str(tmp_path))
     assert failure is None
     assert parsed == []
-    headers = [header_to_obj(b.header) for b in state.blocks]
+    headers = [header_to_obj(b.header) for b in applied]
     cores = [{k: v for k, v in h.items() if k != "signature"} for h in headers]
-    bodies = [tx_to_obj(tx)["body"] for b in state.blocks for tx in b.transactions]
+    bodies = [tx_to_obj(tx)["body"] for b in applied for tx in b.transactions]
     expected = [genesis_to_obj(state.config)] + headers + cores + bodies
     assert sorted(json.dumps(v, sort_keys=True) for v in encoded) == sorted(
         json.dumps(v, sort_keys=True) for v in expected)
@@ -1134,7 +1175,7 @@ def test_head_cache_never_hides_damage(case, tmp_path, capsys):
     # honest one wrote, leaving the state untouched, so load_chain reports
     # the damage as the full replay does.
     cache_path.write_bytes(cache)
-    state, heights = chain_module._open_store(str(chain_dir))
+    state, heights = chain_module.open_store(str(chain_dir))
     assert chain_module._restore_head(str(chain_dir), state, heights) == -1
     assert state.head_height == -1 and state.registry_log.size == 0
 
@@ -1182,7 +1223,7 @@ def _block_file_mutants(draw):
 
 
 def _restores(chain_dir):
-    state, heights = chain_module._open_store(str(chain_dir))
+    state, heights = chain_module.open_store(str(chain_dir))
     return chain_module._restore_head(str(chain_dir), state, heights) != -1
 
 
@@ -1292,6 +1333,8 @@ def _hostile_entries(case, honest, head):
         dataset["time_range"] = [dataset["time_range"]["start"], dataset["time_range"]["end"]]
     elif case == "time_range_start_str":  # the right shape, a field of the wrong type
         dataset["time_range"]["start"] = "x"
+    elif case == "extra_not_a_map":
+        dataset["extra"] = ["x"]
     elif case == "unhashable_dataset_id":
         dataset["dataset_id"] = [dataset["dataset_id"]]
     elif case == "unhashable_storage_id":
@@ -1304,8 +1347,8 @@ def _hostile_entries(case, honest, head):
 # Transactions arrays that the restore's scan or model.fold_log_entries refuses.
 _UNFOLDABLE_ENTRIES = [
     "not_json", "not_a_tx", "unhashable_id", "tx_keys", "body_keys", "file_refs_not_a_list", "file_ref_extra_key",
-    "time_range_list", "unhashable_dataset_id", "unhashable_storage_id", "unhashable_program_version",
-    "unhashable_parent_id", "unknown_parent_id",
+    "time_range_list", "time_range_start_str", "extra_not_a_map", "unhashable_dataset_id", "unhashable_storage_id",
+    "unhashable_program_version", "unhashable_parent_id", "unknown_parent_id",
 ]
 
 
@@ -1315,14 +1358,13 @@ def _forge_head_and_cache(case, chain_dir, resign_with=None):
     resign_with maps handlers to keys, and forge a head cache: the honest
     one, naming the rewritten head's hash. Returns (head height, the forged
     cache's bytes), with no cache file left in the store."""
-    replayed, _, _ = replay_chain(str(chain_dir))
-    height = replayed.head_height
-    load_chain(str(chain_dir))
+    height = load_chain(str(chain_dir)).head_height
     cache_path = chain_dir / chain_module.HEAD_CACHE
     forged = json.loads(cache_path.read_bytes())
     cache_path.unlink()
-    honest = [tx.wire_bytes for block in replayed.blocks for tx in block.transactions]
-    head = replayed.blocks[-1]
+    stored = [load_block_file(str(chain_dir), h) for h in range(height + 1)]
+    honest = [tx.wire_bytes for block in stored for tx in block.transactions]
+    head = stored[-1]
     entries = _hostile_entries(case, honest, [tx.wire_bytes for tx in head.transactions])
     log = MerkleLog()
     log.extend(honest[: len(honest) - len(head.transactions)] + entries)
@@ -1368,7 +1410,7 @@ def _count_folds(monkeypatch):
     return folds
 
 
-@pytest.mark.parametrize("case", _UNFOLDABLE_ENTRIES + ["time_range_start_str"])
+@pytest.mark.parametrize("case", _UNFOLDABLE_ENTRIES)
 def test_rewritten_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_path, capsys, monkeypatch):
     # The head block is rewritten to hold transactions that are not all
     # valid, its header committing to them, and the cache is forged to match

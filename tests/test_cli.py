@@ -35,7 +35,7 @@ from skyprov.chain import (
 from skyprov.errors import AlreadyExists, InvalidBody, IoError, MalformedKey
 from skyprov.index import QueryFilter, index_to_obj, query
 from skyprov.keys import SigningKey, load_key_file, save_key_file
-from skyprov.merkle import MerkleLog, verify_inclusion
+from skyprov.merkle import MerkleLog, leaf_hash, verify_inclusion
 from skyprov.model import (
     DatasetDescriptor,
     DeriveDataset,
@@ -735,6 +735,35 @@ def test_aggregate_rejects_publish_sink(world, tmp_path, capsys):
     request = agg_request(tmp_path, sink)
     code, out, _ = run(capsys, "aggregate", "--home", world["home"], "--request", request)
     assert code == 2
+
+
+def test_aggregate_under_a_resigned_head_with_a_bad_file_size_exits_3(world, tmp_path, capsys):
+    # A roster key re-signs the head over ds-a's publication with its file
+    # size a string, and the head cache names it. The restore takes field
+    # values on the signed head's word, but the descriptor aggregate reads is
+    # validated as it is built: the command exits 3, as the full replay does,
+    # with no traceback.
+    chain_dir = world["chain"]
+    obj = json.loads(pathlib.Path(chain_dir, "block_0.json").read_bytes())
+    obj["transactions"][2]["body"]["dataset"]["file_refs"][0]["size"] = "x"
+    entries = [dumps_canonical(tx) for tx in obj["transactions"]]
+    log = MerkleLog()
+    log.extend(entries)
+    header = dataclasses.replace(chain_module.header_from_obj(obj["header"]), registry_root=log.root().hex(),
+                                 tx_root=chain_module.tx_tree_root([leaf_hash(entry) for entry in entries]))
+    header = dataclasses.replace(header, signature=world["keys"][header.creator].sign(header.signing_bytes).hex())
+    pathlib.Path(chain_dir, "block_0.json").write_bytes(
+        b'{"header":' + header.wire_bytes + b',"transactions":[' + b",".join(entries) + b"]}\n")
+    request = agg_request(tmp_path, None)
+    argv = ("aggregate", "--home", world["home"], "--request", request, "--out", str(tmp_path / "out.jsonl"))
+    code, out, _ = run(capsys, *argv)
+    assert code == 3 and "chain invalid at height 0: InvalidBody" in lines(out)[0]["message"]
+    cache = {"genesis_hash": load_genesis(chain_dir).hash, "head_hash": header.hash, "height": 0}
+    pathlib.Path(chain_dir, chain_module.HEAD_CACHE).write_bytes(dumps_canonical(cache) + b"\n")
+    state, heights = chain_module.open_store(chain_dir)
+    assert chain_module._restore_head(chain_dir, state, heights) == 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 3 and lines(out) == [{"error": "InvalidBody", "message": "file size must be an integer"}]
 
 
 def test_publish_full_cycle(world, tmp_path, capsys):
