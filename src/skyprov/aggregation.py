@@ -1,27 +1,29 @@
 """Aggregation service: query, fetch, verify, run the pipeline, deliver.
 
 The engine takes the (dataset, file ref) pairs of the datasets a metadata
-filter matches, fetches them per storage (concurrently by default), refuses
-to decode any file before every fetched file matched its chain-recorded
-digest, then runs a closed set of stages that were all checked before the
-first fetch. Files are decoded one at a time; each event that passes the
-filter keeps only its sort key and its canonical line, and the output is
-those lines in merge order, never re-encoded. Output is defined entirely
-by the merge policy, never by fetch arrival order.
-"""
+filter matches, fetches them storage by storage, refuses to decode any file
+before every fetched file matched its chain-recorded digest, then runs a
+closed set of stages that were all checked before the first fetch. Each
+input stream is decoded, checked for time order and filtered on its own;
+each event that passes the filter keeps only its sort key and its
+canonical line, and the output is those lines in merge order, never
+re-encoded. The streams may be decoded in contiguous shares by forked
+helpers (parallel.run), which changes no output byte and no error. Output
+is defined entirely by the merge policy, never by fetch arrival order."""
 
 from __future__ import annotations
 
 import heapq
 import io
 import itertools
+import marshal
 import os
 import tarfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional
 
+from . import parallel
 from .canonical import (
     _field_names,
     _require,
@@ -133,9 +135,15 @@ def pipeline_parameters_hash(pipeline) -> str:
 # -- pipeline stages ------------------------------------------------------------------
 
 # Bound on the input streams (one per file ref recorded on chain) a request
-# may merge. One file's decoded events are held at a time; every stream's
-# kept lines are held until the output is joined.
+# may merge. Each process holds one file's decoded events at a time; every
+# stream's kept lines are held until the output is joined.
 MAX_STREAMS = 10_000
+
+# The fewest fetched bytes a process decodes. A helper costs 3-5 ms to fork
+# from a 60 MB interpreter, reply to and reap, and a jsonl stream decodes
+# at about 20 KB/ms, so on a 2-CPU host two shares of a job first beat one
+# at about 128 KiB each. Below this, the caller decodes every stream itself.
+_MIN_SHARE_BYTES = 128 * 1024
 
 
 def _shortest_decimal(text: str) -> str:
@@ -235,10 +243,38 @@ class AggregationResult:
         }
 
 
-def _fetch_all(pairs, storages, concurrent: bool):
-    """Fetch each (storage id, path) the pairs name once, one group per
-    storage, reading at most one byte more than the largest size the chain
-    records for it; returns {(storage_id, path): (bytes, digest)}."""
+def _decode_stream(index: int, ds, ref, data: bytes, merge: bool, floor) -> tuple:
+    """(events, missing, unsorted, kept) of the index-th input stream: its
+    event count, the events the energy floor drops for having no energy,
+    the message naming the stream when a merge needs it time-ordered and its
+    time goes backwards (else None), and one (registration_time, dataset_id,
+    event_id, index, line) item per kept event. Items merge with no key, and
+    the stream index keeps ties in pair order."""
+    events = decode_events(ref.format, data)
+    dataset_id = ds.dataset_id
+    unsorted = None
+    missing = 0
+    kept = []
+    last = 0
+    for ev in events:
+        t = ev.registration_time
+        if merge and t < last and unsorted is None:
+            unsorted = f"stream {dataset_id}:{ref.path} is not time-ordered (saw {t} after {last})"
+        last = t
+        if floor is not None:
+            if ev.energy_estimate is None:
+                missing += 1
+                continue
+            if Decimal(ev.energy_estimate) < floor:
+                continue
+        kept.append((t, dataset_id, ev.event_id, index, ev.wire_bytes))
+    return len(events), missing, unsorted, kept
+
+
+def _fetch_all(pairs, storages):
+    """Fetch each (storage id, path) the pairs name once, storage by storage,
+    reading at most one byte more than the largest size the chain records
+    for it; returns {(storage_id, path): (bytes, digest)}."""
     groups = {}  # storage id -> {path: largest recorded size}, in first-named order
     for ds, ref in pairs:
         sizes = groups.setdefault(ds.storage_id, {})
@@ -247,26 +283,14 @@ def _fetch_all(pairs, storages, concurrent: bool):
     for sid in ordered:
         if sid not in storages:
             raise NotFound(f"no handle for storage {sid}")
-
-    def fetch_group(sid):
-        return {(sid, path): get_file(storages[sid], path, size + 1) for path, size in groups[sid].items()}
-
-    fetched = {}
-    if concurrent and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=len(ordered)) as pool:
-            for result in pool.map(fetch_group, ordered):
-                fetched.update(result)
-    else:
-        for sid in ordered:
-            fetched.update(fetch_group(sid))
-    return fetched
+    return {(sid, path): get_file(storages[sid], path, size + 1)
+            for sid in ordered for path, size in groups[sid].items()}
 
 
 def execute(
     request: AggregationRequest,
     registry: RegistryState,
     storages,
-    concurrent: bool = True,
 ) -> AggregationResult:
     """Run one aggregation request end to end (sink delivery for local sinks;
     publish sinks are completed by publish_result on the returned result)."""
@@ -280,7 +304,7 @@ def execute(
     # one input stream per pair; the bound checks the request, before any fetch
     if not archive_mode and len(pairs) > MAX_STREAMS:
         raise PluginConfigError(f"{len(pairs)} input streams exceed the bound {MAX_STREAMS}")
-    fetched = _fetch_all(pairs, storages, concurrent)
+    fetched = _fetch_all(pairs, storages)
 
     # integrity gate: every file verified before any stage touches any byte,
     # the first mismatch named in (storage id, query order, ref order)
@@ -306,36 +330,47 @@ def execute(
         # an event passes every energy_filter exactly when it passes the highest
         # threshold; only the first filter ever sees the energy-less events
         floor = max((Decimal(s.parameters["threshold"]) for s in pipeline if s.name == "energy_filter"), default=None)
-        # One file decoded at a time, in pair order. A kept event is a
-        # (registration_time, dataset_id, event_id, stream index, line) item:
-        # items merge with no key, and the stream index keeps ties in pair order.
-        streams = []
-        unsorted = None  # the first stream, in pair order, whose time goes backwards
+
+        def stream(i: int) -> tuple:
+            ds, ref = pairs[i]
+            return _decode_stream(i, ds, ref, fetched[(ds.storage_id, ref.path)][0], merge, floor)
+
+        def decode(start: int, end: int) -> list:
+            return [stream(i) for i in range(start, end)]
+
+        def reply(start: int, end: int) -> bytes:
+            # the streams decoded before the first that raises, if one does:
+            # the caller decodes that one again and raises its error itself
+            decoded = []
+            try:
+                for i in range(start, end):
+                    decoded.append(stream(i))
+            except Exception:
+                pass
+            return marshal.dumps(decoded)
+
+        def parse(data: bytearray, start: int, end: int):
+            try:
+                decoded = marshal.loads(data)
+            except (EOFError, ValueError, TypeError):
+                return None
+            return decoded if isinstance(decoded, list) and len(decoded) <= end - start else None
+
+        shares = parallel.split([ref.size for _, ref in pairs], _MIN_SHARE_BYTES)
+        streams = parallel.run(shares, decode, reply, parse)
         events_in = missing = 0
-        for index, (ds, ref) in enumerate(pairs):
-            events = decode_events(ref.format, fetched[(ds.storage_id, ref.path)][0])
-            events_in += len(events)
-            kept = []
-            last = 0
-            for ev in events:
-                t = ev.registration_time
-                if merge and t < last and unsorted is None:
-                    unsorted = f"stream {ds.dataset_id}:{ref.path} is not time-ordered (saw {t} after {last})"
-                last = t
-                if floor is not None:
-                    if ev.energy_estimate is None:
-                        missing += 1
-                        continue
-                    if Decimal(ev.energy_estimate) < floor:
-                        continue
-                kept.append((t, ds.dataset_id, ev.event_id, index, ev.wire_bytes))
-            streams.append(kept)
+        unsorted = None  # the first stream, in pair order, whose time goes backwards
+        for count, dropped, backwards, _ in streams:
+            events_in += count
+            missing += dropped
+            unsorted = unsorted or backwards
         # a decode fault in any file is reported before a time-order fault
         if unsorted is not None:
             raise UnsortedInput(unsorted)
         if missing:
             drop_tally["energy_filter"] = missing
-        lines = [item[-1] for item in (heapq.merge(*streams) if merge else itertools.chain.from_iterable(streams))]
+        kept = [items for _, _, _, items in streams]
+        lines = [item[-1] for item in (heapq.merge(*kept) if merge else itertools.chain.from_iterable(kept))]
         events_out = len(lines)
         lines.append(b"")  # the final "\n"
         output = b"\n".join(lines)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import signal
-import threading
 from typing import Union
 
 from cryptography.exceptions import InvalidSignature
@@ -19,6 +17,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from . import parallel
 from .canonical import is_hex64, read_canonical_file, write_canonical_file
 from .errors import InvalidBody, MalformedKey
 
@@ -88,106 +87,27 @@ def verify_signature(public_key: Union[str, bytes], message: bytes, signature: b
 _MIN_SHARE = 128
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _shares(count: int) -> list:
-    """Contiguous (start, end) shares of count items, one per process that
-    pays off; one share means no helper."""
-    processes = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        processes = max(1, min(_usable_cpus(), count // _MIN_SHARE))
-    bounds = [count * i // processes for i in range(processes + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 def verify_signatures(items: list) -> list:
     """[verify_signature(*item) for item in items], split across this
-    process and forked helpers, at most one per further usable CPU.
+    process and forked helpers, at most one per further usable CPU, by
+    parallel.split and parallel.run.
 
     Each (public key, message, signature) check is a pure function, so a
     helper verifies its contiguous share of items, which it inherits through
-    fork, and writes one byte per verdict to a pipe. A helper that cannot
-    start, exits non-zero or sends a short or malformed reply costs only
-    time: this process verifies that share itself. No helper starts while
-    other threads run, since fork copies none of them.
+    fork, and sends one byte per verdict. A helper that cannot start, exits
+    non-zero or sends a short or malformed reply costs only time: this
+    process verifies that share itself.
     """
-    shares = _shares(len(items))
-    helpers = {}  # share start -> (pid, read end), or None when none started
-    try:
-        for start, end in shares[1:]:
-            helpers[start] = _start_helper(items[start:end])
-        start, end = shares[0]
-        verdicts = [verify_signature(*item) for item in items[start:end]]
-        for start, end in shares[1:]:
-            helper = helpers.pop(start)
-            reply = None if helper is None else _helper_reply(*helper, end - start)
-            verdicts += [verify_signature(*item) for item in items[start:end]] if reply is None else reply
-        return verdicts
-    finally:
-        for helper in helpers.values():  # left only when something raised
-            if helper is not None:
-                _stop_helper(*helper)
+    def work(start: int, end: int) -> list:
+        return [verify_signature(*item) for item in items[start:end]]
 
+    def parse(reply: bytearray, start: int, end: int):
+        if len(reply) != end - start or reply.translate(None, b"\x00\x01"):
+            return None
+        return [byte == 1 for byte in reply]
 
-def _start_helper(items: list):
-    """(pid, read end of its pipe) of a forked helper verifying items, or
-    None when no pipe or process could be made."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:  # the helper: reply, then leave without flushing any buffer
-        status = 1
-        try:
-            os.close(read_end)
-            reply = bytes([verify_signature(*item) for item in items])
-            while reply:
-                reply = reply[os.write(write_end, reply):]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _helper_reply(pid: int, read_end: int, count: int):
-    """The helper's count verdicts, or None when it failed. The helper is
-    reaped whatever happens, and killed first if reading raises."""
-    chunks = []
-    status = None
-    try:
-        while chunk := os.read(read_end, 65536):
-            chunks.append(chunk)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(read_end)
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped elsewhere: its exit is unknown
-            pass
-    reply = b"".join(chunks)
-    if status != 0 or len(reply) != count or reply.translate(None, b"\x00\x01"):
-        return None
-    return [byte == 1 for byte in reply]
-
-
-def _stop_helper(pid: int, read_end: int) -> None:
-    os.close(read_end)
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
+    shares = parallel.split([1] * len(items), _MIN_SHARE)
+    return parallel.run(shares, work, lambda start, end: bytes(work(start, end)), parse)
 
 
 def save_key_file(path: str, key: SigningKey) -> None:

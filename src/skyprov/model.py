@@ -642,7 +642,9 @@ def fold_log_entries(objs) -> tuple:
     is checked again. Each object is checked for its shape only: the keys
     of a transaction, its body and its dataset, the types of the fields a
     query orders and filters by (integer time range bounds, an extra
-    object), and each parent it names must be a dataset folded before it.
+    object), that every storage, program, version and dataset id is a
+    non-empty string, as the body readers require, and each parent it names
+    must be a dataset folded before it.
     No transaction is built, and of the bodies only a storage registration,
     which the registry keeps. A dataset's record builds and validates its
     descriptor on first read.
@@ -656,27 +658,31 @@ def fold_log_entries(objs) -> tuple:
         tx_id = obj["tx_id"]
         tx_index[tx_id] = i
         if cls is RegisterStorage:
-            storages[body["storage_id"]] = _storage_from_checked(body)
+            storages[_require_str(body["storage_id"], "storage_id")] = _storage_from_checked(body)
         elif cls is RegisterProgram:
-            programs[(body["program_id"], body["version"])] = body["code_hash"]
+            programs[(_require_str(body["program_id"], "program_id"),
+                      _require_str(body["version"], "version"))] = body["code_hash"]
         else:
             if cls is DeriveDataset:
                 parents = tuple(body["parent_dataset_ids"])
-                for parent in parents:  # an unhashable id raises TypeError
+                for parent in parents:  # every folded id is a string; an unhashable one raises TypeError
                     _require(parent in datasets, "parent dataset {!r} is not folded before its child", parent)
-                program = (body["program_id"], body["program_version"])
+                program = (_require_str(body["program_id"], "program_id"),
+                           _require_str(body["program_version"], "program_version"))
             else:
                 parents, program = (), None
             dataset = body["dataset"]
+            dataset_id, storage_id = dataset["dataset_id"], dataset["storage_id"]
             tr = dataset["time_range"]  # what index.query orders and filters by
-            _require(isinstance(tr["start"], int) and isinstance(tr["end"], int) and isinstance(dataset["extra"], dict),
-                     "dataset time_range or extra malformed")
+            _require(isinstance(tr["start"], int) and isinstance(tr["end"], int) and isinstance(dataset["extra"], dict)
+                     and isinstance(dataset_id, str) and dataset_id and isinstance(storage_id, str) and storage_id,
+                     "dataset time_range, extra or ids malformed")
             record = _new(DatasetRecord)
             _set(record, "parents", parents)
             _set(record, "program", program)
             _set(record, "tx_id", tx_id)
             _set(record, "dataset_fields", _dataset_fields(dataset))
-            datasets[dataset["dataset_id"]] = record
+            datasets[dataset_id] = record
     return registry, tx_index
 
 

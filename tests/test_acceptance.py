@@ -17,6 +17,7 @@ import pytest
 from conftest import GEOMETRY_HASH, key_for, make_roster, program_body, storage_body
 from test_index import confirm, derive_body, oracle_scan, publish_body, random_filter
 
+from skyprov import aggregation, parallel
 from skyprov.aggregation import (
     AggregationRequest,
     PluginSpec,
@@ -455,7 +456,18 @@ def _agg_world(root, rng, trial):
     return state, stores, all_events
 
 
-def test_criterion_6_aggregation_oracle_200_trials(tmp_path):
+def _execute_with_helpers(request, index, stores, monkeypatch):
+    """execute on two usable CPUs with a one-byte share minimum, so every
+    request of two or more streams decodes them in a forked helper too."""
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "usable_cpus", lambda: 2)
+        patch.setattr(aggregation, "_MIN_SHARE_BYTES", 1)
+        return execute(request, index, stores)
+
+
+def test_criterion_6_aggregation_oracle_200_trials(tmp_path, monkeypatch):
+    # concurrent: the streams shared with a forked helper; sequential: these
+    # few-hundred-byte streams are below the share minimum, so decoded here
     trials = 200
     for trial in range(trials):
         rng = random.Random(77_000 + trial)
@@ -467,16 +479,16 @@ def test_criterion_6_aggregation_oracle_200_trials(tmp_path):
         f = QueryFilter(time_range=(lo, hi))
 
         plain = AggregationRequest(filter=f, pipeline=())
-        par = execute(plain, index, stores, concurrent=True)
-        seq = execute(plain, index, stores, concurrent=False)
+        par = _execute_with_helpers(plain, index, stores, monkeypatch)
+        seq = execute(plain, index, stores)
         assert par.output_bytes == seq.output_bytes, trial
 
         piped = AggregationRequest(filter=f, pipeline=(
             PluginSpec("time_ordered_merge", {}),
             PluginSpec("energy_filter", {"threshold": threshold}),
         ))
-        got = execute(piped, index, stores, concurrent=True)
-        got_seq = execute(piped, index, stores, concurrent=False)
+        got = _execute_with_helpers(piped, index, stores, monkeypatch)
+        got_seq = execute(piped, index, stores)
         assert got.output_bytes == got_seq.output_bytes, trial
 
         # oracle: concatenate matching datasets, sort, filter
@@ -568,7 +580,7 @@ def _provenance_world(root):
         sink=PublishSink(storage_id="st-j", dataset_id="ds-merged",
                          program_id="agg-merge", program_version="1.0"),
     )
-    result = execute(request, index, storages, concurrent=True)
+    result = execute(request, index, storages)
     publish_result(result, request.sink, user, state, storages, created_at=2_000)
     block1 = produce_block(state, 1, h1, now=state.slot_start_time(1))
     assert state.receive_block(block1).ok and len(block1.transactions) == 1
@@ -590,7 +602,7 @@ def test_criterion_7_provenance_round_trip_golden(tmp_path):
     # the derived dataset fetches cleanly...
     index = state.registry
     refetch = AggregationRequest(filter=QueryFilter(kind="secondary"), pipeline=())
-    fetched = execute(refetch, index, storages, concurrent=False)
+    fetched = execute(refetch, index, storages)
     assert fetched.output_digest == result.output_digest
 
     # ...until its stored file is mutated, then the next fetch fails integrity
@@ -599,7 +611,7 @@ def test_criterion_7_provenance_round_trip_golden(tmp_path):
     data[len(data) // 2] ^= 0x01
     open(derived_path, "wb").write(bytes(data))
     with pytest.raises(IntegrityError) as excinfo:
-        execute(refetch, index, storages, concurrent=False)
+        execute(refetch, index, storages)
     assert "st-j/derived/ds-merged.jsonl" in str(excinfo.value)
     report(7, "derived dataset carries 2 parents + program; mutated file fails next fetch")
 

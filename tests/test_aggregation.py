@@ -8,6 +8,7 @@ are checked against plain-Python oracles over the in-memory event lists.
 
 import dataclasses
 import io
+import marshal
 import os
 import random
 import sys
@@ -16,7 +17,7 @@ import tarfile
 import pytest
 from conftest import GEOMETRY_HASH, key_for, make_dataset, program_body
 
-from skyprov import aggregation, canonical, model, storage
+from skyprov import aggregation, canonical, model, parallel, storage
 from skyprov.aggregation import (
     AggregationRequest,
     LocalSink,
@@ -615,17 +616,200 @@ def test_empty_match_set_succeeds(world, tmp_path):
         assert tar.getnames() == []
 
 
-# -- concurrency ------------------------------------------------------------------------
+# -- forked helpers ---------------------------------------------------------------------
 
 
-def test_concurrent_equals_sequential(world):
+@pytest.fixture
+def helpers(monkeypatch):
+    """The pids of the helpers started, on a host with two usable CPUs and a
+    one-byte share minimum, so any two or more streams are split."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(aggregation, "_MIN_SHARE_BYTES", 1)
+    started = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return started
+
+
+def refuse_fork():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+def assert_no_helper_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def serial(monkeypatch, call):
+    """call() on one usable CPU, where execute forks nothing."""
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "usable_cpus", lambda: 1)
+        patch.setattr(os, "fork", None)  # any fork would raise TypeError
+        return call()
+
+
+def result_fields(result):
+    return (result.output_bytes, result.output_digest, result.events_in, result.events_out, result.drop_tally)
+
+
+def test_helpers_and_no_fork_give_the_same_output(world, helpers, monkeypatch):
     _, _, index, storages, _ = world
-    for pipeline in [(), (PluginSpec("time_ordered_merge", {}),), (PluginSpec("merge_archive", {}),)]:
+    for pipeline in [(), MERGE, (PluginSpec("merge_archive", {}),)]:
         request = AggregationRequest(filter=ALL, pipeline=pipeline)
-        conc = execute(request, index, storages, concurrent=True)
-        seq = execute(request, index, storages, concurrent=False)
-        assert conc.output_bytes == seq.output_bytes
-        assert conc.output_digest == seq.output_digest
+        helpers.clear()
+        forked = execute(request, index, storages)
+        assert len(helpers) == (pipeline != (PluginSpec("merge_archive", {}),))  # an archive decodes nothing
+        assert_no_helper_left()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", refuse_fork)
+            here = execute(request, index, storages)
+        assert forked.output_bytes == here.output_bytes
+        assert forked.output_digest == here.output_digest
+
+
+FILTER = PluginSpec("energy_filter", {"threshold": "0.5"})
+
+
+@pytest.mark.parametrize("pipeline", [(), MERGE, MERGE + (FILTER,),
+                                      MERGE + (FILTER, PluginSpec("energy_filter", {"threshold": "1"}))],
+                         ids=["no_merge", "merge", "one_filter", "two_filters"])
+def test_the_helper_path_equals_the_serial_path(world, helpers, monkeypatch, pipeline):
+    _, _, index, storages, _ = world
+    request = AggregationRequest(filter=ALL, pipeline=pipeline)
+    expected = serial(monkeypatch, lambda: execute(request, index, storages))
+    assert result_fields(execute(request, index, storages)) == result_fields(expected)
+    assert len(helpers) == 1
+    assert_no_helper_left()
+
+
+def test_a_share_below_the_minimum_or_one_cpu_forks_nothing(world, helpers, monkeypatch):
+    _, _, index, storages, _ = world
+    request = AggregationRequest(filter=ALL, pipeline=MERGE)
+    sizes = [ref.size for ds in query(index, ALL) for ref in ds.file_refs]
+    monkeypatch.setattr(aggregation, "_MIN_SHARE_BYTES", sum(sizes) // 2 + 1)
+    execute(request, index, storages)
+    monkeypatch.setattr(aggregation, "_MIN_SHARE_BYTES", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    execute(request, index, storages)
+    assert helpers == []
+
+
+WINDOW = QueryFilter(time_range=(5_000, 6_000))
+
+
+def publish_streams(world, kinds):
+    """One dataset per kind, in query order, each with one jsonl file of
+    four events: "good", "unsorted" (its times go backwards) or "broken"
+    (its third line is not JSON). The files are the same size, so a split in
+    two puts the first half of the streams in the caller's share."""
+    state, keys, _, storages, _ = world
+    handle = storages["st-1"]
+    user = key_for("user-1")
+    for i, kind in enumerate(kinds):
+        times = [5_400, 5_300, 5_200, 5_100] if kind == "unsorted" else [5_100, 5_200, 5_300, 5_400]
+        lines = encode_events_jsonl(mk_events(f"s{i}", times)).split(b"\n")
+        if kind == "broken":
+            lines[2] = b"[" + lines[2][1:]
+        data = b"\n".join(lines)
+        path = f"streams/s{i}.jsonl"
+        ref = FileRef(path=path, content_hash=put_file(handle, path, data).hex(), size=len(data), format="jsonl")
+        publish_refs(state, handle, user, f"ds-s{i}", [ref], 5_000 + i, 5_400)
+    seal(state, keys)
+    sizes = [ref.size for ds in query(state.registry, WINDOW) for ref in ds.file_refs]
+    assert parallel.split(sizes, 1) == [(0, len(kinds) // 2), (len(kinds) // 2, len(kinds))]
+    return state.registry
+
+
+def count_decodes(monkeypatch, helper_exit=None):
+    """The indexes of the streams decoded in this process, in call order; a
+    helper leaves by os._exit(helper_exit) when that is given."""
+    parent = os.getpid()
+    decoded = []
+    decode = aggregation._decode_stream
+
+    def counting(index, *args):
+        if os.getpid() == parent:
+            decoded.append(index)
+        elif helper_exit is not None:
+            os._exit(helper_exit)
+        return decode(index, *args)
+
+    monkeypatch.setattr(aggregation, "_decode_stream", counting)
+    return decoded
+
+
+def raised(call):
+    with pytest.raises(Exception) as err:
+        call()
+    exc = err.value
+    cause = exc.__cause__
+    return type(exc), str(exc), getattr(exc, "record_index", None), type(cause), str(cause)
+
+
+@pytest.mark.parametrize("kinds,error", [
+    (["broken", "good", "good", "good"], DecodeError),  # in the caller's share
+    (["good", "good", "good", "broken"], DecodeError),  # in the helper's share
+    (["good", "broken", "broken", "good"], DecodeError),  # the first of two, one on each side
+    (["unsorted", "good", "good", "broken"], DecodeError),  # a fault in the helper's share beats an unsorted stream
+    (["broken", "good", "unsorted", "good"], DecodeError),  # and in the caller's share
+    (["good", "unsorted", "good", "unsorted"], UnsortedInput),  # the first unsorted, one on each side
+    (["good", "good", "unsorted", "unsorted"], UnsortedInput),  # both in the helper's share
+    (["good", "good", "good", "unsorted"], UnsortedInput),
+], ids=["fault_here", "fault_in_helper", "faults_both_sides", "unsorted_here_fault_in_helper",
+        "fault_here_unsorted_in_helper", "unsorted_both_sides", "unsorted_twice_in_helper", "unsorted_in_helper"])
+def test_helpers_leave_the_error_unchanged(world, helpers, monkeypatch, kinds, error):
+    index = publish_streams(world, kinds)
+    storages = world[3]
+    request = AggregationRequest(filter=WINDOW, pipeline=MERGE)
+    expected = serial(monkeypatch, lambda: raised(lambda: execute(request, index, storages)))
+    assert expected[0] is error
+    decoded = count_decodes(monkeypatch)
+    killed = []
+    kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid) or kill(pid, sig))
+    assert raised(lambda: execute(request, index, storages)) == expected
+    assert len(helpers) == 1
+    assert_no_helper_left()
+    first_fault = kinds.index("broken") if "broken" in kinds else None
+    if first_fault is not None and first_fault < 2:  # raised here: the helper is killed and reaped
+        assert decoded == list(range(first_fault + 1)) and killed == helpers
+    else:  # the helper's streams before its first fault are not decoded again
+        assert decoded == [0, 1] + ([first_fault] if first_fault is not None else []) and killed == []
+
+
+class _Marshal:
+    """marshal, with dumps replaced."""
+
+    loads = staticmethod(marshal.loads)
+
+    def __init__(self, dumps):
+        self.dumps = dumps
+
+
+@pytest.mark.parametrize("failure", ["exits_3", "truncated_reply", "not_marshal_data", "not_a_list", "no_fork"])
+def test_a_failed_helper_costs_only_time(world, helpers, monkeypatch, failure):
+    _, _, index, storages, _ = world
+    request = AggregationRequest(filter=ALL, pipeline=MERGE + (FILTER,))
+    expected = serial(monkeypatch, lambda: execute(request, index, storages))
+    decoded = count_decodes(monkeypatch, helper_exit=3 if failure == "exits_3" else None)
+    if failure == "no_fork":
+        monkeypatch.setattr(os, "fork", refuse_fork)
+    elif failure != "exits_3":
+        dumps = {"truncated_reply": lambda obj: marshal.dumps(obj)[:-3],
+                 "not_marshal_data": lambda obj: b"\xff" * 64,
+                 "not_a_list": lambda obj: marshal.dumps(tuple(obj))}[failure]
+        monkeypatch.setattr(aggregation, "marshal", _Marshal(dumps))
+    assert result_fields(execute(request, index, storages)) == result_fields(expected)
+    assert len(helpers) == (failure != "no_fork")
+    assert_no_helper_left()
+    assert decoded == [0, 1, 2, 3]  # every stream decoded here, the helper's share after its failure
 
 
 def test_randomized_merge_trials(chain3, tmp_path):
@@ -656,7 +840,7 @@ def test_randomized_merge_trials(chain3, tmp_path):
     order = [d.dataset_id for d in query(index, ALL)]
     for _ in range(20):
         request = AggregationRequest(filter=ALL, pipeline=(PluginSpec("time_ordered_merge", {}),))
-        result = execute(request, index, storages, concurrent=rng.random() < 0.5)
+        result = execute(request, index, storages)
         assert result.output_bytes == encode_events_jsonl(merge_oracle(files, order))
 
 

@@ -1341,6 +1341,10 @@ def _hostile_entries(case, honest, head):
         storage["body"]["storage_id"] = [storage["body"]["storage_id"]]
     elif case == "unhashable_program_version":
         program["body"]["version"] = [program["body"]["version"]]
+    elif case == "program_id_int":  # hashable, and sorted beside string ids by index-build
+        program["body"]["program_id"] = 7
+    elif case == "dataset_id_int":  # ties with the dataset it copies in query's sort
+        dataset["dataset_id"] = 5
     return [dumps_canonical(obj) for obj in (storage, program, publish)]
 
 
@@ -1348,7 +1352,7 @@ def _hostile_entries(case, honest, head):
 _UNFOLDABLE_ENTRIES = [
     "not_json", "not_a_tx", "unhashable_id", "tx_keys", "body_keys", "file_refs_not_a_list", "file_ref_extra_key",
     "time_range_list", "time_range_start_str", "extra_not_a_map", "unhashable_dataset_id", "unhashable_storage_id",
-    "unhashable_program_version", "unhashable_parent_id", "unknown_parent_id",
+    "unhashable_program_version", "unhashable_parent_id", "unknown_parent_id", "program_id_int", "dataset_id_int",
 ]
 
 
@@ -1437,6 +1441,22 @@ def test_resigned_head_with_a_matching_cache_gets_the_replay_verdict(case, tmp_p
     message = _assert_forged_cache_gets_replay_verdict(chain_dir, cache, capsys)
     assert f"height {height}: {_replay_reason(case, resigned=True)}" in message
     assert len(folds) == 2  # the cached query's restore and load_chain's each reach the fold
+
+
+@pytest.mark.parametrize("case", ["program_id_int", "dataset_id_int"])
+def test_resigned_head_with_an_id_that_is_not_a_string_gets_the_replay_outcomes(case, tmp_path, capsys):
+    # The ids are hashable, so only a type check in the fold refuses them;
+    # without it index-build and query sort them beside string ids and end
+    # in a TypeError. With the check, each command exits as a replay does.
+    chain_dir = tmp_path / "chain"
+    _, cache = _forge_head_and_cache(case, chain_dir, resign_with=_golden_store(chain_dir))
+    cache_path = chain_dir / chain_module.HEAD_CACHE
+    for argv in _golden_commands(chain_dir, "00" * 32, tmp_path / "index.json"):
+        cache_path.unlink(missing_ok=True)
+        without = _cli_outcome(capsys, *argv)
+        cache_path.write_bytes(cache)
+        assert _cli_outcome(capsys, *argv) == without, argv
+        assert without[0] == 3, argv
 
 
 def _reshuffled_store(chain_dir, n_blocks=20):

@@ -19,6 +19,7 @@ from skyprov import cli
 from skyprov import index as index_module
 from skyprov import keys as keys_module
 from skyprov import model as model_module
+from skyprov import parallel as parallel_module
 from skyprov.aggregation import AggregationRequest, PluginSpec, execute, request_from_obj
 from skyprov.canonical import digest_from_hex, dumps_canonical, sha256_bytes
 from skyprov.chain import (
@@ -1024,7 +1025,7 @@ def test_warm_commands_verify_only_new_blocks(world, tmp_path, capsys, monkeypat
     original = chain_module.header_from_obj
     monkeypatch.setattr(chain_module, "header_from_obj", lambda obj: built.append(obj["height"]) or original(obj))
     # a host with two usable CPUs: the cold replay of the 140-block store forks a helper
-    monkeypatch.setattr(keys_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
@@ -1105,7 +1106,7 @@ def test_helpers_leave_every_verdict_and_error_unchanged(world, tmp_path, capsys
         "failure_then_directory": ({10: _with_bad_header_signature(state, keys, 10), 136: None},
                                    (10, "BadSignature")),
     }
-    monkeypatch.setattr(keys_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
     forks = []
     real_fork = os.fork
 

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from skyprov import keys as keys_module
+from skyprov import parallel as parallel_module
 from skyprov.keys import SigningKey, verify_signature, verify_signatures
 
 SIGNER = SigningKey.from_seed(b"keys-test:signer")
@@ -40,7 +41,7 @@ SERIAL = [verify_signature(*item) for item in ITEMS]
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the helpers started, on a host with two usable CPUs."""
-    monkeypatch.setattr(keys_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
     started = []
     fork = os.fork
 
@@ -65,10 +66,10 @@ def test_a_helper_verifies_a_share(forks):
 
 
 def test_one_helper_per_further_cpu_each_with_a_full_share(forks, monkeypatch):
-    monkeypatch.setattr(keys_module, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 8)
     assert verify_signatures(ITEMS) == SERIAL
     assert len(forks) == 1  # two shares of at least the minimum, not eight
-    assert keys_module._shares(len(ITEMS)) == [(0, len(ITEMS) // 2), (len(ITEMS) // 2, len(ITEMS))]
+    assert parallel_module.split([1] * len(ITEMS), keys_module._MIN_SHARE) == [(0, len(ITEMS) // 2), (len(ITEMS) // 2, len(ITEMS))]
     assert verify_signatures(ITEMS * 2) == SERIAL * 2
     assert len(forks) == 1 + 3
 
@@ -80,9 +81,9 @@ def test_a_batch_below_the_minimum_starts_no_helper(forks, count):
 
 
 def test_one_usable_cpu_or_another_thread_starts_no_helper(forks, monkeypatch):
-    monkeypatch.setattr(keys_module, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 1)
     assert verify_signatures(ITEMS) == SERIAL
-    monkeypatch.setattr(keys_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
