@@ -214,16 +214,34 @@ def scan_one_json(data: bytes) -> Any:
     return value
 
 
+@contextlib.contextmanager
+def parse_failures():
+    """Each way bytes fail to parse as JSON, inside the block, as InvalidBody."""
+    try:
+        yield
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past int()'s digit limit
+        raise InvalidBody(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than the scanner can follow
+        raise InvalidBody(f"JSON nested too deeply: {exc}") from exc
+
+
+def read_part(build, data: bytes, value: Any):
+    """build(value), accepted only if value encodes to data, the exact bytes
+    it was scanned from, which become the built object's wire_bytes: build
+    checks the shape and fields of a value that holds them as its wire form
+    does, and no form is built to be encoded again."""
+    part = build(value)
+    _require(dumps_validated(value) == data, "input is not in canonical form")
+    object.__setattr__(part, "wire_bytes", data)
+    return part
+
+
 def parse_json(data: bytes, object_pairs_hook=None) -> Any:
     """json.loads over UTF-8 bytes, with every way bytes fail to parse as
     InvalidBody. It does not check canonical form: a caller that needs it
     compares the bytes of what it built with data."""
-    try:
+    with parse_failures():
         return json.loads(data.decode("utf-8"), object_pairs_hook=object_pairs_hook)
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past int()'s digit limit
-        raise InvalidBody(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:  # nesting deeper than json.loads can follow
-        raise InvalidBody(f"JSON nested too deeply: {exc}") from exc
 
 
 def loads_canonical(data: bytes) -> Any:

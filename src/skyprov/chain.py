@@ -9,6 +9,7 @@ signature, a tx root, or a registry commitment on replay.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -29,8 +30,10 @@ from .canonical import (
     is_hex128,
     make_dirs,
     once,
+    parse_failures,
     parse_json,
     read_file,
+    read_part,
     replace_file,
     scan_json,
     sha256_bytes,
@@ -144,13 +147,15 @@ class BlockHeader:
     @property
     def signing_bytes(self) -> bytes:
         """Canonical bytes of every field but the signature; computing them
-        validates those fields, and a malformed one raises InvalidBody."""
-        return dumps_validated(_header_core_obj(self))
+        validates the fields, and a malformed one raises InvalidBody."""
+        _check_header(self)
+        return dumps_validated({name: getattr(self, name) for name in _HEADER_CORE_KEYS})
 
     @once
     def wire_bytes(self) -> bytes:
         """Canonical bytes of the signed header, as a block file holds them;
-        computing them is the header's field validation."""
+        computing them is the header's field validation, unless a reader
+        built the header and set these bytes."""
         return dumps_validated(header_to_obj(self))
 
     @once
@@ -176,7 +181,8 @@ _HEADER_KEYS = _field_names(BlockHeader)
 _HEADER_CORE_KEYS = _HEADER_KEYS - {"signature"}
 
 
-def _header_core_obj(h: BlockHeader) -> dict:
+def _check_header(h: BlockHeader) -> None:
+    """A header's field checks, the signature's last, for its encoders and header_from_obj."""
     _require_count(h.height, "height")
     _require_count(h.slot, "slot")
     _require_hex64(h.prev_block_hash, "prev_block_hash")
@@ -185,21 +191,20 @@ def _header_core_obj(h: BlockHeader) -> dict:
     _require_count(h.registry_size, "registry_size")
     _require_count(h.timestamp, "timestamp")
     _require_str(h.creator, "creator")
-    return {name: getattr(h, name) for name in _HEADER_CORE_KEYS}
+    _require(is_hex128(h.signature), "header signature malformed")
 
 
 def header_to_obj(h: BlockHeader) -> dict:
-    obj = _header_core_obj(h)
-    _require(is_hex128(h.signature), "header signature malformed")
-    obj["signature"] = h.signature
-    return obj
+    _check_header(h)
+    return {name: getattr(h, name) for name in _HEADER_KEYS}
 
 
 def header_from_obj(obj) -> BlockHeader:
+    """The header a header object holds, its shape and fields checked; nothing is encoded."""
     _require(isinstance(obj, dict), "header must be an object")
     _require_keys(obj, _HEADER_KEYS, "header")
     h = BlockHeader(**obj)
-    h.wire_bytes  # the one field validation
+    _check_header(h)
     return h
 
 
@@ -212,14 +217,25 @@ class Block:
 _BLOCK_KEYS = _field_names(Block)
 
 
-def block_from_obj(obj) -> Block:
+def _check_block_obj(obj) -> None:
     _require(isinstance(obj, dict) and obj.keys() == _BLOCK_KEYS, "block keys malformed")
-    txs = obj["transactions"]
-    _require(isinstance(txs, list), "transactions must be a list")
-    return Block(
-        header=header_from_obj(obj["header"]),
-        transactions=tuple(tx_from_obj(t) for t in txs),
-    )
+    _require(isinstance(obj["transactions"], list), "transactions must be a list")
+
+
+def block_from_obj(obj) -> Block:
+    """The block a parsed block object holds, each part built and then
+    encoded by its producer's encoder: the reference block_from_bytes is
+    tested against, which no reader calls."""
+    _check_block_obj(obj)
+    block = Block(header_from_obj(obj["header"]), tuple(tx_from_obj(t) for t in obj["transactions"]))
+    block_bytes(block)
+    return block
+
+
+# A block file's one byte form opens with the first, and its transactions
+# array opens with the second, right after the header's last byte.
+_HEADER_KEY = '{"header":'
+_TXS_KEY = ',"transactions":['
 
 
 def block_bytes(block: Block) -> bytes:
@@ -229,11 +245,41 @@ def block_bytes(block: Block) -> bytes:
     return b'{"header":' + block.header.wire_bytes + b',"transactions":[' + txs + b"]}"
 
 
+def _block_parts(data: bytes):
+    """The one reader of a block file's bytes, data being them without the
+    final "\n". When data is the frame {"header":H,"transactions":[T1,...,Tn]},
+    it yields (exact bytes, scanned value) of the header, then of each
+    transaction, as it scans them, checking no part. Otherwise InvalidBody,
+    named as a parse of the whole file names it: a JSON fault, the shape
+    fault of canonical JSON that is no block, or else not canonical form."""
+    try:
+        text = data.decode("utf-8")
+        _require(text.startswith(_HEADER_KEY) and text.endswith("]}"), "no block frame")
+        obj, at = scan_json(text, len(_HEADER_KEY))
+        _require(text.startswith(_TXS_KEY, at), "no block frame")
+        yield text[len(_HEADER_KEY):at].encode("utf-8"), obj
+        at, stop = at + len(_TXS_KEY), len(text) - 2  # stop: where the array's "]" is
+        while at < stop:
+            obj, end = scan_json(text, at)
+            _require(end == stop or end < stop - 1 and text[end] == ",", "no block frame")
+            yield text[at:end].encode("utf-8"), obj
+            at = end + 1
+        return
+    except (InvalidBody, ValueError, RecursionError):  # named below
+        pass
+    with parse_failures():  # leading whitespace, which json.loads skips, then fails the comparison
+        obj = scan_json(data.decode("utf-8").lstrip(" \t\n\r"), 0)[0]
+        canonical = dumps_validated(obj) == data
+    if canonical:  # canonical JSON that is no block
+        _check_block_obj(obj)
+    raise InvalidBody("input is not in canonical form")
+
+
 def block_from_bytes(data: bytes) -> Block:
-    """Parse a block, accepting only its one byte form."""
-    block = block_from_obj(parse_json(data))
-    _require(block_bytes(block) == data, "input is not in canonical form")
-    return block
+    """Parse a block, accepting only its one byte form: once every part is
+    scanned, the header and then each transaction are read from theirs."""
+    header, *txs = _block_parts(data)
+    return Block(read_part(header_from_obj, *header), tuple([read_part(tx_from_obj, *tx) for tx in txs]))
 
 
 def tx_tree_root(leaf_hashes) -> str:
@@ -740,56 +786,33 @@ def replay_chain(chain_dir: str):
 # back from a trusted tip: the head block hashes to head_hash and its
 # signature verifies under its creator's roster key (one Ed25519 verify).
 # Every covered block file must then be exactly
-# {"header":H,"transactions":[T1,...,Tn]}\n, where each H's prev_block_hash
-# is the hash of the previous H's exact bytes (the genesis hash for block
-# 0), the last H hashes to head_hash, and each H's registry_size counts the
-# transactions up to its block's; and the covered transactions must hash to
-# the head's registry root. So each byte of each covered file is the one
-# the signed head commits to. Of the headers, only the head's is built.
-# Each transaction is scanned once: its exact bytes are its leaf, and its
-# object goes to model.fold_log_entries, which checks its shape only and
-# folds the registry in log order, as apply_block folds it, without
-# building it.
+# {"header":H,"transactions":[T1,...,Tn]}\n, read by the replay's reader
+# (_block_parts), where each H's prev_block_hash is the hash of the previous
+# H's exact bytes (the genesis hash for block 0), the last H hashes to
+# head_hash, and each H's registry_size counts the transactions up to its
+# block's; and the covered transactions must hash to the head's registry
+# root. So each byte of each covered file is the one the signed head
+# commits to. Of the headers, only the head's is built. Each transaction is
+# scanned once: its exact bytes are its leaf, and its object goes to
+# model.fold_log_entries, which checks its shape only and folds the registry
+# in log order, as apply_block folds it, without building it.
 _CACHE_KEYS = {"genesis_hash", "head_hash", "height"}
 
-# A block file's one byte form opens with the first, and its transactions
-# array opens with the second, right after the header's last byte.
-_HEADER_KEY = '{"header":'
-_TXS_KEY = ',"transactions":['
 
-
-def _scan_header(text: str) -> tuple:
-    """(object, end) of the header that a block file's text opens with: its
-    exact bytes are text[len(_HEADER_KEY):end], and _TXS_KEY follows them."""
-    _require(text.startswith(_HEADER_KEY), "block file does not open with its header")
-    obj, end = scan_json(text, len(_HEADER_KEY))
-    _require(isinstance(obj, dict) and obj.keys() == _HEADER_KEYS and text.startswith(_TXS_KEY, end),
-             "block file header malformed")
-    return obj, end
-
-
-def _scan_log_entries(chain_dir: str, height: int, head: tuple, links: list, entries: list):
+def _covered_log_entries(chain_dir: str, height: int, head, links: list, entries: list):
     """Yield the object of each transaction in block files 0..height, in log
-    order, head being (text, header object, header end) of block height.
-    Each file's header must link to links[-1], and is appended to links as
-    (slot, hash of its exact bytes); each transaction's exact bytes are
-    appended to entries."""
+    order, head being the parts of block height. Each file's header must
+    link to links[-1], and is appended to links as (slot, hash of its exact
+    bytes); each transaction's exact bytes are appended to entries."""
     for h in range(height + 1):
-        if h < height:
-            text = read_file(_block_path(chain_dir, h), "block file").decode("utf-8")
-            header, at = _scan_header(text)
-        else:
-            text, header, at = head
+        parts = head if h == height else _block_parts(_read_stored(_block_path(chain_dir, h), "block file"))
+        data, header = next(parts)
+        _require(isinstance(header, dict) and header.keys() == _HEADER_KEYS, "block file header malformed")
         _require(header["prev_block_hash"] == links[-1][1], "block does not link to the one before it")
-        links.append((header["slot"], sha256_bytes(text[len(_HEADER_KEY):at].encode("utf-8")).hex()))
-        _require(text.endswith("]}\n"), "block file does not end its transactions array")
-        at, stop = at + len(_TXS_KEY), len(text) - 3
-        while at < stop:
-            obj, end = scan_json(text, at)
-            entries.append(text[at:end].encode("utf-8"))
+        links.append((header["slot"], sha256_bytes(data).hex()))
+        for data, obj in parts:
+            entries.append(data)
             yield obj
-            _require(end == stop or text[end] == "," and end + 1 < stop, "transactions array malformed")
-            at = end + 1
         _require(header["registry_size"] == len(entries), "registry size differs from the transactions stored")
 
 
@@ -798,35 +821,36 @@ def _restore_head(chain_dir: str, state: ChainState, heights) -> int:
     return the cached height; return -1 and leave state untouched when the
     cache is missing, unreadable or does not match."""
     try:
-        # plain json.loads: every field is checked below
-        cache = json.loads(read_file(os.path.join(chain_dir, HEAD_CACHE), "head cache"))
+        with parse_failures():  # plain json.loads: every field is checked below
+            cache = json.loads(read_file(os.path.join(chain_dir, HEAD_CACHE), "head cache"))
         _require(isinstance(cache, dict) and set(cache) == _CACHE_KEYS, "head cache keys malformed")
         height = cache["height"]
         _require(_require_count(height, "head cache height") < len(heights), "head cache height is not stored")
         _require(cache["genesis_hash"] == state.genesis_hash_hex, "head cache names another genesis")
-        text = read_file(_block_path(chain_dir, height), "block file").decode("utf-8")
-        obj, end = _scan_header(text)
-        header = header_from_obj(obj)
+        parts = _block_parts(_read_stored(_block_path(chain_dir, height), "block file"))
+        head = next(parts)
+        header = read_part(header_from_obj, *head)
         _require(header.hash == cache["head_hash"], "head block differs from the head cache's")
         pub = state.roster_key(header.creator)
         _require(pub is not None and header.signed_by(pub), "head block is not signed by its creator's roster key")
         links, entries = [(-1, state.genesis_hash_hex)], []
-        registry, tx_index = fold_log_entries(_scan_log_entries(chain_dir, height, (text, obj, end), links, entries))
+        registry, tx_index = fold_log_entries(
+            _covered_log_entries(chain_dir, height, itertools.chain([head], parts), links, entries))
         _require(links[-1][1] == header.hash, "covered blocks do not link to the head")
         log = MerkleLog()
         log.extend(entries)
         _require(log.root().hex() == header.registry_root,
                  "covered transactions do not match the head's registry commitment")
         registry.built_to = (height, log.size)
-    # Until every check has passed, the files hold any bytes: ValueError
-    # from decoding or scanning them, RecursionError from deep nesting and
-    # TypeError from an unhashable id. Each means a full replay, which
+        # the seed of the head's cycle: the hash of the last block before it, or the genesis hash
+        cycle_start = state._cycle_start(header.slot)
+        seed = next(link for slot, link in reversed(links) if slot < cycle_start)
+    # Until every check has passed, the files hold any bytes: every way they
+    # fail to parse is InvalidBody, and an unhashable id, or a covered slot
+    # that is no integer, is a TypeError. Each means a full replay, which
     # reports any damage.
-    except (SkyprovError, ValueError, TypeError, RecursionError):
+    except (SkyprovError, TypeError):
         return -1
-    # the seed of the head's cycle: the hash of the last block before it, or the genesis hash
-    cycle_start = state._cycle_start(header.slot)
-    seed = next(link for slot, link in reversed(links) if slot < cycle_start)
     state._adopt_head(header, log, registry, tx_index, (cycle_start, seed))
     return height
 

@@ -24,8 +24,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .canonical import _field_names, _require, digest_from_hex, digest_to_hex, dumps_canonical, loads_canonical
-from .errors import IndexOutOfRange, InvalidBody
+from .canonical import _field_names, _require, digest_to_hex, dumps_canonical
+from .errors import IndexOutOfRange
 
 LEAF_PREFIX = b"\x00"
 NODE_PREFIX = b"\x01"
@@ -72,17 +72,6 @@ class _Proof:
 
     def to_json_bytes(self) -> bytes:
         return dumps_canonical(self.to_obj())
-
-    @classmethod
-    def from_json_bytes(cls, data: bytes):
-        obj = loads_canonical(data)
-        if not isinstance(obj, dict) or obj.keys() != cls._keys:
-            raise InvalidBody(f"{cls.__name__} must have exactly {sorted(cls._keys)}")
-        if not all(isinstance(obj[name], int) for name in cls._keys - {"path"}):
-            raise InvalidBody("proof sizes must be integers")
-        if not isinstance(obj["path"], list):
-            raise InvalidBody("proof path must be a list")
-        return cls(**dict(obj, path=tuple(digest_from_hex(h) for h in obj["path"])))
 
 
 @dataclass(frozen=True)

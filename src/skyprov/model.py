@@ -28,6 +28,7 @@ from .canonical import (
     is_hex128,
     once,
     parse_json,
+    read_part,
     sha256_bytes,
 )
 from .errors import InvalidBody, NotFound
@@ -220,6 +221,11 @@ _TIME_RANGE_KEYS = frozenset(("end", "start"))
 
 def dataset_to_obj(ds: DatasetDescriptor) -> dict:
     validate_dataset(ds)
+    return _dataset_obj(ds)
+
+
+def _dataset_obj(ds: DatasetDescriptor) -> dict:
+    """The wire object of a dataset that validate_dataset passed."""
     obj = {name: getattr(ds, name) for name in _DATASET_KEYS}
     obj["extra"] = dict(sorted(ds.extra.items()))
     obj["file_refs"] = [{name: getattr(r, name) for name in _FILE_REF_KEYS} for r in ds.file_refs]
@@ -336,12 +342,8 @@ _BODY_FIELDS = {cls: _field_names(cls) for cls in _BODY_TAGS}
 _BODY_KEYS = {cls: fields | {"type"} for cls, fields in _BODY_FIELDS.items()}
 
 
-def body_to_obj(body: TxBody) -> dict:
-    tag = _BODY_TAGS.get(type(body))
-    if tag is None:
-        raise InvalidBody(f"unknown transaction body type {type(body).__name__}")
-    obj = {name: getattr(body, name) for name in _BODY_FIELDS[type(body)]}
-    obj["type"] = tag
+def _check_body(body: TxBody) -> None:
+    """A body's field checks, its dataset's first, for body_to_obj and tx_from_obj."""
     if isinstance(body, RegisterStorage):
         _require_str(body.storage_id, "storage_id")
         _require_choice(body.adapter_kind, ADAPTER_KINDS, "adapter_kind")
@@ -352,10 +354,10 @@ def body_to_obj(body: TxBody) -> dict:
         _require_str(body.version, "version")
         _require_hex64(body.code_hash, "code_hash")
     elif isinstance(body, PublishDataset):
-        obj["dataset"] = dataset_to_obj(body.dataset)
+        validate_dataset(body.dataset)
         _require(body.dataset.kind == "primary", "publish_dataset must carry a primary dataset")
     else:
-        obj["dataset"] = dataset_to_obj(body.dataset)
+        validate_dataset(body.dataset)
         _require(body.dataset.kind == "secondary", "derive_dataset must carry a secondary dataset")
         _require(
             isinstance(body.parent_dataset_ids, (list, tuple)) and len(body.parent_dataset_ids) > 0,
@@ -370,6 +372,15 @@ def body_to_obj(body: TxBody) -> dict:
         _require_str(body.program_id, "program_id")
         _require_str(body.program_version, "program_version")
         _require_hex64(body.parameters_hash, "parameters_hash")
+
+
+def body_to_obj(body: TxBody) -> dict:
+    _check_body(body)
+    obj = {name: getattr(body, name) for name in _BODY_FIELDS[type(body)]}
+    obj["type"] = _BODY_TAGS[type(body)]
+    if isinstance(body, (PublishDataset, DeriveDataset)):
+        obj["dataset"] = _dataset_obj(body.dataset)
+    if isinstance(body, DeriveDataset):
         obj["parent_dataset_ids"] = list(body.parent_dataset_ids)
     return obj
 
@@ -448,21 +459,20 @@ class PmdTransaction:
         """Wire form, appended to the registry log: the body's bytes ("body"
         sorts first) joined with the other members, each a checked integer
         or lowercase hex that needs no escaping. Computing it is the
-        transaction's field validation, body first."""
+        transaction's field validation, body first, unless a reader built
+        the transaction and set these bytes."""
         body = canonical_bytes(self.body)
-        _require_hex64(self.creator, "creator")
-        _require(_require_int(self.created_at, "created_at") > 0, "created_at must be > 0")
-        _require(is_hex128(self.signature), "signature must be 128 lowercase hex chars")
-        _require_hex64(self.tx_id, "tx_id")
+        _check_tx(self)
         return b'{"body":%b,"created_at":%d,"creator":"%b","signature":"%b","tx_id":"%b"}' % (
             body, self.created_at, self.creator.encode(), self.signature.encode(), self.tx_id.encode())
 
     @property
     def body_bytes(self) -> bytes:
-        """canonical_bytes(self.body), once the transaction's own fields are
-        checked too."""
-        self.wire_bytes
-        return self.body.wire_bytes
+        """canonical_bytes(self.body), cut from the wire bytes: the last
+        ',"created_at":' opens the members after the body, which hold no
+        other, so a read transaction's body is never encoded."""
+        data = self.wire_bytes
+        return data[len(b'{"body":'):data.rindex(b',"created_at":')]
 
     @once
     def leaf_hash(self) -> bytes:
@@ -495,28 +505,26 @@ def sign_transaction(body: TxBody, key: SigningKey, created_at: Optional[int] = 
     return tx
 
 
+def _check_tx(tx: PmdTransaction) -> None:
+    """A transaction's own field checks, after its body's, for wire_bytes and tx_from_obj."""
+    _require_hex64(tx.creator, "creator")
+    _require(_require_int(tx.created_at, "created_at") > 0, "created_at must be > 0")
+    _require(is_hex128(tx.signature), "signature must be 128 lowercase hex chars")
+    _require_hex64(tx.tx_id, "tx_id")
+
+
 _TX_KEYS = _field_names(PmdTransaction)
 
 
-def tx_to_obj(tx: PmdTransaction) -> dict:
-    tx.wire_bytes  # the field validation
-    obj = {name: getattr(tx, name) for name in _TX_KEYS}
-    obj["body"] = body_to_obj(tx.body)
-    return obj
-
-
 def tx_from_obj(obj: Any) -> PmdTransaction:
-    tx = _tx_from_obj(obj)
-    tx.wire_bytes  # the one field validation
-    return tx
-
-
-def _tx_from_obj(obj: Any) -> PmdTransaction:
-    """Build a transaction after checking the object's shape only."""
+    """The transaction a transaction object holds, its shape and then its
+    fields checked, body first; nothing is encoded."""
     _check_tx_obj(obj)
+    body = _body_from_obj(obj["body"])
+    _check_body(body)
     creator = obj["creator"]
-    return PmdTransaction(
-        body=_body_from_obj(obj["body"]),
+    tx = PmdTransaction(
+        body=body,
         # a chain's transactions come from a few keys: one string per key,
         # not one per parsed transaction, in a replay that holds them all
         creator=sys.intern(creator) if type(creator) is str else creator,
@@ -524,6 +532,8 @@ def _tx_from_obj(obj: Any) -> PmdTransaction:
         signature=obj["signature"],
         tx_id=obj["tx_id"],
     )
+    _check_tx(tx)
+    return tx
 
 
 def _check_tx_obj(obj: Any) -> None:
@@ -534,9 +544,7 @@ def _check_tx_obj(obj: Any) -> None:
 
 def tx_from_wire_bytes(data: bytes) -> PmdTransaction:
     """Parse a transaction, accepting only its wire bytes."""
-    tx = tx_from_obj(parse_json(data))
-    _require(tx.wire_bytes == data, "input is not in canonical form")
-    return tx
+    return read_part(tx_from_obj, data, parse_json(data))
 
 
 # -- registry state and validation -----------------------------------------

@@ -56,7 +56,6 @@ from skyprov.model import (
     event_to_obj,
     sign_transaction,
     tx_from_obj,
-    tx_to_obj,
     validate_transaction,
 )
 from skyprov.netsim import genesis_for, sim_config_from_obj
@@ -227,7 +226,7 @@ def test_trailing_newline_is_rejected(chain3, wire, path):
     event = EasEvent("e", 1, "TAIGA", "d", (1,), 10, "1.5", {})
     honest, parse = {
         "header": (header_to_obj(block.header), header_from_obj),
-        "tx": (tx_to_obj(tx), tx_from_obj),
+        "tx": (loads_canonical(tx.wire_bytes), tx_from_obj),
         "genesis": (genesis_to_obj(state.config), genesis_from_obj),
         "checkpoint": (state.checkpoint().to_obj(), Checkpoint.from_obj),
         "dataset": (dataset_to_obj(make_dataset("ds-nl")),

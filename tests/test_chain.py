@@ -54,7 +54,6 @@ from skyprov.model import (
     body_from_obj,
     canonical_bytes,
     sign_transaction,
-    tx_to_obj,
 )
 
 from conftest import key_for, make_dataset, make_roster, program_body, storage_body
@@ -562,9 +561,7 @@ def test_replay_detects_registry_commitment_break(chain3, tmp_path):
     user = key_for("user-1")
     body = body_from_obj(obj["transactions"][0]["body"])
     fixed_tx = sign_transaction(body, user, created_at=obj["transactions"][0]["created_at"])
-    from skyprov.model import tx_to_obj
-
-    obj["transactions"][0] = tx_to_obj(fixed_tx)
+    obj["transactions"][0] = loads_canonical(fixed_tx.wire_bytes)
     block = block_from_bytes(dumps_canonical(obj))
     creator = block.header.creator
     h = dataclasses.replace(
@@ -731,7 +728,7 @@ def _damage_golden(chain_dir, case, keys):
         tamper(obj)
         tx_obj = obj["transactions"][0]
         fixed = sign_transaction(body_from_obj(tx_obj["body"]), user, created_at=tx_obj["created_at"])
-        obj["transactions"][0] = tx_to_obj(fixed)
+        obj["transactions"][0] = loads_canonical(fixed.wire_bytes)
         _resign_header(obj, keys[obj["header"]["creator"]])
 
     def impostor_tx(obj):
@@ -797,10 +794,51 @@ def test_replay_validates_and_encodes_each_tx_once(tmp_path, monkeypatch):
     n_blocks = state.head_height + 1
     n_txs = state.registry_log.size
     assert len(validated) == len(state.registry.datasets)
-    # one per tx (its wire bytes); per block, the canonical round trip of the
-    # stored bytes, the header signing bytes and the header hash; the genesis
-    # file's round trip and its hash
-    assert len(encodes) <= n_txs + 3 * n_blocks + 2
+    # one per tx (the object scanned from its bytes); per block, the header's
+    # scanned object and its signing bytes; the genesis's wire bytes
+    assert len(encodes) == n_txs + 2 * n_blocks + 1
+
+
+def _record_skyprov_calls(monkeypatch, module, name):
+    """Wrap module.name wherever a skyprov module binds it; returns the list
+    of first arguments it is called with."""
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "skyprov" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+def test_block_files_are_read_by_the_frame_walk_alone(tmp_path, monkeypatch):
+    # A replay builds each part from the object scanned from its exact
+    # bytes, so no body, dataset or header is rebuilt as an object to be
+    # encoded, and no block file is parsed whole; the genesis is, once. A
+    # warm load parses the genesis only, and reads every covered block file
+    # by the same walk.
+    _golden_store(tmp_path)
+    genesis = (tmp_path / "genesis.json").read_bytes()[:-1]
+    rebuilt = {(module.__name__, name): _record_skyprov_calls(monkeypatch, module, name)
+               for module, name in ((model, "body_to_obj"), (model, "dataset_to_obj"), (chain_module, "header_to_obj"))}
+    parsed = _record_skyprov_calls(monkeypatch, canonical_module, "parse_json")
+    walked = _record_skyprov_calls(monkeypatch, chain_module, "_block_parts")
+    state, _, failure = replay_chain(str(tmp_path))
+    assert failure is None and state.head_height == 6
+    assert {key: len(calls) for key, calls in rebuilt.items()} == dict.fromkeys(rebuilt, 0)
+    assert parsed == [genesis]
+    assert len(walked) == 7
+    load_chain(str(tmp_path))  # writes the head cache
+    parsed.clear()
+    walked.clear()
+    assert load_chain(str(tmp_path)).head_hash() == state.head_hash()
+    assert parsed == [genesis]
+    assert len(walked) == 7
+    assert {key: len(calls) for key, calls in rebuilt.items()} == dict.fromkeys(rebuilt, 0)
 
 
 def _capture_applied_blocks(monkeypatch):
@@ -900,9 +938,9 @@ def test_simulated_transactions_keep_instance_dicts_as_small_as_replayed_ones(tm
 def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
     # A block file is accepted only as the join of its parts' wire bytes, and
     # genesis.json only as the genesis's wire bytes, so replay never calls
-    # loads_canonical: the genesis is encoded once, each transaction body
-    # once (a transaction's wire bytes join its body's), and each header
-    # twice (its signing bytes and its wire bytes).
+    # loads_canonical: the genesis is encoded once, each transaction once
+    # (the object scanned from its bytes; its body's bytes are a slice of
+    # them), and each header twice (its scanned object and its signing bytes).
     _golden_store(tmp_path)
     applied = _capture_applied_blocks(monkeypatch)
     parsed = []
@@ -916,8 +954,8 @@ def test_replay_checks_block_files_against_their_parts(tmp_path, monkeypatch):
     assert parsed == []
     headers = [header_to_obj(b.header) for b in applied]
     cores = [{k: v for k, v in h.items() if k != "signature"} for h in headers]
-    bodies = [tx_to_obj(tx)["body"] for b in applied for tx in b.transactions]
-    expected = [genesis_to_obj(state.config)] + headers + cores + bodies
+    txs = [json.loads(tx.wire_bytes) for b in applied for tx in b.transactions]
+    expected = [genesis_to_obj(state.config)] + headers + cores + txs
     assert sorted(json.dumps(v, sort_keys=True) for v in encoded) == sorted(
         json.dumps(v, sort_keys=True) for v in expected)
 
@@ -1451,6 +1489,35 @@ def test_resigned_head_with_an_id_that_is_not_a_string_gets_the_replay_outcomes(
     chain_dir = tmp_path / "chain"
     _, cache = _forge_head_and_cache(case, chain_dir, resign_with=_golden_store(chain_dir))
     cache_path = chain_dir / chain_module.HEAD_CACHE
+    for argv in _golden_commands(chain_dir, "00" * 32, tmp_path / "index.json"):
+        cache_path.unlink(missing_ok=True)
+        without = _cli_outcome(capsys, *argv)
+        cache_path.write_bytes(cache)
+        assert _cli_outcome(capsys, *argv) == without, argv
+        assert without[0] == 3, argv
+
+
+def test_resigned_head_over_a_covered_slot_that_is_not_an_integer_gets_the_replay_outcomes(tmp_path, capsys):
+    # The restore checks covered headers by their hash links only, and reads
+    # their slots for the head's reshuffle seed. A roster key that re-signs
+    # the head over a previous header whose slot is a string makes that
+    # lookup a TypeError, which must end the restore, not the command.
+    chain_dir = tmp_path / "chain"
+    keys = _golden_store(chain_dir)
+    height = load_chain(str(chain_dir)).head_height
+    cache_path = chain_dir / chain_module.HEAD_CACHE
+    cache = json.loads(cache_path.read_bytes())
+    prev, head = (chain_module.load_block_file(str(chain_dir), h) for h in (height - 1, height))
+    forged = dumps_canonical(dict(json.loads(prev.header.wire_bytes), slot="x"))
+    path = chain_dir / f"block_{height - 1}.json"
+    path.write_bytes(path.read_bytes().replace(prev.header.wire_bytes, forged, 1))
+    header = dataclasses.replace(head.header, prev_block_hash=hashlib.sha256(forged).hexdigest())
+    header = dataclasses.replace(header, signature=keys[header.creator].sign(header.signing_bytes).hex())
+    path = chain_dir / f"block_{height}.json"
+    path.write_bytes(path.read_bytes().replace(head.header.wire_bytes, header.wire_bytes, 1))
+    cache = dumps_canonical(dict(cache, head_hash=header.hash)) + b"\n"
+    cache_path.write_bytes(cache)
+    assert not _restores(chain_dir)
     for argv in _golden_commands(chain_dir, "00" * 32, tmp_path / "index.json"):
         cache_path.unlink(missing_ok=True)
         without = _cli_outcome(capsys, *argv)

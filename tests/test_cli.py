@@ -374,8 +374,25 @@ def test_damaged_genesis_exits_3_with_or_without_head_cache(world, tmp_path, cap
         assert lines(outcomes[0])[-1]["error"] == expected
 
 
-@pytest.mark.parametrize("damage", [b"[" * 100_000 + b"]" * 100_000, b"1" * 5_000], ids=["nested", "huge_int"])
-def test_chain_verify_rejects_unparsable_block(world, capsys, damage):
+_NESTED = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("framed,damage", [
+    (False, _NESTED), (False, b"1" * 5_000), (True, _NESTED), (True, b"1" * 5_000), (True, b'"\xff"'),
+], ids=["nested", "huge_int", "framed_nested", "framed_huge_int", "framed_bad_utf8"])
+def test_chain_verify_rejects_unparsable_block(world, capsys, framed, damage):
+    # The damage is the whole of block 1's file, or its one transaction
+    # value inside the frame of block 1's own header: either way the block
+    # is an InvalidBody at its height, and a warm query under the cache the
+    # honest store wrote, which covers block 1, gets the replay's outcome.
+    _grow(world["state"], world["keys"], world["user"], 1)
+    save_chain(world["state"], world["chain"])
+    assert run(capsys, "query", "--chain", world["chain"], "--where", "kind=primary")[0] == 0  # writes the cache
+    cache_path = pathlib.Path(world["chain"], chain_module.HEAD_CACHE)
+    cache = cache_path.read_bytes()
+    if framed:
+        header = chain_module.load_block_file(world["chain"], 1).header.wire_bytes
+        damage = b'{"header":' + header + b',"transactions":[' + damage + b"]}"
     block_path = os.path.join(world["chain"], "block_1.json")
     with open(block_path, "wb") as fh:
         fh.write(damage + b"\n")
@@ -383,6 +400,12 @@ def test_chain_verify_rejects_unparsable_block(world, capsys, damage):
     assert code == 3
     assert lines(out)[-1]["error"] == "InvalidBody" and lines(out)[-1]["height"] == 1
     assert "Traceback" not in err
+    query = ("query", "--chain", world["chain"], "--where", "kind=primary")
+    cache_path.unlink()
+    without = run(capsys, *query)
+    assert without[0] == 3 and lines(without[1])[-1]["error"] == "InvalidBody" and "Traceback" not in without[2]
+    cache_path.write_bytes(cache)
+    assert run(capsys, *query) == without
 
 
 def test_chain_verify_rejects_lone_surrogate(world, capsys):

@@ -13,11 +13,11 @@ from decimal import Decimal
 import pytest
 from conftest import GEOMETRY_HASH, key_for, make_dataset, program_body, storage_body
 
-from skyprov.canonical import dumps_canonical
+from skyprov.canonical import dumps_canonical, loads_canonical
 from skyprov.chain import produce_block
 from skyprov.errors import InvalidBody
 from skyprov.index import QueryFilter, index_to_obj, query, validate_filter
-from skyprov.model import DeriveDataset, PublishDataset, dataset_to_obj, fold_log_entries, sign_transaction, tx_to_obj
+from skyprov.model import DeriveDataset, PublishDataset, dataset_to_obj, fold_log_entries, sign_transaction
 
 
 # -- oracle: brute-force scan over confirmed transaction wire objects ---------------
@@ -30,7 +30,7 @@ def oracle_scan(blocks, f):
     parents = {}  # id -> list of parent ids
     for block in blocks:
         for tx in block.transactions:
-            body = tx_to_obj(tx)["body"]
+            body = loads_canonical(tx.wire_bytes)["body"]
             if body["type"] in ("publish_dataset", "derive_dataset"):
                 d = body["dataset"]
                 descriptors[d["dataset_id"]] = d
@@ -321,7 +321,7 @@ def _folded(state, blocks):
     """The registry the head cache restores: folded from the objects of the
     registry log's entries, each record holding its dataset's fields in
     place of a descriptor."""
-    registry, _ = fold_log_entries([tx_to_obj(tx) for block in blocks for tx in block.transactions])
+    registry, _ = fold_log_entries([loads_canonical(tx.wire_bytes) for block in blocks for tx in block.transactions])
     registry.built_to = state.registry.built_to
     return registry
 

@@ -503,42 +503,6 @@ def test_extend_equals_appends(held):
     assert extended.root() == oracle_root(entries)
 
 
-# -- serialization -------------------------------------------------------
-
-
-def test_inclusion_proof_json_roundtrip():
-    log = build_log(entries_for(7))
-    proof = log.prove_inclusion(3)
-    data = proof.to_json_bytes()
-    assert InclusionProof.from_json_bytes(data) == proof
-    # canonical fixpoint
-    assert InclusionProof.from_json_bytes(data).to_json_bytes() == data
-
-
-def test_consistency_proof_json_roundtrip():
-    log = build_log(entries_for(7))
-    proof = log.prove_consistency(3)
-    data = proof.to_json_bytes()
-    assert ConsistencyProof.from_json_bytes(data) == proof
-    assert ConsistencyProof.from_json_bytes(data).to_json_bytes() == data
-
-
-def test_proof_json_rejects_noncanonical():
-    with pytest.raises(InvalidBody):
-        InclusionProof.from_json_bytes(b'{"tree_size": 2, "leaf_index": 0, "path": []}')
-    with pytest.raises(InvalidBody):
-        ConsistencyProof.from_json_bytes(b'{"old_size":1,"new_size":2}')
-    with pytest.raises(InvalidBody):
-        InclusionProof.from_json_bytes(
-            b'{"leaf_index":0,"path":["ABCD"],"tree_size":1}'
-        )
-    # a path that is not a list: a dict would iterate as its keys, an integer not at all
-    with pytest.raises(InvalidBody):
-        ConsistencyProof.from_json_bytes(b'{"new_size":2,"old_size":1,"path":{"' + b"ab" * 32 + b'":1}}')
-    with pytest.raises(InvalidBody):
-        InclusionProof.from_json_bytes(b'{"leaf_index":0,"path":5,"tree_size":1}')
-
-
 # -- log hygiene ----------------------------------------------------------
 
 

@@ -29,7 +29,6 @@ from skyprov.model import (
     sign_transaction,
     tx_from_obj,
     tx_from_wire_bytes,
-    tx_to_obj,
     validate_event,
     validate_transaction,
 )
@@ -367,12 +366,20 @@ def test_computed_once_attributes_take_no_class_lock():
 
 
 def test_body_bytes_are_cut_from_wire_bytes(user_key):
-    # a body string that spells the created_at member cannot move the cut
+    # a body string that spells the created_at member, or an extra key that
+    # is that member's name, cannot move the cut, neither where the wire
+    # bytes join the body's nor where a reader slices the body's from them
     tx = sign_transaction(
-        PublishDataset(make_dataset("ds-1", extra={',"created_at":': ',"created_at":1'})), user_key, created_at=7
+        PublishDataset(make_dataset("ds-1", extra={',"created_at":': ',"created_at":1', "created_at": "2"})),
+        user_key, created_at=7
     )
     assert tx.body_bytes == canonical_bytes(tx.body)
-    assert tx.wire_bytes == dumps_canonical(tx_to_obj(tx))
+    obj = {"body": body_to_obj(tx.body), "created_at": tx.created_at, "creator": tx.creator,
+           "signature": tx.signature, "tx_id": tx.tx_id}
+    assert tx.wire_bytes == dumps_canonical(obj)
+    back = tx_from_wire_bytes(tx.wire_bytes)
+    assert back.body_bytes == tx.body_bytes and back.wire_bytes == tx.wire_bytes
+    assert back.tx_id_ok and back.signature_ok
 
 
 def test_bool_created_at_still_rejected(base_state, user_key):
