@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import io
 import itertools
-import marshal
 import os
 import tarfile
 from dataclasses import dataclass, field
@@ -335,29 +334,8 @@ def execute(
             ds, ref = pairs[i]
             return _decode_stream(i, ds, ref, fetched[(ds.storage_id, ref.path)][0], merge, floor)
 
-        def decode(start: int, end: int) -> list:
-            return [stream(i) for i in range(start, end)]
-
-        def reply(start: int, end: int) -> bytes:
-            # the streams decoded before the first that raises, if one does:
-            # the caller decodes that one again and raises its error itself
-            decoded = []
-            try:
-                for i in range(start, end):
-                    decoded.append(stream(i))
-            except Exception:
-                pass
-            return marshal.dumps(decoded)
-
-        def parse(data: bytearray, start: int, end: int):
-            try:
-                decoded = marshal.loads(data)
-            except (EOFError, ValueError, TypeError):
-                return None
-            return decoded if isinstance(decoded, list) and len(decoded) <= end - start else None
-
         shares = parallel.split([ref.size for _, ref in pairs], _MIN_SHARE_BYTES)
-        streams = parallel.run(shares, decode, reply, parse)
+        streams = parallel.run(shares, stream, lambda decoded: isinstance(decoded, tuple) and len(decoded) == 4)
         events_in = missing = 0
         unsorted = None  # the first stream, in pair order, whose time goes backwards
         for count, dropped, backwards, _ in streams:

@@ -146,10 +146,12 @@ class BlockHeader:
 
     @property
     def signing_bytes(self) -> bytes:
-        """Canonical bytes of every field but the signature; computing them
-        validates the fields, and a malformed one raises InvalidBody."""
-        _check_header(self)
-        return dumps_validated({name: getattr(self, name) for name in _HEADER_CORE_KEYS})
+        """The wire bytes without their signature member, which the last
+        ',"signature":"' opens (the members after it hold integers and hex
+        only) and its 128 hex chars and quote end."""
+        data = self.wire_bytes
+        cut = data.rindex(_SIGNATURE_MEMBER)
+        return data[:cut] + data[cut + len(_SIGNATURE_MEMBER) + 129:]
 
     @once
     def wire_bytes(self) -> bytes:
@@ -178,7 +180,7 @@ class BlockHeader:
 
 
 _HEADER_KEYS = _field_names(BlockHeader)
-_HEADER_CORE_KEYS = _HEADER_KEYS - {"signature"}
+_SIGNATURE_MEMBER = b',"signature":"'
 
 
 def _check_header(h: BlockHeader) -> None:

@@ -94,20 +94,11 @@ def verify_signatures(items: list) -> list:
 
     Each (public key, message, signature) check is a pure function, so a
     helper verifies its contiguous share of items, which it inherits through
-    fork, and sends one byte per verdict. A helper that cannot start, exits
-    non-zero or sends a short or malformed reply costs only time: this
-    process verifies that share itself.
+    fork. A helper that cannot start, fails or sends a verdict that is not a
+    bool costs only time: this process verifies that share itself.
     """
-    def work(start: int, end: int) -> list:
-        return [verify_signature(*item) for item in items[start:end]]
-
-    def parse(reply: bytearray, start: int, end: int):
-        if len(reply) != end - start or reply.translate(None, b"\x00\x01"):
-            return None
-        return [byte == 1 for byte in reply]
-
     shares = parallel.split([1] * len(items), _MIN_SHARE)
-    return parallel.run(shares, work, lambda start, end: bytes(work(start, end)), parse)
+    return parallel.run(shares, lambda i: verify_signature(*items[i]), lambda verdict: isinstance(verdict, bool))
 
 
 def save_key_file(path: str, key: SigningKey) -> None:

@@ -350,9 +350,7 @@ def _check_body(body: TxBody) -> None:
         _require_str(body.base_uri, "base_uri")
         _require_hex64(body.storage_pubkey, "storage_pubkey")
     elif isinstance(body, RegisterProgram):
-        _require_str(body.program_id, "program_id")
-        _require_str(body.version, "version")
-        _require_hex64(body.code_hash, "code_hash")
+        _check_program(body.program_id, body.version, body.code_hash)
     elif isinstance(body, PublishDataset):
         validate_dataset(body.dataset)
         _require(body.dataset.kind == "primary", "publish_dataset must carry a primary dataset")
@@ -372,6 +370,13 @@ def _check_body(body: TxBody) -> None:
         _require_str(body.program_id, "program_id")
         _require_str(body.program_version, "program_version")
         _require_hex64(body.parameters_hash, "parameters_hash")
+
+
+def _check_program(program_id, version, code_hash) -> None:
+    """A program registration's field checks, for _check_body and the fold, which builds no body."""
+    _require_str(program_id, "program_id")
+    _require_str(version, "version")
+    _require_hex64(code_hash, "code_hash")
 
 
 def body_to_obj(body: TxBody) -> dict:
@@ -645,17 +650,17 @@ def fold_log_entries(objs) -> tuple:
     objs, in log order, as ChainState.apply_block folds their transactions.
 
     Only for entries that the caller binds to a validated chain by its
-    registry root before it uses the result (the head cache's restore): the
-    bytes are those of transactions validated into the chain, so no field
-    is checked again. Each object is checked for its shape only: the keys
-    of a transaction, its body and its dataset, the types of the fields a
-    query orders and filters by (integer time range bounds, an extra
-    object), that every storage, program, version and dataset id is a
-    non-empty string, as the body readers require, and each parent it names
-    must be a dataset folded before it.
-    No transaction is built, and of the bodies only a storage registration,
-    which the registry keeps. A dataset's record builds and validates its
-    descriptor on first read.
+    registry root before it uses the result (the head cache's restore). A
+    roster key may re-sign a head over any bytes, so every field of a
+    storage or program registration, which the registry keeps, passes the
+    checks the body reader makes. A publication or derivation is checked
+    for its shape only: the keys of a transaction, its body and its
+    dataset, the types of the fields a query orders and filters by (integer
+    time range bounds, an extra object), that every program, version and
+    dataset id is a non-empty string, as the body readers require, and each
+    parent it names must be a dataset folded before it.
+    No transaction is built, and of the bodies only a storage registration.
+    A dataset's record builds and validates its descriptor on first read.
     """
     registry, tx_index = RegistryState(), {}
     storages, programs, datasets = registry.storages, registry.programs, registry.datasets
@@ -666,10 +671,12 @@ def fold_log_entries(objs) -> tuple:
         tx_id = obj["tx_id"]
         tx_index[tx_id] = i
         if cls is RegisterStorage:
-            storages[_require_str(body["storage_id"], "storage_id")] = _storage_from_checked(body)
+            storage = _storage_from_checked(body)
+            _check_body(storage)
+            storages[storage.storage_id] = storage
         elif cls is RegisterProgram:
-            programs[(_require_str(body["program_id"], "program_id"),
-                      _require_str(body["version"], "version"))] = body["code_hash"]
+            _check_program(body["program_id"], body["version"], body["code_hash"])
+            programs[(body["program_id"], body["version"])] = body["code_hash"]
         else:
             if cls is DeriveDataset:
                 parents = tuple(body["parent_dataset_ids"])

@@ -3,17 +3,19 @@ in a forked helper.
 
 A job here is a list of pure per-item computations whose inputs this
 process already holds: a helper inherits them through fork, reads no file
-and sends back only its results, as bytes, through a pipe. A helper that
-cannot start, exits non-zero or sends a short or malformed reply costs only
-time: this process works that share itself. An exception here kills and
-reaps every helper, and no helper outlives the call that started it. This
-is the one module that forks, writes to a pipe or reaps a process.
+and sends back only its results, as marshal bytes, through a pipe. A helper
+that cannot start, exits non-zero or sends a short or malformed reply costs
+only time: this process works that share itself. An exception here kills
+and reaps every helper, and no helper outlives the call that started it.
+This is the one module that forks, writes to a pipe, reaps a process or
+encodes a helper's reply.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import marshal
 import os
 import signal
 import threading
@@ -48,29 +50,29 @@ def split(sizes: list, min_share: int) -> list:
     return [(0, len(sizes))]
 
 
-def run(shares: list, work, reply, parse) -> list:
-    """work(start, end) over the contiguous shares, concatenated in order.
+def run(shares: list, item, valid) -> list:
+    """[item(i) for i in range(start, end)] over the contiguous shares,
+    concatenated in order.
 
-    work(start, end) returns the results of items start to end. It runs here
-    for the first share. Each further share goes to a forked helper, which
-    sends back reply(start, end), bytes. parse(data, start, end) reads them
-    as the results of that share's first items, all or a prefix, or gives
-    None when they are malformed; this process works the items the helper's
-    results do not cover.
+    The first share is worked here. Each further share goes to a forked
+    helper, which works its items in order until one raises and sends back
+    the results before that item as marshal bytes. This process keeps a
+    reply only when the helper exited 0 and the bytes are a list, no longer
+    than the share, whose every result passes valid; it then works every
+    item the kept results do not cover, so any error is raised here, in
+    item order.
     """
     helpers = {}  # share start -> (pid, read end), or None when none started
     try:
         for start, end in shares[1:]:
-            helpers[start] = _start_helper(reply, start, end)
+            helpers[start] = _start_helper(item, start, end)
         start, end = shares[0]
-        results = work(start, end)
+        results = [item(i) for i in range(start, end)]
         for start, end in shares[1:]:
             helper = helpers.pop(start)
-            data = None if helper is None else _helper_reply(*helper)
-            done = [] if data is None else parse(data, start, end) or []
-            data = None  # the reply's bytes are not held while the rest is worked
+            done = [] if helper is None else _helper_results(*helper, end - start, valid)
             results += done
-            results += work(start + len(done), end)
+            results += [item(i) for i in range(start + len(done), end)]
         return results
     finally:
         for helper in helpers.values():  # left only when something raised
@@ -78,9 +80,10 @@ def run(shares: list, work, reply, parse) -> list:
                 _stop_helper(*helper)
 
 
-def _start_helper(reply, start: int, end: int):
-    """(pid, read end of its pipe) of a forked helper that sends
-    reply(start, end), or None when no pipe or process could be made."""
+def _start_helper(item, start: int, end: int):
+    """(pid, read end of its pipe) of a forked helper that sends the
+    marshalled results of items start to end, up to the first that raises,
+    or None when no pipe or process could be made."""
     try:
         read_end, write_end = os.pipe()
     except OSError:
@@ -95,7 +98,13 @@ def _start_helper(reply, start: int, end: int):
         status = 1
         try:
             os.close(read_end)
-            data = reply(start, end)
+            results = []
+            try:
+                for i in range(start, end):
+                    results.append(item(i))
+            except Exception:
+                pass  # the caller works this item again and raises its error itself
+            data = marshal.dumps(results)
             _write_all(write_end, len(data).to_bytes(_HEADER, "little"))
             _write_all(write_end, data)
             status = 0
@@ -123,8 +132,10 @@ def _read_exactly(fd: int, count: int):
     return buffer
 
 
-def _helper_reply(pid: int, read_end: int):
-    """The helper's reply, or None when it failed. The helper is reaped
+def _helper_results(pid: int, read_end: int, count: int, valid) -> list:
+    """The results the helper's reply carries, or [] when they are not to be
+    kept: it exited non-zero, or its reply is short, or not a marshalled
+    list of at most count results that each pass valid. The helper is reaped
     whatever happens, and killed first if reading raises."""
     data = None
     status = None
@@ -143,7 +154,13 @@ def _helper_reply(pid: int, read_end: int):
             status = os.waitpid(pid, 0)[1]
         except ChildProcessError:  # reaped elsewhere: its exit is unknown
             pass
-    return data if status == 0 else None
+    if data is None or status != 0:
+        return []
+    try:
+        done = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        return []
+    return done if isinstance(done, list) and len(done) <= count and all(map(valid, done)) else []
 
 
 def _stop_helper(pid: int, read_end: int) -> None:

@@ -805,7 +805,7 @@ def test_a_failed_helper_costs_only_time(world, helpers, monkeypatch, failure):
         dumps = {"truncated_reply": lambda obj: marshal.dumps(obj)[:-3],
                  "not_marshal_data": lambda obj: b"\xff" * 64,
                  "not_a_list": lambda obj: marshal.dumps(tuple(obj))}[failure]
-        monkeypatch.setattr(aggregation, "marshal", _Marshal(dumps))
+        monkeypatch.setattr(parallel, "marshal", _Marshal(dumps))
     assert result_fields(execute(request, index, storages)) == result_fields(expected)
     assert len(helpers) == (failure != "no_fork")
     assert_no_helper_left()

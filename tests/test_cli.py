@@ -761,15 +761,13 @@ def test_aggregate_rejects_publish_sink(world, tmp_path, capsys):
     assert code == 2
 
 
-def test_aggregate_under_a_resigned_head_with_a_bad_file_size_exits_3(world, tmp_path, capsys):
-    # A roster key re-signs the head over ds-a's publication with its file
-    # size a string, and the head cache names it. The restore takes field
-    # values on the signed head's word, but the descriptor aggregate reads is
-    # validated as it is built: the command exits 3, as the full replay does,
-    # with no traceback.
+def _resign_block_0(world, change):
+    """Rewrite block 0's transactions by change(transaction objects), with
+    the header committing to them and re-signed by its creator's roster key;
+    returns the head cache that names the rewritten head."""
     chain_dir = world["chain"]
     obj = json.loads(pathlib.Path(chain_dir, "block_0.json").read_bytes())
-    obj["transactions"][2]["body"]["dataset"]["file_refs"][0]["size"] = "x"
+    change(obj["transactions"])
     entries = [dumps_canonical(tx) for tx in obj["transactions"]]
     log = MerkleLog()
     log.extend(entries)
@@ -778,16 +776,47 @@ def test_aggregate_under_a_resigned_head_with_a_bad_file_size_exits_3(world, tmp
     header = dataclasses.replace(header, signature=world["keys"][header.creator].sign(header.signing_bytes).hex())
     pathlib.Path(chain_dir, "block_0.json").write_bytes(
         b'{"header":' + header.wire_bytes + b',"transactions":[' + b",".join(entries) + b"]}\n")
+    cache = {"genesis_hash": load_genesis(chain_dir).hash, "head_hash": header.hash, "height": 0}
+    return dumps_canonical(cache) + b"\n"
+
+
+def test_aggregate_under_a_resigned_head_with_a_bad_file_size_exits_3(world, tmp_path, capsys):
+    # A roster key re-signs the head over ds-a's publication with its file
+    # size a string, and the head cache names it. The restore takes field
+    # values on the signed head's word, but the descriptor aggregate reads is
+    # validated as it is built: the command exits 3, as the full replay does,
+    # with no traceback.
+    chain_dir = world["chain"]
+    cache = _resign_block_0(world, lambda txs: txs[2]["body"]["dataset"]["file_refs"][0].update(size="x"))
     request = agg_request(tmp_path, None)
     argv = ("aggregate", "--home", world["home"], "--request", request, "--out", str(tmp_path / "out.jsonl"))
     code, out, _ = run(capsys, *argv)
     assert code == 3 and "chain invalid at height 0: InvalidBody" in lines(out)[0]["message"]
-    cache = {"genesis_hash": load_genesis(chain_dir).hash, "head_hash": header.hash, "height": 0}
-    pathlib.Path(chain_dir, chain_module.HEAD_CACHE).write_bytes(dumps_canonical(cache) + b"\n")
+    pathlib.Path(chain_dir, chain_module.HEAD_CACHE).write_bytes(cache)
     state, heights = chain_module.open_store(chain_dir)
     assert chain_module._restore_head(chain_dir, state, heights) == 0
     code, out, _ = run(capsys, *argv)
     assert code == 3 and lines(out) == [{"error": "InvalidBody", "message": "file size must be an integer"}]
+
+
+def test_aggregate_under_a_resigned_head_with_a_storage_base_uri_not_a_string_exits_3(world, tmp_path, capsys):
+    # The registry keeps a restored storage registration, and aggregate opens
+    # the storage at its base_uri: the restore checks its fields as the
+    # replay's reader does, so with the cache and without it the command
+    # exits 3 with the replay's verdict, not a TypeError traceback.
+    chain_dir = world["chain"]
+    cache = _resign_block_0(world, lambda txs: txs[0]["body"].update(base_uri=7))
+    request = agg_request(tmp_path, None)
+    argv = ("aggregate", "--home", world["home"], "--request", request, "--out", str(tmp_path / "out.jsonl"))
+    for cached in (False, True):
+        if cached:
+            pathlib.Path(chain_dir, chain_module.HEAD_CACHE).write_bytes(cache)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and "chain invalid at height 0: InvalidBody" in lines(out)[0]["message"], cached
+        assert "Traceback" not in err
+    pathlib.Path(chain_dir, chain_module.HEAD_CACHE).write_bytes(cache)
+    state, heights = chain_module.open_store(chain_dir)
+    assert chain_module._restore_head(chain_dir, state, heights) == -1
 
 
 def test_publish_full_cycle(world, tmp_path, capsys):
