@@ -215,6 +215,10 @@ class Block:
     header: BlockHeader
     transactions: tuple
 
+    @once
+    def _verdicts(self) -> dict:
+        return {}  # head hash of the state checked against -> validate_block's verdict
+
 
 _BLOCK_KEYS = _field_names(Block)
 
@@ -555,7 +559,18 @@ def produce_block(state: ChainState, slot: int, handler_key: SigningKey, now: in
 
 
 def validate_block(state: ChainState, block: Block) -> Verdict:
-    """Full admission check for the next block on this chain."""
+    """Full admission check for the next block on this chain, kept on the block per state head
+    hash (a check that raises keeps nothing), so nodes and replays at one head share it. The
+    head hash fixes every input: it links to the genesis, its registry roots commit to each
+    transaction applied, and only validated blocks or a restore equal to the replay's move a
+    head. So a check may read only state the head hash fixes, never the pending pool or a clock."""
+    verdicts, head = block._verdicts, state.head_hash()
+    if head not in verdicts:
+        verdicts[head] = _validate_block(state, block)
+    return verdicts[head]
+
+
+def _validate_block(state: ChainState, block: Block) -> Verdict:
     h = block.header
     try:
         h.hash

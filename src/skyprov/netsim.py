@@ -645,11 +645,11 @@ class Simulation:
     def audit(self):
         tamperers = {f.handler for f in self.config.faults if f.kind == "tamper_history"}
         verifiers = [n for n in sorted(self.nodes) if n not in tamperers]
-        # Each peer's chain is exported once. Blocks are immutable, so the
-        # same block objects in the same order replay to the same verdict
-        # and log: one replay per distinct served chain, and one memo of its
-        # log's roots by size, stand for every verifier of every peer that
-        # serves it.
+        # Each peer's chain is exported once. Blocks are immutable, so the same block objects in
+        # the same order replay to the same log: one replay per distinct served chain, and one memo
+        # of its log's roots by size, stand for every verifier of every peer that serves it. A
+        # replay still applies every block to its own state, but a block's verdict at a parent
+        # head is computed once and shared by the nodes and other replays at that head.
         replays = {}  # ids of the served blocks -> (chain, failure, log, roots), built on first use
         served = {}  # peer -> the replay of the chain it serves
         for verifier in verifiers:

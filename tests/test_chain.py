@@ -891,13 +891,14 @@ else:  # each block validated as soon as it is read
         assert chain.validate_block(state, block).ok
         state.apply_block(block)
 print(max(sys.getsizeof(vars(tx)) for b in blocks for tx in b.transactions),
-      max(sys.getsizeof(vars(b.header)) for b in blocks))
+      max(sys.getsizeof(vars(b.header)) for b in blocks),
+      max(sys.getsizeof(vars(b)) for b in blocks))
 """
 
 
 def test_reading_blocks_ahead_keeps_instance_dicts_small(chain3, tmp_path):
     # A replay reads a window of blocks before it validates any. That must
-    # leave each transaction's and header's instance dict no larger than
+    # leave each transaction's, header's and block's instance dict no larger than
     # validating each block as it is read does. Each way runs in a fresh
     # interpreter, whose classes have not yet shared any attribute keys.
     state, keys = chain3
@@ -1159,6 +1160,72 @@ def test_header_verdict_is_kept_per_key(chain3, monkeypatch):
         assert detect_equivocation(b, a, state.config) is not None
         assert detect_equivocation(a, b, swapped) is None
     assert len(calls) == 3  # b under h0's key; a's verdicts under both keys were kept
+
+
+def _count_block_validations(monkeypatch):
+    """The (parent head hash, block) of each verdict validate_block computes,
+    and the uncounted computation."""
+    original = chain_module._validate_block
+    computed = []
+
+    def counting(state, block):
+        computed.append((state.head_hash(), block))
+        return original(state, block)
+
+    monkeypatch.setattr(chain_module, "_validate_block", counting)
+    return computed, original
+
+
+def test_block_verdict_is_computed_once_per_parent_head(chain3_factory, monkeypatch):
+    computed, compute = _count_block_validations(monkeypatch)
+    (first, keys), (second, _), (behind, _) = chain3_factory(), chain3_factory(), chain3_factory()
+    build_chain(first, keys, 3)
+    for block in first.blocks:
+        assert second.receive_block(block).ok
+    for block in first.blocks[:-1]:
+        assert behind.receive_block(block).ok
+    assert len(computed) == 3  # the second and third states share the first's verdicts
+    _publish(first, key_for("user-1"), "ds-next", 900, start=900, end=905)
+    nxt = produce_block(first, 3, keys[first.scheduled_handler(3)], now=first.slot_start_time(3))
+    assert validate_block(first, nxt).ok and validate_block(second, nxt).ok
+    assert computed[3:] == [(first.head_hash(), nxt)]
+    assert validate_block(second, nxt) == compute(second, nxt)
+    # a state one block behind is another head, so it gets its own verdict
+    assert validate_block(behind, nxt).reason == "BadLink"
+    assert validate_block(first, nxt).ok
+    assert computed[4:] == [(behind.head_hash(), nxt)]
+    # a rejected verdict is kept too, on its own block object
+    forged = Block(nxt.header, nxt.transactions[:-1])
+    for _ in range(2):
+        assert validate_block(first, forged).reason == "BadTxRoot"
+        assert validate_block(second, nxt).ok
+    assert computed[5:] == [(first.head_hash(), forged)]
+
+
+def test_a_block_check_that_raises_keeps_no_verdict(chain3, monkeypatch):
+    state, keys = chain3
+    block = produce_block(state, 0, keys["h0"], now=0)
+    original = chain_module._validate_block
+
+    def failing(state, block):
+        raise OSError("check failed")
+
+    monkeypatch.setattr(chain_module, "_validate_block", failing)
+    with pytest.raises(OSError):
+        validate_block(state, block)
+    assert block._verdicts == {}
+    monkeypatch.setattr(chain_module, "_validate_block", original)
+    assert validate_block(state, block).ok
+    assert list(block._verdicts) == [state.head_hash()]
+
+
+def test_cold_replay_computes_each_block_verdict_once(tmp_path, monkeypatch):
+    _golden_store(tmp_path)
+    computed, _ = _count_block_validations(monkeypatch)
+    state, results, failure = replay_chain(str(tmp_path))
+    assert failure is None
+    assert len(computed) == len(results) == state.head_height + 1
+    assert [block.header.height for _, block in computed] == list(range(state.head_height + 1))
 
 
 @pytest.mark.parametrize("field,value", [("prev_block_hash", "XYZ"), ("registry_size", -1), ("signature", "A" * 128)])

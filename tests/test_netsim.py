@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from skyprov import chain as chain_module
 from skyprov import keys as keys_module
 from skyprov import merkle as merkle_module
 from skyprov import model as model_module
@@ -214,6 +215,36 @@ def test_each_signature_is_verified_once(obj, expected, monkeypatch):
             monkeypatch.setattr(module, "verify_signature", counting)
     run_simulation(sim_config_from_obj(obj))
     assert len(calls) == len(set(calls)) == expected
+
+
+# Distinct (parent head, block) pairs each golden run validates: the nodes
+# and audit replays at one head share one verdict on one block object.
+VALIDATION_COUNTS = [25, 25, 9, 33]
+
+
+@pytest.mark.parametrize("obj,expected", [(obj, n) for (obj, _), n in zip(TRACE_GOLDENS, VALIDATION_COUNTS)],
+                         ids=GOLDEN_IDS)
+def test_each_block_is_validated_once_per_parent_head(obj, expected, monkeypatch):
+    original_validate, original_compute = chain_module.validate_block, chain_module._validate_block
+    asked = set()  # (parent head hash, id of the block) per validate_block call
+    computed = []  # the same, per verdict computed
+    blocks = []  # every block validated, kept so that no id is reused
+
+    def validate(state, block):
+        blocks.append(block)
+        asked.add((state.head_hash(), id(block)))
+        return original_validate(state, block)
+
+    def compute(state, block):
+        computed.append((state.head_hash(), id(block)))
+        return original_compute(state, block)
+
+    monkeypatch.setattr(chain_module, "validate_block", validate)
+    monkeypatch.setattr(chain_module, "_validate_block", compute)
+    run_simulation(sim_config_from_obj(obj))
+    assert len(blocks) > len(asked)
+    assert len(computed) == len(set(computed)) == len(asked) == expected
+    assert set(computed) == asked
 
 
 def test_different_seeds_differ():
