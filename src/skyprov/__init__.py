@@ -89,7 +89,6 @@ from .storage import (
     encode_events,
     init_storage,
     open_storage,
-    read_events,
     write_events,
 )
 

@@ -7,9 +7,13 @@ closed set of stages that were all checked before the first fetch. Each
 input stream is decoded, checked for time order and filtered on its own;
 each event that passes the filter keeps only its sort key and its
 canonical line, and the output is those lines in merge order, never
-re-encoded. The streams may be decoded in contiguous shares by forked
-helpers (parallel.run), which changes no output byte and no error. Output
-is defined entirely by the merge policy, never by fetch arrival order."""
+re-encoded. When the request's sink publishes into a packed storage, each
+kept event also keeps its packed record, built from the decoded event, and
+publish_result writes those records as the derived file: the output is
+never decoded, checked or encoded again. The streams may be decoded in
+contiguous shares by forked helpers (parallel.run), which changes no output
+byte and no error. Output is defined entirely by the merge policy, never by
+fetch arrival order."""
 
 from __future__ import annotations
 
@@ -57,7 +61,7 @@ from .model import (
     RegistryState,
     sign_transaction,
 )
-from .storage import decode_events, encode_events, get_file, put_file
+from .storage import decode_events, get_file, pack_event, packed_file, put_file
 
 
 # -- requests --------------------------------------------------------------------
@@ -135,7 +139,8 @@ def pipeline_parameters_hash(pipeline) -> str:
 
 # Bound on the input streams (one per file ref recorded on chain) a request
 # may merge. Each process holds one file's decoded events at a time; every
-# stream's kept lines are held until the output is joined.
+# stream's kept lines, and for a packed publish sink their packed records,
+# are held until the output is joined.
 MAX_STREAMS = 10_000
 
 # The fewest fetched bytes a process decodes. A helper costs 3-5 ms to fork
@@ -229,6 +234,10 @@ class AggregationResult:
     output_digest: str
     pipeline: tuple  # as checked: thresholds in their shortest spelling
     output_path: Optional[str] = None
+    # for a publish sink naming a packed storage: the packed file of the
+    # output, or the InvalidBody message of its first record the codec
+    # cannot hold, which publish_result raises after its registry checks
+    packed: object = None
 
     def summary_obj(self) -> dict:
         return {
@@ -242,13 +251,15 @@ class AggregationResult:
         }
 
 
-def _decode_stream(index: int, ds, ref, data: bytes, merge: bool, floor) -> tuple:
+def _decode_stream(index: int, ds, ref, data: bytes, merge: bool, floor, pack: bool) -> tuple:
     """(events, missing, unsorted, kept) of the index-th input stream: its
     event count, the events the energy floor drops for having no energy,
     the message naming the stream when a merge needs it time-ordered and its
     time goes backwards (else None), and one (registration_time, dataset_id,
-    event_id, index, line) item per kept event. Items merge with no key, and
-    the stream index keeps ties in pair order."""
+    event_id, index, line) item per kept event, with the event's packed
+    record appended when pack is set, or the message of the InvalidBody
+    pack_event raised, which publish_result raises in its turn. Items merge
+    with no key, and the stream index keeps ties in pair order."""
     events = decode_events(ref.format, data)
     dataset_id = ds.dataset_id
     unsorted = None
@@ -266,7 +277,13 @@ def _decode_stream(index: int, ds, ref, data: bytes, merge: bool, floor) -> tupl
                 continue
             if Decimal(ev.energy_estimate) < floor:
                 continue
-        kept.append((t, dataset_id, ev.event_id, index, ev.wire_bytes))
+        item = (t, dataset_id, ev.event_id, index, ev.wire_bytes)
+        if pack:
+            try:
+                item += (pack_event(ev),)
+            except InvalidBody as exc:
+                item += (str(exc),)
+        kept.append(item)
     return len(events), missing, unsorted, kept
 
 
@@ -292,7 +309,8 @@ def execute(
     storages,
 ) -> AggregationResult:
     """Run one aggregation request end to end (sink delivery for local sinks;
-    publish sinks are completed by publish_result on the returned result)."""
+    publish sinks are completed by publish_result on the returned result,
+    which for a packed storage carries the packed file)."""
     pipeline = _check_pipeline(request.pipeline)
     names = [spec.name for spec in pipeline]
     archive_mode = names == ["merge_archive"]
@@ -319,6 +337,7 @@ def execute(
             )
 
     drop_tally = {}
+    packed = None
     if archive_mode:
         output = plugin_merge_archive(
             (f"{ds.storage_id}/{ref.path}", fetched[(ds.storage_id, ref.path)][0]) for ds, ref in pairs
@@ -330,9 +349,13 @@ def execute(
         # threshold; only the first filter ever sees the energy-less events
         floor = max((Decimal(s.parameters["threshold"]) for s in pipeline if s.name == "energy_filter"), default=None)
 
+        sink = request.sink
+        handle = storages.get(sink.storage_id) if isinstance(sink, PublishSink) else None
+        pack = handle is not None and handle.kind == "packed"
+
         def stream(i: int) -> tuple:
             ds, ref = pairs[i]
-            return _decode_stream(i, ds, ref, fetched[(ds.storage_id, ref.path)][0], merge, floor)
+            return _decode_stream(i, ds, ref, fetched[(ds.storage_id, ref.path)][0], merge, floor, pack)
 
         shares = parallel.split([ref.size for _, ref in pairs], _MIN_SHARE_BYTES)
         streams = parallel.run(shares, stream, lambda decoded: isinstance(decoded, tuple) and len(decoded) == 4)
@@ -348,7 +371,15 @@ def execute(
         if missing:
             drop_tally["energy_filter"] = missing
         kept = [items for _, _, _, items in streams]
-        lines = [item[-1] for item in (heapq.merge(*kept) if merge else itertools.chain.from_iterable(kept))]
+        merged = heapq.merge(*kept) if merge else itertools.chain.from_iterable(kept)
+        if pack:
+            merged = list(merged)
+            records = [item[5] for item in merged]
+            fault = next((i for i, record in enumerate(records) if isinstance(record, str)), None)
+            # a record the codec cannot hold leaves, in place of the file, the
+            # message encode_events_packed gives for it, named by its output index
+            packed = packed_file(records) if fault is None else f"record {fault}: {records[fault]}"
+        lines = [item[4] for item in merged]
         events_out = len(lines)
         lines.append(b"")  # the final "\n"
         output = b"\n".join(lines)
@@ -363,6 +394,7 @@ def execute(
         output_bytes=output,
         output_digest=sha256_bytes(output).hex(),
         pipeline=pipeline,
+        packed=packed,
     )
 
     if isinstance(request.sink, LocalSink):
@@ -386,7 +418,11 @@ def publish_result(
 ) -> PmdTransaction:
     """Write the result into a storage and submit the derivation record.
 
-    Order matters: the transaction is built and signed first, so a body
+    The file is the jsonl output, or, for a packed storage, the packed file
+    execute built because the request's sink named that storage.
+
+    Order matters: the registry checks come first, then a record the packed
+    codec cannot hold; the transaction is built and signed next, so a body
     that fails validation writes no file; the file is written before the
     transaction is submitted, so a failed write never leaves a dangling
     registry entry.
@@ -416,8 +452,13 @@ def publish_result(
 
     if handle.kind == "jsonl":
         data, digest = result.output_bytes, result.output_digest
+    elif result.packed is None:
+        raise PluginConfigError(f"the result has no packed file for storage {sink.storage_id}: "
+                                "execute the request with this publish sink")
+    elif isinstance(result.packed, str):
+        raise InvalidBody(result.packed)
     else:
-        data = encode_events(handle.kind, decode_events("jsonl", result.output_bytes))
+        data = result.packed
         digest = sha256_bytes(data).hex()
     path = f"derived/{sink.dataset_id}.{handle.kind}"
     descriptor = DatasetDescriptor(

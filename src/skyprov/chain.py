@@ -31,11 +31,11 @@ from .canonical import (
     make_dirs,
     once,
     parse_failures,
-    parse_json,
     read_file,
     read_part,
     replace_file,
     scan_json,
+    scan_one_json,
     sha256_bytes,
     write_file,
 )
@@ -105,6 +105,7 @@ def genesis_to_obj(config: GenesisConfig) -> dict:
 
 
 def genesis_from_obj(obj) -> GenesisConfig:
+    """The genesis a genesis object holds, its shape and fields checked; nothing is encoded."""
     _require(isinstance(obj, dict), "genesis must be an object")
     _require(obj.keys() == _GENESIS_KEYS, "genesis keys malformed")
     handlers = obj["handlers"]
@@ -112,15 +113,18 @@ def genesis_from_obj(obj) -> GenesisConfig:
     for h in handlers:
         _require(isinstance(h, dict) and h.keys() == {"handler_id", "public_key"}, "handler entry malformed")
     config = GenesisConfig(**dict(obj, handlers=tuple((h["handler_id"], h["public_key"]) for h in handlers)))
-    config.wire_bytes  # the one field validation
+    genesis_to_obj(config)  # the one field validation
     return config
 
 
 def genesis_from_bytes(data: bytes) -> GenesisConfig:
-    """Parse a genesis, accepting only its one byte form."""
-    config = genesis_from_obj(parse_json(data))
-    _require(config.wire_bytes == data, "input is not in canonical form")
-    return config
+    """Read a genesis, accepting only its one byte form: the value scanned
+    from data is read as a block part is. The scan starts and ends past any
+    whitespace around the value, as json.loads would, so whitespace fails
+    the canonical check, not the scan."""
+    with parse_failures():
+        value = scan_one_json(data.strip(b" \t\n\r"))
+    return read_part(genesis_from_obj, data, value)
 
 
 # -- headers and blocks ------------------------------------------------------

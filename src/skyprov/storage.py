@@ -10,7 +10,9 @@ Each decoded event is built in one pass: one scan, one field check
 prebuilt JSON scanner, must hold exactly one JSON value, and is encoded
 once; the event keeps those bytes (`EasEvent.wire_bytes`), which must equal
 the line. A packed record encodes nothing: its event computes its bytes when
-something encodes it. The jsonl encoder joins the events' bytes.
+something encodes it. The jsonl encoder joins the events' bytes; the
+packed encoder joins the records of one per-record packer (pack_event),
+which an aggregation also calls to publish into a packed storage.
 
 Every event has one byte form in each codec, so a decoded file re-encodes
 to its own bytes.
@@ -155,55 +157,71 @@ def decode_events_jsonl(data: bytes):
 # -- packed codec ----------------------------------------------------------------
 
 
-def _pack_str(text: str, what: str, index: int) -> bytes:
-    raw = text.encode("utf-8")
-    if len(raw) > _U16_MAX:
-        raise InvalidBody(f"record {index}: {what} too long for packed format")
-    return struct.pack("<H", len(raw)) + raw
-
-
-def encode_events_packed(events) -> bytes:
-    events = list(events)
-    out = bytearray()
-    out += PACKED_MAGIC
-    out += struct.pack("<HI", PACKED_VERSION, len(events))
-    for i, ev in enumerate(events):
-        ev.checked  # validate_event, once per object
-        if ev.registration_time > _U64_MAX:
-            raise InvalidBody(f"record {i}: registration_time exceeds u64")
-        if ev.bin_width > _U32_MAX:
-            raise InvalidBody(f"record {i}: bin_width exceeds u32")
-        if len(ev.signal_histogram) > _U32_MAX:
-            raise InvalidBody(f"record {i}: histogram too long")
-        out += _pack_str(ev.event_id, "event_id", i)
-        out += _pack_str(ev.facility_id, "facility_id", i)
-        out += _pack_str(ev.detector_id, "detector_id", i)
-        out += struct.pack("<QI", ev.registration_time, ev.bin_width)
-        n = len(ev.signal_histogram)
-        try:
-            out += struct.pack(f"<I{n}I", n, *ev.signal_histogram)
-        except struct.error as exc:
-            raise InvalidBody(f"record {i}: histogram count exceeds u32") from exc
-        if ev.energy_estimate is None:
-            out += b"\x00"
-        else:
-            out += b"\x01"
-            out += _pack_str(ev.energy_estimate, "energy_estimate", i)
-        pairs = sorted(dict(ev.service_info).items())
-        if len(pairs) > _U16_MAX:
-            raise InvalidBody(f"record {i}: too many service_info pairs")
-        out += struct.pack("<H", len(pairs))
-        for key, value in pairs:
-            out += _pack_str(key, "service_info key", i)
-            out += _pack_str(value, "service_info value", i)
-    return bytes(out)
-
-
 _MAGIC = struct.Struct("4s")
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64_U32_U32 = struct.Struct("<QII")  # registration_time, bin_width, histogram length
+
+
+def _pack_str(out: bytearray, text: str, what: str) -> None:
+    """Append text to out as a u16-length-prefixed UTF-8 field."""
+    raw = text.encode("utf-8")
+    if len(raw) > _U16_MAX:
+        raise InvalidBody(f"{what} too long for packed format")
+    out += _U16.pack(len(raw))
+    out += raw
+
+
+def pack_event(ev) -> bytearray:
+    """One event's packed record, in a buffer of its own, not copied to
+    bytes: the file is joined from the records. InvalidBody names the field
+    the packed codec cannot hold, and the file encoder adds the record's
+    index."""
+    ev.checked  # validate_event, once per object
+    if ev.registration_time > _U64_MAX:
+        raise InvalidBody("registration_time exceeds u64")
+    if ev.bin_width > _U32_MAX:
+        raise InvalidBody("bin_width exceeds u32")
+    n = len(ev.signal_histogram)
+    if n > _U32_MAX:
+        raise InvalidBody("histogram too long")
+    out = bytearray()
+    _pack_str(out, ev.event_id, "event_id")
+    _pack_str(out, ev.facility_id, "facility_id")
+    _pack_str(out, ev.detector_id, "detector_id")
+    try:  # validate_event and the checks above leave only a count for struct to refuse
+        out += struct.pack(f"<QII{n}I", ev.registration_time, ev.bin_width, n, *ev.signal_histogram)
+    except struct.error as exc:
+        raise InvalidBody("histogram count exceeds u32") from exc
+    if ev.energy_estimate is None:
+        out += b"\x00"
+    else:
+        out += b"\x01"
+        _pack_str(out, ev.energy_estimate, "energy_estimate")
+    pairs = sorted(dict(ev.service_info).items())
+    if len(pairs) > _U16_MAX:
+        raise InvalidBody("too many service_info pairs")
+    out += _U16.pack(len(pairs))
+    for key, value in pairs:
+        _pack_str(out, key, "service_info key")
+        _pack_str(out, value, "service_info value")
+    return out
+
+
+def packed_file(records: list) -> bytes:
+    """The packed file of records that pack_event built, in order."""
+    return PACKED_MAGIC + struct.pack("<HI", PACKED_VERSION, len(records)) + b"".join(records)
+
+
+def encode_events_packed(events) -> bytes:
+    records = []
+    for i, ev in enumerate(events):
+        try:
+            records.append(pack_event(ev))
+        except InvalidBody as exc:
+            raise InvalidBody(f"record {i}: {exc}") from exc
+    return packed_file(records)
 
 
 def _unpack_str(data: bytes, pos: int, record: int):
@@ -289,11 +307,6 @@ def decode_events(kind: str, data: bytes):
     if kind == "packed":
         return decode_events_packed(data)
     raise InvalidBody(f"unknown adapter kind {kind!r}")
-
-
-def read_events(handle: StorageHandle, path: str):
-    data, _ = get_file(handle, path)
-    return decode_events(handle.kind, data)
 
 
 def write_events(handle: StorageHandle, path: str, events) -> bytes:

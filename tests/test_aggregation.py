@@ -942,14 +942,11 @@ def test_publish_result_full_cycle(world):
     assert d.file_refs[0].format == "packed"
     assert tx.body.parameters_hash == pipeline_parameters_hash(result.pipeline)
     # the stored file decodes back to exactly the pipeline output
-    from skyprov.storage import read_events
-    from skyprov.storage import decode_events
+    from skyprov.storage import decode_events, get_file
 
-    stored = read_events(storages["st-2"], d.file_refs[0].path)
+    stored = decode_events("packed", get_file(storages["st-2"], d.file_refs[0].path)[0])
     assert stored == decode_events("jsonl", result.output_bytes)
     # and its recorded digest matches the bytes on disk
-    from skyprov.storage import get_file
-
     _, digest = get_file(storages["st-2"], d.file_refs[0].path)
     assert digest.hex() == d.file_refs[0].content_hash
 
@@ -1039,4 +1036,97 @@ def test_publish_result_invalid_body_writes_no_file(world):
     with pytest.raises(InvalidBody):
         publish_result(result, sink, key_for("user-1"), state, storages)
     assert not os.path.exists(os.path.join(storages["st-1"].base_uri, "derived"))
+    assert state.pending_pool == pool_before
+
+
+# -- publishing into a packed storage ------------------------------------------------------
+
+BEYOND_U64 = 2**64  # validate_event accepts it; the packed codec's u64 cannot hold it
+
+
+def publish_streams_ending_at(world, times):
+    """One dataset per time, in query order, each with one jsonl file of four
+    events, the last at that time. Times of one digit count give files of one
+    size, so a split in two puts the first half of the streams in the
+    caller's share."""
+    state, keys, _, storages, _ = world
+    handle = storages["st-1"]
+    user = key_for("user-1")
+    for i, last in enumerate(times):
+        ref = put_ref(handle, f"streams/s{i}.jsonl", mk_events(f"s{i}", [5_100, 5_200, 5_300, last]))
+        publish_refs(state, handle, user, f"ds-s{i}", [ref], 5_000 + i, 5_400)
+    seal(state, keys)
+    sizes = [ref.size for ds in query(state.registry, WINDOW) for ref in ds.file_refs]
+    assert parallel.split(sizes, 1) == [(0, len(times) // 2), (len(times) // 2, len(times))]
+    return state.registry
+
+
+@pytest.mark.parametrize("stream,forked", [(1, False), (1, True), (3, True)],
+                         ids=["serial", "in_the_callers_share", "in_the_helpers_share"])
+def test_a_record_the_packed_codec_cannot_hold_fails_publish_after_the_registry_checks(
+        world, helpers, monkeypatch, stream, forked):
+    state, _, _, storages, _ = world
+    times = [10**19] * 4  # as many digits as BEYOND_U64, and held by u64
+    times[stream] = BEYOND_U64
+    index = publish_streams_ending_at(world, times)
+    sink = PublishSink(storage_id="st-2", dataset_id="ds-big", program_id="prog-1", program_version="1.0")
+    request = AggregationRequest(filter=WINDOW, sink=sink)
+    result = execute(request, index, storages) if forked else serial(monkeypatch, lambda: execute(request, index, storages))
+    assert len(helpers) == forked
+    assert_no_helper_left()
+    position = 4 * stream + 3  # no merge: the streams' events in pair order
+    assert storage.decode_events("jsonl", result.output_bytes)[position].registration_time == BEYOND_U64
+    user = key_for("user-1")
+    pool_before = dict(state.pending_pool)
+    for change, error in [({"program_id": "ghost"}, UnknownProgram), ({"dataset_id": "ds-a"}, DuplicateDataset),
+                          ({}, InvalidBody)]:
+        with pytest.raises(error) as err:
+            publish_result(result, dataclasses.replace(sink, **change), user, state, storages, created_at=next(CREATED))
+    assert str(err.value) == f"record {position}: registration_time exceeds u64"
+    assert not os.path.exists(os.path.join(storages["st-2"].base_uri, "derived"))
+    assert state.pending_pool == pool_before
+
+
+def test_a_packed_publish_decodes_and_checks_each_input_event_once(world, monkeypatch):
+    state, _, index, storages, _ = world
+    sink = PublishSink(storage_id="st-2", dataset_id="ds-census", program_id="prog-1", program_version="1.0")
+    request = AggregationRequest(filter=ALL, pipeline=MERGE + (FILTER,), sink=sink)
+    calls = counting_event_work(monkeypatch)
+    decoded = []
+    decode = storage.decode_events
+
+    def recording(kind, data):
+        decoded.append((kind, data))
+        return decode(kind, data)
+
+    for module in (sys.modules[name] for name in list(sys.modules) if name.startswith("skyprov.")):
+        if getattr(module, "decode_events", None) is decode:
+            monkeypatch.setattr(module, "decode_events", recording)
+
+    def run():
+        result = execute(request, index, storages)
+        publish_result(result, sink, key_for("user-1"), state, storages, created_at=next(CREATED))
+        return result
+
+    result = serial(monkeypatch, run)
+    assert 0 < result.events_out < result.events_in
+    assert calls["validate_event"] == result.events_in
+    streams = [(ref.format, storage.get_file(storages[ds.storage_id], ref.path)[0])
+               for ds in query(index, ALL) for ref in ds.file_refs]
+    assert decoded == streams
+    monkeypatch.undo()
+    stored = storage.get_file(storages["st-2"], "derived/ds-census.packed")[0]
+    assert stored == encode_events("packed", storage.decode_events("jsonl", result.output_bytes))
+
+
+def test_a_result_executed_without_a_packed_sink_cannot_be_published_there(world):
+    state, _, index, storages, _ = world
+    sink = PublishSink(storage_id="st-2", dataset_id="ds-unpacked", program_id="prog-1", program_version="1.0")
+    pool_before = dict(state.pending_pool)
+    for executed_for in [None, dataclasses.replace(sink, storage_id="st-1")]:
+        result = execute(AggregationRequest(filter=ALL, sink=executed_for), index, storages)
+        assert result.packed is None
+        with pytest.raises(PluginConfigError, match="no packed file for storage st-2"):
+            publish_result(result, sink, key_for("user-1"), state, storages, created_at=next(CREATED))
+    assert not os.path.exists(os.path.join(storages["st-2"].base_uri, "derived"))
     assert state.pending_pool == pool_before

@@ -831,11 +831,9 @@ def _record_skyprov_calls(monkeypatch, module, name):
 def test_block_files_are_read_by_the_frame_walk_alone(tmp_path, monkeypatch):
     # A replay builds each part from the object scanned from its exact
     # bytes, so no body, dataset or header is rebuilt as an object to be
-    # encoded, and no block file is parsed whole; the genesis is, once. A
-    # warm load parses the genesis only, and reads every covered block file
-    # by the same walk.
+    # encoded, and no block file or genesis is parsed whole. A warm load
+    # reads every covered block file by the same walk.
     _golden_store(tmp_path)
-    genesis = (tmp_path / "genesis.json").read_bytes()[:-1]
     rebuilt = {(module.__name__, name): _record_skyprov_calls(monkeypatch, module, name)
                for module, name in ((model, "body_to_obj"), (model, "dataset_to_obj"), (chain_module, "header_to_obj"))}
     parsed = _record_skyprov_calls(monkeypatch, canonical_module, "parse_json")
@@ -843,13 +841,13 @@ def test_block_files_are_read_by_the_frame_walk_alone(tmp_path, monkeypatch):
     state, _, failure = replay_chain(str(tmp_path))
     assert failure is None and state.head_height == 6
     assert {key: len(calls) for key, calls in rebuilt.items()} == dict.fromkeys(rebuilt, 0)
-    assert parsed == [genesis]
+    assert parsed == []
     assert len(walked) == 7
     load_chain(str(tmp_path))  # writes the head cache
     parsed.clear()
     walked.clear()
     assert load_chain(str(tmp_path)).head_hash() == state.head_hash()
-    assert parsed == [genesis]
+    assert parsed == []
     assert len(walked) == 7
     assert {key: len(calls) for key, calls in rebuilt.items()} == dict.fromkeys(rebuilt, 0)
 

@@ -41,7 +41,6 @@ from skyprov.storage import (
     init_storage,
     open_storage,
     put_file,
-    read_events,
     write_events,
 )
 
@@ -593,4 +592,4 @@ def test_write_read_events_uses_manifest_kind(tmp_path):
         raw, raw_digest = get_file(handle, "events/run1." + kind)
         assert raw_digest == digest
         assert raw == encode_events(kind, [EV_A, EV_B])
-        assert read_events(handle, "events/run1." + kind) == [EV_A, EV_B]
+        assert decode_events(kind, get_file(handle, "events/run1." + kind)[0]) == [EV_A, EV_B]
